@@ -85,15 +85,6 @@ class FilterConfig:
     excluded_author_tags: list = field(default_factory=lambda: ["deleted", "DeltaBot"])
     min_user_discussions: int = 2
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(
-            excluded_author_tags=list(raw.get("excluded_author_tags", ["deleted", "DeltaBot"])),
-            min_user_discussions=int(raw.get("min_user_discussions", 2)),
-        )
-
 
 def _build_discussion(raw, manifest, excluded_tags):
     post_raw = raw["post"]

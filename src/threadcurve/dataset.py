@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import features as F
+from . import logreg
 from .clustering import spacetime_centers, T_CAP_SECONDS
 from .cooccur import title_vector
 from .corpus import growth_target, window_labels, windowize
-
-ABLATION_GROUPS = ("content", "surface", "latent", "user")
 
 
 def title_vectors(discussions, lexicons):
@@ -20,144 +19,91 @@ def title_vectors(discussions, lexicons):
     }
 
 
-def _raw_features(discussions, w, N, lexicons, embedding, tvecs):
-    """Per discussion: post vector, per-window per-comment vectors."""
-    rows = []
-    for d in discussions:
-        wd = windowize(d, w, N)
-        post_vec = F.featurize_post(d, lexicons, embedding, tvecs[d.id])
-        window_comment_vecs = []
-        for win in wd.windows:
-            window_comment_vecs.append([
-                F.featurize_comment(c, d, lexicons, embedding)
-                for c in win.comments
-            ])
-        rows.append({"discussion": d, "wd": wd, "post_vec": post_vec,
-                     "window_comment_vecs": window_comment_vecs})
-    return rows
-
-
-def _apply_ablation(rows, post_layout, comment_layout, group, mode, seed):
-    """Ablate one feature group across every post/comment vector."""
-    rng = np.random.default_rng(seed)
-    post_stats = F.FeatureStats.from_rows([r["post_vec"] for r in rows])
-    all_comments = [v for r in rows for win in r["window_comment_vecs"] for v in win]
-    comment_stats = (F.FeatureStats.from_rows(all_comments)
-                     if all_comments else None)
-    new_post_layout = post_layout
-    new_comment_layout = comment_layout
-    for r in rows:
-        r["post_vec"], new_post_layout = F.ablate(
-            r["post_vec"], post_layout, group, mode, post_stats, rng)
-        new_windows = []
-        for win in r["window_comment_vecs"]:
-            new_win = []
-            for v in win:
-                v2, new_comment_layout = F.ablate(
-                    v, comment_layout, group, mode, comment_stats, rng)
-                new_win.append(v2)
-            new_windows.append(new_win)
-        r["window_comment_vecs"] = new_windows
-    return rows, new_post_layout, new_comment_layout
-
-
 def build_temporal_dataset(discussions, w, N, lexicons, embedding,
-                           cluster_model, t_cap=T_CAP_SECONDS,
-                           ablation=None, ablation_seed=0):
-    """Returns (instances, post_layout, comment_layout).
+                           cluster_model, t_cap=T_CAP_SECONDS):
+    """Returns (pack, post_layout, comment_layout).
 
-    Each instance carries inputs for both the curvature model and the
-    Newtonian baseline. `ablation` is None or (group, mode).
+    `pack` maps each model input to an array with one row per discussion:
+    the inputs of the curvature model and the Newtonian baseline, logreg's
+    prefix features per (step, cluster) and, per step, how many of the
+    comments before it came from each cluster. Steps whose window is empty
+    keep zero labels, growth and logreg features, and a false mask.
     """
-    d_w = lexicons.d_w
     d = embedding.dim
-    post_layout = F.post_layout(d_w, d)
-    comment_layout = F.comment_layout(d_w, d)
+    post_layout = F.post_layout(lexicons.d_w, d)
+    comment_layout = F.comment_layout(lexicons.d_w, d)
     tvecs = title_vectors(discussions, lexicons)
-    rows = _raw_features(discussions, w, N, lexicons, embedding, tvecs)
-    if ablation is not None:
-        group, mode = ablation
-        rows, post_layout, comment_layout = _apply_ablation(
-            rows, post_layout, comment_layout, group, mode, ablation_seed)
-
-    n = cluster_model.n
-    instances = []
-    for r in rows:
-        wd = r["wd"]
+    assignment, n = cluster_model.assignment, cluster_model.n
+    rows = []
+    for disc in discussions:
+        wd = windowize(disc, w, N)
         x2 = np.zeros((N, comment_layout.width))
-        for k, win_vecs in enumerate(r["window_comment_vecs"]):
-            if win_vecs:
-                x2[k] = np.mean(win_vecs, axis=0)
-        labels_raw = window_labels(wd, cluster_model.assignment, n)
         labels = np.zeros((N, n))
         mask = np.zeros(N, dtype=bool)
         growth = np.zeros(N)
-        growth_raw = np.zeros(N)
-        for k, (win, lab) in enumerate(zip(wd.windows, labels_raw)):
+        logreg_features = np.zeros((N, n, logreg.feature_width(d)))
+        engaged_counts = np.zeros((N, n))
+        seen = np.zeros(n)
+        for k, (win, lab) in enumerate(
+                zip(wd.windows, window_labels(wd, assignment, n))):
+            engaged_counts[k] = seen
+            for c in win.comments:
+                if c.author in assignment:
+                    seen[assignment[c.author]] += 1
             if lab is None:
                 continue
+            x2[k] = np.mean([F.featurize_comment(c, disc, lexicons, embedding)
+                             for c in win.comments], axis=0)
             labels[k] = lab
             mask[k] = True
-            raw_v, shifted = growth_target(win)
-            growth[k] = shifted
-            growth_raw[k] = raw_v
+            growth[k] = growth_target(win)[1]
+            prefix = disc.comments[:k * w]
+            for c in range(n):
+                logreg_features[k, c] = logreg.aggregate_step_features(
+                    disc, prefix, c, assignment, lexicons, embedding)
 
         user_vectors = np.zeros((N * w, d))
         user_mask = np.zeros(N * w, dtype=bool)
-        for pos, c in enumerate(wd.discussion.comments[:N * w]):
+        for pos, c in enumerate(disc.comments[:N * w]):
             if c.author in embedding.index:
                 user_vectors[pos] = embedding.vector(c.author)
                 user_mask[pos] = True
 
-        instances.append({
-            "discussion_id": wd.discussion.id,
-            "x1": r["post_vec"],
+        rows.append({
+            "x1": F.featurize_post(disc, lexicons, embedding, tvecs[disc.id]),
             "x2": x2,
             "centers": spacetime_centers(cluster_model, wd, t_cap),
-            "flat_centers": cluster_model.centers,
             "labels": labels,
             "mask": mask,
             "growth": growth,
-            "growth_raw": growth_raw,
             "user_vectors": user_vectors,
             "user_mask": user_mask,
-            "wd": wd,
+            "logreg_features": logreg_features,
+            "engaged_counts": engaged_counts,
         })
-    return instances, post_layout, comment_layout
+    pack = {key: np.stack([r[key] for r in rows]) for key in rows[0]}
+    return pack, post_layout, comment_layout
 
 
-def build_nontemporal_dataset(discussions, lexicons, embedding, cluster_model,
-                              ablation=None, ablation_seed=0):
-    """Post-only instances with step-0 spacetime centers and binary labels."""
-    d_w = lexicons.d_w
-    d = embedding.dim
-    post_layout = F.post_layout(d_w, d)
+def build_nontemporal_dataset(discussions, lexicons, embedding):
+    """Returns (pack, post_layout): post features and the binary label
+    (any comment at all), one row per discussion."""
+    post_layout = F.post_layout(lexicons.d_w, embedding.dim)
     tvecs = title_vectors(discussions, lexicons)
-    vecs = [F.featurize_post(dd, lexicons, embedding, tvecs[dd.id])
-            for dd in discussions]
-    if ablation is not None:
-        group, mode = ablation
-        rng = np.random.default_rng(ablation_seed)
-        stats = F.FeatureStats.from_rows(vecs)
-        new_vecs = []
-        new_layout = post_layout
-        for v in vecs:
-            v2, new_layout = F.ablate(v, post_layout, group, mode, stats, rng)
-            new_vecs.append(v2)
-        vecs, post_layout = new_vecs, new_layout
+    pack = {
+        "x1": np.array([F.featurize_post(d, lexicons, embedding, tvecs[d.id])
+                        for d in discussions]),
+        "label": np.array([1.0 if d.comments else 0.0 for d in discussions]),
+    }
+    return pack, post_layout
 
-    n, dd_ = cluster_model.centers.shape
-    centers0 = np.zeros((n, dd_ + 1))
-    centers0[:, 1:] = cluster_model.centers
-    instances = []
-    for disc, vec in zip(discussions, vecs):
-        instances.append({
-            "discussion_id": disc.id,
-            "x1": vec,
-            "centers0": centers0,
-            "label": 1 if len(disc.comments) > 0 else 0,
-        })
-    return instances, post_layout
+
+def unstack(pack, ids, **shared):
+    """One instance dict per pack row, keyed as the pack plus
+    `discussion_id`; every instance also gets the `shared` values."""
+    return [dict({key: value[r] for key, value in pack.items()},
+                 discussion_id=did, **shared)
+            for r, did in enumerate(ids)]
 
 
 def standardize_instances(train, test, keys=("x1", "x2")):

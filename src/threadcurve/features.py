@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,35 +243,30 @@ def featurize_post(discussion, lexicons, embedding, title_vec):
 
 # ------------------------------------------------------------------ ablation
 
-@dataclass
-class FeatureStats:
-    mean: np.ndarray
-    std: np.ndarray
+def ablate(X, layout, group, mode, n_train, rngs=None, valid=None):
+    """Drop a feature group's columns, or fill them with Gaussian noise
+    matching the training rows.
 
-    @classmethod
-    def from_rows(cls, rows):
-        mat = np.asarray(rows, dtype=float)
-        return cls(mean=mat.mean(axis=0), std=mat.std(axis=0))
-
-
-def ablate(vec, layout, group, mode, stats=None, rng=None):
-    """Drop a feature group (shrinking the vector) or replace it with
-    Gaussian samples matching the training distribution.
-
-    Returns (new_vector, new_layout). `stats` covers the full layout and
-    is required for noise mode.
+    `X` has the feature columns on its last axis and one row per
+    discussion on axis 0, the `n_train` training rows first. `valid`
+    (shape X.shape[:-1], default all true) marks the vectors that hold
+    data; only those feed the statistics and receive noise. Noise mode
+    draws training and test noise from the two generators in `rngs`.
+    Returns (new_X, new_layout).
     """
     if not layout.has(group):
         raise KeyError("unknown feature group %r" % group)
-    vec = np.asarray(vec, dtype=float)
     sl = layout.slice_of(group)
     if mode == "drop":
-        kept = np.concatenate([vec[:sl.start], vec[sl.stop:]])
-        return kept, layout.without(group)
-    if mode == "noise":
-        if stats is None or rng is None:
-            raise ValueError("noise mode needs stats and rng")
-        out = vec.copy()
-        out[sl] = rng.normal(stats.mean[sl], stats.std[sl])
-        return out, layout
-    raise ValueError("unknown ablation mode %r" % mode)
+        return np.delete(X, sl, axis=-1), layout.without(group)
+    if mode != "noise":
+        raise ValueError("unknown ablation mode %r" % mode)
+    if valid is None:
+        valid = np.ones(X.shape[:-1], dtype=bool)
+    ref = X[:n_train][valid[:n_train]][:, sl]
+    mean, std = ref.mean(axis=0), ref.std(axis=0)
+    out = np.array(X, dtype=float)
+    for part, keep, rng in zip((out[:n_train], out[n_train:]),
+                               (valid[:n_train], valid[n_train:]), rngs):
+        part[keep, sl] = rng.normal(mean, std, size=(int(keep.sum()), len(mean)))
+    return out, layout

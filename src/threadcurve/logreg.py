@@ -10,13 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .cooccur import reply_edges
-from .features import _content_block, _surface_block
+from .features import (CONTENT_NAMES, SURFACE_NAMES, _content_block,
+                       _surface_block)
 from .optim import Adam, OptimError, ParameterStore
 
 
 def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
                     np.exp(np.clip(z, -500, 500)) / (1.0 + np.exp(np.clip(z, -500, 500))))
+
+
+def feature_width(d):
+    """Length of `aggregate_step_features` for a d-dimensional embedding."""
+    return len(CONTENT_NAMES) + len(SURFACE_NAMES) + d + 1
 
 
 def aggregate_step_features(discussion, prefix_comments, cluster, assignments,
@@ -50,19 +56,6 @@ def aggregate_step_features(discussion, prefix_comments, cluster, assignments,
         mean_vec = np.zeros(d)
         mean_degree = 0.0
     return np.concatenate([content, surface, mean_vec, [mean_degree]])
-
-
-def nontemporal_features(discussion, lexicons, embedding):
-    """Post-only features: merged-text blocks plus the author's vector."""
-    merged = discussion.post.title + " " + discussion.post.body
-    content = _content_block(merged, lexicons)
-    surface = _surface_block(merged, 0, 0)
-    author = discussion.post.author
-    if author in embedding.index:
-        vec = embedding.vector(author)
-    else:
-        vec = np.zeros(embedding.dim)
-    return np.concatenate([content, surface, vec])
 
 
 def logreg_loss(store, X, y, l2):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import homogeneity_entropy
-from .curvature import metric_distance
 
 
 @dataclass
@@ -167,10 +166,9 @@ def _intra_distances(member_vecs, g_inv_row):
     Members share the window's time coordinate, so the time component of
     every difference vector is zero; only spatial components matter.
     """
-    eu, md = [], []
-    for a in range(len(member_vecs)):
-        for b in range(a + 1, len(member_vecs)):
-            diff = np.concatenate([[0.0], member_vecs[a] - member_vecs[b]])
-            eu.append(float(np.linalg.norm(diff)))
-            md.append(metric_distance(g_inv_row, np.zeros_like(diff), diff))
-    return float(np.mean(eu)), float(np.mean(md))
+    V = np.asarray(member_vecs, dtype=float)
+    a, b = np.triu_indices(len(V), k=1)
+    sq = (V[a] - V[b]) ** 2
+    eu = np.sqrt(sq.sum(axis=1))
+    md = np.sqrt((sq / np.asarray(g_inv_row, dtype=float)[1:]).sum(axis=1))
+    return float(eu.mean()), float(md.mean())

@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -16,14 +16,18 @@ from .cooccur import build_cooccurrence, CooccurrenceMatrix, sparsity_profile
 from .corpus import (FilterConfig, embedded_users, parse_corpus,
                      serialize_corpus)
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
-                      split_dataset, standardize_instances, title_vectors)
+                      split_dataset, standardize_instances, unstack)
 from .embedding import EmbeddingModel, train_guvec
-from .features import Lexicons, load_sentiment, load_stopwords, load_word_vectors
+from .features import (ablate, build_lexicons, comment_layout, load_sentiment,
+                       load_stopwords, load_word_vectors, post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
+from .optim import ParameterStore
 from .storage import (atomic_write_json, atomic_write_text, save_store,
                       load_store, sha256_file)
 
 VERSION = "0.1.0"
+
+PACK = "features_pack.txt"   # every model input, written by `featurize`
 
 STAGES = ["synth", "ingest", "balance", "cooccur", "embed", "cluster",
           "featurize", "train", "evaluate", "predict", "diagnose"]
@@ -105,6 +109,10 @@ class PipelineConfig:
     def load(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise PipelineError("unknown config key(s) in %s: %s"
+                                % (path, ", ".join(unknown)))
         return cls(**raw)
 
     def save(self, path):
@@ -154,19 +162,6 @@ def _load_discussions(cfg):
     discussions, _ = parse_corpus(cfg.path("discussions.jsonl"),
                                   _filter_config(cfg))
     return discussions
-
-
-def _load_lexicons(cfg):
-    _require(cfg, [cfg.path("features_meta.json")], "featurize")
-    with open(cfg.path("features_meta.json")) as fh:
-        meta = json.load(fh)
-    return Lexicons(
-        idf=meta["idf"],
-        word_vectors=load_word_vectors(cfg.word_vectors_path),
-        sentiment=load_sentiment(cfg.sentiment_path),
-        stopwords=frozenset(load_stopwords(cfg.stopwords_path)),
-        vocab_size=meta["vocab_size"],
-    ), meta
 
 
 def _load_embedding(cfg):
@@ -297,64 +292,85 @@ def stage_featurize(cfg):
     discussions = _task_discussions(cfg, _load_discussions(cfg))
     _require(cfg, [cfg.word_vectors_path, cfg.sentiment_path,
                    cfg.stopwords_path], "synth (or provide lexicon files)")
+    embedding = _load_embedding(cfg)
+    cm = _load_clusters(cfg)
     train, test = split_dataset(discussions, cfg.holdout, seed=cfg.seed)
-    from .features import build_lexicons
     lex = build_lexicons(train, load_word_vectors(cfg.word_vectors_path),
                          load_sentiment(cfg.sentiment_path),
                          load_stopwords(cfg.stopwords_path))
+    if cfg.task == "temporal":
+        pack, _, _ = build_temporal_dataset(train + test, cfg.w, cfg.N, lex,
+                                            embedding, cm, t_cap=cfg.t_cap)
+    else:
+        pack, _ = build_nontemporal_dataset(train + test, lex, embedding)
+    store = ParameterStore()
+    for name, value in pack.items():
+        store.register(name, value)
+    pack_path = cfg.path(PACK)
+    save_store(store, pack_path)
     meta = {
         "idf": lex.idf,
         "vocab_size": lex.vocab_size,
         "d_w": lex.d_w,
+        "task": cfg.task,
         "train_ids": [d.id for d in train],
         "test_ids": [d.id for d in test],
-        "ablation": cfg.ablation,
     }
     out = cfg.path("features_meta.json")
     atomic_write_json(out, meta)
-    _update_manifest(cfg, "featurize", [cfg.path("discussions.jsonl")], [out])
-    return [out]
+    _update_manifest(cfg, "featurize",
+                     [cfg.path("discussions.jsonl"), cfg.path("embeddings.txt"),
+                      cfg.path("clusters.txt")], [out, pack_path])
+    return [out, pack_path]
 
 
-def _model_config(cfg, post_width, comment_width):
+def _model_inputs(cfg):
+    """Train and test instances from the features pack, ablated as
+    configured and standardized with training statistics.
+
+    Returns (train, test, layouts, cluster_model); `layouts` maps x1 (and,
+    on the temporal task, x2) to its feature layout after the ablation.
+    """
+    _require(cfg, [cfg.path("features_meta.json"), cfg.path(PACK)], "featurize")
+    with open(cfg.path("features_meta.json")) as fh:
+        meta = json.load(fh)
+    if meta["task"] != cfg.task:
+        raise PipelineError("the features pack is for the %s task: run "
+                            "featurize for the %s task first"
+                            % (meta["task"], cfg.task))
+    store = load_store(cfg.path(PACK))
+    pack = {name: store.get(name) for name in store.names()}
+    cm = _load_clusters(cfg)
+    n_train = len(meta["train_ids"])
+    layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
+    if cfg.task == "temporal":
+        pack["mask"] = pack["mask"] > 0
+        pack["user_mask"] = pack["user_mask"] > 0
+        layouts["x2"] = comment_layout(meta["d_w"], cfg.d)
+        shared = {"flat_centers": cm.centers}
+    else:
+        # step-0 spacetime centres: time coordinate 0
+        shared = {"centers0": np.pad(cm.centers, ((0, 0), (1, 0)))}
+    if cfg.ablation:
+        group, mode = cfg.ablation_pair()
+        # train and test noise come from separate streams
+        rngs = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(cfg.seed).spawn(2)]
+        for key in layouts:
+            pack[key], layouts[key] = ablate(
+                pack[key], layouts[key], group, mode, n_train, rngs,
+                valid=pack["mask"] if key == "x2" else None)
+    instances = unstack(pack, meta["train_ids"] + meta["test_ids"], **shared)
+    train, test = instances[:n_train], instances[n_train:]
+    standardize_instances(train, test, keys=tuple(layouts))
+    return train, test, layouts, cm
+
+
+def _model_config(cfg, layouts):
     return curvature.ModelConfig(
-        comment_width=comment_width, post_width=post_width, d=cfg.d,
+        comment_width=layouts.get("x2", layouts["x1"]).width,
+        post_width=layouts["x1"].width, d=cfg.d,
         n=cfg.n, N=cfg.N, h1=cfg.h1, h2=cfg.h2, h3=cfg.h3, lam=cfg.lam)
-
-
-def _temporal_materials(cfg):
-    discussions = _task_discussions(cfg, _load_discussions(cfg))
-    lex, meta = _load_lexicons(cfg)
-    embedding = _load_embedding(cfg)
-    cm = _load_clusters(cfg)
-    by_id = {d.id: d for d in discussions}
-    train = [by_id[i] for i in meta["train_ids"] if i in by_id]
-    test = [by_id[i] for i in meta["test_ids"] if i in by_id]
-    build = lambda ds: build_temporal_dataset(
-        ds, cfg.w, cfg.N, lex, embedding, cm, t_cap=cfg.t_cap,
-        ablation=cfg.ablation_pair(), ablation_seed=cfg.seed)
-    train_inst, post_layout, comment_layout = build(train)
-    test_inst, _, _ = build(test)
-    standardize_instances(train_inst, test_inst)
-    return train_inst, test_inst, post_layout, comment_layout, embedding, cm, lex
-
-
-def _nontemporal_materials(cfg):
-    discussions = _task_discussions(cfg, _load_discussions(cfg))
-    lex, meta = _load_lexicons(cfg)
-    embedding = _load_embedding(cfg)
-    cm = _load_clusters(cfg)
-    by_id = {d.id: d for d in discussions}
-    train = [by_id[i] for i in meta["train_ids"] if i in by_id]
-    test = [by_id[i] for i in meta["test_ids"] if i in by_id]
-    train_inst, post_layout = build_nontemporal_dataset(
-        train, lex, embedding, cm, ablation=cfg.ablation_pair(),
-        ablation_seed=cfg.seed)
-    test_inst, _ = build_nontemporal_dataset(
-        test, lex, embedding, cm, ablation=cfg.ablation_pair(),
-        ablation_seed=cfg.seed)
-    standardize_instances(train_inst, test_inst, keys=("x1",))
-    return train_inst, test_inst, post_layout, embedding, cm, lex
 
 
 def _ckpt_path(cfg):
@@ -362,66 +378,51 @@ def _ckpt_path(cfg):
 
 
 def stage_train(cfg):
-    if cfg.task == "temporal":
-        train_inst, _, post_layout, comment_layout, *_ = _temporal_materials(cfg)
-        mc = _model_config(cfg, post_layout.width, comment_layout.width)
-        if cfg.model == "rgnet":
-            store, losses = curvature.train_temporal(
-                train_inst, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
-                return_losses=True)
-        elif cfg.model == "newtonian":
-            store, losses = newton.train_temporal(
-                train_inst, mc, cfg.w, seed=cfg.seed, epochs=cfg.epochs,
-                lr=cfg.lr, return_losses=True)
-        else:
-            store, losses = _train_logreg_temporal(cfg, train_inst)
-    else:
-        if cfg.model != "rgnet":
-            raise PipelineError("non-temporal training supports rgnet only")
-        train_inst, _, post_layout, *_ = _nontemporal_materials(cfg)
-        mc = _model_config(cfg, post_layout.width, post_layout.width)
+    if cfg.task == "nontemporal" and cfg.model != "rgnet":
+        raise PipelineError("non-temporal training supports rgnet only")
+    train, _, layouts, _ = _model_inputs(cfg)
+    mc = _model_config(cfg, layouts)
+    if cfg.task == "nontemporal":
         store, losses = curvature.train_nontemporal(
-            train_inst, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
+            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
             return_losses=True)
+    elif cfg.model == "rgnet":
+        store, losses = curvature.train_temporal(
+            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
+            return_losses=True)
+    elif cfg.model == "newtonian":
+        store, losses = newton.train_temporal(
+            train, mc, cfg.w, seed=cfg.seed, epochs=cfg.epochs,
+            lr=cfg.lr, return_losses=True)
+    else:
+        store, losses = _train_logreg_temporal(cfg, train), []
     out = _ckpt_path(cfg)
     save_store(store, out)
     atomic_write_json(cfg.path("train_log.json"), {"epoch_losses": losses})
-    _update_manifest(cfg, "train", [cfg.path("features_meta.json")], [out])
+    _update_manifest(cfg, "train",
+                     [cfg.path("features_meta.json"), cfg.path(PACK)], [out])
     return [out]
 
 
-def _train_logreg_temporal(cfg, train_inst):
-    lex, _ = _load_lexicons(cfg)
-    embedding = _load_embedding(cfg)
-    cm = _load_clusters(cfg)
-    per_cluster = _logreg_step_data(cfg, train_inst, lex, embedding, cm)
+def _train_logreg_temporal(cfg, train):
+    """One logistic unit per cluster over the prefix features of every
+    valid training step."""
+    per_cluster = [
+        (np.concatenate([inst["logreg_features"][inst["mask"], c]
+                         for inst in train]),
+         np.concatenate([inst["labels"][inst["mask"], c] for inst in train]))
+        for c in range(cfg.n)]
     model = logreg.train_temporal(per_cluster, seed=cfg.seed)
-    from .optim import ParameterStore
     store = ParameterStore()
     store.register("weights", model.weights)
     store.register("Biases", model.biases)
-    return store, []
-
-
-def _logreg_step_data(cfg, instances, lex, embedding, cm):
-    per_cluster = [[[], []] for _ in range(cfg.n)]
-    for inst in instances:
-        wd = inst["wd"]
-        d = wd.discussion
-        for i in range(cfg.N):
-            if not inst["mask"][i]:
-                continue
-            prefix = list(d.comments[:i * cfg.w])
-            for c in range(cfg.n):
-                x = logreg.aggregate_step_features(
-                    d, prefix, c, cm.assignment, lex, embedding)
-                per_cluster[c][0].append(x)
-                per_cluster[c][1].append(inst["labels"][i][c])
-    return [(np.array(X), np.array(y)) for X, y in per_cluster]
+    return store
 
 
 def _predict_records(cfg, instances, store):
     """Per valid step: y1, decisions, y2 for the configured model."""
+    if cfg.model == "logreg":
+        model = logreg.LogRegModel(store.get("weights"), store.get("Biases"))
     records = []
     for inst in instances:
         if cfg.model == "rgnet":
@@ -430,7 +431,10 @@ def _predict_records(cfg, instances, store):
         elif cfg.model == "newtonian":
             pred = newton.predict_temporal(store, inst, cfg.w)
         else:
-            pred = _logreg_predict(cfg, inst, store)
+            y1 = np.array([[model.predict_proba(c, x) for c, x in enumerate(step)]
+                           for step in inst["logreg_features"]])
+            pred = {"y1": y1, "decisions": (y1 > 0.5).astype(int), "y2": None,
+                    "trace": None}
         for i in range(cfg.N):
             if not inst["mask"][i]:
                 continue
@@ -448,29 +452,11 @@ def _predict_records(cfg, instances, store):
     return records
 
 
-def _logreg_predict(cfg, inst, store):
-    lex, _ = _load_lexicons(cfg)
-    embedding = _load_embedding(cfg)
-    cm = _load_clusters(cfg)
-    model = logreg.LogRegModel(store.get("weights"), store.get("Biases"))
-    wd = inst["wd"]
-    d = wd.discussion
-    y1 = np.zeros((cfg.N, cfg.n))
-    for i in range(cfg.N):
-        prefix = list(d.comments[:i * cfg.w])
-        for c in range(cfg.n):
-            x = logreg.aggregate_step_features(d, prefix, c, cm.assignment,
-                                               lex, embedding)
-            y1[i, c] = model.predict_proba(c, x)
-    return {"y1": y1, "decisions": (y1 > 0.5).astype(int), "y2": None,
-            "trace": None}
-
-
 def stage_evaluate(cfg):
     _require(cfg, [_ckpt_path(cfg)], "train")
     store = load_store(_ckpt_path(cfg))
+    _, test_inst, _, _ = _model_inputs(cfg)
     if cfg.task == "temporal":
-        _, test_inst, *_ = _temporal_materials(cfg)
         records = _predict_records(cfg, test_inst, store)
         pred = [r["decision"] for r in records]
         truth = [r["truth"] for r in records]
@@ -481,7 +467,6 @@ def stage_evaluate(cfg):
             report["growth_mean_error_pct"] = ge.mean_error
             report["growth_excluded_steps"] = ge.excluded_zero_truth
     else:
-        _, test_inst, post_layout, *_ = _nontemporal_materials(cfg)
         scores, labels = [], []
         for inst in test_inst:
             prob, _cls = curvature.predict_nontemporal(store, inst["x1"],
@@ -507,10 +492,10 @@ def stage_evaluate(cfg):
 def stage_predict(cfg):
     _require(cfg, [_ckpt_path(cfg)], "train")
     store = load_store(_ckpt_path(cfg))
+    _, test_inst, _, _ = _model_inputs(cfg)
     out = cfg.path("predictions_%s_%s.csv" % (cfg.model, cfg.task))
     tmp = out + ".tmp"
     if cfg.task == "temporal":
-        _, test_inst, *_ = _temporal_materials(cfg)
         records = _predict_records(cfg, test_inst, store)
         with open(tmp, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -522,7 +507,6 @@ def stage_predict(cfg):
                             + ["%.6f" % v for v in r["y1"]]
                             + [int(v) for v in r["decision"]])
     else:
-        _, test_inst, *_ = _nontemporal_materials(cfg)
         with open(tmp, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["discussion_id", "y3", "class"])
@@ -540,32 +524,24 @@ def stage_diagnose(cfg):
         raise PipelineError("diagnose runs on the temporal rgnet model")
     _require(cfg, [_ckpt_path(cfg)], "train")
     store = load_store(_ckpt_path(cfg))
-    _, test_inst, _pl, _cl, embedding, cm, _lex = _temporal_materials(cfg)
-    records = _predict_records(cfg, test_inst, store)
+    _, test_inst, _, cm = _model_inputs(cfg)
     diag_records = []
-    for r in records:
-        inst = r["inst"]
+    for r in _predict_records(cfg, test_inst, store):
         i = r["step"]
-        wd = inst["wd"]
-        engaged = []
-        for win in wd.windows[:i]:
-            for c in win.comments:
-                cl = cm.assignment.get(c.author)
-                if cl is not None:
-                    engaged.append(cl)
-        trace = r["trace"]
+        counts = r["inst"]["engaged_counts"][i].astype(int)
         diag_records.append({
             "discussion_id": r["discussion_id"],
             "step": i,
-            "engaged_clusters": engaged,
+            # one cluster index per engaged comment before step i
+            "engaged_clusters": np.repeat(np.arange(len(counts)), counts).tolist(),
             "pred": r["decision"],
             "truth": r["truth"],
             "v_true": r["v_true"],
             "v_pred": r["y2"],
-            "g_inv": trace.steps[i].g_inv.data if trace is not None else None,
+            "g_inv": r["trace"].steps[i].g_inv.data,
         })
     prefix = cfg.path("diagnostics")
-    summary = diagnostics(diag_records, cm, embedding, prefix)
+    summary = diagnostics(diag_records, cm, _load_embedding(cfg), prefix)
     spath = cfg.path("diagnostics_summary.json")
     atomic_write_json(spath, summary)
     _update_manifest(cfg, "diagnose", [_ckpt_path(cfg)], [spath])

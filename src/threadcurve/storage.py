@@ -16,6 +16,7 @@ import numpy as np
 from .optim import ParameterStore
 
 FORMAT_HEADER = "tensorstore v1"
+WRITE_CHUNK = 4096     # values formatted per write
 
 
 def atomic_write_text(path, content):
@@ -38,31 +39,38 @@ def sha256_file(path):
 
 
 def save_store(store, path):
-    lines = [FORMAT_HEADER]
-    for name in store.names():
-        value = store.get(name)
-        lines.append("tensor %s %s" % (name, " ".join(str(s) for s in value.shape)))
-        lines.append(" ".join("%.17g" % v for v in value.ravel()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write `store` in the tensorstore format, a chunk of values at a time,
+    so that no string of the whole file or of one tensor is ever built."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(FORMAT_HEADER + "\n")
+        for name in store.names():
+            value = store.get(name)
+            fh.write("tensor %s %s\n" % (name, " ".join(str(s) for s in value.shape)))
+            flat = value.ravel()
+            for start in range(0, flat.size, WRITE_CHUNK):
+                chunk = flat[start:start + WRITE_CHUNK].tolist()
+                fh.write((" " if start else "")
+                         + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
+            fh.write("\n")
+    os.replace(tmp, path)
 
 
 def load_store(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError("unrecognized checkpoint format in %s" % path)
     store = ParameterStore()
-    k = 1
-    while k < len(lines):
-        if not lines[k].strip():
-            k += 1
-            continue
-        parts = lines[k].split()
-        if parts[0] != "tensor":
-            raise ValueError("bad tensor header %r" % lines[k])
-        name = parts[1]
-        shape = tuple(int(s) for s in parts[2:])
-        values = np.array([float(x) for x in lines[k + 1].split()])
-        store.register(name, values.reshape(shape))
-        k += 2
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != FORMAT_HEADER:
+            raise ValueError("unrecognized checkpoint format in %s" % path)
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] != "tensor":
+                raise ValueError("bad tensor header %r" % line)
+            shape = tuple(int(s) for s in parts[2:])
+            text = next(fh, "")
+            # numpy reads a blank line as [-1.0]: an empty tensor is read apart
+            values = (np.zeros(0) if text.isspace()
+                      else np.fromstring(text, sep=" "))
+            store.register(parts[1], values.reshape(shape))
     return store

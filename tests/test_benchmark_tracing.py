@@ -1,0 +1,65 @@
+"""The benchmark's trace hooks against the package.
+
+`benchmark/tracing.py` patches threadcurve functions under the names their
+callers look them up by, so moving or renaming one of them breaks
+`benchmark/run.py --trace 1`. This installs the hooks on the imported
+modules, runs a small temporal pipeline under them and uninstalls them.
+"""
+
+import importlib
+import importlib.util
+import math
+import os
+
+from threadcurve.corpus import parse_corpus
+from threadcurve.pipeline import PipelineConfig, run_all
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = ("pipeline", "synth", "dataset", "cooccur", "features",
+           "curvature", "autodiff", "optim", "newton", "logreg")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", os.path.join(ROOT, "benchmark", "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes(tc):
+    """Every module attribute and patched class method, by identity."""
+    out = {(m, k): v for m, mod in tc.items() for k, v in vars(mod).items()}
+    for cls, attr in ((tc["autodiff"].Var, "__init__"),
+                      (tc["autodiff"].Var, "backward"),
+                      (tc["optim"].Adam, "step")):
+        out[(cls.__name__, attr)] = cls.__dict__[attr]
+    return out
+
+
+def test_trace_hooks_install_run_and_uninstall(tmp_path):
+    tracing = _load_tracing()
+    tc = {m: importlib.import_module("threadcurve." + m) for m in MODULES}
+    before = _attributes(tc)
+    stages = dict(tc["pipeline"].STAGE_FUNCS)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, tc, math.pi / 12)
+    try:
+        cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
+                             synth_discussions=9, epochs=2, embed_epochs=5,
+                             holdout=0.25)
+        run_all(cfg)
+    finally:
+        uninstall()
+    after = _attributes(tc)
+    assert all(after[key] is value for key, value in before.items())
+    assert tc["pipeline"].STAGE_FUNCS == stages
+
+    discussions, _ = parse_corpus(cfg.path("discussions.jsonl"))
+    windowed = sum(min(len(d.comments), cfg.N * cfg.w) for d in discussions)
+    counts = tracer.counts
+    # features are computed once, by `featurize`
+    assert counts["features.featurize_comment"] == windowed
+    assert counts["features.load_word_vectors"] == 2
+    assert counts["dataset.build_temporal_dataset"] == 1
+    assert counts["pipeline.diagnose"] == 1

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from threadcurve import dataset as ds
-from threadcurve import synth
+from threadcurve import logreg, synth
 from threadcurve.clustering import ClusterModel
 from threadcurve.corpus import parse_corpus
 from threadcurve.embedding import EmbeddingModel
-from threadcurve.features import build_lexicons, load_sentiment, load_stopwords, load_word_vectors
+from threadcurve.features import (ablate, build_lexicons, load_sentiment,
+                                 load_stopwords, load_word_vectors)
 
 
 @pytest.fixture
@@ -32,42 +33,58 @@ def synth_materials(tmp_path):
 
 def test_temporal_instances_have_consistent_shapes(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    inst, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
+    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
                                              lex, emb, cm)
-    assert len(inst) == len(discussions)
-    one = inst[0]
-    assert one["x1"].shape == (pl.width,)
-    assert one["x2"].shape == (spec.N, cl.width)
-    assert one["centers"].shape == (spec.N, 2, 4)   # n x (d+1)
-    assert one["labels"].shape == (spec.N, 2)
-    assert one["user_vectors"].shape == (spec.N * spec.w, 3)
-    assert one["mask"].dtype == bool
+    R = len(discussions)
+    assert pack["x1"].shape == (R, pl.width)
+    assert pack["x2"].shape == (R, spec.N, cl.width)
+    assert pack["centers"].shape == (R, spec.N, 2, 4)   # n x (d+1)
+    assert pack["labels"].shape == (R, spec.N, 2)
+    assert pack["user_vectors"].shape == (R, spec.N * spec.w, 3)
+    assert pack["logreg_features"].shape == (R, spec.N, 2,
+                                             logreg.feature_width(3))
+    assert pack["mask"].dtype == bool
     assert pl.width == cl.width + lex.d_w  # post adds the title block
+
+
+def test_engaged_counts_cover_comments_before_each_step(synth_materials):
+    spec, discussions, lex, emb, cm = synth_materials
+    pack, _, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
+                                           lex, emb, cm)
+    for r, d in enumerate(discussions):
+        for i in range(spec.N):
+            expect = np.zeros(2)
+            for c in d.comments[:i * spec.w]:
+                expect[cm.assignment[c.author]] += 1
+            np.testing.assert_array_equal(pack["engaged_counts"][r, i], expect)
 
 
 def test_drop_ablation_shrinks_both_layouts(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    inst, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                             lex, emb, cm,
-                                             ablation=("user", "drop"))
-    assert not pl.has("user") and not cl.has("user")
-    assert inst[0]["x1"].shape == (pl.width,)
-    assert inst[0]["x2"].shape[1] == cl.width
+    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
+                                             lex, emb, cm)
+    x1, pl2 = ablate(pack["x1"], pl, "user", "drop", 4)
+    x2, cl2 = ablate(pack["x2"], cl, "user", "drop", 4, valid=pack["mask"])
+    assert not pl2.has("user") and not cl2.has("user")
+    assert x1.shape == (len(discussions), pl2.width)
+    assert x2.shape == (len(discussions), spec.N, cl2.width)
 
 
 def test_noise_ablation_keeps_width_but_changes_block(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    base, pl, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                            lex, emb, cm)
-    noisy, pl2, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                              lex, emb, cm,
-                                              ablation=("surface", "noise"),
-                                              ablation_seed=3)
-    assert pl2.width == pl.width
+    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
+                                             lex, emb, cm)
+    rngs = [np.random.default_rng(3), np.random.default_rng(4)]
+    x1, pl2 = ablate(pack["x1"], pl, "surface", "noise", 4, rngs)
+    x2, _ = ablate(pack["x2"], cl, "surface", "noise", 4, rngs,
+                   valid=pack["mask"])
+    assert pl2.width == pl.width and x1.shape == pack["x1"].shape
     sl = pl.slice_of("surface")
-    assert not np.allclose(base[0]["x1"][sl], noisy[0]["x1"][sl])
+    assert not np.allclose(pack["x1"][:, sl], x1[:, sl])
     other = pl.slice_of("content")
-    np.testing.assert_allclose(base[0]["x1"][other], noisy[0]["x1"][other])
+    np.testing.assert_allclose(pack["x1"][:, other], x1[:, other])
+    # windows without comments keep their zero rows
+    assert np.all(x2[~pack["mask"]] == 0.0)
 
 
 def test_nontemporal_labels_follow_comment_presence(synth_materials, tmp_path):
@@ -75,12 +92,11 @@ def test_nontemporal_labels_follow_comment_presence(synth_materials, tmp_path):
     corpus = str(tmp_path / "nt.jsonl")
     synth.make_nontemporal_corpus(spec, 0, corpus, str(tmp_path / "nt_truth.json"))
     discussions, _ = parse_corpus(corpus)
-    inst, pl = ds.build_nontemporal_dataset(discussions, lex, emb, cm)
-    assert {i["label"] for i in inst} == {0, 1}
-    for i, d in zip(inst, discussions):
-        assert i["label"] == (1 if d.comments else 0)
-        assert i["centers0"].shape == (2, 4)
-        assert np.all(i["centers0"][:, 0] == 0.0)  # step-0 clock
+    pack, pl = ds.build_nontemporal_dataset(discussions, lex, emb)
+    assert set(pack["label"]) == {0.0, 1.0}
+    assert pack["x1"].shape == (len(discussions), pl.width)
+    for label, d in zip(pack["label"], discussions):
+        assert label == (1 if d.comments else 0)
 
 
 def test_standardize_uses_training_statistics():

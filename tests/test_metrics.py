@@ -121,3 +121,19 @@ def test_diagnostics_bundle(tmp_path):
         eu, md = float(parts[3]), float(parts[4])
         assert md >= eu  # learned metric never shrinks distances
         assert md == pytest.approx(2.0 * eu)  # g_inv = 1/4 exactly doubles
+
+
+@pytest.mark.parametrize("members", [2, 3, 100])
+def test_intra_distances_match_pair_loop(members):
+    rng = np.random.default_rng(members)
+    vecs = list(rng.normal(size=(members, 5)))
+    g_inv = rng.uniform(0.05, 0.95, size=6)  # time component first
+    eu, md = [], []
+    for a in range(members):
+        for b in range(a + 1, members):
+            diff = np.concatenate([[0.0], vecs[a] - vecs[b]])
+            eu.append(np.linalg.norm(diff))
+            md.append(np.sqrt(np.sum(diff ** 2 / g_inv)))
+    got = mt._intra_distances(vecs, g_inv)
+    np.testing.assert_allclose(got, (np.mean(eu), np.mean(md)),
+                               rtol=1e-12, atol=0.0)

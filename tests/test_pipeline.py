@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from threadcurve import cli
+from threadcurve import cli, pipeline
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
 
@@ -116,6 +116,15 @@ def test_nontemporal_pipeline(tmp_path):
     assert set(report) == {"f1", "auc", "accuracy"}
     header = open(cfg.path("predictions_rgnet_nontemporal.csv")).readline()
     assert header.strip() == "discussion_id,y3,class"
+    # one-shot instances see the cluster centres at the step-0 clock
+    _, test, _, cm = pipeline._model_inputs(cfg)
+    centers0 = test[0]["centers0"]
+    assert centers0.shape == (cfg.n, cfg.d + 1)
+    assert np.all(centers0[:, 0] == 0.0)
+    np.testing.assert_array_equal(centers0[:, 1:], cm.centers)
+    # the pack is task-specific
+    with pytest.raises(PipelineError, match="featurize for the temporal task"):
+        run_stage("train", mini_config(tmp_path, task="temporal"))
 
 
 def test_diagnose_requires_temporal_rgnet(tmp_path):
@@ -153,3 +162,10 @@ def test_cli_rejects_bad_ablation(tmp_path, capsys):
                    "--ablate", "bogus", "synth"])
     assert rc == 2
     assert "GROUP:MODE" in capsys.readouterr().err
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"workdir": str(tmp_path / "w"), "epoch": 3}))
+    assert cli.main(["--config", str(bad), "synth"]) == 2
+    assert "epoch" in capsys.readouterr().err

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from threadcurve import storage
-from threadcurve.optim import init_params
+from threadcurve.optim import ParameterStore, init_params
 
 
 def test_store_roundtrip_is_exact(tmp_path):
-    store = init_params([("W", (3, 4)), ("B1", (3,)), ("W8", (5,))], seed=2)
+    store = init_params([("W", (3, 4)), ("B1", (3,)), ("W8", (5,)),
+                         ("big", (storage.WRITE_CHUNK + 7,))], seed=2)
+    store.register("empty", np.zeros((2, 0)))
+    store.register("scalar", np.array(-0.0))
     path = str(tmp_path / "model.ckpt")
     storage.save_store(store, path)
     back = storage.load_store(path)
@@ -22,6 +25,20 @@ def test_save_is_byte_deterministic(tmp_path):
     storage.save_store(store, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert storage.sha256_file(p1) == storage.sha256_file(p2)
+
+
+def test_save_writes_v1_bytes(tmp_path):
+    store = ParameterStore()
+    store.register("W", np.array([[0.1, -2.0], [1e-300, 3.0]]))
+    store.register("b", np.zeros(0))
+    store.register("t", np.array(7.0))
+    path = str(tmp_path / "v1.ckpt")
+    storage.save_store(store, path)
+    assert open(path).read() == (
+        "tensorstore v1\n"
+        "tensor W 2 2\n0.10000000000000001 -2 1e-300 3\n"
+        "tensor b 0\n\n"
+        "tensor t \n7\n")
 
 
 def test_load_rejects_unknown_format(tmp_path):

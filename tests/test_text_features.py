@@ -119,25 +119,47 @@ def test_featurize_post_appends_title_vector(tiny_corpus):
 
 def test_ablate_drop_shrinks_vector():
     layout = ft.comment_layout(d_w=2, d=3)
-    vec = np.arange(layout.width, dtype=float)
-    out, new_layout = ft.ablate(vec, layout, "latent", "drop")
-    assert out.shape == (layout.width - 2,)
+    X = np.arange(2 * layout.width, dtype=float).reshape(2, layout.width)
+    out, new_layout = ft.ablate(X, layout, "latent", "drop", 1)
+    assert out.shape == (2, layout.width - 2)
     assert not new_layout.has("latent")
-    np.testing.assert_allclose(out, np.concatenate([vec[:12], vec[14:]]))
+    np.testing.assert_allclose(out, np.concatenate([X[:, :12], X[:, 14:]], axis=1))
     with pytest.raises(KeyError):
-        ft.ablate(vec, layout, "nope", "drop")
+        ft.ablate(X, layout, "nope", "drop", 1)
 
 
 def test_ablate_noise_uses_training_stats():
     layout = ft.comment_layout(d_w=2, d=3)
-    rows = [np.full(layout.width, 5.0), np.full(layout.width, 5.0)]
-    stats = ft.FeatureStats.from_rows(rows)  # std is exactly zero
-    vec = np.arange(layout.width, dtype=float)
-    out, new_layout = ft.ablate(vec, layout, "user", "noise", stats,
-                                np.random.default_rng(0))
+    X = np.arange(3 * layout.width, dtype=float).reshape(3, layout.width)
+    X[:2] = 5.0  # two training rows: std is exactly zero
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    out, new_layout = ft.ablate(X, layout, "user", "noise", 2, rngs)
     sl = layout.slice_of("user")
-    np.testing.assert_allclose(out[sl], 5.0)  # sigma=0 collapses to the mean
-    np.testing.assert_allclose(out[:sl.start], vec[:sl.start])
+    np.testing.assert_allclose(out[:, sl], 5.0)  # sigma=0 collapses to the mean
+    np.testing.assert_allclose(out[:, :sl.start], X[:, :sl.start])
     assert new_layout is layout
     with pytest.raises(ValueError):
-        ft.ablate(vec, layout, "user", "noise")
+        ft.ablate(X, layout, "user", "shuffle", 2, rngs)
+
+
+def test_ablate_noise_follows_training_split():
+    """Test rows drawn from a shifted distribution get noise with the
+    training split's mean and std; rows outside `valid` neither feed the
+    statistics nor receive noise."""
+    layout = ft.comment_layout(d_w=2, d=3)
+    rng = np.random.default_rng(0)
+    n_train, n_test, steps = 3000, 1000, 2
+    X = rng.normal(0.0, 1.0, size=(n_train + n_test, steps, layout.width))
+    X[n_train:] = rng.normal(50.0, 10.0, size=(n_test, steps, layout.width))
+    valid = np.ones((n_train + n_test, steps), dtype=bool)
+    valid[:, 1] = False
+    X[:, 1] = 1e6  # rows without data; their values must not count
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    out, _ = ft.ablate(X, layout, "surface", "noise", n_train, rngs, valid=valid)
+    sl = layout.slice_of("surface")
+    test_noise = out[n_train:, 0, sl]
+    np.testing.assert_allclose(test_noise.mean(axis=0), 0.0, atol=0.15)
+    np.testing.assert_allclose(test_noise.std(axis=0), 1.0, atol=0.1)
+    np.testing.assert_array_equal(out[:, 1], X[:, 1])
+    # train and test draw from their own streams
+    assert not np.allclose(out[:n_test, 0, sl], test_noise)
