@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
-from .pipeline import PipelineConfig, PipelineError, STAGES, run_all, run_stage
+from .corpus import CorpusError
+from .pipeline import (PipelineConfig, PipelineError, STAGE_FUNCS, run_all,
+                       run_stage)
 
 
 def build_parser():
@@ -32,7 +35,7 @@ def build_parser():
     parser.add_argument("--desk-scale", action="store_true",
                         help="small widths for quick runs")
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
+    for stage in STAGE_FUNCS:
         sub.add_parser(stage, help="run the %s stage" % stage)
     sub.add_parser("all", help="run every stage for the configured task")
     return parser
@@ -50,10 +53,9 @@ def config_from_args(args):
     if args.desk_scale:
         changed["desk_scale"] = True
     if changed:
-        from dataclasses import asdict
         raw = asdict(cfg)
-        if "workdir" in changed and "corpus_path" not in changed:
-            # corpus path defaults follow the workdir unless given explicitly
+        if "workdir" in changed:
+            # input paths default into the workdir; --corpus is put back below
             for key in ("corpus_path", "word_vectors_path",
                         "sentiment_path", "stopwords_path"):
                 raw[key] = ""
@@ -70,7 +72,7 @@ def main(argv=None):
             outputs = run_all(cfg)
         else:
             outputs = run_stage(args.stage, cfg)
-    except PipelineError as exc:
+    except (PipelineError, CorpusError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for path in outputs:

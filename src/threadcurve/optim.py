@@ -45,13 +45,6 @@ class ParameterStore:
         for name in self._grads:
             self._grads[name] = np.zeros_like(self._params[name])
 
-    def copy(self):
-        out = ParameterStore()
-        for name, value in self._params.items():
-            out.register(name, value.copy())
-            out._grads[name] = self._grads[name].copy()
-        return out
-
     def flatten(self):
         return np.concatenate([self._params[n].ravel() for n in self._params])
 

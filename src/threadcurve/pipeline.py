@@ -1,4 +1,5 @@
-"""Stage orchestration: config, artifacts, provenance manifest."""
+"""Stage orchestration: config, the files each stage reads and writes, the
+stage runner and its provenance manifest."""
 
 from __future__ import annotations
 
@@ -22,15 +23,12 @@ from .features import (ablate, build_lexicons, comment_layout, load_sentiment,
                        load_stopwords, load_word_vectors, post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
 from .optim import ParameterStore
-from .storage import (atomic_write_json, atomic_write_text, save_store,
-                      load_store, sha256_file)
+from .storage import (atomic_write, atomic_write_json, atomic_write_text,
+                      save_store, load_store, sha256_file)
 
 VERSION = "0.1.0"
 
 PACK = "features_pack.txt"   # every model input, written by `featurize`
-
-STAGES = ["synth", "ingest", "balance", "cooccur", "embed", "cluster",
-          "featurize", "train", "evaluate", "predict", "diagnose"]
 
 
 class PipelineError(Exception):
@@ -121,35 +119,46 @@ class PipelineConfig:
     def path(self, name):
         return os.path.join(self.workdir, name)
 
-    def ablation_pair(self):
-        if not self.ablation:
-            return None
-        group, mode = self.ablation.split(":")
-        return group, mode
+
+def _model_file(cfg, kind, ext):
+    return cfg.path("%s_%s_%s.%s" % (kind, cfg.model, cfg.task, ext))
 
 
-# ----------------------------------------------------------------- manifest
-
-def _update_manifest(cfg, stage, inputs, outputs):
-    path = cfg.path("manifest.json")
-    manifest = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            manifest = json.load(fh)
-    manifest.setdefault("stages", {})[stage] = {
-        "version": VERSION,
-        "seed": cfg.seed,
-        "inputs": {os.path.basename(p): sha256_file(p) for p in inputs},
-        "outputs": {os.path.basename(p): sha256_file(p) for p in outputs},
+def _io(cfg):
+    """Every file each stage reads and writes under `cfg`, as
+    {stage: (inputs, outputs)}; each stage's nearest upstream input first,
+    so that the first missing one names the stage to run next."""
+    p = cfg.path
+    clusters = [p("clusters.txt"), p("centers.txt")]
+    features = [p("features_meta.json"), p(PACK)] + clusters
+    balanced = [p("balanced_ids.json")] if cfg.task == "nontemporal" else []
+    ckpt = _model_file(cfg, "model", "ckpt")
+    return {
+        "synth": ([], [cfg.corpus_path, p("synth_truth.json"),
+                       p("word_vectors.txt"), p("sentiment.txt"),
+                       p("stopwords.txt")]),
+        "ingest": ([cfg.corpus_path],
+                   [p("discussions.jsonl"), p("corpus_manifest.json")]),
+        "balance": ([p("discussions.jsonl")], [p("balanced_ids.json")]),
+        "cooccur": ([p("discussions.jsonl"), cfg.word_vectors_path,
+                     cfg.stopwords_path],
+                    [p("users.txt"), p("cooccur.txt"), p("sparsity.json")]),
+        "embed": ([p("users.txt"), p("cooccur.txt")],
+                  [p("embeddings.txt"), p("embed_log.json")]),
+        "cluster": ([p("embeddings.txt")], clusters),
+        "featurize": (clusters + [p("embeddings.txt")] + balanced
+                      + [p("discussions.jsonl"), cfg.word_vectors_path,
+                         cfg.sentiment_path, cfg.stopwords_path],
+                      [p("features_meta.json"), p(PACK)]),
+        "train": (features, [ckpt, p("train_log.json")]),
+        "evaluate": ([ckpt] + features, [_model_file(cfg, "report", "json")]),
+        "predict": ([ckpt] + features,
+                    [_model_file(cfg, "predictions", "csv")]),
+        "diagnose": ([ckpt] + features + [p("embeddings.txt")],
+                     [p("diagnostics_summary.json")]
+                     + [p("diagnostics_%s.csv" % k)
+                        for k in ("entropy", "growth", "distance")]),
     }
-    atomic_write_json(path, manifest)
-
-
-def _require(cfg, paths, upstream):
-    for p in paths:
-        if not os.path.exists(p):
-            raise PipelineError(
-                "missing artifact %s: run %s first" % (os.path.basename(p), upstream))
 
 
 def _filter_config(cfg):
@@ -158,30 +167,9 @@ def _filter_config(cfg):
 
 
 def _load_discussions(cfg):
-    _require(cfg, [cfg.path("discussions.jsonl")], "ingest")
     discussions, _ = parse_corpus(cfg.path("discussions.jsonl"),
                                   _filter_config(cfg))
     return discussions
-
-
-def _load_embedding(cfg):
-    _require(cfg, [cfg.path("embeddings.txt")], "embed")
-    return EmbeddingModel.load(cfg.path("embeddings.txt"))
-
-
-def _load_clusters(cfg):
-    _require(cfg, [cfg.path("clusters.txt"), cfg.path("centers.txt")], "cluster")
-    return ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
-
-
-def _task_discussions(cfg, discussions):
-    """Nontemporal task trains on the balanced subset."""
-    if cfg.task != "nontemporal":
-        return discussions
-    _require(cfg, [cfg.path("balanced_ids.json")], "balance")
-    with open(cfg.path("balanced_ids.json")) as fh:
-        keep = set(json.load(fh)["ids"])
-    return [d for d in discussions if d.id in keep]
 
 
 # ------------------------------------------------------------------- stages
@@ -197,42 +185,28 @@ def stage_synth(cfg):
         synth.make_temporal_corpus(spec, cfg.seed, cfg.corpus_path, truth)
     else:
         synth.make_nontemporal_corpus(spec, cfg.seed, cfg.corpus_path, truth)
-    _update_manifest(cfg, "synth", [], [cfg.corpus_path, truth])
-    return [cfg.corpus_path, truth]
 
 
 def stage_ingest(cfg):
-    _require(cfg, [cfg.corpus_path], "synth (or provide corpus_path)")
     os.makedirs(cfg.workdir, exist_ok=True)
     discussions, manifest = parse_corpus(cfg.corpus_path, _filter_config(cfg))
-    out = cfg.path("discussions.jsonl")
-    tmp = out + ".tmp"
-    serialize_corpus(discussions, tmp)
-    os.replace(tmp, out)
-    mpath = cfg.path("corpus_manifest.json")
-    atomic_write_json(mpath, asdict(manifest) if hasattr(manifest, "__dict__")
-                      else manifest.__dict__)
-    _update_manifest(cfg, "ingest", [cfg.corpus_path], [out, mpath])
-    return [out, mpath]
+    atomic_write(lambda tmp: serialize_corpus(discussions, tmp),
+                 cfg.path("discussions.jsonl"))
+    atomic_write_json(cfg.path("corpus_manifest.json"), asdict(manifest))
 
 
 def stage_balance(cfg):
-    discussions = _load_discussions(cfg)
-    balanced = synth.nontemporal_balance(discussions, seed=cfg.seed)
-    out = cfg.path("balanced_ids.json")
-    atomic_write_json(out, {"ids": sorted(d.id for d in balanced)})
-    _update_manifest(cfg, "balance", [cfg.path("discussions.jsonl")], [out])
-    return [out]
+    balanced = synth.nontemporal_balance(_load_discussions(cfg), seed=cfg.seed)
+    atomic_write_json(cfg.path("balanced_ids.json"),
+                      {"ids": sorted(d.id for d in balanced)})
 
 
 def stage_cooccur(cfg):
     discussions = _load_discussions(cfg)
-    _require(cfg, [cfg.word_vectors_path], "synth (or provide lexicon files)")
     users = sorted(embedded_users(discussions, _filter_config(cfg)))
     index = {u: k for k, u in enumerate(users)}
     word_vectors = load_word_vectors(cfg.word_vectors_path)
-    stopwords = (frozenset(load_stopwords(cfg.stopwords_path))
-                 if os.path.exists(cfg.stopwords_path) else frozenset())
+    stopwords = frozenset(load_stopwords(cfg.stopwords_path))
     # idf over titles for the title vectors used by the semantic channel
     from .text import tokenize
     title_df = {}
@@ -245,55 +219,38 @@ def stage_cooccur(cfg):
     tvecs = {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
              for d in discussions}
     A, skipped = build_cooccurrence(discussions, index, tvecs, cfg.theta0)
-    users_path = cfg.path("users.txt")
-    atomic_write_text(users_path, "\n".join(users) + "\n")
-    mat_path = cfg.path("cooccur.txt")
-    tmp = mat_path + ".tmp"
-    A.save(tmp)
-    os.replace(tmp, mat_path)
+    atomic_write_text(cfg.path("users.txt"), "\n".join(users) + "\n")
+    atomic_write(A.save, cfg.path("cooccur.txt"))
     prof = sparsity_profile(A, len(users))
     prof["skipped_title_pairs"] = skipped
     atomic_write_json(cfg.path("sparsity.json"), prof)
-    _update_manifest(cfg, "cooccur", [cfg.path("discussions.jsonl")],
-                     [users_path, mat_path, cfg.path("sparsity.json")])
-    return [users_path, mat_path]
 
 
 def stage_embed(cfg):
-    _require(cfg, [cfg.path("users.txt"), cfg.path("cooccur.txt")], "cooccur")
     with open(cfg.path("users.txt")) as fh:
         users = [u.strip() for u in fh if u.strip()]
     A = CooccurrenceMatrix.load(cfg.path("cooccur.txt"), len(users))
     model, losses = train_guvec(A, users, cfg.d, seed=cfg.seed,
                                 lr=cfg.embed_lr, epochs=cfg.embed_epochs,
                                 return_losses=True)
-    out = cfg.path("embeddings.txt")
-    tmp = out + ".tmp"
-    model.save(tmp)
-    os.replace(tmp, out)
+    atomic_write(model.save, cfg.path("embeddings.txt"))
     atomic_write_json(cfg.path("embed_log.json"), {"epoch_losses": losses})
-    _update_manifest(cfg, "embed", [cfg.path("cooccur.txt")], [out])
-    return [out]
 
 
 def stage_cluster(cfg):
-    embedding = _load_embedding(cfg)
-    cm = kmeans(embedding, cfg.n, seed=cfg.seed)
-    apath, cpath = cfg.path("clusters.txt"), cfg.path("centers.txt")
-    cm.save(apath + ".tmp", cpath + ".tmp")
-    os.replace(apath + ".tmp", apath)
-    os.replace(cpath + ".tmp", cpath)
-    _update_manifest(cfg, "cluster", [cfg.path("embeddings.txt")],
-                     [apath, cpath])
-    return [apath, cpath]
+    cm = kmeans(EmbeddingModel.load(cfg.path("embeddings.txt")), cfg.n,
+                seed=cfg.seed)
+    atomic_write(cm.save, cfg.path("clusters.txt"), cfg.path("centers.txt"))
 
 
 def stage_featurize(cfg):
-    discussions = _task_discussions(cfg, _load_discussions(cfg))
-    _require(cfg, [cfg.word_vectors_path, cfg.sentiment_path,
-                   cfg.stopwords_path], "synth (or provide lexicon files)")
-    embedding = _load_embedding(cfg)
-    cm = _load_clusters(cfg)
+    discussions = _load_discussions(cfg)
+    if cfg.task == "nontemporal":  # trained on the balanced subset
+        with open(cfg.path("balanced_ids.json")) as fh:
+            keep = set(json.load(fh)["ids"])
+        discussions = [d for d in discussions if d.id in keep]
+    embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
+    cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     train, test = split_dataset(discussions, cfg.holdout, seed=cfg.seed)
     lex = build_lexicons(train, load_word_vectors(cfg.word_vectors_path),
                          load_sentiment(cfg.sentiment_path),
@@ -306,8 +263,7 @@ def stage_featurize(cfg):
     store = ParameterStore()
     for name, value in pack.items():
         store.register(name, value)
-    pack_path = cfg.path(PACK)
-    save_store(store, pack_path)
+    save_store(store, cfg.path(PACK))
     meta = {
         "idf": lex.idf,
         "vocab_size": lex.vocab_size,
@@ -316,12 +272,7 @@ def stage_featurize(cfg):
         "train_ids": [d.id for d in train],
         "test_ids": [d.id for d in test],
     }
-    out = cfg.path("features_meta.json")
-    atomic_write_json(out, meta)
-    _update_manifest(cfg, "featurize",
-                     [cfg.path("discussions.jsonl"), cfg.path("embeddings.txt"),
-                      cfg.path("clusters.txt")], [out, pack_path])
-    return [out, pack_path]
+    atomic_write_json(cfg.path("features_meta.json"), meta)
 
 
 def _model_inputs(cfg):
@@ -331,7 +282,6 @@ def _model_inputs(cfg):
     Returns (train, test, layouts, cluster_model); `layouts` maps x1 (and,
     on the temporal task, x2) to its feature layout after the ablation.
     """
-    _require(cfg, [cfg.path("features_meta.json"), cfg.path(PACK)], "featurize")
     with open(cfg.path("features_meta.json")) as fh:
         meta = json.load(fh)
     if meta["task"] != cfg.task:
@@ -340,7 +290,7 @@ def _model_inputs(cfg):
                             % (meta["task"], cfg.task))
     store = load_store(cfg.path(PACK))
     pack = {name: store.get(name) for name in store.names()}
-    cm = _load_clusters(cfg)
+    cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     n_train = len(meta["train_ids"])
     layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
     if cfg.task == "temporal":
@@ -352,7 +302,7 @@ def _model_inputs(cfg):
         # step-0 spacetime centres: time coordinate 0
         shared = {"centers0": np.pad(cm.centers, ((0, 0), (1, 0)))}
     if cfg.ablation:
-        group, mode = cfg.ablation_pair()
+        group, mode = cfg.ablation.split(":")
         # train and test noise come from separate streams
         rngs = [np.random.default_rng(s)
                 for s in np.random.SeedSequence(cfg.seed).spawn(2)]
@@ -371,10 +321,6 @@ def _model_config(cfg, layouts):
         comment_width=layouts.get("x2", layouts["x1"]).width,
         post_width=layouts["x1"].width, d=cfg.d,
         n=cfg.n, N=cfg.N, h1=cfg.h1, h2=cfg.h2, h3=cfg.h3, lam=cfg.lam)
-
-
-def _ckpt_path(cfg):
-    return cfg.path("model_%s_%s.ckpt" % (cfg.model, cfg.task))
 
 
 def stage_train(cfg):
@@ -396,12 +342,8 @@ def stage_train(cfg):
             lr=cfg.lr, return_losses=True)
     else:
         store, losses = _train_logreg_temporal(cfg, train), []
-    out = _ckpt_path(cfg)
-    save_store(store, out)
+    save_store(store, _model_file(cfg, "model", "ckpt"))
     atomic_write_json(cfg.path("train_log.json"), {"epoch_losses": losses})
-    _update_manifest(cfg, "train",
-                     [cfg.path("features_meta.json"), cfg.path(PACK)], [out])
-    return [out]
 
 
 def _train_logreg_temporal(cfg, train):
@@ -452,12 +394,26 @@ def _predict_records(cfg, instances, store):
     return records
 
 
-def stage_evaluate(cfg):
-    _require(cfg, [_ckpt_path(cfg)], "train")
-    store = load_store(_ckpt_path(cfg))
-    _, test_inst, _, _ = _model_inputs(cfg)
+def _score(cfg):
+    """The trained model on the test split: returns (records, cluster_model),
+    with one record per valid step on the temporal task (`_predict_records`)
+    and one per post (discussion_id, y3, class, label) on the one-shot task."""
+    store = load_store(_model_file(cfg, "model", "ckpt"))
+    _, test, _, cm = _model_inputs(cfg)
     if cfg.task == "temporal":
-        records = _predict_records(cfg, test_inst, store)
+        return _predict_records(cfg, test, store), cm
+    records = []
+    for inst in test:
+        y3, cls = curvature.predict_nontemporal(store, inst["x1"],
+                                                inst["centers0"])
+        records.append({"discussion_id": inst["discussion_id"], "y3": y3,
+                        "class": cls, "label": inst["label"]})
+    return records, cm
+
+
+def stage_evaluate(cfg):
+    records, _ = _score(cfg)
+    if cfg.task == "temporal":
         pred = [r["decision"] for r in records]
         truth = [r["truth"] for r in records]
         report = multilabel_metrics(pred, truth).as_dict()
@@ -467,12 +423,8 @@ def stage_evaluate(cfg):
             report["growth_mean_error_pct"] = ge.mean_error
             report["growth_excluded_steps"] = ge.excluded_zero_truth
     else:
-        scores, labels = [], []
-        for inst in test_inst:
-            prob, _cls = curvature.predict_nontemporal(store, inst["x1"],
-                                                       inst["centers0"])
-            scores.append(prob)
-            labels.append(inst["label"])
+        scores = [r["y3"] for r in records]
+        labels = [r["label"] for r in records]
         pred = [1 if s > 0.5 else 0 for s in scores]
         tp = sum(1 for p, t in zip(pred, labels) if p == 1 and t == 1)
         fp = sum(1 for p, t in zip(pred, labels) if p == 1 and t == 0)
@@ -480,53 +432,39 @@ def stage_evaluate(cfg):
         f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
         report = {
             "f1": f1,
-            "auc": auc(scores, labels),
+            # AUC is undefined on a test split with one class
+            "auc": auc(scores, labels) if len(set(labels)) == 2 else None,
             "accuracy": float(np.mean([p == t for p, t in zip(pred, labels)])),
         }
-    out = cfg.path("report_%s_%s.json" % (cfg.model, cfg.task))
-    atomic_write_json(out, report)
-    _update_manifest(cfg, "evaluate", [_ckpt_path(cfg)], [out])
-    return [out]
+    atomic_write_json(_model_file(cfg, "report", "json"), report)
 
 
 def stage_predict(cfg):
-    _require(cfg, [_ckpt_path(cfg)], "train")
-    store = load_store(_ckpt_path(cfg))
-    _, test_inst, _, _ = _model_inputs(cfg)
-    out = cfg.path("predictions_%s_%s.csv" % (cfg.model, cfg.task))
-    tmp = out + ".tmp"
+    records, _ = _score(cfg)
     if cfg.task == "temporal":
-        records = _predict_records(cfg, test_inst, store)
-        with open(tmp, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["discussion_id", "step", "y2"]
-                        + ["y1_%d" % (c + 1) for c in range(cfg.n)]
-                        + ["pred_%d" % (c + 1) for c in range(cfg.n)])
-            for r in records:
-                wr.writerow([r["discussion_id"], r["step"], "%.6f" % r["y2"]]
-                            + ["%.6f" % v for v in r["y1"]]
-                            + [int(v) for v in r["decision"]])
+        header = (["discussion_id", "step", "y2"]
+                  + ["y1_%d" % (c + 1) for c in range(cfg.n)]
+                  + ["pred_%d" % (c + 1) for c in range(cfg.n)])
+        rows = [[r["discussion_id"], r["step"], "%.6f" % r["y2"]]
+                + ["%.6f" % v for v in r["y1"]]
+                + [int(v) for v in r["decision"]] for r in records]
     else:
-        with open(tmp, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["discussion_id", "y3", "class"])
-            for inst in test_inst:
-                prob, cls = curvature.predict_nontemporal(
-                    store, inst["x1"], inst["centers0"])
-                wr.writerow([inst["discussion_id"], "%.6f" % prob, cls])
-    os.replace(tmp, out)
-    _update_manifest(cfg, "predict", [_ckpt_path(cfg)], [out])
-    return [out]
+        header = ["discussion_id", "y3", "class"]
+        rows = [[r["discussion_id"], "%.6f" % r["y3"], r["class"]]
+                for r in records]
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+    atomic_write(write, _model_file(cfg, "predictions", "csv"))
 
 
 def stage_diagnose(cfg):
     if cfg.task != "temporal" or cfg.model != "rgnet":
         raise PipelineError("diagnose runs on the temporal rgnet model")
-    _require(cfg, [_ckpt_path(cfg)], "train")
-    store = load_store(_ckpt_path(cfg))
-    _, test_inst, _, cm = _model_inputs(cfg)
+    records, cm = _score(cfg)
     diag_records = []
-    for r in _predict_records(cfg, test_inst, store):
+    for r in records:
         i = r["step"]
         counts = r["inst"]["engaged_counts"][i].astype(int)
         diag_records.append({
@@ -540,12 +478,9 @@ def stage_diagnose(cfg):
             "v_pred": r["y2"],
             "g_inv": r["trace"].steps[i].g_inv.data,
         })
-    prefix = cfg.path("diagnostics")
-    summary = diagnostics(diag_records, cm, _load_embedding(cfg), prefix)
-    spath = cfg.path("diagnostics_summary.json")
-    atomic_write_json(spath, summary)
-    _update_manifest(cfg, "diagnose", [_ckpt_path(cfg)], [spath])
-    return [spath]
+    embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
+    summary = diagnostics(diag_records, cm, embedding, cfg.path("diagnostics"))
+    atomic_write_json(cfg.path("diagnostics_summary.json"), summary)
 
 
 STAGE_FUNCS = {
@@ -563,22 +498,56 @@ STAGE_FUNCS = {
 }
 
 
+# ------------------------------------------------------------------- runner
+
 def run_stage(name, cfg):
+    """Run one stage: refuse a missing or stale input, run the stage, then
+    record the sha256 of every file it read and wrote in manifest.json.
+    Returns the files the stage wrote."""
     if name not in STAGE_FUNCS:
         raise PipelineError("unknown stage %r" % name)
-    return STAGE_FUNCS[name](cfg)
-
-
-def run_all(cfg, stages=None):
-    if stages is None:
-        stages = ["synth", "ingest"]
-        if cfg.task == "nontemporal":
-            stages.append("balance")
-        stages += ["cooccur", "embed", "cluster", "featurize", "train",
-                   "evaluate", "predict"]
-        if cfg.task == "temporal" and cfg.model == "rgnet":
-            stages.append("diagnose")
-    outputs = []
-    for stage in stages:
-        outputs.extend(run_stage(stage, cfg))
+    io = _io(cfg)
+    inputs, outputs = io[name]
+    # what synth writes may be provided by the user instead
+    writers = {path: stage for stage, (_, written) in io.items()
+               if stage != "synth" for path in written}
+    manifest_path = cfg.path("manifest.json")
+    manifest = {"stages": {}}
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    records, base = manifest["stages"], os.path.basename
+    for path in inputs:
+        writer = writers.get(path)
+        if not os.path.exists(path):
+            raise PipelineError("missing artifact %s: run %s first" % (
+                base(path), writer or "synth (or provide the file)"))
+        # stale if a file its writer read has been rewritten since
+        for upstream in io[writer][0] if writer in records else ():
+            read = records[writer]["inputs"].get(base(upstream))
+            now = records.get(writers.get(upstream), {}).get(
+                "outputs", {}).get(base(upstream))
+            if read and now and read != now:
+                raise PipelineError(
+                    "stale artifact %s: %s has changed since %s ran; run %s "
+                    "again" % (base(path), base(upstream), writer, writer))
+    STAGE_FUNCS[name](cfg)
+    records[name] = {
+        "version": VERSION,
+        "seed": cfg.seed,
+        "inputs": {base(p): sha256_file(p) for p in inputs},
+        "outputs": {base(p): sha256_file(p) for p in outputs},
+    }
+    atomic_write_json(manifest_path, manifest)
     return outputs
+
+
+def run_all(cfg):
+    stages = ["synth", "ingest"]
+    if cfg.task == "nontemporal":
+        stages.append("balance")
+    stages += ["cooccur", "embed", "cluster", "featurize", "train",
+               "evaluate", "predict"]
+    if cfg.task == "temporal" and cfg.model == "rgnet":
+        stages.append("diagnose")
+    return [path for stage in stages for path in run_stage(stage, cfg)]

@@ -19,6 +19,15 @@ FORMAT_HEADER = "tensorstore v1"
 WRITE_CHUNK = 4096     # values formatted per write
 
 
+def atomic_write(write, *paths):
+    """Call `write` with a temporary path per file, then move each into
+    place, so that a reader never sees a half-written file."""
+    tmps = [path + ".tmp" for path in paths]
+    write(*tmps)
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
+
+
 def atomic_write_text(path, content):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
@@ -93,6 +94,22 @@ def test_full_temporal_pipeline_and_manifest(tmp_path):
                       "pred_1,pred_2,pred_3")
 
 
+def test_stage_refuses_stale_input(tmp_path):
+    cfg = mini_config(tmp_path)
+    run_all(cfg)
+    # the same config writes the same bytes, so nothing downstream is stale
+    run_stage("embed", cfg)
+    run_stage("featurize", cfg)
+    changed = mini_config(tmp_path, embed_epochs=cfg.embed_epochs + 1)
+    run_stage("embed", changed)
+    with pytest.raises(PipelineError, match=(
+            "stale artifact clusters.txt: embeddings.txt has changed since "
+            "cluster ran; run cluster again")):
+        run_stage("featurize", changed)
+    run_stage("cluster", changed)
+    run_stage("featurize", changed)
+
+
 def test_pipeline_is_deterministic(tmp_path):
     outputs = []
     for name in ("a", "b"):
@@ -127,9 +144,23 @@ def test_nontemporal_pipeline(tmp_path):
         run_stage("train", mini_config(tmp_path, task="temporal"))
 
 
+def test_one_class_test_split_has_no_auc(tmp_path):
+    cfg = mini_config(tmp_path, task="nontemporal", synth_posts=10,
+                      holdout=0.1)
+    run_all(cfg)
+    with open(cfg.path("report_rgnet_nontemporal.json")) as fh:
+        report = json.load(fh)
+    assert set(report) == {"f1", "auc", "accuracy"}
+    assert report["auc"] is None
+    assert 0.0 <= report["f1"] <= 1.0 and 0.0 <= report["accuracy"] <= 1.0
+
+
 def test_diagnose_requires_temporal_rgnet(tmp_path):
     cfg = mini_config(tmp_path, model="newtonian")
-    with pytest.raises(PipelineError):
+    os.makedirs(cfg.workdir)
+    for path in pipeline._io(cfg)["diagnose"][0]:
+        open(path, "w").close()
+    with pytest.raises(PipelineError, match="temporal rgnet"):
         run_stage("diagnose", cfg)
 
 
@@ -155,6 +186,24 @@ def test_cli_workdir_override_moves_default_paths(tmp_path):
     assert cfg.workdir == str(tmp_path / "w")
     assert cfg.corpus_path == str(tmp_path / "w" / "corpus.jsonl")
     assert cfg.seed == 5 and cfg.model == "newtonian" and cfg.desk_scale
+    # an explicit corpus is kept; the lexicons still follow the workdir
+    corpus = str(tmp_path / "elsewhere.jsonl")
+    args = cli.build_parser().parse_args(
+        ["--workdir", str(tmp_path / "w"), "--corpus", corpus, "ingest"])
+    cfg = cli.config_from_args(args)
+    assert cfg.corpus_path == corpus
+    for name in ("word_vectors", "sentiment", "stopwords"):
+        assert getattr(cfg, name + "_path") == str(tmp_path / "w" / (name + ".txt"))
+
+
+def test_cli_reports_malformed_corpus(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "bad.jsonl", [make_discussion_json()])
+    with open(corpus, "a") as fh:
+        fh.write("{not json\n")
+    rc = cli.main(["--workdir", str(tmp_path / "w"), "--corpus", corpus,
+                   "ingest"])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_ablation(tmp_path, capsys):
