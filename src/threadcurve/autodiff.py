@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough ops for the models in this package: matmul, broadcasting
-arithmetic, relu/sigmoid/log/exp, reductions, concat/stack and clipping.
+arithmetic, relu/sigmoid/log/exp, reductions, prefix sums, reshape, concat
+and clipping.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ class Var:
                 return (np.outer(g, b), a.T @ g)
             if a.ndim == 1 and b.ndim == 2:
                 return (b @ g, np.outer(a, g))
-            return (g @ b.T, a.T @ g)
+            # (..., k) @ (k, m): the stacked rows all meet the same b
+            return (g @ b.T,
+                    a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         out._backward = backward
         return out
 
@@ -113,6 +116,17 @@ class Var:
                 return (np.broadcast_to(g, self.shape).copy(),)
             return (np.broadcast_to(np.expand_dims(g, axis), self.shape).copy(),)
         out._backward = backward
+        return out
+
+    def cumsum(self, axis=0):
+        out = Var(np.cumsum(self.data, axis=axis), (self,))
+        out._backward = lambda g: (
+            np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
+        return out
+
+    def reshape(self, *shape):
+        out = Var(self.data.reshape(*shape), (self,))
+        out._backward = lambda g: (g.reshape(self.shape),)
         return out
 
     def mean(self, axis=None):
@@ -172,17 +186,22 @@ class Var:
     def backward(self):
         if self.data.ndim != 0:
             raise ValueError("backward() starts from a scalar")
+        # depth-first post-order, parents in turn, kept on an explicit
+        # stack: a deep graph needs no recursion, and no closure cycle
+        # keeps the graph alive after the pass
         order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         for node in order:
             node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
@@ -210,11 +229,3 @@ def concat(vars_, axis=0):
     out._backward = backward
     return out
 
-
-def stack(vars_, axis=0):
-    out = Var(np.stack([v.data for v in vars_], axis=axis), tuple(vars_))
-
-    def backward(g):
-        return tuple(np.take(g, k, axis=axis) for k in range(len(vars_)))
-    out._backward = backward
-    return out

@@ -55,10 +55,13 @@ def config_from_args(args):
     if changed:
         raw = asdict(cfg)
         if "workdir" in changed:
-            # input paths default into the workdir; --corpus is put back below
+            # input paths still at their default in the old workdir follow
+            # the new one; --corpus is put back below
+            default = PipelineConfig(workdir=cfg.workdir)
             for key in ("corpus_path", "word_vectors_path",
                         "sentiment_path", "stopwords_path"):
-                raw[key] = ""
+                if raw[key] == getattr(default, key):
+                    raw[key] = ""
         raw.update(changed)
         cfg = PipelineConfig(**raw)
     return cfg

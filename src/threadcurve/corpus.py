@@ -121,11 +121,19 @@ def _build_discussion(raw, manifest, excluded_tags):
     parent_of = {str(c["id"]): parent for c, parent in fixed}
 
     def depth(cid):
-        if cid in depth_of:
-            return depth_of[cid]
-        d = depth(parent_of[cid]) + 1
-        depth_of[cid] = d
-        return d
+        chain, on_chain = [], set()  # cid and its unresolved ancestors
+        while cid not in depth_of:
+            if cid in on_chain:
+                raise CorpusError("reply cycle through comment %r in "
+                                  "discussion %r" % (cid, post.id))
+            chain.append(cid)
+            on_chain.add(cid)
+            cid = parent_of[cid]
+        known = depth_of[cid]
+        for c in reversed(chain):
+            known += 1
+            depth_of[c] = known
+        return known
 
     for c, parent in fixed:
         comments.append(Comment(

@@ -8,12 +8,13 @@ engagement and growth heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Var, concat, stack
-from .optim import Adam, ParameterStore, init_params
+from .autodiff import Var, concat
+from .optim import fit, init_params
 
 PROB_CLIP = 1e-7
 
@@ -63,71 +64,86 @@ def _as_vars(store):
 
 
 @dataclass
-class StepOutput:
-    y1: object          # Var, shape (n,)
-    y2: object          # Var, scalar
-    r_prime: object     # Var, shape (n,)
-    r_total: object     # Var, scalar
-    m_diag: object      # Var, shape (n, d+1)
-    g_inv: object       # Var, shape (n, d+1)
-
-
-@dataclass
 class ForwardTrace:
-    steps: list = field(default_factory=list)  # StepOutput per prediction step
+    """Whole-pass values over S steps: y1 and r_prime (S, n), y2 and
+    r_total (S,), m_diag and g_inv (S, n, d+1)."""
+    y1: Var
+    y2: Var
+    r_prime: Var = None
+    r_total: Var = None
+    m_diag: Var = None
+    g_inv: Var = None
+
+    @property
+    def steps(self):
+        """Step i's values as views: steps[i].y1.data is y1.data[i]."""
+        return [SimpleNamespace(**{k: Var(v.data[i])
+                                   for k, v in vars(self).items()
+                                   if v is not None})
+                for i in range(len(self.y2.data))]
 
     def y1_array(self):
-        return np.stack([s.y1.data for s in self.steps])
+        return self.y1.data
 
     def y2_array(self):
-        return np.array([float(s.y2.data) for s in self.steps])
+        return self.y2.data
 
     def g_inv_array(self):
-        return np.stack([s.g_inv.data for s in self.steps])
+        return self.g_inv.data
 
     def m_array(self):
-        return np.stack([s.m_diag.data for s in self.steps])
+        return self.m_diag.data
+
+    def prediction(self, threshold=0.5):
+        """Per-step probabilities, thresholded decisions and growth estimates."""
+        return {"y1": self.y1.data,
+                "decisions": (self.y1.data > threshold).astype(int),
+                "y2": self.y2.data, "trace": self}
 
 
 def encode_post(pv, x1):
-    return (pv["W1"] @ Var(x1) + pv["B1"]).relu()
+    """relu(W1·x1 + B1) for a post row (f+d_w,) or rows (B, f+d_w)."""
+    return (Var(x1) @ pv["W1"].T + pv["B1"]).relu()
 
 
-def encode_window(pv, x2_row):
-    return (pv["W2"] @ Var(x2_row) + pv["B1"]).relu()
+def encode_steps(pv, x1, x2, steps):
+    """(steps, h1) encodings: the post, then windows 1..steps-1."""
+    window = (Var(x2[:steps - 1]) @ pv["W2"].T + pv["B1"]).relu()
+    return concat([encode_post(pv, x1[None]), window])
 
 
-def cumulative_context(pv, encodings, i):
-    """Softly weighted prefix mean of encodings[0..i]; weights exp(W3[j])."""
-    omegas = [pv["W3"][j].exp() for j in range(i + 1)]
-    numer = omegas[0] * encodings[0]
-    denom = omegas[0]
-    for j in range(1, i + 1):
-        numer = numer + omegas[j] * encodings[j]
-        denom = denom + omegas[j]
-    return numer / denom
+def cumulative_context(pv, encodings):
+    """Row i: the exp(W3)-weighted mean of encodings[0..i], from prefix sums."""
+    steps = encodings.shape[0]
+    omega = pv["W3"][:steps].exp()
+    numer = (omega.reshape(steps, 1) * encodings).cumsum(axis=0)
+    return numer / omega.cumsum().reshape(steps, 1)
 
 
-def stress_energy(pv, ctx, centers_step):
-    """Diagonal stress-energy vectors for every cluster; (n, d+1) in (0,1)."""
-    rows = [concat([ctx, Var(centers_step[l])]) for l in range(len(centers_step))]
-    z = stack(rows)
-    hidden = (z @ pv["W5"].T + pv["B4"]).sigmoid()
+def stress_energy(pv, ctx, centers):
+    """Diagonal stress-energy vectors of every cluster, in (0, 1).
+
+    ctx (..., h1) pairs with centers (..., n, d+1); W5 acts on the
+    concatenation [ctx, centre], split here into its ctx and centre blocks.
+    """
+    h1 = ctx.shape[-1]
+    from_ctx = ctx @ pv["W5"][:, :h1].T
+    from_ctx = from_ctx.reshape(from_ctx.shape[:-1] + (1, from_ctx.shape[-1]))
+    hidden = (from_ctx + Var(centers) @ pv["W5"][:, h1:].T + pv["B4"]).sigmoid()
     return (hidden @ pv["W4"].T + pv["B3"]).sigmoid()
 
 
-def inverse_metric(pv, centers_step):
+def inverse_metric(pv, centers):
     """Diagonal inverse metric per cluster; a pure function of the
-    time-prepended cluster centers."""
-    c = Var(np.asarray(centers_step, dtype=float))
-    hidden = (c @ pv["W7"].T + pv["B6"]).sigmoid()
+    time-prepended cluster centers (..., n, d+1)."""
+    hidden = (Var(centers) @ pv["W7"].T + pv["B6"]).sigmoid()
     return (hidden @ pv["W6"].T + pv["B5"]).sigmoid()
 
 
 def curvature(pv, m_diag, g_inv):
-    r_prime = (m_diag * g_inv).sum(axis=1)
-    r_total = pv["W8"] @ r_prime
-    return r_prime, r_total
+    """Per-cluster R' (..., n) and its W8-weighted total (...)."""
+    r_prime = (m_diag * g_inv).sum(axis=-1)
+    return r_prime, r_prime @ pv["W8"]
 
 
 def neutral_point(d):
@@ -147,56 +163,41 @@ def heads(r_prime, r_total, neutral=0.0):
 
 
 def forward(store, x1, x2, centers, steps=None):
-    """Run the model over prediction steps 0..steps-1.
+    """Run the model over prediction steps 0..steps-1 in one pass.
 
     x2 rows are mean feature vectors of windows 1..N (row k = window k+1);
     step i consumes the post encoding plus windows 1..i and the step-i
-    spacetime centers. Returns a ForwardTrace.
+    spacetime centers. Returns (ForwardTrace, parameter Vars).
     """
-    cfg_steps = len(centers) if steps is None else steps
+    steps = len(centers) if steps is None else steps
+    centers = np.asarray(centers[:steps], dtype=float)
     pv = _as_vars(store)
-    encodings = [encode_post(pv, x1)]
-    for k in range(cfg_steps - 1):
-        encodings.append(encode_window(pv, x2[k]))
-    trace = ForwardTrace()
-    for i in range(cfg_steps):
-        ctx = cumulative_context(pv, encodings[:i + 1], i)
-        m_diag = stress_energy(pv, ctx, centers[i])
-        g_inv = inverse_metric(pv, centers[i])
-        r_prime, r_total = curvature(pv, m_diag, g_inv)
-        y1, y2 = heads(r_prime, r_total,
-                       neutral=neutral_point(m_diag.data.shape[1] - 1))
-        trace.steps.append(StepOutput(y1=y1, y2=y2, r_prime=r_prime,
-                                      r_total=r_total, m_diag=m_diag,
-                                      g_inv=g_inv))
-    return trace, pv
+    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, steps))
+    m_diag = stress_energy(pv, ctx, centers)
+    g_inv = inverse_metric(pv, centers)
+    r_prime, r_total = curvature(pv, m_diag, g_inv)
+    y1, y2 = heads(r_prime, r_total, neutral=neutral_point(centers.shape[-1] - 1))
+    return ForwardTrace(y1=y1, y2=y2, r_prime=r_prime, r_total=r_total,
+                        m_diag=m_diag, g_inv=g_inv), pv
 
 
-def bce(p, target):
+def bce(p, target, axis=None):
     """Mean binary cross-entropy with clipped probabilities."""
     p = p.clip(PROB_CLIP, 1.0 - PROB_CLIP)
     t = Var(np.asarray(target, dtype=float))
-    return -(t * p.log() + (1.0 - t) * (1.0 - p).log()).mean()
+    return -(t * p.log() + (1.0 - t) * (1.0 - p).log()).mean(axis=axis)
 
 
 def temporal_loss(trace, labels, growth, mask, lam=1.0):
     """Mean over valid steps of BCE(y1, Y) + lam * (y2 - g)^2."""
-    terms = []
-    for i, step in enumerate(trace.steps):
-        if not mask[i]:
-            continue
-        term = bce(step.y1, labels[i])
-        if lam != 0.0:
-            diff = step.y2 - float(growth[i])
-            terms.append(term + lam * diff.square())
-        else:
-            terms.append(term)
-    if not terms:
+    valid = np.flatnonzero(mask)
+    if not valid.size:
         raise ValueError("no valid prediction steps")
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    per_step = bce(trace.y1[valid], np.asarray(labels)[valid], axis=1)
+    if lam != 0.0:
+        diff = trace.y2[valid] - np.asarray(growth, dtype=float)[valid]
+        per_step = per_step + lam * diff.square()
+    return per_step.mean()
 
 
 def _loss_into_store(store, pv, loss):
@@ -217,48 +218,32 @@ def discussion_loss(store, instance, lam=1.0):
     return _loss_into_store(store, pv, loss)
 
 
-def train_temporal(dataset, cfg, seed=0, epochs=30, lr=1e-3, store=None,
-                   return_losses=False):
-    """Adam over discussions: one optimizer step per discussion per epoch."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    if store is None:
-        store = init_model(cfg, seed)
-    opt = Adam(store, lr=lr)
-    epoch_losses = []
-    for _ in range(epochs):
-        total = 0.0
-        for instance in dataset:
-            store.zero_grad()
-            total += discussion_loss(store, instance, lam=cfg.lam)
-            opt.step()
-        epoch_losses.append(total / len(dataset))
-    if return_losses:
-        return store, epoch_losses
-    return store
+def train_temporal(dataset, cfg, seed=0, epochs=30, lr=1e-3):
+    """Adam over discussions, one update per discussion per epoch; returns
+    the store and the epoch losses."""
+    store = init_model(cfg, seed)
+    return store, fit(store, dataset,
+                      lambda s, inst: discussion_loss(s, inst, lam=cfg.lam),
+                      epochs, lr)
 
 
 def predict_temporal(store, x1, x2, centers, threshold=0.5):
-    """Per-step probabilities, thresholded decisions and growth estimates."""
     trace, _ = forward(store, x1, x2, centers)
-    y1 = trace.y1_array()
-    return {
-        "y1": y1,
-        "decisions": (y1 > threshold).astype(int),
-        "y2": trace.y2_array(),
-        "trace": trace,
-    }
+    return trace.prediction(threshold)
 
 
 def nontemporal_forward(store, x1, centers0):
-    """Step-0 pass from the post features alone; y3 = sigmoid(R_total)."""
+    """Step-0 pass from the post features alone; y3 = sigmoid(R_total).
+
+    One post, x1 (f+d_w,) with centers0 (n, d+1), or a batch, x1
+    (B, f+d_w) with centers0 (B, n, d+1).
+    """
     pv = _as_vars(store)
     ctx = encode_post(pv, x1)  # single-term cumulative context
     m_diag = stress_energy(pv, ctx, centers0)
     g_inv = inverse_metric(pv, centers0)
     _, r_total = curvature(pv, m_diag, g_inv)
-    y3 = r_total.sigmoid()
-    return y3, pv
+    return r_total.sigmoid(), pv
 
 
 def predict_nontemporal(store, x1, centers0):
@@ -269,38 +254,19 @@ def predict_nontemporal(store, x1, centers0):
 
 def nontemporal_batch_loss(store, instances):
     """Mean BCE of y3 over (x1, centers0, label) instances; fills grads."""
-    pv = _as_vars(store)
-    terms = []
-    for inst in instances:
-        ctx = encode_post(pv, inst["x1"])
-        m_diag = stress_energy(pv, ctx, inst["centers0"])
-        g_inv = inverse_metric(pv, inst["centers0"])
-        _, r_total = curvature(pv, m_diag, g_inv)
-        y3 = r_total.sigmoid().clip(PROB_CLIP, 1.0 - PROB_CLIP)
-        t = float(inst["label"])
-        terms.append(-(t * y3.log() + (1.0 - t) * (1.0 - y3).log()))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    loss = total * (1.0 / len(terms))
-    return _loss_into_store(store, pv, loss)
+    y3, pv = nontemporal_forward(
+        store, np.stack([inst["x1"] for inst in instances]),
+        np.stack([inst["centers0"] for inst in instances]))
+    labels = [float(inst["label"]) for inst in instances]
+    return _loss_into_store(store, pv, bce(y3, labels))
 
 
-def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3, store=None,
-                      return_losses=False):
-    if not dataset:
-        raise ValueError("empty dataset")
-    if store is None:
-        store = init_model(cfg, seed)
-    opt = Adam(store, lr=lr)
-    losses = []
-    for _ in range(epochs):
-        store.zero_grad()
-        losses.append(nontemporal_batch_loss(store, dataset))
-        opt.step()
-    if return_losses:
-        return store, losses
-    return store
+def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3):
+    """Full-batch Adam, one update per epoch; returns the store and the
+    epoch losses."""
+    store = init_model(cfg, seed)
+    return store, fit(store, [dataset] if dataset else [],
+                      nontemporal_batch_loss, epochs, lr)
 
 
 def metric_distance(g_inv, x, y):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import Adam, ParameterStore
+from .optim import ParameterStore, fit
 
 
 class EmbeddingModel:
@@ -90,15 +90,15 @@ def train_guvec(A, user_ids, d, seed=0, lr=0.05, epochs=30, return_losses=False)
     store = ParameterStore()
     store.register("vectors", vectors)
     store.register("biases", biases)
-    opt = Adam(store, lr=lr)
-    losses = []
-    for _ in range(epochs):
-        loss, gv, gb = guvec_loss_and_grad(
-            store.get("vectors"), store.get("biases"), ii, jj, logw)
-        losses.append(loss)
-        store.set_grad("vectors", gv)
-        store.set_grad("biases", gb)
-        opt.step()
+
+    def loss(s, _):
+        value, gv, gb = guvec_loss_and_grad(
+            s.get("vectors"), s.get("biases"), ii, jj, logw)
+        s.set_grad("vectors", gv)
+        s.set_grad("biases", gb)
+        return value
+
+    losses = fit(store, [None], loss, epochs, lr)
     model = EmbeddingModel(user_ids, store.get("vectors"), store.get("biases"))
     if return_losses:
         return model, losses

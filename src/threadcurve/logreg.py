@@ -12,7 +12,7 @@ import numpy as np
 from .cooccur import reply_edges
 from .features import (CONTENT_NAMES, SURFACE_NAMES, _content_block,
                        _surface_block)
-from .optim import Adam, OptimError, ParameterStore
+from .optim import OptimError, ParameterStore, fit
 
 
 def _sigmoid(z):
@@ -83,11 +83,8 @@ def fit_binary(X, y, l2=1e-4, seed=0, epochs=300, lr=0.1):
     store = ParameterStore()
     store.register("w", np.zeros(X.shape[1]))
     store.register("b", np.zeros(1))
-    opt = Adam(store, lr=lr)
-    for _ in range(epochs):
-        store.zero_grad()
-        logreg_loss(store, X, y, l2)
-        opt.step()
+    fit(store, [(X, y)], lambda s, batch: logreg_loss(s, *batch, l2),
+        epochs, lr)
     return store.get("w").copy(), float(store.get("b")[0])
 
 

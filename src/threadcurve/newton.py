@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Var, stack
-from .curvature import (_loss_into_store, cumulative_context, encode_post,
-                        encode_window, temporal_loss, ForwardTrace, StepOutput)
-from .optim import Adam, init_params
+from .autodiff import Var, concat
+from .curvature import (_as_vars, _loss_into_store, cumulative_context,
+                        encode_steps, temporal_loss, ForwardTrace)
+from .optim import fit, init_params
 
 DIST_EPS = 1e-6
 
@@ -36,62 +36,44 @@ def init_model(cfg, w, seed):
     return init_params(param_spec(cfg, w), seed)
 
 
-def _as_vars(store):
-    return {name: Var(store.get(name)) for name in store.names()}
-
-
 def newton_mass(pv, ctx):
-    hidden = (pv["Wp2"] @ ctx + pv["Bp1"]).sigmoid()
-    return (pv["Wp1"] @ hidden + pv["Bp2"]).sigmoid()[0]
+    """Scalar mass per step from the (S, h1) contexts: (S,) in (0, 1)."""
+    hidden = (ctx @ pv["Wp2"].T + pv["Bp1"]).sigmoid()
+    return (hidden @ pv["Wp1"].T + pv["Bp2"]).sigmoid()[:, 0]
 
 
-def newton_position(pv, user_vectors, mask, prefix_len):
-    """exp-weighted average of embedded commenters' vectors up to position
-    prefix_len; zero vector when none commented."""
-    d = user_vectors.shape[1]
-    numer = None
-    denom = None
-    for j in range(prefix_len):
-        if not mask[j]:
-            continue
-        omega = pv["Wp3"][j].exp()
-        contrib = omega * Var(user_vectors[j])
-        numer = contrib if numer is None else numer + contrib
-        denom = omega if denom is None else denom + omega
-    if numer is None:
-        return Var(np.zeros(d))
-    return numer / denom
+def newton_position(pv, user_vectors, mask, w, steps):
+    """(steps, d) positions. Row i is the exp(Wp3)-weighted mean of the
+    embedded commenters' vectors among comments 0..i·w-1, read from masked
+    prefix sums at comment i·w-1; the zero vector at step 0 and while no
+    commenter is embedded."""
+    prefix = (steps - 1) * w  # the comments the last step sees
+    omega = pv["Wp3"][:prefix].exp() * np.asarray(mask[:prefix], dtype=float)
+    numer = (omega.reshape(prefix, 1) * Var(user_vectors[:prefix])).cumsum(axis=0)
+    read = np.arange(1, steps) * w - 1
+    # nobody embedded yet: numer is zero, and 0/1 keeps it so
+    empty = np.cumsum(mask[:prefix])[read] == 0
+    later = numer[read] / (omega.cumsum()[read] + empty).reshape(-1, 1)
+    return concat([Var(np.zeros((1, user_vectors.shape[1]))), later])
 
 
 def newton_heads(pv, mass, position, centers):
-    """y1[l] = sigmoid(M / (|r - C_l|^2 + eps)); y2 = relu of the weighted sum."""
-    args = []
-    for l in range(len(centers)):
-        diff = position - Var(centers[l])
-        d2 = diff.square().sum() + DIST_EPS
-        args.append(mass / d2)
-    arg_vec = stack(args)
-    y1 = arg_vec.sigmoid()
-    y2 = (pv["Wp4"] @ arg_vec).relu()
-    return y1, y2, arg_vec
+    """y1[l] = sigmoid(M / (|r - C_l|^2 + eps)); y2 = relu of the weighted
+    sum. mass (...), position (..., d), centers (n, d); y1 is (..., n)."""
+    diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
+    d2 = (diff - Var(centers)).square().sum(axis=-1) + DIST_EPS
+    arg = mass.reshape(mass.shape + (1,)) / d2
+    return arg.sigmoid(), (arg @ pv["Wp4"]).relu(), arg
 
 
 def forward(store, x1, x2, centers, user_vectors, mask, w):
     """centers here are flat d-dimensional cluster centers (no time)."""
     pv = _as_vars(store)
-    n_pred = x2.shape[0]
-    encodings = [encode_post(pv, x1)]
-    for k in range(n_pred - 1):
-        encodings.append(encode_window(pv, x2[k]))
-    trace = ForwardTrace()
-    for i in range(n_pred):
-        ctx = cumulative_context(pv, encodings[:i + 1], i)
-        mass = newton_mass(pv, ctx)
-        position = newton_position(pv, user_vectors, mask, i * w)
-        y1, y2, arg_vec = newton_heads(pv, mass, position, centers)
-        trace.steps.append(StepOutput(y1=y1, y2=y2, r_prime=arg_vec,
-                                      r_total=y2, m_diag=mass, g_inv=None))
-    return trace, pv
+    steps = x2.shape[0]
+    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, steps))
+    position = newton_position(pv, user_vectors, mask, w, steps)
+    y1, y2, arg = newton_heads(pv, newton_mass(pv, ctx), position, centers)
+    return ForwardTrace(y1=y1, y2=y2, r_prime=arg), pv
 
 
 def discussion_loss(store, instance, w, lam=1.0):
@@ -103,34 +85,17 @@ def discussion_loss(store, instance, w, lam=1.0):
     return _loss_into_store(store, pv, loss)
 
 
-def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3, store=None,
-                   return_losses=False):
-    if not dataset:
-        raise ValueError("empty dataset")
-    if store is None:
-        store = init_model(cfg, w, seed)
-    opt = Adam(store, lr=lr)
-    epoch_losses = []
-    for _ in range(epochs):
-        total = 0.0
-        for instance in dataset:
-            store.zero_grad()
-            total += discussion_loss(store, instance, w, lam=cfg.lam)
-            opt.step()
-        epoch_losses.append(total / len(dataset))
-    if return_losses:
-        return store, epoch_losses
-    return store
+def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):
+    """Adam over discussions, one update per discussion per epoch; returns
+    the store and the epoch losses."""
+    store = init_model(cfg, w, seed)
+    return store, fit(store, dataset,
+                      lambda s, inst: discussion_loss(s, inst, w, lam=cfg.lam),
+                      epochs, lr)
 
 
 def predict_temporal(store, instance, w, threshold=0.5):
     trace, _ = forward(store, instance["x1"], instance["x2"],
                        instance["flat_centers"], instance["user_vectors"],
                        instance["user_mask"], w)
-    y1 = trace.y1_array()
-    return {
-        "y1": y1,
-        "decisions": (y1 > threshold).astype(int),
-        "y2": trace.y2_array(),
-        "trace": trace,
-    }
+    return trace.prediction(threshold)

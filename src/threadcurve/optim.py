@@ -1,4 +1,5 @@
-"""Parameter store, glorot init, Adam, and a finite-difference gradient check."""
+"""Parameter store, glorot init, Adam and its training loop, and a
+finite-difference gradient check."""
 
 from __future__ import annotations
 
@@ -105,6 +106,26 @@ class Adam:
             if not np.all(np.isfinite(update)):
                 raise OptimError("non-finite update for %r" % name)
             self.store.set(name, update)
+
+
+def fit(store, batches, loss, epochs, lr):
+    """Adam over `batches` for `epochs` passes, one update per batch.
+
+    loss(store, batch) fills the store's gradients and returns the loss.
+    Returns the mean loss of each pass.
+    """
+    if not batches:
+        raise OptimError("nothing to train on")
+    opt = Adam(store, lr=lr)
+    losses = []
+    for _ in range(epochs):
+        total = 0.0
+        for batch in batches:
+            store.zero_grad()
+            total += loss(store, batch)
+            opt.step()
+        losses.append(total / len(batches))
+    return losses
 
 
 def grad_check(loss_fn, store, h=1e-5, tol=1e-4, max_coords=200, seed=0):

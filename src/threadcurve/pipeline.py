@@ -330,16 +330,13 @@ def stage_train(cfg):
     mc = _model_config(cfg, layouts)
     if cfg.task == "nontemporal":
         store, losses = curvature.train_nontemporal(
-            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
-            return_losses=True)
+            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
     elif cfg.model == "rgnet":
         store, losses = curvature.train_temporal(
-            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr,
-            return_losses=True)
+            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
     elif cfg.model == "newtonian":
         store, losses = newton.train_temporal(
-            train, mc, cfg.w, seed=cfg.seed, epochs=cfg.epochs,
-            lr=cfg.lr, return_losses=True)
+            train, mc, cfg.w, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
     else:
         store, losses = _train_logreg_temporal(cfg, train), []
     save_store(store, _model_file(cfg, "model", "ckpt"))
@@ -476,7 +473,7 @@ def stage_diagnose(cfg):
             "truth": r["truth"],
             "v_true": r["v_true"],
             "v_pred": r["y2"],
-            "g_inv": r["trace"].steps[i].g_inv.data,
+            "g_inv": r["trace"].g_inv_array()[i],
         })
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     summary = diagnostics(diag_records, cm, embedding, cfg.path("diagnostics"))

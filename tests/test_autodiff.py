@@ -1,7 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
-from threadcurve.autodiff import Var, concat, stack, wrap
+from threadcurve.autodiff import Var, concat, wrap
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -52,6 +54,9 @@ def test_matmul_all_rank_combinations():
     check(lambda v: (v @ wrap(d)), b)                   # 1d @ 1d -> scalar
     B = rng.normal(size=(4, 2))
     check(lambda v: (v @ wrap(B)).sum(), A)             # 2d @ 2d
+    T = rng.normal(size=(2, 3, 4))
+    check(lambda v: (v @ wrap(B)).square().sum(), T)   # stacked rows @ 2d
+    check(lambda v: (wrap(T) @ v).square().sum(), B)   # (rhs grad)
 
 
 def test_elementwise_ops():
@@ -85,7 +90,7 @@ def test_indexing_accumulates():
     np.testing.assert_allclose(v.grad, [3.0, 0.0, 1.0])
 
 
-def test_concat_and_stack():
+def test_concat():
     a = Var(np.array([1.0, 2.0]))
     b = Var(np.array([3.0]))
     out = (concat([a, b]) * np.array([1.0, 2.0, 3.0])).sum()
@@ -93,12 +98,15 @@ def test_concat_and_stack():
     np.testing.assert_allclose(a.grad, [1.0, 2.0])
     np.testing.assert_allclose(b.grad, [3.0])
 
-    c = Var(np.array([1.0, 2.0]))
-    d = Var(np.array([3.0, 4.0]))
-    out = (stack([c, d], axis=0)[1]).sum()
-    out.backward()
-    np.testing.assert_allclose(c.grad, [0.0, 0.0])
-    np.testing.assert_allclose(d.grad, [1.0, 1.0])
+
+def test_cumsum_and_reshape():
+    x = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
+    weights = np.arange(6.0).reshape(2, 3)
+    check(lambda v: (v.cumsum(axis=0) * weights).sum(), x)
+    check(lambda v: (v.cumsum(axis=1).square() * weights).sum(), x)
+    check(lambda v: (v.reshape(3, 2) * weights.T).square().sum(), x)
+    np.testing.assert_array_equal(Var(x).cumsum(axis=1).data,
+                                  np.cumsum(x, axis=1))
 
 
 def test_transpose():
@@ -112,6 +120,33 @@ def test_reused_node_accumulates_gradient():
     y.backward()
     expected = 2 * 2.0 + np.exp(2.0) * (1 + 2.0)
     assert v.grad == pytest.approx(expected, rel=1e-12)
+
+
+def test_backward_handles_a_deep_chain():
+    v = Var(np.array(1.0))
+    out = v
+    for _ in range(5000):  # far beyond the recursion limit
+        out = out + v
+    out.backward()
+    assert float(v.grad) == 5001.0
+
+
+def _backward_once():
+    v = Var(np.arange(4.0))
+    out = ((v * 2.0).sigmoid() + v.exp()).sum()
+    out.backward()
+    return v.grad
+
+
+def test_backward_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        _backward_once()
+        # the whole graph was freed by reference counting
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar():

@@ -8,6 +8,7 @@ modules, runs a small temporal pipeline under them and uninstalls them.
 
 import importlib
 import importlib.util
+import json
 import math
 import os
 
@@ -63,3 +64,10 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     assert counts["features.load_word_vectors"] == 2
     assert counts["dataset.build_temporal_dataset"] == 1
     assert counts["pipeline.diagnose"] == 1
+    # each training update is one traced loss and one backward pass, so a
+    # loss the training loop bound before the hooks went in would show here
+    with open(cfg.path("features_meta.json")) as fh:
+        updates = cfg.epochs * len(json.load(fh)["train_ids"])
+    assert counts["curvature.discussion_loss"] == updates
+    assert counts["autodiff.backward"] == updates
+    assert counts["optim.adam_step"] == updates + cfg.embed_epochs

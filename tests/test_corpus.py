@@ -17,6 +17,24 @@ def test_parse_sorts_and_depths(tiny_corpus):
     assert manifest.comments == 5
 
 
+def test_deep_reply_chain_listed_newest_first(tmp_path):
+    comments = chain_comments("deep", ["bob", "carol"] * 1500)
+    path = write_corpus(tmp_path / "deep.jsonl", [
+        make_discussion_json("deep", "alice", 1000, comments[::-1])])
+    discussions, _ = parse_corpus(path)
+    assert [c.depth for c in discussions[0].comments] == list(range(1, 3001))
+
+
+def test_reply_cycle_is_named(tmp_path):
+    comments = chain_comments("cyc", ["bob", "carol", "dave"])
+    comments[0]["parent_id"] = comments[2]["id"]  # c0 -> c2 -> c1 -> c0
+    path = write_corpus(tmp_path / "cycle.jsonl", [
+        make_discussion_json("cyc", "alice", 1000, comments)])
+    with pytest.raises(CorpusError, match="reply cycle through comment "
+                                          "'cyc_c[012]'"):
+        parse_corpus(path)
+
+
 def test_orphan_reattached_to_post(tmp_path):
     disc = make_discussion_json("o1", "alice", 1000, [
         {"id": "c0", "author": "bob", "parent_id": "missing",

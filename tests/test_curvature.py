@@ -53,8 +53,7 @@ def test_forward_matches_numpy_oracle():
     y1o, y2o, rpo = oracle_forward(store, inst, cfg)
     np.testing.assert_allclose(trace.y1_array(), y1o, atol=1e-12)
     np.testing.assert_allclose(trace.y2_array(), y2o, atol=1e-12)
-    np.testing.assert_allclose(
-        np.stack([s.r_prime.data for s in trace.steps]), rpo, atol=1e-12)
+    np.testing.assert_allclose(trace.r_prime.data, rpo, atol=1e-12)
 
 
 def test_zero_parameters_sit_at_the_neutral_point():
@@ -63,14 +62,13 @@ def test_zero_parameters_sit_at_the_neutral_point():
     rng = np.random.default_rng(0)
     inst = toy_instance(rng, cfg)
     trace, _ = cv.forward(store, inst["x1"], inst["x2"], inst["centers"])
-    for step in trace.steps:
-        np.testing.assert_allclose(step.m_diag.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(step.g_inv.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(step.r_prime.data,
-                                   cv.neutral_point(cfg.d), atol=1e-14)
-        # engagement probabilities land exactly on the decision boundary
-        np.testing.assert_allclose(step.y1.data, 0.5, atol=1e-14)
-        assert float(step.y2.data) == 0.0
+    np.testing.assert_allclose(trace.m_array(), 0.5, atol=1e-15)
+    np.testing.assert_allclose(trace.g_inv_array(), 0.5, atol=1e-15)
+    np.testing.assert_allclose(trace.r_prime.data, cv.neutral_point(cfg.d),
+                               atol=1e-14)
+    # engagement probabilities land exactly on the decision boundary
+    np.testing.assert_allclose(trace.y1_array(), 0.5, atol=1e-14)
+    assert np.all(trace.y2_array() == 0.0)
 
 
 def test_neutral_point_value():
@@ -92,12 +90,10 @@ def test_cumulative_context_weighted_prefix_mean():
     store = _zeroed(cv.init_model(cfg, seed=0))
     store.set("W3", np.array([0.0, np.log(3.0), 0.0, 0.0]))
     pv = cv._as_vars(store)
-    e0 = Var(np.array([1.0, 0.0]))
-    e1 = Var(np.array([0.0, 1.0]))
-    ctx = cv.cumulative_context(pv, [e0, e1], 1)
-    np.testing.assert_allclose(ctx.data, [0.25, 0.75], atol=1e-14)
-    ctx0 = cv.cumulative_context(pv, [e0], 0)
-    np.testing.assert_allclose(ctx0.data, e0.data)
+    ctx = cv.cumulative_context(pv, Var(np.eye(2)))
+    # row 0 is the post alone; row 1 weighs it 1:3 against window 1
+    np.testing.assert_allclose(ctx.data, [[1.0, 0.0], [0.25, 0.75]],
+                               atol=1e-14)
 
 
 def test_bce_at_half_is_log_two():
@@ -121,7 +117,7 @@ def test_outputs_in_valid_ranges():
         assert np.all(trace.y2_array() >= 0)
         assert np.all(trace.m_array() > 0) and np.all(trace.m_array() < 1)
         assert np.all(trace.g_inv_array() > 0) and np.all(trace.g_inv_array() < 1)
-        assert np.all(np.stack([s.r_prime.data for s in trace.steps]) > 0)
+        assert np.all(trace.r_prime.data > 0)
 
 
 def test_causality_future_windows_do_not_leak():
@@ -190,8 +186,7 @@ def test_training_reduces_loss():
     cfg = toy_config()
     rng = np.random.default_rng(12)
     data = [toy_instance(rng, cfg) for _ in range(3)]
-    _, losses = cv.train_temporal(data, cfg, seed=0, epochs=15, lr=1e-2,
-                                  return_losses=True)
+    _, losses = cv.train_temporal(data, cfg, seed=0, epochs=15, lr=1e-2)
     assert losses[-1] < losses[0]
 
 
@@ -215,12 +210,43 @@ def test_nontemporal_zero_parameters_give_half():
     assert label == "no-attract"
 
 
+def _one_shot_batch(rng, cfg, size):
+    return [{"x1": rng.normal(size=cfg.post_width),
+             "centers0": rng.normal(size=(cfg.n, cfg.d + 1)),
+             "label": float(k % 2)} for k in range(size)]
+
+
+def test_nontemporal_batch_matches_per_post_pass():
+    cfg = toy_config()
+    rng = np.random.default_rng(17)
+    batch = _one_shot_batch(rng, cfg, 7)
+    store = cv.init_model(cfg, seed=7)
+    y3, _ = cv.nontemporal_forward(
+        store, np.stack([inst["x1"] for inst in batch]),
+        np.stack([inst["centers0"] for inst in batch]))
+    single = np.array([cv.predict_nontemporal(store, inst["x1"],
+                                              inst["centers0"])[0]
+                       for inst in batch])
+    np.testing.assert_allclose(y3.data, single, rtol=0, atol=1e-12)
+    p = np.clip(single, cv.PROB_CLIP, 1.0 - cv.PROB_CLIP)
+    t = np.array([inst["label"] for inst in batch])
+    expected = -np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
+    assert cv.nontemporal_batch_loss(store, batch) == pytest.approx(
+        expected, rel=0, abs=1e-12)
+
+
+def test_nontemporal_loss_on_many_posts_is_finite():
+    cfg = toy_config()
+    batch = _one_shot_batch(np.random.default_rng(18), cfg, 1200)
+    store = cv.init_model(cfg, seed=8)
+    assert np.isfinite(cv.nontemporal_batch_loss(store, batch))
+    assert all(np.all(np.isfinite(store.grad(n))) for n in store.names())
+
+
 def test_nontemporal_gradients_pass_finite_difference_check():
     cfg = toy_config()
     rng = np.random.default_rng(15)
-    batch = [{"x1": rng.normal(size=cfg.post_width),
-              "centers0": rng.normal(size=(cfg.n, cfg.d + 1)),
-              "label": float(k % 2)} for k in range(4)]
+    batch = _one_shot_batch(rng, cfg, 4)
     store = cv.init_model(cfg, seed=6)
     report = grad_check(lambda s: cv.nontemporal_batch_loss(s, batch),
                         store, max_coords=60, seed=1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from threadcurve.autodiff import Var, wrap
-from threadcurve.optim import Adam, OptimError, ParameterStore, grad_check, init_params
+from threadcurve.optim import (Adam, OptimError, ParameterStore, fit,
+                               grad_check, init_params)
 
 
 def test_init_params_bias_zero_and_glorot_bound():
@@ -52,6 +53,25 @@ def test_adam_minimizes_quadratic():
         store.set_grad("x", 2 * (x - np.array([1.0, 2.0])))
         opt.step()
     np.testing.assert_allclose(store.get("x"), [1.0, 2.0], atol=1e-3)
+
+
+def test_fit_makes_one_update_per_batch_and_averages_each_pass():
+    store = ParameterStore()
+    store.register("x", np.array([4.0]))
+    visited = []
+
+    def loss(s, target):
+        x = s.get("x")
+        visited.append(float(x[0]))
+        s.set_grad("x", 2 * (x - target))
+        return float((x[0] - target) ** 2)
+
+    losses = fit(store, [1.0, 3.0], loss, epochs=3, lr=0.1)
+    assert len(visited) == 6 and len(losses) == 3
+    assert visited[1] != visited[0]  # an update between the two batches
+    assert losses[0] == pytest.approx((9.0 + (visited[1] - 3.0) ** 2) / 2)
+    with pytest.raises(OptimError):
+        fit(store, [], loss, epochs=1, lr=0.1)
 
 
 def test_adam_rejects_non_finite_gradient():

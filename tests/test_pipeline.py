@@ -194,6 +194,16 @@ def test_cli_workdir_override_moves_default_paths(tmp_path):
     assert cfg.corpus_path == corpus
     for name in ("word_vectors", "sentiment", "stopwords"):
         assert getattr(cfg, name + "_path") == str(tmp_path / "w" / (name + ".txt"))
+    # a path set in a config file is kept; defaults move to the new workdir
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"workdir": str(tmp_path / "a"),
+                                    "word_vectors_path": "/data/wv.txt"}))
+    args = cli.build_parser().parse_args(
+        ["--config", str(cfg_path), "--workdir", str(tmp_path / "b"), "ingest"])
+    cfg = cli.config_from_args(args)
+    assert cfg.word_vectors_path == "/data/wv.txt"
+    assert cfg.corpus_path == str(tmp_path / "b" / "corpus.jsonl")
+    assert cfg.stopwords_path == str(tmp_path / "b" / "stopwords.txt")
 
 
 def test_cli_reports_malformed_corpus(tmp_path, capsys):
