@@ -24,6 +24,7 @@ class Var:
     """A node in the tape; wraps a float ndarray."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
+    __array_ufunc__ = None  # so `ndarray * Var` calls Var.__rmul__
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=float)

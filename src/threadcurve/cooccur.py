@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .text import tokenize
+from .text import idf_table, tokenize
 
 
 def sigmoid(x):
@@ -93,6 +93,14 @@ def title_vector(title, word_vectors, idf, stopwords=frozenset()):
         vecs = [np.asarray(word_vectors[t], float) for t in counts]
         return np.mean(vecs, axis=0)
     return acc / total_w
+
+
+def idf_title_vectors(discussions, word_vectors, stopwords=frozenset()):
+    """Title vector per discussion id for the semantic channel, with idf
+    over the titles of `discussions`."""
+    idf = idf_table([tokenize(d.post.title) for d in discussions])
+    return {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
+            for d in discussions}
 
 
 def reply_edges(d):

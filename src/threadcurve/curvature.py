@@ -235,8 +235,8 @@ def predict_temporal(store, x1, x2, centers, threshold=0.5):
 def nontemporal_forward(store, x1, centers0):
     """Step-0 pass from the post features alone; y3 = sigmoid(R_total).
 
-    One post, x1 (f+d_w,) with centers0 (n, d+1), or a batch, x1
-    (B, f+d_w) with centers0 (B, n, d+1).
+    One post, x1 (f+d_w,), or a batch, x1 (B, f+d_w); centers0 (n, d+1)
+    is shared by every post, so the inverse metric is computed once.
     """
     pv = _as_vars(store)
     ctx = encode_post(pv, x1)  # single-term cumulative context
@@ -247,25 +247,24 @@ def nontemporal_forward(store, x1, centers0):
 
 
 def predict_nontemporal(store, x1, centers0):
+    """y3 of one post or of every post of x1 in one pass, and its class:
+    "attract" where y3 > 0.5."""
     y3, _ = nontemporal_forward(store, x1, centers0)
-    prob = float(y3.data)
-    return prob, ("attract" if prob > 0.5 else "no-attract")
+    return y3.data, np.where(y3.data > 0.5, "attract", "no-attract")
 
 
-def nontemporal_batch_loss(store, instances):
-    """Mean BCE of y3 over (x1, centers0, label) instances; fills grads."""
-    y3, pv = nontemporal_forward(
-        store, np.stack([inst["x1"] for inst in instances]),
-        np.stack([inst["centers0"] for inst in instances]))
-    labels = [float(inst["label"]) for inst in instances]
-    return _loss_into_store(store, pv, bce(y3, labels))
+def nontemporal_batch_loss(store, batch):
+    """Mean BCE of y3 over a stacked batch, x1 (B, f+d_w), label (B,) and
+    the shared centers0 (n, d+1); fills grads."""
+    y3, pv = nontemporal_forward(store, batch["x1"], batch["centers0"])
+    return _loss_into_store(store, pv, bce(y3, batch["label"]))
 
 
 def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3):
-    """Full-batch Adam, one update per epoch; returns the store and the
-    epoch losses."""
+    """Full-batch Adam over the stacked `dataset`, one update per epoch;
+    returns the store and the epoch losses."""
     store = init_model(cfg, seed)
-    return store, fit(store, [dataset] if dataset else [],
+    return store, fit(store, [dataset] if len(dataset["label"]) else [],
                       nontemporal_batch_loss, epochs, lr)
 
 

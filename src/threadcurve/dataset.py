@@ -98,16 +98,16 @@ def build_nontemporal_dataset(discussions, lexicons, embedding):
     return pack, post_layout
 
 
-def unstack(pack, ids, **shared):
-    """One instance dict per pack row, keyed as the pack plus
-    `discussion_id`; every instance also gets the `shared` values."""
-    return [dict({key: value[r] for key, value in pack.items()},
-                 discussion_id=did, **shared)
-            for r, did in enumerate(ids)]
+def unstack(arrays, rows, **shared):
+    """One dict per row r in `rows`: every array's row r (`ids` aside),
+    plus the `shared` values."""
+    return [dict({key: value[r] for key, value in arrays.items()
+                  if key != "ids"}, **shared) for r in rows]
 
 
 def standardize_instances(train, test, keys=("x1", "x2")):
-    """Z-score model inputs with training-set statistics (in place).
+    """Z-score the stacked rows (..., f) of each key with per-column
+    statistics over every training row.
 
     Raw feature scales span orders of magnitude (readability vs. counts vs.
     probabilities) and saturate the downstream squashing layers; per-dimension
@@ -115,16 +115,15 @@ def standardize_instances(train, test, keys=("x1", "x2")):
     (user_vectors, centers) stay raw: they are positions, not features.
     """
     for key in keys:
-        rows = [inst[key] for inst in train if key in inst]
-        if not rows:
+        X = train[key]
+        if not len(X):
             continue
-        stacked = np.concatenate([np.atleast_2d(r) for r in rows], axis=0)
-        mu = stacked.mean(axis=0)
-        sd = stacked.std(axis=0)
+        flat = X.reshape(-1, X.shape[-1])
+        mu = flat.mean(axis=0)
+        sd = flat.std(axis=0)
         sd[sd < 1e-8] = 1.0
-        for inst in train + test:
-            if key in inst:
-                inst[key] = (inst[key] - mu) / sd
+        train[key] = (X - mu) / sd
+        test[key] = (test[key] - mu) / sd
     return train, test
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text import count_closing_punct, count_urls, sentences, tokenize
+from .text import (count_closing_punct, count_urls, idf_table, sentences,
+                   tokenize)
 
 CONTENT_NAMES = ["avg_tfidf", "lix", "term_entropy", "polarity_sum",
                  "pos_words", "neg_words"]
@@ -63,17 +64,9 @@ def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):
         docs.append(tokenize(d.post.title + " " + d.post.body))
         for c in d.comments:
             docs.append(tokenize(c.text))
-    df = {}
-    vocab = set()
-    for doc in docs:
-        vocab.update(doc)
-        for t in set(doc):
-            df[t] = df.get(t, 0) + 1
-    n_docs = max(1, len(docs))
-    idf = {t: math.log(n_docs / (1 + k)) for t, k in df.items()}
-    return Lexicons(idf=idf, word_vectors=dict(word_vectors),
+    return Lexicons(idf=idf_table(docs), word_vectors=dict(word_vectors),
                     sentiment=dict(sentiment), stopwords=frozenset(stopwords),
-                    vocab_size=max(1, len(vocab)))
+                    vocab_size=max(1, len(set().union(*docs))))
 
 
 # ------------------------------------------------------------------ content

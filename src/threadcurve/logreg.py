@@ -95,8 +95,10 @@ class LogRegModel:
         self.weights = np.asarray(weights, dtype=float)
         self.biases = np.asarray(biases, dtype=float)
 
-    def predict_proba(self, cluster, x):
-        return float(_sigmoid(self.weights[cluster] @ x + self.biases[cluster]))
+    def predict_proba(self, x):
+        """Engagement probability per cluster of every (..., n, f) row."""
+        z = np.matmul(x[..., None, :], self.weights[..., None])[..., 0, 0]
+        return _sigmoid(z + self.biases)
 
 
 def train_temporal(per_cluster_data, l2=1e-4, seed=0, epochs=300, lr=0.1):

@@ -75,16 +75,19 @@ def growth_error(pred, truth):
 
 
 def auc(scores, labels):
-    """Rank-based AUC: P(random positive outscores random negative), ties 1/2."""
+    """P(random positive outscores random negative), ties 1/2: the
+    Mann-Whitney U of average ranks, over the number of pairs."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
+    pos = np.asarray(labels, dtype=int) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
+    # 1-based rank of each score; tied scores share their mean rank
+    s = np.sort(scores)
+    ranks = (np.searchsorted(s, scores, "left")
+             + np.searchsorted(s, scores, "right") + 1) / 2.0
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def pearson(x, y):

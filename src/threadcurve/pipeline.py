@@ -13,7 +13,8 @@ import numpy as np
 
 from . import curvature, logreg, newton, synth
 from .clustering import ClusterModel, kmeans, T_CAP_SECONDS
-from .cooccur import build_cooccurrence, CooccurrenceMatrix, sparsity_profile
+from .cooccur import (build_cooccurrence, CooccurrenceMatrix,
+                      idf_title_vectors, sparsity_profile)
 from .corpus import (FilterConfig, embedded_users, parse_corpus,
                      serialize_corpus)
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
@@ -205,19 +206,9 @@ def stage_cooccur(cfg):
     discussions = _load_discussions(cfg)
     users = sorted(embedded_users(discussions, _filter_config(cfg)))
     index = {u: k for k, u in enumerate(users)}
-    word_vectors = load_word_vectors(cfg.word_vectors_path)
-    stopwords = frozenset(load_stopwords(cfg.stopwords_path))
-    # idf over titles for the title vectors used by the semantic channel
-    from .text import tokenize
-    title_df = {}
-    for d in discussions:
-        for t in set(tokenize(d.post.title)):
-            title_df[t] = title_df.get(t, 0) + 1
-    n_docs = max(1, len(discussions))
-    idf = {t: math.log(n_docs / (1 + k)) for t, k in title_df.items()}
-    from .cooccur import title_vector
-    tvecs = {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
-             for d in discussions}
+    tvecs = idf_title_vectors(
+        discussions, load_word_vectors(cfg.word_vectors_path),
+        frozenset(load_stopwords(cfg.stopwords_path)))
     A, skipped = build_cooccurrence(discussions, index, tvecs, cfg.theta0)
     atomic_write_text(cfg.path("users.txt"), "\n".join(users) + "\n")
     atomic_write(A.save, cfg.path("cooccur.txt"))
@@ -276,11 +267,14 @@ def stage_featurize(cfg):
 
 
 def _model_inputs(cfg):
-    """Train and test instances from the features pack, ablated as
-    configured and standardized with training statistics.
+    """Train and test inputs from the features pack, ablated as configured
+    and standardized with training statistics.
 
-    Returns (train, test, layouts, cluster_model); `layouts` maps x1 (and,
-    on the temporal task, x2) to its feature layout after the ablation.
+    Returns (train, test, layouts, cluster_model). `train` and `test` map
+    every pack key to its stacked rows, `ids` to the discussion ids and, on
+    the one-shot task, `centers0` to the step-0 spacetime centres (n, d+1)
+    that every post shares. `layouts` maps x1 (and, on the temporal task,
+    x2) to its feature layout after the ablation.
     """
     with open(cfg.path("features_meta.json")) as fh:
         meta = json.load(fh)
@@ -297,10 +291,6 @@ def _model_inputs(cfg):
         pack["mask"] = pack["mask"] > 0
         pack["user_mask"] = pack["user_mask"] > 0
         layouts["x2"] = comment_layout(meta["d_w"], cfg.d)
-        shared = {"flat_centers": cm.centers}
-    else:
-        # step-0 spacetime centres: time coordinate 0
-        shared = {"centers0": np.pad(cm.centers, ((0, 0), (1, 0)))}
     if cfg.ablation:
         group, mode = cfg.ablation.split(":")
         # train and test noise come from separate streams
@@ -310,8 +300,13 @@ def _model_inputs(cfg):
             pack[key], layouts[key] = ablate(
                 pack[key], layouts[key], group, mode, n_train, rngs,
                 valid=pack["mask"] if key == "x2" else None)
-    instances = unstack(pack, meta["train_ids"] + meta["test_ids"], **shared)
-    train, test = instances[:n_train], instances[n_train:]
+    pack["ids"] = np.array(meta["train_ids"] + meta["test_ids"])
+    train, test = ({key: value[part] for key, value in pack.items()}
+                   for part in (slice(n_train), slice(n_train, None)))
+    if cfg.task == "nontemporal":
+        # step-0 spacetime centres: time coordinate 0
+        train["centers0"] = test["centers0"] = np.pad(cm.centers,
+                                                      ((0, 0), (1, 0)))
     standardize_instances(train, test, keys=tuple(layouts))
     return train, test, layouts, cm
 
@@ -326,129 +321,136 @@ def _model_config(cfg, layouts):
 def stage_train(cfg):
     if cfg.task == "nontemporal" and cfg.model != "rgnet":
         raise PipelineError("non-temporal training supports rgnet only")
-    train, _, layouts, _ = _model_inputs(cfg)
+    train, _, layouts, cm = _model_inputs(cfg)
     mc = _model_config(cfg, layouts)
+    opts = dict(seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
+    log = {}
     if cfg.task == "nontemporal":
-        store, losses = curvature.train_nontemporal(
-            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
-    elif cfg.model == "rgnet":
-        store, losses = curvature.train_temporal(
-            train, mc, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
-    elif cfg.model == "newtonian":
-        store, losses = newton.train_temporal(
-            train, mc, cfg.w, seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
+        store, losses = curvature.train_nontemporal(train, mc, **opts)
     else:
-        store, losses = _train_logreg_temporal(cfg, train), []
+        # a discussion with no valid step (no comments) has nothing to fit
+        rows = np.flatnonzero(train["mask"].any(axis=1))
+        if not rows.size:
+            raise PipelineError("no training discussion has a valid "
+                                "prediction step")
+        log["rows_without_valid_step"] = len(train["mask"]) - rows.size
+        if cfg.model == "logreg":
+            store, losses = _train_logreg_temporal(cfg, train), []
+        else:
+            instances = unstack(train, rows, flat_centers=cm.centers)
+            if cfg.model == "rgnet":
+                store, losses = curvature.train_temporal(instances, mc,
+                                                         **opts)
+            else:
+                store, losses = newton.train_temporal(instances, mc, cfg.w,
+                                                      **opts)
     save_store(store, _model_file(cfg, "model", "ckpt"))
-    atomic_write_json(cfg.path("train_log.json"), {"epoch_losses": losses})
+    atomic_write_json(cfg.path("train_log.json"),
+                      dict(epoch_losses=losses, **log))
 
 
 def _train_logreg_temporal(cfg, train):
     """One logistic unit per cluster over the prefix features of every
     valid training step."""
-    per_cluster = [
-        (np.concatenate([inst["logreg_features"][inst["mask"], c]
-                         for inst in train]),
-         np.concatenate([inst["labels"][inst["mask"], c] for inst in train]))
-        for c in range(cfg.n)]
-    model = logreg.train_temporal(per_cluster, seed=cfg.seed)
+    X = train["logreg_features"][train["mask"]]
+    y = train["labels"][train["mask"]]
+    model = logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)],
+                                  seed=cfg.seed)
     store = ParameterStore()
     store.register("weights", model.weights)
     store.register("Biases", model.biases)
     return store
 
 
-def _predict_records(cfg, instances, store):
-    """Per valid step: y1, decisions, y2 for the configured model."""
-    if cfg.model == "logreg":
-        model = logreg.LogRegModel(store.get("weights"), store.get("Biases"))
-    records = []
-    for inst in instances:
-        if cfg.model == "rgnet":
-            pred = curvature.predict_temporal(store, inst["x1"], inst["x2"],
-                                              inst["centers"])
-        elif cfg.model == "newtonian":
-            pred = newton.predict_temporal(store, inst, cfg.w)
-        else:
-            y1 = np.array([[model.predict_proba(c, x) for c, x in enumerate(step)]
-                           for step in inst["logreg_features"]])
-            pred = {"y1": y1, "decisions": (y1 > 0.5).astype(int), "y2": None,
-                    "trace": None}
-        for i in range(cfg.N):
-            if not inst["mask"][i]:
-                continue
-            records.append({
-                "discussion_id": inst["discussion_id"],
-                "step": i,
-                "y1": pred["y1"][i],
-                "decision": pred["decisions"][i],
-                "y2": float(pred["y2"][i]) if pred["y2"] is not None else float("nan"),
-                "truth": inst["labels"][i],
-                "v_true": float(inst["growth"][i]),
-                "trace": pred.get("trace"),
-                "inst": inst,
-            })
-    return records
-
-
 def _score(cfg):
-    """The trained model on the test split: returns (records, cluster_model),
-    with one record per valid step on the temporal task (`_predict_records`)
-    and one per post (discussion_id, y3, class, label) on the one-shot task."""
+    """The trained model on the test split, as one dict of arrays.
+
+    Temporal task: one row per valid test step, by discussion then step,
+    with discussion_id, step, y1, decision, y2 (NaN for logreg), truth and
+    v_true, plus g_inv and engaged_counts for RGNet. One-shot task: one
+    row per test post, with discussion_id, y3, class and label. Returns
+    (scores, cluster_model).
+    """
     store = load_store(_model_file(cfg, "model", "ckpt"))
     _, test, _, cm = _model_inputs(cfg)
-    if cfg.task == "temporal":
-        return _predict_records(cfg, test, store), cm
-    records = []
-    for inst in test:
-        y3, cls = curvature.predict_nontemporal(store, inst["x1"],
-                                                inst["centers0"])
-        records.append({"discussion_id": inst["discussion_id"], "y3": y3,
-                        "class": cls, "label": inst["label"]})
-    return records, cm
+    if cfg.task == "nontemporal":
+        y3, cls = curvature.predict_nontemporal(store, test["x1"],
+                                                test["centers0"])
+        return {"discussion_id": test["ids"], "y3": y3, "class": cls,
+                "label": test["label"]}, cm
+    mask = test["mask"]
+    rows, steps = np.nonzero(mask)
+    if not rows.size:
+        raise PipelineError("the test split has no valid prediction step")
+    scores = {"discussion_id": test["ids"][rows], "step": steps,
+              "truth": test["labels"][mask], "v_true": test["growth"][mask]}
+    if cfg.model == "logreg":
+        model = logreg.LogRegModel(store.get("weights"), store.get("Biases"))
+        scores["y1"] = model.predict_proba(test["logreg_features"][mask])
+        scores["y2"] = np.full(rows.size, np.nan)
+        scores["decision"] = (scores["y1"] > 0.5).astype(int)
+    else:
+        # one pass per discussion that has a valid step
+        scored = np.flatnonzero(mask.any(axis=1))
+        instances = unstack(test, scored, flat_centers=cm.centers)
+        if cfg.model == "rgnet":
+            preds = [curvature.predict_temporal(store, inst["x1"], inst["x2"],
+                                                inst["centers"])
+                     for inst in instances]
+        else:
+            preds = [newton.predict_temporal(store, inst, cfg.w)
+                     for inst in instances]
+        valid = mask[scored]
+        for key, column in (("y1", "y1"), ("y2", "y2"),
+                            ("decisions", "decision")):
+            scores[column] = np.stack([p[key] for p in preds])[valid]
+        if cfg.model == "rgnet":
+            scores["g_inv"] = np.stack([p["trace"].g_inv_array()
+                                        for p in preds])[valid]
+            counts = test["engaged_counts"][mask]
+            scores["engaged_counts"] = counts.astype(int)
+    return scores, cm
 
 
 def stage_evaluate(cfg):
-    records, _ = _score(cfg)
+    scores, _ = _score(cfg)
     if cfg.task == "temporal":
-        pred = [r["decision"] for r in records]
-        truth = [r["truth"] for r in records]
-        report = multilabel_metrics(pred, truth).as_dict()
+        report = multilabel_metrics(scores["decision"],
+                                    scores["truth"]).as_dict()
         if cfg.model != "logreg":
-            ge = growth_error([r["y2"] for r in records],
-                              [r["v_true"] for r in records])
+            ge = growth_error(scores["y2"], scores["v_true"])
             report["growth_mean_error_pct"] = ge.mean_error
             report["growth_excluded_steps"] = ge.excluded_zero_truth
     else:
-        scores = [r["y3"] for r in records]
-        labels = [r["label"] for r in records]
-        pred = [1 if s > 0.5 else 0 for s in scores]
-        tp = sum(1 for p, t in zip(pred, labels) if p == 1 and t == 1)
-        fp = sum(1 for p, t in zip(pred, labels) if p == 1 and t == 0)
-        fn = sum(1 for p, t in zip(pred, labels) if p == 0 and t == 1)
-        f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+        pred, truth = scores["class"] == "attract", scores["label"] == 1
         report = {
-            "f1": f1,
+            "f1": multilabel_metrics(pred[:, None], truth[:, None]).micro_f1,
             # AUC is undefined on a test split with one class
-            "auc": auc(scores, labels) if len(set(labels)) == 2 else None,
-            "accuracy": float(np.mean([p == t for p, t in zip(pred, labels)])),
+            "auc": (auc(scores["y3"], truth)
+                    if 0 < truth.sum() < truth.size else None),
+            "accuracy": float(np.mean(pred == truth)),
         }
     atomic_write_json(_model_file(cfg, "report", "json"), report)
 
 
+def _rows(scores, *columns):
+    """The given score columns row by row, as Python values."""
+    return zip(*(scores[k].tolist() for k in columns))
+
+
 def stage_predict(cfg):
-    records, _ = _score(cfg)
+    scores, _ = _score(cfg)
     if cfg.task == "temporal":
         header = (["discussion_id", "step", "y2"]
                   + ["y1_%d" % (c + 1) for c in range(cfg.n)]
                   + ["pred_%d" % (c + 1) for c in range(cfg.n)])
-        rows = [[r["discussion_id"], r["step"], "%.6f" % r["y2"]]
-                + ["%.6f" % v for v in r["y1"]]
-                + [int(v) for v in r["decision"]] for r in records]
+        rows = [[did, step, "%.6f" % y2] + ["%.6f" % v for v in y1] + dec
+                for did, step, y2, y1, dec in _rows(
+                    scores, "discussion_id", "step", "y2", "y1", "decision")]
     else:
         header = ["discussion_id", "y3", "class"]
-        rows = [[r["discussion_id"], "%.6f" % r["y3"], r["class"]]
-                for r in records]
+        rows = [[did, "%.6f" % y3, cls] for did, y3, cls
+                in _rows(scores, "discussion_id", "y3", "class")]
 
     def write(path):
         with open(path, "w", newline="") as fh:
@@ -459,24 +461,17 @@ def stage_predict(cfg):
 def stage_diagnose(cfg):
     if cfg.task != "temporal" or cfg.model != "rgnet":
         raise PipelineError("diagnose runs on the temporal rgnet model")
-    records, cm = _score(cfg)
-    diag_records = []
-    for r in records:
-        i = r["step"]
-        counts = r["inst"]["engaged_counts"][i].astype(int)
-        diag_records.append({
-            "discussion_id": r["discussion_id"],
-            "step": i,
-            # one cluster index per engaged comment before step i
-            "engaged_clusters": np.repeat(np.arange(len(counts)), counts).tolist(),
-            "pred": r["decision"],
-            "truth": r["truth"],
-            "v_true": r["v_true"],
-            "v_pred": r["y2"],
-            "g_inv": r["trace"].g_inv_array()[i],
-        })
+    scores, cm = _score(cfg)
+    records = [{
+        "discussion_id": did, "step": step, "pred": pred, "truth": truth,
+        "v_true": v_true, "v_pred": v_pred, "g_inv": g_inv,
+        # one cluster index per engaged comment before the step
+        "engaged_clusters": np.repeat(np.arange(cfg.n), counts).tolist(),
+    } for did, step, pred, truth, v_true, v_pred, g_inv, counts in _rows(
+        scores, "discussion_id", "step", "decision", "truth", "v_true", "y2",
+        "g_inv", "engaged_counts")]
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
-    summary = diagnostics(diag_records, cm, embedding, cfg.path("diagnostics"))
+    summary = diagnostics(records, cm, embedding, cfg.path("diagnostics"))
     atomic_write_json(cfg.path("diagnostics_summary.json"), summary)
 
 

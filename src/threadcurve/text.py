@@ -1,5 +1,6 @@
-"""Tokenization shared by features and title vectors."""
+"""Tokenization and idf shared by features and title vectors."""
 
+import math
 import re
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -11,6 +12,16 @@ _CLOSING_RE = re.compile(r"[.!?]")
 def tokenize(text):
     """Lowercase alphanumeric tokens, punctuation stripped."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def idf_table(docs):
+    """idf = log(D / (1 + df)) of every token over D tokenized documents."""
+    df = {}
+    for doc in docs:
+        for t in set(doc):
+            df[t] = df.get(t, 0) + 1
+    n_docs = max(1, len(docs))
+    return {t: math.log(n_docs / (1 + k)) for t, k in df.items()}
 
 
 def sentences(text):

@@ -42,6 +42,18 @@ def test_sub_div_neg():
     check(lambda v: (2.0 / v).sum(), np.array([1.0, 4.0, -2.0]))
 
 
+def test_array_on_the_left_stays_on_the_tape():
+    a = np.array([2.0, 4.0])
+    for op, grad in ((lambda v: a * v, a), (lambda v: a + v, [1.0, 1.0]),
+                     (lambda v: a - v, [-1.0, -1.0]),
+                     (lambda v: a / v, -a / np.array([1.0, 2.0]) ** 2)):
+        v = Var(np.array([1.0, 2.0]))
+        out = op(v)
+        assert isinstance(out, Var)
+        out.sum().backward()
+        np.testing.assert_allclose(v.grad, grad)
+
+
 def test_matmul_all_rank_combinations():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 4))

@@ -11,9 +11,11 @@ import importlib.util
 import json
 import math
 import os
+from collections import Counter
 
 from threadcurve.corpus import parse_corpus
-from threadcurve.pipeline import PipelineConfig, run_all
+from threadcurve.pipeline import PACK, PipelineConfig, run_all
+from threadcurve.storage import load_store
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("pipeline", "synth", "dataset", "cooccur", "features",
@@ -38,7 +40,9 @@ def _attributes(tc):
     return out
 
 
-def test_trace_hooks_install_run_and_uninstall(tmp_path):
+def _traced_run(cfg):
+    """run_all(cfg) under the trace hooks; checks that uninstalling puts
+    every patched name back, and returns the tracer."""
     tracing = _load_tracing()
     tc = {m: importlib.import_module("threadcurve." + m) for m in MODULES}
     before = _attributes(tc)
@@ -46,15 +50,33 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer, tc, math.pi / 12)
     try:
-        cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
-                             synth_discussions=9, epochs=2, embed_epochs=5,
-                             holdout=0.25)
         run_all(cfg)
     finally:
         uninstall()
     after = _attributes(tc)
     assert all(after[key] is value for key, value in before.items())
     assert tc["pipeline"].STAGE_FUNCS == stages
+    return tracer
+
+
+def _calls_per_stage(tracer, name):
+    """How many `name` spans ran inside each pipeline stage's span."""
+    out = Counter()
+    for k in range(len(tracer.start)):
+        if tracer.names[tracer.span_name[k]] != name:
+            continue
+        p = tracer.parent[k]
+        while not tracer.names[tracer.span_name[p]].startswith("pipeline."):
+            p = tracer.parent[p]
+        out[tracer.names[tracer.span_name[p]][len("pipeline."):]] += 1
+    return out
+
+
+def test_trace_hooks_install_run_and_uninstall(tmp_path):
+    cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
+                         synth_discussions=9, epochs=2, embed_epochs=5,
+                         holdout=0.25)
+    tracer = _traced_run(cfg)
 
     discussions, _ = parse_corpus(cfg.path("discussions.jsonl"))
     windowed = sum(min(len(d.comments), cfg.N * cfg.w) for d in discussions)
@@ -71,3 +93,24 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     assert counts["curvature.discussion_loss"] == updates
     assert counts["autodiff.backward"] == updates
     assert counts["optim.adam_step"] == updates + cfg.embed_epochs
+
+    # the test split is scored through the traced name, one pass per test
+    # discussion with a valid step, in each stage that scores it
+    with open(cfg.path("features_meta.json")) as fh:
+        n_train = len(json.load(fh)["train_ids"])
+    scored = int((load_store(cfg.path(PACK)).get("mask")[n_train:] > 0)
+                 .any(axis=1).sum())
+    assert scored >= 1
+    assert _calls_per_stage(tracer, "curvature.predict_temporal") == {
+        "evaluate": scored, "predict": scored, "diagnose": scored}
+
+
+def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
+    cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
+                         task="nontemporal", synth_posts=16, epochs=3,
+                         embed_epochs=5, holdout=0.25)
+    tracer = _traced_run(cfg)
+    assert _calls_per_stage(tracer, "curvature.predict_nontemporal") == {
+        "evaluate": 1, "predict": 1}
+    assert _calls_per_stage(tracer, "curvature.nontemporal_batch_loss") == {
+        "train": cfg.epochs}

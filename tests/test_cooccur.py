@@ -1,13 +1,15 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_communicative,
                                  accumulate_semantic, accumulate_temporal,
-                                 build_cooccurrence, reply_edges, sigmoid,
-                                 sparsity_profile, title_angle, title_vector)
+                                 build_cooccurrence, idf_title_vectors,
+                                 reply_edges, sigmoid, sparsity_profile,
+                                 title_angle, title_vector)
 from threadcurve.corpus import embedded_users, parse_corpus
 from threadcurve.features import load_word_vectors
 from conftest import chain_comments, make_discussion_json, write_corpus
@@ -172,6 +174,19 @@ def test_title_vector_examples():
     np.testing.assert_allclose(title_vector("solar wind", wv, idf), [0.5, 0.5])
     np.testing.assert_allclose(title_vector("the of", wv, idf,
                                             frozenset(["the", "of"])), [0.0, 0.0])
+
+
+def test_idf_title_vectors_weigh_rare_title_words():
+    wv = {"solar": np.array([1.0, 0.0]), "wind": np.array([0.0, 1.0])}
+    discs = [SimpleNamespace(id="d%d" % k, post=SimpleNamespace(title=t))
+             for k, t in enumerate(["solar wind", "wind", "wind", "the"])]
+    tv = idf_title_vectors(discs, wv, frozenset(["the"]))
+    # idf = log(4 / (1 + df)): solar log 2, wind log 1 = 0, so the first
+    # title is all solar
+    np.testing.assert_allclose(tv["d0"], [1.0, 0.0])
+    # a title whose words all have idf 0 falls back to the plain mean
+    np.testing.assert_allclose(tv["d1"], [0.0, 1.0])
+    np.testing.assert_allclose(tv["d3"], [0.0, 0.0])
 
 
 def test_title_angle_guard():

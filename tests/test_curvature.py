@@ -211,9 +211,9 @@ def test_nontemporal_zero_parameters_give_half():
 
 
 def _one_shot_batch(rng, cfg, size):
-    return [{"x1": rng.normal(size=cfg.post_width),
-             "centers0": rng.normal(size=(cfg.n, cfg.d + 1)),
-             "label": float(k % 2)} for k in range(size)]
+    return {"x1": rng.normal(size=(size, cfg.post_width)),
+            "centers0": rng.normal(size=(cfg.n, cfg.d + 1)),
+            "label": np.arange(size) % 2.0}
 
 
 def test_nontemporal_batch_matches_per_post_pass():
@@ -221,15 +221,15 @@ def test_nontemporal_batch_matches_per_post_pass():
     rng = np.random.default_rng(17)
     batch = _one_shot_batch(rng, cfg, 7)
     store = cv.init_model(cfg, seed=7)
-    y3, _ = cv.nontemporal_forward(
-        store, np.stack([inst["x1"] for inst in batch]),
-        np.stack([inst["centers0"] for inst in batch]))
-    single = np.array([cv.predict_nontemporal(store, inst["x1"],
-                                              inst["centers0"])[0]
-                       for inst in batch])
-    np.testing.assert_allclose(y3.data, single, rtol=0, atol=1e-12)
+    y3, cls = cv.predict_nontemporal(store, batch["x1"], batch["centers0"])
+    single = np.array([float(cv.nontemporal_forward(store, x1,
+                                                    batch["centers0"])[0].data)
+                       for x1 in batch["x1"]])
+    np.testing.assert_allclose(y3, single, rtol=0, atol=1e-12)
+    assert y3.shape == cls.shape == (7,)
+    assert list(cls) == ["attract" if p > 0.5 else "no-attract" for p in y3]
     p = np.clip(single, cv.PROB_CLIP, 1.0 - cv.PROB_CLIP)
-    t = np.array([inst["label"] for inst in batch])
+    t = batch["label"]
     expected = -np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
     assert cv.nontemporal_batch_loss(store, batch) == pytest.approx(
         expected, rel=0, abs=1e-12)

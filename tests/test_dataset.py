@@ -100,21 +100,33 @@ def test_nontemporal_labels_follow_comment_presence(synth_materials, tmp_path):
 
 
 def test_standardize_uses_training_statistics():
-    train = [{"x1": np.array([0.0, 10.0])}, {"x1": np.array([2.0, 30.0])}]
-    test = [{"x1": np.array([1.0, 20.0])}]
+    train = {"x1": np.array([[0.0, 10.0], [2.0, 30.0]])}
+    test = {"x1": np.array([[1.0, 20.0]])}
     ds.standardize_instances(train, test, keys=("x1",))
-    np.testing.assert_allclose(train[0]["x1"], [-1.0, -1.0])
-    np.testing.assert_allclose(train[1]["x1"], [1.0, 1.0])
-    np.testing.assert_allclose(test[0]["x1"], [0.0, 0.0])
+    np.testing.assert_allclose(train["x1"], [[-1.0, -1.0], [1.0, 1.0]])
+    np.testing.assert_allclose(test["x1"], [[0.0, 0.0]])
+
+
+def test_standardize_pools_every_step_row_of_every_discussion():
+    # (discussions, steps, f): statistics per column over all 4 step rows,
+    # the all-zero (masked) step included
+    train = {"x2": np.array([[[0.0, 1.0], [0.0, 0.0]],
+                             [[4.0, 3.0], [4.0, 4.0]]])}
+    test = {"x2": np.array([[[2.0, 2.0], [6.0, 2.0]]])}
+    ds.standardize_instances(train, test, keys=("x2",))
+    flat = np.array([[0.0, 1.0], [0.0, 0.0], [4.0, 3.0], [4.0, 4.0]])
+    mu, sd = flat.mean(axis=0), flat.std(axis=0)
+    np.testing.assert_allclose(train["x2"], (flat.reshape(2, 2, 2) - mu) / sd)
+    np.testing.assert_allclose(test["x2"], [[[0.0, 0.0], [2.0, 0.0]]])
 
 
 def test_standardize_floors_constant_dimensions():
-    train = [{"x1": np.array([5.0, 1.0])}, {"x1": np.array([5.0, 3.0])}]
-    test = []
+    train = {"x1": np.array([[5.0, 1.0], [5.0, 3.0]])}
+    test = {"x1": np.zeros((0, 2))}
     ds.standardize_instances(train, test, keys=("x1",))
     # zero-variance column: centered but not scaled by ~0
-    np.testing.assert_allclose([t["x1"][0] for t in train], [0.0, 0.0])
-    assert np.all(np.isfinite(train[0]["x1"]))
+    np.testing.assert_allclose(train["x1"][:, 0], [0.0, 0.0])
+    assert np.all(np.isfinite(train["x1"]))
 
 
 def test_split_is_deterministic_and_disjoint():

@@ -53,8 +53,8 @@ def test_model_prediction_monotone_in_positive_weight_direction():
     w, b = lr.fit_binary(X, y)
     model = lr.LogRegModel([w], [b])
     x = np.zeros(3)
-    base = model.predict_proba(0, x)
-    stepped = model.predict_proba(0, x + 0.5 * np.sign(w))
+    base, stepped = model.predict_proba(
+        np.stack([x, x + 0.5 * np.sign(w)])[:, None, :])[:, 0]
     assert stepped > base
     assert 0.0 < base < 1.0
 
@@ -65,5 +65,16 @@ def test_train_temporal_one_unit_per_cluster():
     model = lr.train_temporal([(Xa, ya), (Xb, yb)])
     assert model.weights.shape == (2, 3)
     assert model.biases.shape == (2,)
-    p = model.predict_proba(1, Xb[-1])
-    assert p > 0.5
+    p = model.predict_proba(np.stack([Xa[-1], Xb[-1]]))
+    assert p.shape == (2,) and p[1] > 0.5
+
+
+def test_predict_proba_scores_every_step_and_cluster_at_once():
+    rng = np.random.default_rng(9)
+    model = lr.LogRegModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+    X = rng.normal(size=(5, 3, 4))  # (steps, clusters, features)
+    expected = [[1.0 / (1.0 + np.exp(-(model.weights[c] @ X[s, c]
+                                       + model.biases[c])))
+                 for c in range(3)] for s in range(5)]
+    np.testing.assert_allclose(model.predict_proba(X), expected,
+                               rtol=1e-14, atol=0)

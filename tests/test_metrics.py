@@ -65,6 +65,27 @@ def test_auc_frozen_examples():
         mt.auc([0.5, 0.6], [1, 1])
 
 
+def _pair_auc(scores, labels):
+    """AUC by comparing every (positive, negative) pair, ties 1/2."""
+    scores, labels = np.asarray(scores, float), np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
+
+
+def test_auc_by_ranks_equals_pair_formula_with_and_without_ties():
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        size = int(rng.integers(2, 60))
+        labels = (rng.random(size) < 0.4).astype(int)
+        labels[0], labels[-1] = 1, 0
+        scores = rng.random(size)
+        if trial % 2:  # few distinct values: many ties, across classes
+            scores = np.round(scores * 3) / 3
+        assert mt.auc(scores, labels) == _pair_auc(scores, labels)
+
+
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(0)
     scores = rng.random(30)

@@ -8,6 +8,7 @@ from conftest import make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
+from threadcurve.storage import load_store, save_store
 
 
 def mini_config(tmp_path, name="run", **kw):
@@ -124,6 +125,60 @@ def test_pipeline_is_deterministic(tmp_path):
         assert a == b, fname
 
 
+def _with_commentless_posts(cfg, count):
+    """Synthesize a temporal corpus, then add `count` posts nobody
+    answered; returns their ids."""
+    run_stage("synth", cfg)
+    ids = ["silent%d" % k for k in range(count)]
+    with open(cfg.corpus_path, "a") as fh:
+        for k, did in enumerate(ids):
+            fh.write(json.dumps(make_discussion_json(did, "poster%d" % k,
+                                                     1000 + k)) + "\n")
+    for stage in ("ingest", "cooccur", "embed", "cluster", "featurize"):
+        run_stage(stage, cfg)
+    return ids
+
+
+def _set_pack_mask(cfg, rows):
+    """Mark every step of the given pack rows invalid."""
+    store = load_store(cfg.path(pipeline.PACK))
+    mask = store.get("mask").copy()
+    mask[rows] = 0.0
+    store.set("mask", mask)
+    save_store(store, cfg.path(pipeline.PACK))
+
+
+def test_commentless_training_discussions_are_set_aside(tmp_path):
+    cfg = mini_config(tmp_path)
+    silent = _with_commentless_posts(cfg, 4)
+    with open(cfg.path("features_meta.json")) as fh:
+        train_ids = json.load(fh)["train_ids"]
+    set_aside = len(set(silent) & set(train_ids))
+    assert set_aside >= 1
+    for model in ("rgnet", "newtonian", "logreg"):
+        mcfg = mini_config(tmp_path, model=model)
+        run_stage("train", mcfg)
+        with open(cfg.path("train_log.json")) as fh:
+            log = json.load(fh)
+        assert log["rows_without_valid_step"] == set_aside
+        assert len(log["epoch_losses"]) == (0 if model == "logreg"
+                                            else cfg.epochs)
+        run_stage("evaluate", mcfg)
+
+
+def test_no_valid_step_is_a_named_error(tmp_path):
+    cfg = mini_config(tmp_path)
+    run_all(cfg)
+    with open(cfg.path("features_meta.json")) as fh:
+        n_train = len(json.load(fh)["train_ids"])
+    _set_pack_mask(cfg, slice(n_train, None))
+    with pytest.raises(PipelineError, match="test split has no valid"):
+        run_stage("evaluate", cfg)
+    _set_pack_mask(cfg, slice(None))
+    with pytest.raises(PipelineError, match="no training discussion"):
+        run_stage("train", cfg)
+
+
 def test_nontemporal_pipeline(tmp_path):
     cfg = mini_config(tmp_path, task="nontemporal")
     run_all(cfg)
@@ -133,9 +188,11 @@ def test_nontemporal_pipeline(tmp_path):
     assert set(report) == {"f1", "auc", "accuracy"}
     header = open(cfg.path("predictions_rgnet_nontemporal.csv")).readline()
     assert header.strip() == "discussion_id,y3,class"
-    # one-shot instances see the cluster centres at the step-0 clock
-    _, test, _, cm = pipeline._model_inputs(cfg)
-    centers0 = test[0]["centers0"]
+    # every one-shot post sees the cluster centres at the step-0 clock
+    train, test, _, cm = pipeline._model_inputs(cfg)
+    assert test["x1"].shape[0] == len(test["ids"]) == len(test["label"])
+    assert train["centers0"] is test["centers0"]
+    centers0 = test["centers0"]
     assert centers0.shape == (cfg.n, cfg.d + 1)
     assert np.all(centers0[:, 0] == 0.0)
     np.testing.assert_array_equal(centers0[:, 1:], cm.centers)
