@@ -129,11 +129,11 @@ def spacetime_centers(cm, wd, t_cap=T_CAP_SECONDS):
     return out
 
 
-def homogeneity_entropy(engaged, n):
-    """Shannon entropy of cluster membership among engaged users."""
-    engaged = list(engaged)
-    if not engaged:
+def homogeneity_entropy(counts):
+    """Shannon entropy of cluster membership among engaged users, from
+    the number of engaged users in each cluster."""
+    counts = np.asarray(counts)
+    if not counts.sum():
         raise ValueError("no engaged users")
-    counts = np.bincount(np.asarray(engaged, dtype=int), minlength=n)
-    p = counts[counts > 0] / len(engaged)
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())

@@ -190,23 +190,22 @@ def accumulate_semantic(A, dm, dn, tm, tn, index, theta0):
     return 0
 
 
-def build_cooccurrence(discussions, index, title_vecs=None, theta0=math.pi / 12):
+def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
     """Run all three channels over a corpus.
 
-    title_vecs maps discussion id -> title vector; when None the semantic
-    channel is skipped. Returns (A, skipped_title_pairs).
+    title_vecs maps discussion id -> title vector. Returns
+    (A, skipped_title_pairs).
     """
     A = CooccurrenceMatrix(len(index))
     for d in discussions:
         accumulate_communicative(A, d, index)
         accumulate_temporal(A, d, index)
     skipped = 0
-    if title_vecs is not None:
-        for a in range(len(discussions)):
-            for b in range(a + 1, len(discussions)):
-                dm, dn = discussions[a], discussions[b]
-                skipped += accumulate_semantic(
-                    A, dm, dn, title_vecs[dm.id], title_vecs[dn.id], index, theta0)
+    for a in range(len(discussions)):
+        for b in range(a + 1, len(discussions)):
+            dm, dn = discussions[a], discussions[b]
+            skipped += accumulate_semantic(
+                A, dm, dn, title_vecs[dm.id], title_vecs[dn.id], index, theta0)
     return A, skipped
 
 

@@ -65,8 +65,9 @@ def _as_vars(store):
 
 @dataclass
 class ForwardTrace:
-    """Whole-pass values over S steps: y1 and r_prime (S, n), y2 and
-    r_total (S,), m_diag and g_inv (S, n, d+1)."""
+    """Whole-pass values over S steps, after any leading discussion axes:
+    y1 and r_prime (..., S, n), y2 and r_total (..., S), m_diag and g_inv
+    (..., S, n, d+1)."""
     y1: Var
     y2: Var
     r_prime: Var = None
@@ -94,29 +95,34 @@ class ForwardTrace:
     def m_array(self):
         return self.m_diag.data
 
-    def prediction(self, threshold=0.5):
-        """Per-step probabilities, thresholded decisions and growth estimates."""
+    def prediction(self):
+        """Per-step probabilities, decisions (y1 > 0.5) and growth estimates."""
         return {"y1": self.y1.data,
-                "decisions": (self.y1.data > threshold).astype(int),
+                "decisions": (self.y1.data > 0.5).astype(int),
                 "y2": self.y2.data, "trace": self}
 
 
 def encode_post(pv, x1):
-    """relu(W1·x1 + B1) for a post row (f+d_w,) or rows (B, f+d_w)."""
+    """relu(W1·x1 + B1) for post rows (..., f+d_w)."""
     return (Var(x1) @ pv["W1"].T + pv["B1"]).relu()
 
 
 def encode_steps(pv, x1, x2, steps):
-    """(steps, h1) encodings: the post, then windows 1..steps-1."""
-    window = (Var(x2[:steps - 1]) @ pv["W2"].T + pv["B1"]).relu()
-    return concat([encode_post(pv, x1[None]), window])
+    """(..., steps, h1) encodings: the post, then windows 1..steps-1.
+
+    The post stays a (..., 1, f+d_w) operand: a 2-D (B, f) @ W1.T is not
+    bit-identical to one (1, f) row at a time, a stacked (B, 1, f) is.
+    """
+    window = (Var(x2[..., :steps - 1, :]) @ pv["W2"].T + pv["B1"]).relu()
+    return concat([encode_post(pv, x1[..., None, :]), window], axis=-2)
 
 
 def cumulative_context(pv, encodings):
-    """Row i: the exp(W3)-weighted mean of encodings[0..i], from prefix sums."""
-    steps = encodings.shape[0]
+    """Row i: the exp(W3)-weighted mean of encodings[..., 0..i, :], from
+    prefix sums along the step axis."""
+    steps = encodings.shape[-2]
     omega = pv["W3"][:steps].exp()
-    numer = (omega.reshape(steps, 1) * encodings).cumsum(axis=0)
+    numer = (omega.reshape(steps, 1) * encodings).cumsum(axis=-2)
     return numer / omega.cumsum().reshape(steps, 1)
 
 
@@ -162,17 +168,18 @@ def heads(r_prime, r_total, neutral=0.0):
     return (r_prime - neutral).sigmoid(), r_total.relu()
 
 
-def forward(store, x1, x2, centers, steps=None):
-    """Run the model over prediction steps 0..steps-1 in one pass.
+def forward(store, x1, x2, centers):
+    """Run the model over every prediction step in one pass.
 
     x2 rows are mean feature vectors of windows 1..N (row k = window k+1);
     step i consumes the post encoding plus windows 1..i and the step-i
-    spacetime centers. Returns (ForwardTrace, parameter Vars).
+    spacetime centers (..., N, n, d+1). Any leading axes are discussions:
+    x1 (..., f+d_w) and x2 (..., N, f). Returns (ForwardTrace, parameter
+    Vars).
     """
-    steps = len(centers) if steps is None else steps
-    centers = np.asarray(centers[:steps], dtype=float)
+    centers = np.asarray(centers, dtype=float)
     pv = _as_vars(store)
-    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, steps))
+    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, centers.shape[-3]))
     m_diag = stress_energy(pv, ctx, centers)
     g_inv = inverse_metric(pv, centers)
     r_prime, r_total = curvature(pv, m_diag, g_inv)
@@ -227,9 +234,9 @@ def train_temporal(dataset, cfg, seed=0, epochs=30, lr=1e-3):
                       epochs, lr)
 
 
-def predict_temporal(store, x1, x2, centers, threshold=0.5):
+def predict_temporal(store, x1, x2, centers):
     trace, _ = forward(store, x1, x2, centers)
-    return trace.prediction(threshold)
+    return trace.prediction()
 
 
 def nontemporal_forward(store, x1, centers0):
@@ -267,12 +274,3 @@ def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3):
     return store, fit(store, [dataset] if len(dataset["label"]) else [],
                       nontemporal_batch_loss, epochs, lr)
 
-
-def metric_distance(g_inv, x, y):
-    """Diagonal-metric distance with the metric as elementwise 1/g_inv.
-
-    Always >= the Euclidean distance when g_inv components are in (0,1).
-    """
-    g_inv = np.asarray(g_inv, dtype=float)
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(np.sqrt(np.sum(diff ** 2 / g_inv)))

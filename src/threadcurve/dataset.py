@@ -57,10 +57,9 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
             labels[k] = lab
             mask[k] = True
             growth[k] = growth_target(win)[1]
-            prefix = disc.comments[:k * w]
-            for c in range(n):
-                logreg_features[k, c] = logreg.aggregate_step_features(
-                    disc, prefix, c, assignment, lexicons, embedding)
+            logreg_features[k] = logreg.aggregate_step_features(
+                disc, disc.comments[:k * w], cluster_model, lexicons,
+                embedding)
 
         user_vectors = np.zeros((N * w, d))
         user_mask = np.zeros(N * w, dtype=bool)

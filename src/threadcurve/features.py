@@ -163,17 +163,6 @@ class FeatureLayout:
             raise KeyError(name)
         return FeatureLayout(kept)
 
-    def column_names(self):
-        names = []
-        for block, size in self.blocks:
-            if block == "content":
-                names.extend(CONTENT_NAMES)
-            elif block == "surface":
-                names.extend(SURFACE_NAMES)
-            else:
-                names.extend("%s_%d" % (block, k) for k in range(size))
-        return names
-
 
 def comment_layout(d_w, d):
     return FeatureLayout((("content", 6), ("surface", 6),

@@ -25,12 +25,14 @@ def feature_width(d):
     return len(CONTENT_NAMES) + len(SURFACE_NAMES) + d + 1
 
 
-def aggregate_step_features(discussion, prefix_comments, cluster, assignments,
+def aggregate_step_features(discussion, prefix_comments, cluster_model,
                             lexicons, embedding):
-    """Feature vector for one (discussion prefix, cluster) pair.
+    """Feature rows (n, width) of one discussion prefix, one per cluster.
 
     Content/surface blocks come from the merged text of the post and the
-    prefix comments; the social block is specific to `cluster`.
+    prefix comments, and every row shares them; the social block of row l
+    holds the mean member vector and mean reply-graph degree of cluster
+    l's engaged users.
     """
     merged = discussion.post.title + " " + discussion.post.body
     for c in prefix_comments:
@@ -38,24 +40,24 @@ def aggregate_step_features(discussion, prefix_comments, cluster, assignments,
     depth = max((c.depth for c in prefix_comments), default=0)
     elapsed = (prefix_comments[-1].timestamp - discussion.post.timestamp
                if prefix_comments else 0)
-    content = _content_block(merged, lexicons)
-    surface = _surface_block(merged, depth, elapsed)
-
-    engaged = sorted({c.author for c in prefix_comments
-                      if assignments.get(c.author) == cluster})
+    shared = np.concatenate([_content_block(merged, lexicons),
+                             _surface_block(merged, depth, elapsed)])
+    degree = {}
+    for child, parent in reply_edges(discussion):
+        if child != parent:
+            degree[child] = degree.get(child, 0) + 1
+            degree[parent] = degree.get(parent, 0) + 1
     d = embedding.dim
-    if engaged:
-        mean_vec = np.mean([embedding.vector(u) for u in engaged], axis=0)
-        degree = {}
-        for child, parent in reply_edges(discussion):
-            if child != parent:
-                degree[child] = degree.get(child, 0) + 1
-                degree[parent] = degree.get(parent, 0) + 1
-        mean_degree = float(np.mean([degree.get(u, 0) for u in engaged]))
-    else:
-        mean_vec = np.zeros(d)
-        mean_degree = 0.0
-    return np.concatenate([content, surface, mean_vec, [mean_degree]])
+    out = np.zeros((cluster_model.n, feature_width(d)))
+    out[:, :shared.size] = shared
+    for cluster in range(cluster_model.n):
+        engaged = sorted({c.author for c in prefix_comments
+                          if cluster_model.assignment.get(c.author) == cluster})
+        if engaged:
+            out[cluster, shared.size:-1] = np.mean(
+                [embedding.vector(u) for u in engaged], axis=0)
+            out[cluster, -1] = np.mean([degree.get(u, 0) for u in engaged])
+    return out
 
 
 def logreg_loss(store, X, y, l2):

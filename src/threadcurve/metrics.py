@@ -100,58 +100,53 @@ def pearson(x, y):
     return float((xm * ym).sum() / denom)
 
 
-def diagnostics(records, cluster_model, embedding, out_prefix):
+def diagnostics(scores, cluster_model, embedding, out_prefix):
     """Emit the diagnostic CSV bundle; returns summary correlations.
 
-    `records` is a list of per-step dicts with keys: discussion_id, step,
-    engaged_clusters (list), pred (0/1 list), truth (0/1 list),
-    v_true, v_pred and g_inv (n x (d+1)).
+    `scores` holds one row per scored step: discussion_id, step, decision
+    and truth (0/1, (R, n)), v_true, y2 (the growth estimate), g_inv
+    (R, n, d+1) and engaged_counts (R, n), the comments before the step
+    by cluster.
     """
-    n = cluster_model.n
-    member_vecs = _members_by_cluster(cluster_model, embedding)
-    entropy_rows, growth_rows, dist_rows = [], [], []
-    for rec in records:
-        pred = np.asarray(rec["pred"], dtype=int)
-        truth = np.asarray(rec["truth"], dtype=int)
-        # per-window accuracy = 1 - per-window hamming loss
-        accuracy = float(np.mean(pred == truth))
-        if rec["engaged_clusters"]:
-            h = homogeneity_entropy(rec["engaged_clusters"], n)
-            entropy_rows.append((rec["discussion_id"], rec["step"], h, accuracy))
-        if rec["v_true"] != 0:
-            err = abs(rec["v_true"] - rec["v_pred"]) / abs(rec["v_true"]) * 100.0
-            growth_rows.append((rec["discussion_id"], rec["step"],
-                                rec["v_true"], err))
-        g_inv = rec.get("g_inv")
-        if g_inv is not None:
-            for l in range(n):
-                if len(member_vecs[l]) < 2:
-                    continue
-                eu, md = _intra_distances(member_vecs[l], g_inv[l])
-                dist_rows.append((rec["discussion_id"], rec["step"], l, eu, md))
+    did, step = scores["discussion_id"].tolist(), scores["step"].tolist()
+    # per-window accuracy = 1 - per-window hamming loss
+    accuracy = np.mean(scores["decision"] == scores["truth"], axis=1)
+    counts = scores["engaged_counts"]
+    engaged = np.flatnonzero(counts.sum(axis=1))
+    entropy = [homogeneity_entropy(row) for row in counts[engaged]]
+    v_true, v_pred = scores["v_true"], scores["y2"]
+    grown = np.flatnonzero(v_true != 0)
+    error = (np.abs(v_true[grown] - v_pred[grown]) / np.abs(v_true[grown])
+             * 100.0)
+    members = _members_by_cluster(cluster_model, embedding)
+    g_inv = scores["g_inv"]
+    dist = [(l,) + _intra_distances(members[l], g_inv[:, l])
+            for l in range(cluster_model.n) if len(members[l]) >= 2]
+    dist = [(l, eu, md.tolist()) for l, eu, md in dist]
 
-    with open(out_prefix + "_entropy.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        # accuracy = per-window complement of the hamming loss
-        wr.writerow(["discussion_id", "step", "entropy", "accuracy"])
-        wr.writerows(entropy_rows)
-    with open(out_prefix + "_growth.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["discussion_id", "step", "v_true", "relative_error_pct"])
-        wr.writerows(growth_rows)
-    with open(out_prefix + "_distance.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["discussion_id", "step", "cluster",
-                     "euclidean_mean", "metric_mean"])
-        wr.writerows(dist_rows)
+    def write(name, header, rows):
+        with open(out_prefix + name, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(header)
+            wr.writerows(rows)
+    write("_entropy.csv", ["discussion_id", "step", "entropy", "accuracy"],
+          zip([did[r] for r in engaged], [step[r] for r in engaged],
+              entropy, accuracy[engaged].tolist()))
+    write("_growth.csv",
+          ["discussion_id", "step", "v_true", "relative_error_pct"],
+          zip([did[r] for r in grown], [step[r] for r in grown],
+              v_true[grown].tolist(), error.tolist()))
+    write("_distance.csv", ["discussion_id", "step", "cluster",
+                            "euclidean_mean", "metric_mean"],
+          ((did[r], step[r], l, eu, md[r]) for r in range(len(did))
+           for l, eu, md in dist))
 
     summary = {}
-    if len(entropy_rows) >= 2:
-        summary["entropy_accuracy_pearson"] = pearson(
-            [r[2] for r in entropy_rows], [r[3] for r in entropy_rows])
-    if len(growth_rows) >= 2:
-        summary["growth_error_pearson"] = pearson(
-            [r[2] for r in growth_rows], [r[3] for r in growth_rows])
+    if len(entropy) >= 2:
+        summary["entropy_accuracy_pearson"] = pearson(entropy,
+                                                      accuracy[engaged])
+    if grown.size >= 2:
+        summary["growth_error_pearson"] = pearson(v_true[grown], error)
     return summary
 
 
@@ -163,15 +158,17 @@ def _members_by_cluster(cluster_model, embedding):
     return members
 
 
-def _intra_distances(member_vecs, g_inv_row):
-    """Mean pairwise member distances, flat vs learned metric.
+def _intra_distances(member_vecs, g_inv):
+    """Mean pairwise member distances: the flat one, and the learned one
+    under each inverse metric g_inv (..., d+1).
 
     Members share the window's time coordinate, so the time component of
-    every difference vector is zero; only spatial components matter.
+    every difference vector is zero; only spatial components matter. The
+    member differences are computed once for every g_inv.
     """
     V = np.asarray(member_vecs, dtype=float)
     a, b = np.triu_indices(len(V), k=1)
     sq = (V[a] - V[b]) ** 2
     eu = np.sqrt(sq.sum(axis=1))
-    md = np.sqrt((sq / np.asarray(g_inv_row, dtype=float)[1:]).sum(axis=1))
-    return float(eu.mean()), float(md.mean())
+    md = np.sqrt((sq / g_inv[..., None, 1:]).sum(axis=-1))
+    return float(eu.mean()), md.mean(axis=-1)

@@ -37,24 +37,30 @@ def init_model(cfg, w, seed):
 
 
 def newton_mass(pv, ctx):
-    """Scalar mass per step from the (S, h1) contexts: (S,) in (0, 1)."""
+    """Scalar mass per step from the (..., S, h1) contexts: (..., S) in
+    (0, 1)."""
     hidden = (ctx @ pv["Wp2"].T + pv["Bp1"]).sigmoid()
-    return (hidden @ pv["Wp1"].T + pv["Bp2"]).sigmoid()[:, 0]
+    return (hidden @ pv["Wp1"].T + pv["Bp2"]).sigmoid()[..., 0]
 
 
 def newton_position(pv, user_vectors, mask, w, steps):
-    """(steps, d) positions. Row i is the exp(Wp3)-weighted mean of the
-    embedded commenters' vectors among comments 0..i·w-1, read from masked
-    prefix sums at comment i·w-1; the zero vector at step 0 and while no
-    commenter is embedded."""
+    """(..., steps, d) positions. Row i is the exp(Wp3)-weighted mean of
+    the embedded commenters' vectors among comments 0..i·w-1, read from
+    masked prefix sums at comment i·w-1; the zero vector at step 0 and
+    while no commenter is embedded. user_vectors (..., N·w, d) and mask
+    (..., N·w)."""
     prefix = (steps - 1) * w  # the comments the last step sees
-    omega = pv["Wp3"][:prefix].exp() * np.asarray(mask[:prefix], dtype=float)
-    numer = (omega.reshape(prefix, 1) * Var(user_vectors[:prefix])).cumsum(axis=0)
+    mask = np.asarray(mask[..., :prefix], dtype=float)
+    omega = pv["Wp3"][:prefix].exp() * mask
+    numer = (omega.reshape(omega.shape + (1,))
+             * Var(user_vectors[..., :prefix, :])).cumsum(axis=-2)
     read = np.arange(1, steps) * w - 1
     # nobody embedded yet: numer is zero, and 0/1 keeps it so
-    empty = np.cumsum(mask[:prefix])[read] == 0
-    later = numer[read] / (omega.cumsum()[read] + empty).reshape(-1, 1)
-    return concat([Var(np.zeros((1, user_vectors.shape[1]))), later])
+    empty = np.cumsum(mask, axis=-1)[..., read] == 0
+    total = omega.cumsum(axis=-1)[..., read] + empty
+    later = numer[..., read, :] / total.reshape(total.shape + (1,))
+    origin = np.zeros(later.shape[:-2] + (1, later.shape[-1]))
+    return concat([Var(origin), later], axis=-2)
 
 
 def newton_heads(pv, mass, position, centers):
@@ -67,9 +73,11 @@ def newton_heads(pv, mass, position, centers):
 
 
 def forward(store, x1, x2, centers, user_vectors, mask, w):
-    """centers here are flat d-dimensional cluster centers (no time)."""
+    """centers here are flat d-dimensional cluster centers (no time),
+    shared by every discussion; any leading axes of x1, x2, user_vectors
+    and mask are discussions."""
     pv = _as_vars(store)
-    steps = x2.shape[0]
+    steps = x2.shape[-2]
     ctx = cumulative_context(pv, encode_steps(pv, x1, x2, steps))
     position = newton_position(pv, user_vectors, mask, w, steps)
     y1, y2, arg = newton_heads(pv, newton_mass(pv, ctx), position, centers)
@@ -94,8 +102,8 @@ def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):
                       epochs, lr)
 
 
-def predict_temporal(store, instance, w, threshold=0.5):
+def predict_temporal(store, instance, w):
     trace, _ = forward(store, instance["x1"], instance["x2"],
                        instance["flat_centers"], instance["user_vectors"],
                        instance["user_mask"], w)
-    return trace.prediction(threshold)
+    return trace.prediction()

@@ -46,16 +46,6 @@ class ParameterStore:
         for name in self._grads:
             self._grads[name] = np.zeros_like(self._params[name])
 
-    def flatten(self):
-        return np.concatenate([self._params[n].ravel() for n in self._params])
-
-    def load_flat(self, vec):
-        pos = 0
-        for name, value in self._params.items():
-            size = value.size
-            self._params[name] = vec[pos:pos + size].reshape(value.shape).copy()
-            pos += size
-
 
 def init_params(spec, seed):
     """Build a store from (name, shape) pairs.

@@ -390,25 +390,17 @@ def _score(cfg):
         scores["y2"] = np.full(rows.size, np.nan)
         scores["decision"] = (scores["y1"] > 0.5).astype(int)
     else:
-        # one pass per discussion that has a valid step
-        scored = np.flatnonzero(mask.any(axis=1))
-        instances = unstack(test, scored, flat_centers=cm.centers)
+        # one pass over every test discussion, valid steps or not
         if cfg.model == "rgnet":
-            preds = [curvature.predict_temporal(store, inst["x1"], inst["x2"],
-                                                inst["centers"])
-                     for inst in instances]
+            pred = curvature.predict_temporal(store, test["x1"], test["x2"],
+                                              test["centers"])
+            scores["g_inv"] = pred["trace"].g_inv_array()[mask]
+            scores["engaged_counts"] = test["engaged_counts"][mask].astype(int)
         else:
-            preds = [newton.predict_temporal(store, inst, cfg.w)
-                     for inst in instances]
-        valid = mask[scored]
-        for key, column in (("y1", "y1"), ("y2", "y2"),
-                            ("decisions", "decision")):
-            scores[column] = np.stack([p[key] for p in preds])[valid]
-        if cfg.model == "rgnet":
-            scores["g_inv"] = np.stack([p["trace"].g_inv_array()
-                                        for p in preds])[valid]
-            counts = test["engaged_counts"][mask]
-            scores["engaged_counts"] = counts.astype(int)
+            pred = newton.predict_temporal(
+                store, dict(test, flat_centers=cm.centers), cfg.w)
+        scores.update(y1=pred["y1"][mask], y2=pred["y2"][mask],
+                      decision=pred["decisions"][mask])
     return scores, cm
 
 
@@ -462,16 +454,8 @@ def stage_diagnose(cfg):
     if cfg.task != "temporal" or cfg.model != "rgnet":
         raise PipelineError("diagnose runs on the temporal rgnet model")
     scores, cm = _score(cfg)
-    records = [{
-        "discussion_id": did, "step": step, "pred": pred, "truth": truth,
-        "v_true": v_true, "v_pred": v_pred, "g_inv": g_inv,
-        # one cluster index per engaged comment before the step
-        "engaged_clusters": np.repeat(np.arange(cfg.n), counts).tolist(),
-    } for did, step, pred, truth, v_true, v_pred, g_inv, counts in _rows(
-        scores, "discussion_id", "step", "decision", "truth", "v_true", "y2",
-        "g_inv", "engaged_counts")]
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
-    summary = diagnostics(records, cm, embedding, cfg.path("diagnostics"))
+    summary = diagnostics(scores, cm, embedding, cfg.path("diagnostics"))
     atomic_write_json(cfg.path("diagnostics_summary.json"), summary)
 
 
@@ -494,7 +478,8 @@ STAGE_FUNCS = {
 
 def run_stage(name, cfg):
     """Run one stage: refuse a missing or stale input, run the stage, then
-    record the sha256 of every file it read and wrote in manifest.json.
+    record the sha256 of every file it read and wrote in manifest.json;
+    an input's digest is taken from the record of the stage that wrote it.
     Returns the files the stage wrote."""
     if name not in STAGE_FUNCS:
         raise PipelineError("unknown stage %r" % name)
@@ -509,6 +494,11 @@ def run_stage(name, cfg):
         with open(manifest_path) as fh:
             manifest = json.load(fh)
     records, base = manifest["stages"], os.path.basename
+
+    def recorded(path):
+        """The digest the stage that wrote `path` recorded for it."""
+        return records.get(writers.get(path), {}).get(
+            "outputs", {}).get(base(path))
     for path in inputs:
         writer = writers.get(path)
         if not os.path.exists(path):
@@ -517,8 +507,7 @@ def run_stage(name, cfg):
         # stale if a file its writer read has been rewritten since
         for upstream in io[writer][0] if writer in records else ():
             read = records[writer]["inputs"].get(base(upstream))
-            now = records.get(writers.get(upstream), {}).get(
-                "outputs", {}).get(base(upstream))
+            now = recorded(upstream)
             if read and now and read != now:
                 raise PipelineError(
                     "stale artifact %s: %s has changed since %s ran; run %s "
@@ -527,7 +516,8 @@ def run_stage(name, cfg):
     records[name] = {
         "version": VERSION,
         "seed": cfg.seed,
-        "inputs": {base(p): sha256_file(p) for p in inputs},
+        # hash only the inputs no stage's record covers
+        "inputs": {base(p): recorded(p) or sha256_file(p) for p in inputs},
         "outputs": {base(p): sha256_file(p) for p in outputs},
     }
     atomic_write_json(manifest_path, manifest)

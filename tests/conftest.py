@@ -79,3 +79,22 @@ def toy_instance(rng, cfg, w=2, valid=None):
         "user_vectors": rng.normal(size=(N * w, d)),
         "user_mask": rng.random(N * w) < 0.8,
     }
+
+
+def toy_split(rng, cfg, w=2):
+    """A test split of three discussions: valid at every step, with an
+    invalid step, and with no comments at all (zero windows, no embedded
+    commenter, time coordinate 0). Returns (per-discussion dicts, the
+    same rows stacked); every row shares one flat_centers."""
+    rows = [toy_instance(rng, cfg, w),
+            toy_instance(rng, cfg, w, valid=[True] + [False] * (cfg.N - 1)),
+            toy_instance(rng, cfg, w, valid=[False] * cfg.N)]
+    empty = rows[-1]
+    for key in ("x2", "labels", "growth", "user_vectors", "user_mask"):
+        empty[key] = np.zeros_like(empty[key])
+    empty["centers"][..., 0] = 0.0
+    for row in rows:
+        row["flat_centers"] = rows[0]["flat_centers"]
+    stacked = {key: np.stack([row[key] for row in rows]) for key in rows[0]}
+    stacked["flat_centers"] = rows[0]["flat_centers"]
+    return rows, stacked

@@ -14,8 +14,7 @@ import os
 from collections import Counter
 
 from threadcurve.corpus import parse_corpus
-from threadcurve.pipeline import PACK, PipelineConfig, run_all
-from threadcurve.storage import load_store
+from threadcurve.pipeline import PipelineConfig, run_all
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("pipeline", "synth", "dataset", "cooccur", "features",
@@ -94,16 +93,10 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     assert counts["autodiff.backward"] == updates
     assert counts["optim.adam_step"] == updates + cfg.embed_epochs
 
-    # the test split is scored through the traced name, one pass per test
-    # discussion with a valid step, in each stage that scores it
-    with open(cfg.path("features_meta.json")) as fh:
-        n_train = len(json.load(fh)["train_ids"])
-    scored = int((load_store(cfg.path(PACK)).get("mask")[n_train:] > 0)
-                 .any(axis=1).sum())
-    assert scored >= 1
+    # the test split is scored through the traced name, in one pass in
+    # each stage that scores it
     assert _calls_per_stage(tracer, "curvature.predict_temporal") == {
-        "evaluate": scored, "predict": scored, "diagnose": scored}
-
+        "evaluate": 1, "predict": 1, "diagnose": 1}
 
 def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,

@@ -22,11 +22,12 @@ def test_time_coordinate_frozen_values():
 
 
 def test_homogeneity_entropy_values():
-    assert homogeneity_entropy(range(8), 8) == pytest.approx(math.log(8))
-    assert homogeneity_entropy([0, 0, 1, 1], 4) == pytest.approx(math.log(2))
-    assert homogeneity_entropy([3, 3, 3], 5) == 0.0
+    # engaged users per cluster
+    assert homogeneity_entropy(np.ones(8)) == pytest.approx(math.log(8))
+    assert homogeneity_entropy([2, 2, 0, 0]) == pytest.approx(math.log(2))
+    assert homogeneity_entropy([0, 0, 0, 3, 0]) == 0.0
     with pytest.raises(ValueError):
-        homogeneity_entropy([], 4)
+        homogeneity_entropy(np.zeros(4))
 
 
 def _blob_model(seed=0, per=10, sep=10.0):

@@ -4,7 +4,7 @@ import pytest
 from threadcurve import curvature as cv
 from threadcurve.autodiff import Var
 from threadcurve.optim import grad_check
-from conftest import toy_config, toy_instance
+from conftest import toy_config, toy_instance, toy_split
 
 
 def np_sigmoid(x):
@@ -200,6 +200,21 @@ def test_predict_decisions_match_threshold():
                                   (out["y1"] > 0.5).astype(int))
 
 
+def test_stacked_pass_equals_per_discussion_passes():
+    cfg = toy_config()
+    store = cv.init_model(cfg, seed=5)
+    rows, stacked = toy_split(np.random.default_rng(24), cfg)
+    out = cv.predict_temporal(store, stacked["x1"], stacked["x2"],
+                              stacked["centers"])
+    assert out["y1"].shape == (len(rows), cfg.N, cfg.n)
+    for r, row in enumerate(rows):
+        one = cv.predict_temporal(store, row["x1"], row["x2"], row["centers"])
+        for key in ("y1", "y2", "decisions"):
+            assert np.array_equal(out[key][r], one[key]), key
+        assert np.array_equal(out["trace"].g_inv_array()[r],
+                              one["trace"].g_inv_array())
+
+
 def test_nontemporal_zero_parameters_give_half():
     cfg = toy_config()
     store = _zeroed(cv.init_model(cfg, seed=0))
@@ -252,14 +267,3 @@ def test_nontemporal_gradients_pass_finite_difference_check():
                         store, max_coords=60, seed=1)
     assert report["passed"], report
 
-
-def test_metric_distance_examples():
-    x, y = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    assert cv.metric_distance(np.ones(2), x, y) == pytest.approx(1.0)
-    # g_inv = 1/4 on every axis inflates a unit offset to distance 2
-    assert cv.metric_distance(np.full(2, 0.25), x, y) == pytest.approx(2.0)
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        g = rng.uniform(0.05, 0.999, size=3)
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        assert cv.metric_distance(g, a, b) >= np.linalg.norm(a - b) - 1e-12

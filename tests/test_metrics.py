@@ -111,16 +111,19 @@ def test_diagnostics_bundle(tmp_path):
     cm = ClusterModel(np.array([[0.5, 0.0], [0.5, 1.0]]),
                       {"a": 0, "b": 0, "c": 1, "d": 1}, 0.0)
     g_inv = np.full((2, 3), 0.25)  # metric distance doubles every offset
-    records = [
-        {"discussion_id": "d1", "step": 1, "engaged_clusters": [0, 1],
-         "pred": [1, 0], "truth": [1, 1], "v_true": 2.0, "v_pred": 1.8,
-         "g_inv": g_inv},
-        {"discussion_id": "d1", "step": 2, "engaged_clusters": [0, 0],
-         "pred": [1, 0], "truth": [1, 0], "v_true": 1.0, "v_pred": 1.0,
-         "g_inv": g_inv},
-    ]
+    # one row per scored step; no engaged user before step 0
+    scores = {
+        "discussion_id": np.array(["d1", "d1", "d1"]),
+        "step": np.array([0, 1, 2]),
+        "engaged_counts": np.array([[0, 0], [1, 1], [2, 0]]),
+        "decision": np.array([[0, 0], [1, 0], [1, 0]]),
+        "truth": np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
+        "v_true": np.array([0.0, 2.0, 1.0]),
+        "y2": np.array([0.5, 1.8, 1.0]),
+        "g_inv": np.stack([g_inv] * 3),
+    }
     prefix = str(tmp_path / "diag")
-    summary = mt.diagnostics(records, cm, emb, prefix)
+    summary = mt.diagnostics(scores, cm, emb, prefix)
     assert "entropy_accuracy_pearson" in summary
     assert "growth_error_pearson" in summary
 
@@ -132,16 +135,32 @@ def test_diagnostics_bundle(tmp_path):
     assert float(row[2]) == pytest.approx(np.log(2.0))
     assert float(row[3]) == 0.5
 
+    assert ent[1].startswith("d1,1,")
+
     gro = (tmp_path / "diag_growth.csv").read_text().strip().splitlines()
+    assert len(gro) == 3  # step 0 has zero true growth
+    assert gro[1].startswith("d1,1,2.0,")
     assert float(gro[1].split(",")[3]) == pytest.approx(10.0)
 
     dist = (tmp_path / "diag_distance.csv").read_text().strip().splitlines()
-    assert len(dist) == 1 + 2 * 2  # two clusters per record
+    assert len(dist) == 1 + 3 * 2  # two clusters per row
+    assert [line.split(",")[:3] for line in dist[1:3]] == [
+        ["d1", "0", "0"], ["d1", "0", "1"]]
     for line in dist[1:]:
         parts = line.split(",")
         eu, md = float(parts[3]), float(parts[4])
         assert md >= eu  # learned metric never shrinks distances
         assert md == pytest.approx(2.0 * eu)  # g_inv = 1/4 exactly doubles
+
+
+def test_intra_distances_take_every_inverse_metric_at_once():
+    rng = np.random.default_rng(4)
+    vecs = rng.normal(size=(6, 5))
+    g_inv = rng.uniform(0.05, 0.95, size=(7, 6))
+    eu, md = mt._intra_distances(vecs, g_inv)
+    assert md.shape == (7,)
+    for row, got in zip(g_inv, md):
+        assert mt._intra_distances(vecs, row) == (eu, got)
 
 
 @pytest.mark.parametrize("members", [2, 3, 100])

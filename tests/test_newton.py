@@ -4,7 +4,7 @@ import pytest
 from threadcurve import newton as nw
 from threadcurve.autodiff import Var
 from threadcurve.optim import grad_check
-from conftest import toy_config, toy_instance
+from conftest import toy_config, toy_instance, toy_split
 
 
 def _zeroed(store):
@@ -125,6 +125,23 @@ def test_baseline_engagement_probabilities_exceed_half():
     out = nw.predict_temporal(store, inst, w=2)
     assert np.all(out["y1"] > 0.5)
     assert np.all(out["decisions"] == 1)
+
+
+def test_stacked_pass_equals_per_discussion_passes():
+    cfg = toy_config()
+    store = nw.init_model(cfg, w=2, seed=6)
+    rows, stacked = toy_split(np.random.default_rng(25), cfg, w=2)
+    out = nw.predict_temporal(store, stacked, w=2)
+    assert out["y1"].shape == (len(rows), cfg.N, cfg.n)
+    for r, row in enumerate(rows):
+        one = nw.predict_temporal(store, row, w=2)
+        for key in ("y1", "y2", "decisions"):
+            assert np.array_equal(out[key][r], one[key]), key
+    # no embedded commenter: the discussion stays at the origin
+    position = nw.newton_position(nw._as_vars(store), stacked["user_vectors"],
+                                  stacked["user_mask"], 2, cfg.N)
+    assert position.shape == (len(rows), cfg.N, cfg.d)
+    assert np.all(position.data[-1] == 0.0)
 
 
 def test_discussion_loss_gradients_pass_finite_difference_check():

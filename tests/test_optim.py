@@ -35,15 +35,6 @@ def test_duplicate_and_bad_shape_rejected():
         store.set("x", np.zeros(4))
 
 
-def test_store_flatten_roundtrip():
-    store = init_params([("W", (2, 3)), ("v", (4,))], seed=0)
-    flat = store.flatten()
-    other = init_params([("W", (2, 3)), ("v", (4,))], seed=99)
-    other.load_flat(flat)
-    np.testing.assert_array_equal(other.get("W"), store.get("W"))
-    np.testing.assert_array_equal(other.get("v"), store.get("v"))
-
-
 def test_adam_minimizes_quadratic():
     store = ParameterStore()
     store.register("x", np.array([4.0, -3.0]))

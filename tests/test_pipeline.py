@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
-from threadcurve.storage import load_store, save_store
+from threadcurve.storage import load_store, save_store, sha256_file
 
 
 def mini_config(tmp_path, name="run", **kw):
@@ -109,6 +110,33 @@ def test_stage_refuses_stale_input(tmp_path):
         run_stage("featurize", changed)
     run_stage("cluster", changed)
     run_stage("featurize", changed)
+
+
+def test_each_file_is_hashed_once(tmp_path, monkeypatch):
+    hashed = []
+
+    def counting(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+    monkeypatch.setattr(pipeline, "sha256_file", counting)
+    cfg = mini_config(tmp_path)
+    run_all(cfg)
+    with open(cfg.path("manifest.json")) as fh:
+        records = json.load(fh)["stages"]
+    io = pipeline._io(cfg)
+    # what synth writes may be replaced by the user, so each stage that
+    # reads it hashes it; every other file is hashed once, by its writer
+    provided = {os.path.basename(p) for p in io["synth"][1]}
+    assert all(k == 1 for name, k in Counter(hashed).items()
+               if name not in provided)
+    assert len(hashed) == sum(
+        len(io[stage][1]) + sum(os.path.basename(p) in provided
+                                for p in io[stage][0])
+        for stage in records)
+    # the digests taken from the writers' records are the files' own
+    for stage, record in records.items():
+        for name, digest in record["inputs"].items():
+            assert digest == sha256_file(cfg.path(name)), (stage, name)
 
 
 def test_pipeline_is_deterministic(tmp_path):

@@ -82,10 +82,6 @@ def test_layout_widths_and_slices():
     assert pl.slice_of("title") == slice(19, 22)
     with pytest.raises(KeyError):
         cl.slice_of("title")
-    names = cl.column_names()
-    assert names[:2] == ["avg_tfidf", "lix"]
-    assert names[6] == "sentence_count"
-    assert len(names) == cl.width
 
 
 def test_featurize_comment_matches_block_oracle(tiny_corpus):
