@@ -8,7 +8,7 @@ from . import features as F
 from . import logreg
 from .clustering import spacetime_centers, T_CAP_SECONDS
 from .cooccur import title_vector
-from .corpus import growth_target, window_labels, windowize
+from .corpus import Discussion, growth_target, window_labels, windowize
 
 
 def title_vectors(discussions, lexicons):
@@ -58,8 +58,8 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
             mask[k] = True
             growth[k] = growth_target(win)[1]
             logreg_features[k] = logreg.aggregate_step_features(
-                disc, disc.comments[:k * w], cluster_model, lexicons,
-                embedding)
+                Discussion(disc.post, disc.comments[:k * w]), cluster_model,
+                lexicons, embedding)
 
         user_vectors = np.zeros((N * w, d))
         user_mask = np.zeros(N * w, dtype=bool)

@@ -25,25 +25,24 @@ def feature_width(d):
     return len(CONTENT_NAMES) + len(SURFACE_NAMES) + d + 1
 
 
-def aggregate_step_features(discussion, prefix_comments, cluster_model,
-                            lexicons, embedding):
-    """Feature rows (n, width) of one discussion prefix, one per cluster.
+def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
+    """Feature rows (n, width) of a discussion cut at a step, one per
+    cluster; `prefix` holds the post and the comments before the step.
 
     Content/surface blocks come from the merged text of the post and the
     prefix comments, and every row shares them; the social block of row l
-    holds the mean member vector and mean reply-graph degree of cluster
-    l's engaged users.
+    holds the mean member vector of cluster l's engaged users and their
+    mean degree in the prefix's reply graph.
     """
-    merged = discussion.post.title + " " + discussion.post.body
-    for c in prefix_comments:
+    merged = prefix.post.title + " " + prefix.post.body
+    for c in prefix.comments:
         merged += " " + c.text
-    depth = max((c.depth for c in prefix_comments), default=0)
-    elapsed = (prefix_comments[-1].timestamp - discussion.post.timestamp
-               if prefix_comments else 0)
-    shared = np.concatenate([_content_block(merged, lexicons),
-                             _surface_block(merged, depth, elapsed)])
+    depth = max((c.depth for c in prefix.comments), default=0)
+    shared = np.concatenate([
+        _content_block(merged, lexicons),
+        _surface_block(merged, depth, prefix.t_end - prefix.t_start)])
     degree = {}
-    for child, parent in reply_edges(discussion):
+    for child, parent in reply_edges(prefix):
         if child != parent:
             degree[child] = degree.get(child, 0) + 1
             degree[parent] = degree.get(parent, 0) + 1
@@ -51,7 +50,7 @@ def aggregate_step_features(discussion, prefix_comments, cluster_model,
     out = np.zeros((cluster_model.n, feature_width(d)))
     out[:, :shared.size] = shared
     for cluster in range(cluster_model.n):
-        engaged = sorted({c.author for c in prefix_comments
+        engaged = sorted({c.author for c in prefix.comments
                           if cluster_model.assignment.get(c.author) == cluster})
         if engaged:
             out[cluster, shared.size:-1] = np.mean(

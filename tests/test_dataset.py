@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from threadcurve import dataset as ds
 from threadcurve import logreg, synth
 from threadcurve.clustering import ClusterModel
-from threadcurve.corpus import parse_corpus
+from threadcurve.corpus import Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.features import (ablate, build_lexicons, load_sentiment,
                                  load_stopwords, load_word_vectors)
@@ -57,6 +59,30 @@ def test_engaged_counts_cover_comments_before_each_step(synth_materials):
             for c in d.comments[:i * spec.w]:
                 expect[cm.assignment[c.author]] += 1
             np.testing.assert_array_equal(pack["engaged_counts"][r, i], expect)
+
+
+def test_logreg_features_see_only_the_prefix(synth_materials):
+    spec, discussions, lex, emb, cm = synth_materials
+    base, _, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
+                                           lex, emb, cm)
+    users = emb.user_ids[::-1]
+    for r, disc in enumerate(discussions):
+        for k in range(spec.N):
+            # every comment from index k*w on gets another author and text
+            # and answers the first comment, so it adds a reply edge to a
+            # user who may have commented before step k
+            start = k * spec.w
+            parent = disc.comments[0].id if start else disc.post.id
+            later = tuple(
+                dataclasses.replace(c, author=users[j % len(users)],
+                                    text="bad alpha, great beta!",
+                                    parent_id=parent)
+                for j, c in enumerate(disc.comments[start:]))
+            mutated = Discussion(disc.post, disc.comments[:start] + later)
+            pack, _, _ = ds.build_temporal_dataset([mutated], spec.w, spec.N,
+                                                   lex, emb, cm)
+            np.testing.assert_array_equal(pack["logreg_features"][0, :k + 1],
+                                          base["logreg_features"][r, :k + 1])
 
 
 def test_drop_ablation_shrinks_both_layouts(synth_materials):
