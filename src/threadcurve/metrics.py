@@ -108,7 +108,7 @@ def diagnostics(scores, cluster_model, embedding, out_prefix):
     (R, n, d+1) and engaged_counts (R, n), the comments before the step
     by cluster.
     """
-    did, step = scores["discussion_id"].tolist(), scores["step"].tolist()
+    did, step = scores["discussion_id"], scores["step"]
     # per-window accuracy = 1 - per-window hamming loss
     accuracy = np.mean(scores["decision"] == scores["truth"], axis=1)
     counts = scores["engaged_counts"]
@@ -122,7 +122,6 @@ def diagnostics(scores, cluster_model, embedding, out_prefix):
     g_inv = scores["g_inv"]
     dist = [(l,) + _intra_distances(members[l], g_inv[:, l])
             for l in range(cluster_model.n) if len(members[l]) >= 2]
-    dist = [(l, eu, md.tolist()) for l, eu, md in dist]
 
     def write(name, header, rows):
         with open(out_prefix + name, "w", newline="") as fh:
@@ -130,15 +129,16 @@ def diagnostics(scores, cluster_model, embedding, out_prefix):
             wr.writerow(header)
             wr.writerows(rows)
     write("_entropy.csv", ["discussion_id", "step", "entropy", "accuracy"],
-          zip([did[r] for r in engaged], [step[r] for r in engaged],
-              entropy, accuracy[engaged].tolist()))
+          zip(did[engaged].tolist(), step[engaged].tolist(), entropy,
+              accuracy[engaged].tolist()))
     write("_growth.csv",
           ["discussion_id", "step", "v_true", "relative_error_pct"],
-          zip([did[r] for r in grown], [step[r] for r in grown],
+          zip(did[grown].tolist(), step[grown].tolist(),
               v_true[grown].tolist(), error.tolist()))
     write("_distance.csv", ["discussion_id", "step", "cluster",
                             "euclidean_mean", "metric_mean"],
-          ((did[r], step[r], l, eu, md[r]) for r in range(len(did))
+          ((d, s, l, eu, float(md[r]))
+           for r, (d, s) in enumerate(zip(did.tolist(), step.tolist()))
            for l, eu, md in dist))
 
     summary = {}
