@@ -395,7 +395,7 @@ def _score(cfg):
             pred = curvature.predict_temporal(store, test["x1"], test["x2"],
                                               test["centers"])
             scores["g_inv"] = pred["trace"].g_inv_array()[mask]
-            scores["engaged_counts"] = test["engaged_counts"][mask].astype(int)
+            scores["engaged_counts"] = test["engaged_counts"][mask]
         else:
             pred = newton.predict_temporal(
                 store, dict(test, flat_centers=cm.centers), cfg.w)
@@ -512,6 +512,10 @@ def run_stage(name, cfg):
                 raise PipelineError(
                     "stale artifact %s: %s has changed since %s ran; run %s "
                     "again" % (base(path), base(upstream), writer, writer))
+    # readers take their digests from this record: a stage that fails
+    # part-way must not leave one that vouches for what it rewrote
+    if records.pop(name, None) is not None:
+        atomic_write_json(manifest_path, manifest)
     STAGE_FUNCS[name](cfg)
     records[name] = {
         "version": VERSION,

@@ -139,6 +139,27 @@ def test_each_file_is_hashed_once(tmp_path, monkeypatch):
             assert digest == sha256_file(cfg.path(name)), (stage, name)
 
 
+def test_stage_that_fails_part_way_leaves_no_record(tmp_path, monkeypatch):
+    cfg = mini_config(tmp_path)
+    run_all(cfg)
+
+    def partial(cfg):
+        with open(cfg.path("users.txt"), "a") as fh:
+            fh.write("newcomer\n")
+        raise RuntimeError("cooccur failed after writing users.txt")
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "cooccur", partial)
+    with pytest.raises(RuntimeError):
+        run_stage("cooccur", cfg)
+    with open(cfg.path("manifest.json")) as fh:
+        assert "cooccur" not in json.load(fh)["stages"]
+    # so a reader records the digest of the file it read
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "embed", lambda cfg: None)
+    run_stage("embed", cfg)
+    with open(cfg.path("manifest.json")) as fh:
+        read = json.load(fh)["stages"]["embed"]["inputs"]["users.txt"]
+    assert read == sha256_file(cfg.path("users.txt"))
+
+
 def test_pipeline_is_deterministic(tmp_path):
     outputs = []
     for name in ("a", "b"):
