@@ -98,6 +98,7 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     assert _calls_per_stage(tracer, "curvature.predict_temporal") == {
         "evaluate": 1, "predict": 1, "diagnose": 1}
 
+
 def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
                          task="nontemporal", synth_posts=16, epochs=3,
