@@ -137,7 +137,7 @@ def diagnostics(scores, cluster_model, embedding, out_prefix):
               v_true[grown].tolist(), error.tolist()))
     write("_distance.csv", ["discussion_id", "step", "cluster",
                             "euclidean_mean", "metric_mean"],
-          ((d, s, l, eu, float(md[r]))
+          ((d, s, l, eu, md[r])
            for r, (d, s) in enumerate(zip(did.tolist(), step.tolist()))
            for l, eu, md in dist))
 
@@ -160,15 +160,16 @@ def _members_by_cluster(cluster_model, embedding):
 
 def _intra_distances(member_vecs, g_inv):
     """Mean pairwise member distances: the flat one, and the learned one
-    under each inverse metric g_inv (..., d+1).
+    under each row of the inverse metrics g_inv (R, d+1).
 
     Members share the window's time coordinate, so the time component of
     every difference vector is zero; only spatial components matter. The
-    member differences are computed once for every g_inv.
+    member differences are computed once and reduced one row at a time,
+    so memory stays at one (pairs, d) block.
     """
     V = np.asarray(member_vecs, dtype=float)
     a, b = np.triu_indices(len(V), k=1)
     sq = (V[a] - V[b]) ** 2
     eu = np.sqrt(sq.sum(axis=1))
-    md = np.sqrt((sq / g_inv[..., None, 1:]).sum(axis=-1))
-    return float(eu.mean()), md.mean(axis=-1)
+    md = [float(np.sqrt((sq / g[1:]).sum(axis=1)).mean()) for g in g_inv]
+    return float(eu.mean()), md

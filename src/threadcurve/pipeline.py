@@ -176,7 +176,6 @@ def _load_discussions(cfg):
 # ------------------------------------------------------------------- stages
 
 def stage_synth(cfg):
-    os.makedirs(cfg.workdir, exist_ok=True)
     spec = synth.SynthSpec(w=cfg.w, N=cfg.N,
                            discussions=cfg.synth_discussions,
                            posts=cfg.synth_posts)
@@ -189,7 +188,6 @@ def stage_synth(cfg):
 
 
 def stage_ingest(cfg):
-    os.makedirs(cfg.workdir, exist_ok=True)
     discussions, manifest = parse_corpus(cfg.corpus_path, _filter_config(cfg))
     atomic_write(lambda tmp: serialize_corpus(discussions, tmp),
                  cfg.path("discussions.jsonl"))
@@ -488,6 +486,7 @@ def run_stage(name, cfg):
     # what synth writes may be provided by the user instead
     writers = {path: stage for stage, (_, written) in io.items()
                if stage != "synth" for path in written}
+    os.makedirs(cfg.workdir, exist_ok=True)
     manifest_path = cfg.path("manifest.json")
     manifest = {"stages": {}}
     if os.path.exists(manifest_path):
@@ -496,14 +495,20 @@ def run_stage(name, cfg):
     records, base = manifest["stages"], os.path.basename
 
     def recorded(path):
-        """The digest the stage that wrote `path` recorded for it."""
-        return records.get(writers.get(path), {}).get(
-            "outputs", {}).get(base(path))
+        """The digest the stage that wrote `path` recorded for it; refuses
+        a file whose writer started and did not finish."""
+        writer = writers.get(path)
+        if records.get(writer, {}).get("incomplete"):
+            raise PipelineError(
+                "incomplete artifact %s: %s did not finish; run %s again"
+                % (base(path), writer, writer))
+        return records.get(writer, {}).get("outputs", {}).get(base(path))
     for path in inputs:
         writer = writers.get(path)
         if not os.path.exists(path):
             raise PipelineError("missing artifact %s: run %s first" % (
                 base(path), writer or "synth (or provide the file)"))
+        recorded(path)
         # stale if a file its writer read has been rewritten since
         for upstream in io[writer][0] if writer in records else ():
             read = records[writer]["inputs"].get(base(upstream))
@@ -512,10 +517,10 @@ def run_stage(name, cfg):
                 raise PipelineError(
                     "stale artifact %s: %s has changed since %s ran; run %s "
                     "again" % (base(path), base(upstream), writer, writer))
-    # readers take their digests from this record: a stage that fails
-    # part-way must not leave one that vouches for what it rewrote
-    if records.pop(name, None) is not None:
-        atomic_write_json(manifest_path, manifest)
+    # readers take their digests from this record: until the stage has
+    # finished, it marks what it may have rewritten as unusable
+    records[name] = {"incomplete": True}
+    atomic_write_json(manifest_path, manifest)
     STAGE_FUNCS[name](cfg)
     records[name] = {
         "version": VERSION,

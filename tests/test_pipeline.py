@@ -139,9 +139,10 @@ def test_each_file_is_hashed_once(tmp_path, monkeypatch):
             assert digest == sha256_file(cfg.path(name)), (stage, name)
 
 
-def test_stage_that_fails_part_way_leaves_no_record(tmp_path, monkeypatch):
+def test_reader_refuses_output_of_a_stage_that_failed(tmp_path, monkeypatch):
     cfg = mini_config(tmp_path)
     run_all(cfg)
+    real = pipeline.STAGE_FUNCS["cooccur"]
 
     def partial(cfg):
         with open(cfg.path("users.txt"), "a") as fh:
@@ -150,14 +151,16 @@ def test_stage_that_fails_part_way_leaves_no_record(tmp_path, monkeypatch):
     monkeypatch.setitem(pipeline.STAGE_FUNCS, "cooccur", partial)
     with pytest.raises(RuntimeError):
         run_stage("cooccur", cfg)
-    with open(cfg.path("manifest.json")) as fh:
-        assert "cooccur" not in json.load(fh)["stages"]
-    # so a reader records the digest of the file it read
-    monkeypatch.setitem(pipeline.STAGE_FUNCS, "embed", lambda cfg: None)
+    incomplete = ("incomplete artifact users.txt: cooccur did not finish; "
+                  "run cooccur again")
+    with pytest.raises(PipelineError, match=incomplete):
+        run_stage("embed", cfg)
+    # a stage further down refuses what was made from the old files too
+    with pytest.raises(PipelineError, match=incomplete):
+        run_stage("cluster", cfg)
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "cooccur", real)
+    run_stage("cooccur", cfg)
     run_stage("embed", cfg)
-    with open(cfg.path("manifest.json")) as fh:
-        read = json.load(fh)["stages"]["embed"]["inputs"]["users.txt"]
-    assert read == sha256_file(cfg.path("users.txt"))
 
 
 def test_pipeline_is_deterministic(tmp_path):
