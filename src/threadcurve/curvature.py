@@ -59,8 +59,9 @@ def init_model(cfg, seed):
     return store
 
 
-def _as_vars(store):
-    return {name: Var(store.get(name)) for name in store.names()}
+def _as_vars(params):
+    """A Var per tensor of a training store or a loaded checkpoint."""
+    return {name: Var(value) for name, value in params.items()}
 
 
 @dataclass
@@ -209,11 +210,9 @@ def temporal_loss(trace, labels, growth, mask, lam=1.0):
 
 def _loss_into_store(store, pv, loss):
     loss.backward()
-    for name in store.names():
-        g = pv[name].grad
-        if g is None:  # parameter not on this graph (e.g. no window path)
-            g = np.zeros_like(store.get(name))
-        store.set_grad(name, g)
+    for name, var in pv.items():
+        if var.grad is not None:  # None: not on this graph (no window path)
+            store.set_grad(name, var.grad)
     return float(loss.data)
 
 

@@ -11,40 +11,55 @@ class OptimError(Exception):
 
 
 class ParameterStore:
-    """Named tensors plus mirrored gradient buffers."""
+    """Named tensors as views into one flat float64 vector of values and
+    one of gradients; `layout` maps each name to its (slice, shape)."""
 
     def __init__(self):
-        self._params = {}
-        self._grads = {}
+        self.values, self.grads, self.layout = np.zeros(0), np.zeros(0), {}
 
     def register(self, name, value):
-        if name in self._params:
+        """Append a tensor; views taken earlier keep the old buffers."""
+        if name in self.layout:
             raise OptimError("duplicate parameter %r" % name)
         value = np.asarray(value, dtype=float)
-        self._params[name] = value
-        self._grads[name] = np.zeros_like(value)
+        start = self.values.size
+        self.layout[name] = (slice(start, start + value.size), value.shape)
+        self.values = np.append(self.values, value)
+        self.grads = np.append(self.grads, np.zeros(value.size))
 
     def names(self):
-        return list(self._params)
+        return list(self.layout)
+
+    def items(self):
+        return [(name, self.get(name)) for name in self.layout]
+
+    def _view(self, flat, name, shape=None):
+        where, own = self.layout[name]
+        if shape not in (None, own):
+            raise OptimError("shape %r for %r, expected %r"
+                             % (shape, name, own))
+        return flat[where].reshape(own)
 
     def get(self, name):
-        return self._params[name]
+        return self._view(self.values, name)
 
     def set(self, name, value):
-        value = np.asarray(value, dtype=float)
-        if value.shape != self._params[name].shape:
-            raise OptimError("shape change for %r" % name)
-        self._params[name] = value
+        self._view(self.values, name, np.shape(value))[...] = value
 
     def grad(self, name):
-        return self._grads[name]
+        return self._view(self.grads, name)
 
     def set_grad(self, name, grad):
-        self._grads[name] = np.asarray(grad, dtype=float)
+        self._view(self.grads, name, np.shape(grad))[...] = grad
 
     def zero_grad(self):
-        for name in self._grads:
-            self._grads[name] = np.zeros_like(self._params[name])
+        self.grads.fill(0.0)
+
+    def locate(self, index):
+        """(name, index within that tensor) of a flat index."""
+        return next((name, index - where.start)
+                    for name, (where, _) in self.layout.items()
+                    if where.start <= index < where.stop)
 
 
 def init_params(spec, seed):
@@ -72,30 +87,33 @@ def init_params(spec, seed):
 
 
 class Adam:
+    """Adam (Kingma & Ba, ICLR 2015) over a store's whole flat vector."""
+
     def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.store = store
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self._m = {n: np.zeros_like(store.get(n)) for n in store.names()}
-        self._v = {n: np.zeros_like(store.get(n)) for n in store.names()}
+        self.store, self.t = store, 0
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m = np.zeros_like(store.values)
+        self._v = np.zeros_like(store.values)
+
+    def _check(self, what, flat):
+        finite = np.isfinite(flat)
+        if not finite.all():  # name the tensor of the first bad element
+            name = self.store.locate(int(np.argmin(finite)))[0]
+            raise OptimError("non-finite %s for %r" % (what, name))
 
     def step(self):
-        self.t += 1
-        for name in self.store.names():
-            g = self.store.grad(name)
-            if not np.all(np.isfinite(g)):
-                raise OptimError("non-finite gradient for %r" % name)
-            self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g ** 2
-            m_hat = self._m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self._v[name] / (1 - self.beta2 ** self.t)
-            update = self.store.get(name) - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if not np.all(np.isfinite(update)):
-                raise OptimError("non-finite update for %r" % name)
-            self.store.set(name, update)
+        """One update; a non-finite gradient or update raises unapplied."""
+        g = self.store.grads
+        self._check("gradient", g)
+        t = self.t + 1
+        m = self.beta1 * self._m + (1 - self.beta1) * g
+        v = self.beta2 * self._v + (1 - self.beta2) * g ** 2
+        m_hat = m / (1 - self.beta1 ** t)
+        v_hat = v / (1 - self.beta2 ** t)
+        update = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._check("update", update)
+        self.t, self._m, self._v = t, m, v
+        self.store.values[:] = update
 
 
 def fit(store, batches, loss, epochs, lr):
@@ -122,42 +140,33 @@ def grad_check(loss_fn, store, h=1e-5, tol=1e-4, max_coords=200, seed=0):
     """Compare analytic gradients to central differences.
 
     loss_fn(store) must populate store gradients and return the scalar loss.
-    Checks up to max_coords sampled coordinates (all, when fewer exist).
-    Returns a report dict with max relative error and pass flag.
+    Checks up to max_coords sampled flat coordinates (all, when fewer
+    exist). Returns a report dict with max relative error and pass flag.
     """
     loss_fn(store)
-    analytic = {n: store.grad(n).copy() for n in store.names()}
-
-    coords = []
-    for name in store.names():
-        for flat_idx in range(store.get(name).size):
-            coords.append((name, flat_idx))
-    rng = np.random.default_rng(seed)
-    if len(coords) > max_coords:
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in sorted(picked)]
-
-    max_rel = 0.0
-    worst = None
-    for name, flat_idx in coords:
-        base = store.get(name).copy()
-        flat = base.ravel().copy()
-        flat[flat_idx] = base.ravel()[flat_idx] + h
-        store.set(name, flat.reshape(base.shape))
+    coords = np.arange(store.values.size)
+    if coords.size > max_coords:
+        rng = np.random.default_rng(seed)
+        coords = np.sort(rng.choice(coords.size, size=max_coords,
+                                    replace=False))
+    analytic = store.grads[coords]
+    numeric = np.zeros(coords.size)
+    for j, k in enumerate(coords.tolist()):
+        base = store.values[k]
+        store.values[k] = base + h
         plus = loss_fn(store)
-        flat[flat_idx] = base.ravel()[flat_idx] - h
-        store.set(name, flat.reshape(base.shape))
-        minus = loss_fn(store)
-        store.set(name, base)
-        numeric = (plus - minus) / (2 * h)
-        a = analytic[name].ravel()[flat_idx]
-        # floor keeps finite-difference roundoff on near-zero coordinates
-        # from masquerading as relative error
-        denom = max(abs(a), abs(numeric), 1e-3)
-        rel = abs(a - numeric) / denom
-        if rel > max_rel:
-            max_rel = rel
-            worst = (name, flat_idx, a, numeric)
+        store.values[k] = base - h
+        numeric[j] = (plus - loss_fn(store)) / (2 * h)
+        store.values[k] = base
     loss_fn(store)  # restore gradients for the unperturbed point
+    # floor keeps finite-difference roundoff on near-zero coordinates
+    # from masquerading as relative error
+    rel = np.abs(analytic - numeric) / np.maximum(
+        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    max_rel = float(rel.max(initial=0.0))
+    worst = None
+    if max_rel > 0:
+        j = int(np.argmax(rel))
+        worst = store.locate(int(coords[j])) + (analytic[j], numeric[j])
     return {"max_rel_error": max_rel, "passed": max_rel <= tol,
             "checked": len(coords), "worst": worst}

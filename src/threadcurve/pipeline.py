@@ -23,7 +23,6 @@ from .embedding import EmbeddingModel, train_guvec
 from .features import (ablate, build_lexicons, comment_layout, load_sentiment,
                        load_stopwords, load_word_vectors, post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
-from .optim import ParameterStore
 from .storage import (atomic_write, atomic_write_json, atomic_write_text,
                       save_store, load_store, sha256_file)
 
@@ -249,10 +248,7 @@ def stage_featurize(cfg):
                                             embedding, cm, t_cap=cfg.t_cap)
     else:
         pack, _ = build_nontemporal_dataset(train + test, lex, embedding)
-    store = ParameterStore()
-    for name, value in pack.items():
-        store.register(name, value)
-    save_store(store, cfg.path(PACK))
+    save_store(pack, cfg.path(PACK))
     meta = {
         "idf": lex.idf,
         "vocab_size": lex.vocab_size,
@@ -280,8 +276,7 @@ def _model_inputs(cfg):
         raise PipelineError("the features pack is for the %s task: run "
                             "featurize for the %s task first"
                             % (meta["task"], cfg.task))
-    store = load_store(cfg.path(PACK))
-    pack = {name: store.get(name) for name in store.names()}
+    pack = load_store(cfg.path(PACK))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     n_train = len(meta["train_ids"])
     layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
@@ -354,10 +349,7 @@ def _train_logreg_temporal(cfg, train):
     y = train["labels"][train["mask"]]
     model = logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)],
                                   seed=cfg.seed)
-    store = ParameterStore()
-    store.register("weights", model.weights)
-    store.register("Biases", model.biases)
-    return store
+    return {"weights": model.weights, "Biases": model.biases}
 
 
 def _score(cfg):
@@ -383,7 +375,7 @@ def _score(cfg):
     scores = {"discussion_id": test["ids"][rows], "step": steps,
               "truth": test["labels"][mask], "v_true": test["growth"][mask]}
     if cfg.model == "logreg":
-        model = logreg.LogRegModel(store.get("weights"), store.get("Biases"))
+        model = logreg.LogRegModel(store["weights"], store["Biases"])
         scores["y1"] = model.predict_proba(test["logreg_features"][mask])
         scores["y2"] = np.full(rows.size, np.nan)
         scores["decision"] = (scores["y1"] > 0.5).astype(int)

@@ -13,8 +13,6 @@ import os
 
 import numpy as np
 
-from .optim import ParameterStore
-
 FORMAT_HEADER = "tensorstore v1"
 WRITE_CHUNK = 4096     # values formatted per write
 
@@ -47,14 +45,13 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def save_store(store, path):
-    """Write `store` in the tensorstore format, a chunk of values at a time,
-    so that no string of the whole file or of one tensor is ever built."""
+def save_store(tensors, path):
+    """Write a name -> array mapping in the tensorstore format, a chunk of
+    values at a time, so that no string of a whole tensor is ever built."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(FORMAT_HEADER + "\n")
-        for name in store.names():
-            value = store.get(name)
+        for name, value in tensors.items():
             fh.write("tensor %s %s\n" % (name, " ".join(str(s) for s in value.shape)))
             flat = value.ravel()
             for start in range(0, flat.size, WRITE_CHUNK):
@@ -66,7 +63,8 @@ def save_store(store, path):
 
 
 def load_store(path):
-    store = ParameterStore()
+    """The tensors of a tensorstore file, as a name -> array dict."""
+    tensors = {}
     with open(path) as fh:
         if fh.readline().rstrip("\n") != FORMAT_HEADER:
             raise ValueError("unrecognized checkpoint format in %s" % path)
@@ -81,5 +79,5 @@ def load_store(path):
             # numpy reads a blank line as [-1.0]: an empty tensor is read apart
             values = (np.zeros(0) if text.isspace()
                       else np.fromstring(text, sep=" "))
-            store.register(parts[1], values.reshape(shape))
-    return store
+            tensors[parts[1]] = values.reshape(shape)
+    return tensors

@@ -65,6 +65,118 @@ def test_fit_makes_one_update_per_batch_and_averages_each_pass():
         fit(store, [], loss, epochs=1, lr=0.1)
 
 
+class ReferenceAdam:
+    """Adam one tensor at a time, as the optimizer was first written."""
+
+    def __init__(self, tensors, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.p = {n: np.array(v, dtype=float) for n, v in tensors.items()}
+        self.m = {n: np.zeros_like(v) for n, v in self.p.items()}
+        self.v = {n: np.zeros_like(v) for n, v in self.p.items()}
+        self.lr, self.beta1, self.beta2, self.eps, self.t = (
+            lr, beta1, beta2, eps, 0)
+
+    def step(self, grads):
+        self.t += 1
+        for name, g in grads.items():
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = (self.beta2 * self.v[name]
+                            + (1 - self.beta2) * g ** 2)
+            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
+            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
+            self.p[name] = self.p[name] - self.lr * m_hat / (
+                np.sqrt(v_hat) + self.eps)
+
+
+SHAPES = {"W": (3, 4), "s": (), "empty": (2, 0), "b": (5,), "T": (2, 1, 3)}
+
+
+def _store_and_reference(seed=0, lr=0.05):
+    rng = np.random.default_rng(seed)
+    tensors = {n: rng.normal(size=shape) for n, shape in SHAPES.items()}
+    store = ParameterStore()
+    for name, value in tensors.items():
+        store.register(name, value)
+    return store, ReferenceAdam(tensors, lr), rng
+
+
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
+    store, ref, rng = _store_and_reference()
+    opt = Adam(store, lr=0.05)
+    for _ in range(500):
+        # gradients that depend on the values, spread over many scales
+        grads = {n: np.sin(3 * store.get(n)) * 10.0 ** rng.uniform(-6, 2)
+                 + rng.normal(size=SHAPES[n]) for n in SHAPES}
+        for name, g in grads.items():
+            store.set_grad(name, g)
+        opt.step()
+        ref.step(grads)
+    for name in SHAPES:
+        assert store.get(name).shape == SHAPES[name]
+        assert np.array_equal(store.get(name), ref.p[name]), name
+    assert store.get("s").ndim == 0 and store.get("empty").size == 0
+
+
+def test_non_finite_gradient_names_its_tensor_and_changes_nothing():
+    store, ref, rng = _store_and_reference(seed=1)
+    opt = Adam(store, lr=0.05)
+    grads = {n: rng.normal(size=SHAPES[n]) for n in SHAPES}
+    for name, g in grads.items():
+        store.set_grad(name, g)
+    opt.step()
+    ref.step(grads)
+    values = store.values.copy()
+    bad = dict(grads, s=np.array(np.nan))  # "s" is the second tensor
+    for name, g in bad.items():
+        store.set_grad(name, g)
+    with pytest.raises(OptimError, match="non-finite gradient for 's'"):
+        opt.step()
+    assert np.array_equal(store.values, values)
+    # moments and step count are untouched: the next step is the one the
+    # reference takes after its first
+    for name, g in grads.items():
+        store.set_grad(name, g)
+    opt.step()
+    ref.step(grads)
+    for name in SHAPES:
+        assert np.array_equal(store.get(name), ref.p[name]), name
+
+
+def test_non_finite_update_names_its_tensor():
+    store = ParameterStore()
+    store.register("a", np.zeros(2))
+    store.register("big", np.array([1.0, np.finfo(float).max]))
+    store.set_grad("big", np.array([0.0, -1.0]))
+    with np.errstate(over="ignore"), pytest.raises(
+            OptimError, match="non-finite update for 'big'"):
+        Adam(store, lr=np.finfo(float).max).step()
+    assert store.get("big")[1] == np.finfo(float).max
+
+
+def test_store_views_share_the_flat_buffers():
+    store = ParameterStore()
+    store.register("a", np.ones((2, 2)))
+    store.register("b", np.array(3.0))
+    view = store.get("a")
+    store.set("a", np.full((2, 2), 5.0))
+    assert np.all(view == 5.0) and store.values.tolist() == [5.0] * 4 + [3.0]
+    store.set_grad("b", 2.0)
+    assert store.grads.tolist() == [0.0] * 4 + [2.0]
+    assert store.grad("b").shape == () and store.grad("b") == 2.0
+    store.zero_grad()
+    assert not store.grads.any()
+    assert [name for name, _ in store.items()] == store.names() == ["a", "b"]
+    assert store.locate(4) == ("b", 0) and store.locate(1) == ("a", 1)
+
+
+def test_set_grad_rejects_a_wrong_shape():
+    store = ParameterStore()
+    store.register("x", np.zeros((2, 3)))
+    for wrong in (np.zeros(6), np.zeros((3, 2)), np.zeros((1, 2, 3)), 0.0):
+        with pytest.raises(OptimError, match="'x'"):
+            store.set_grad("x", wrong)
+    assert not store.grads.any()
+
+
 def test_adam_rejects_non_finite_gradient():
     store = ParameterStore()
     store.register("x", np.zeros(2))

@@ -193,11 +193,9 @@ def _with_commentless_posts(cfg, count):
 
 def _set_pack_mask(cfg, rows):
     """Mark every step of the given pack rows invalid."""
-    store = load_store(cfg.path(pipeline.PACK))
-    mask = store.get("mask").copy()
-    mask[rows] = 0.0
-    store.set("mask", mask)
-    save_store(store, cfg.path(pipeline.PACK))
+    pack = load_store(cfg.path(pipeline.PACK))
+    pack["mask"][rows] = 0.0
+    save_store(pack, cfg.path(pipeline.PACK))
 
 
 def test_commentless_training_discussions_are_set_aside(tmp_path):
