@@ -107,7 +107,12 @@ def _build_discussion(raw, manifest, excluded_tags):
 
     known = {post.id}
     for c in kept:
-        known.add(str(c["id"]))
+        cid = str(c["id"])
+        if cid in known:  # a reply to it could not tell which one it meant
+            raise CorpusError("comment id %r in discussion %r is %s" % (
+                cid, post.id, "the post's id" if cid == post.id
+                else "used twice"))
+        known.add(cid)
     comments = []
     depth_of = {post.id: 0}
     # two passes: fix orphans first, then resolve depths along parent chains

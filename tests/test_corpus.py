@@ -35,6 +35,34 @@ def test_reply_cycle_is_named(tmp_path):
         parse_corpus(path)
 
 
+def test_duplicate_comment_id_is_named(tmp_path):
+    # two siblings named c1: a reply to c1 could go to either author
+    disc = make_discussion_json("dup", "alice", 1000, [
+        {"id": "c1", "author": "bob", "parent_id": "dup",
+         "timestamp": 1010, "body": "x."},
+        {"id": "c1", "author": "carol", "parent_id": "dup",
+         "timestamp": 1020, "body": "y."},
+        {"id": "c2", "author": "dave", "parent_id": "c1",
+         "timestamp": 1030, "body": "z."},
+    ])
+    path = write_corpus(tmp_path / "dup.jsonl", [disc])
+    with pytest.raises(CorpusError, match="comment id 'c1' in discussion "
+                                          "'dup' is used twice"):
+        parse_corpus(path)
+
+
+def test_comment_with_the_post_id_is_named(tmp_path):
+    # it would be kept at depth 0, as its own parent
+    disc = make_discussion_json("p1", "alice", 1000, [
+        {"id": "p1", "author": "bob", "parent_id": "p1",
+         "timestamp": 1010, "body": "x."},
+    ])
+    path = write_corpus(tmp_path / "same.jsonl", [disc])
+    with pytest.raises(CorpusError, match="comment id 'p1' in discussion "
+                                          "'p1' is the post's id"):
+        parse_corpus(path)
+
+
 def test_orphan_reattached_to_post(tmp_path):
     disc = make_discussion_json("o1", "alice", 1000, [
         {"id": "c0", "author": "bob", "parent_id": "missing",
