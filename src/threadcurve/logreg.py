@@ -74,8 +74,9 @@ def logreg_loss(store, X, y, l2):
 
 
 def fit_binary(X, y, l2=1e-4, seed=0, epochs=300, lr=0.1):
-    """Fit one logistic unit by full-batch Adam. Deterministic per seed
-    (zero init makes the seed moot, but the contract holds)."""
+    """Fit one logistic unit by full-batch Adam; returns (w, b, epoch
+    losses). Deterministic per seed (zero init makes the seed moot, but
+    the contract holds)."""
     del seed
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -84,9 +85,9 @@ def fit_binary(X, y, l2=1e-4, seed=0, epochs=300, lr=0.1):
     store = ParameterStore()
     store.register("w", np.zeros(X.shape[1]))
     store.register("b", np.zeros(1))
-    fit(store, [(X, y)], lambda s, batch: logreg_loss(s, *batch, l2),
-        epochs, lr)
-    return store.get("w").copy(), float(store.get("b")[0])
+    losses = fit(store, [(X, y)], lambda s, batch: logreg_loss(s, *batch, l2),
+                 epochs, lr)
+    return store.get("w").copy(), float(store.get("b")[0]), losses
 
 
 class LogRegModel:
@@ -103,10 +104,10 @@ class LogRegModel:
 
 
 def train_temporal(per_cluster_data, l2=1e-4, seed=0, epochs=300, lr=0.1):
-    """per_cluster_data: list (length n) of (X, y) arrays."""
-    weights, biases = [], []
-    for X, y in per_cluster_data:
-        w, b = fit_binary(X, y, l2=l2, seed=seed, epochs=epochs, lr=lr)
-        weights.append(w)
-        biases.append(b)
-    return LogRegModel(np.stack(weights), np.array(biases))
+    """per_cluster_data: list (length n) of (X, y) arrays. Returns the
+    model and each epoch's loss averaged over the clusters."""
+    weights, biases, losses = zip(*(
+        fit_binary(X, y, l2=l2, seed=seed, epochs=epochs, lr=lr)
+        for X, y in per_cluster_data))
+    return (LogRegModel(np.stack(weights), np.array(biases)),
+            np.mean(losses, axis=0).tolist())

@@ -30,6 +30,9 @@ VERSION = "0.1.0"
 
 PACK = "features_pack.txt"   # every model input, written by `featurize`
 
+# the widths `desk_scale` sets for quick runs
+DESK_WIDTHS = dict(d=8, n=3, N=4, w=5, h1=16, h2=8, h3=8)
+
 
 class PipelineError(Exception):
     pass
@@ -70,8 +73,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.desk_scale:
-            self.d, self.n, self.N, self.w = 8, 3, 4, 5
-            self.h1, self.h2, self.h3 = 16, 8, 8
+            defaults = {f.name: f.default for f in fields(self)}
+            for name, desk in DESK_WIDTHS.items():
+                if getattr(self, name) not in (defaults[name], desk):
+                    raise PipelineError(
+                        "desk_scale sets %s=%d; %s=%r was set as well"
+                        % (name, desk, name, getattr(self, name)))
+                setattr(self, name, desk)
         if not self.corpus_path:
             self.corpus_path = os.path.join(self.workdir, "corpus.jsonl")
         if not self.word_vectors_path:
@@ -328,7 +336,7 @@ def stage_train(cfg):
                                 "prediction step")
         log["rows_without_valid_step"] = len(train["mask"]) - rows.size
         if cfg.model == "logreg":
-            store, losses = _train_logreg_temporal(cfg, train), []
+            store, losses = _train_logreg_temporal(cfg, train)
         else:
             instances = unstack(train, rows, flat_centers=cm.centers)
             if cfg.model == "rgnet":
@@ -347,9 +355,9 @@ def _train_logreg_temporal(cfg, train):
     valid training step."""
     X = train["logreg_features"][train["mask"]]
     y = train["labels"][train["mask"]]
-    model = logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)],
-                                  seed=cfg.seed)
-    return {"weights": model.weights, "Biases": model.biases}
+    model, losses = logreg.train_temporal(
+        [(X[:, c], y[:, c]) for c in range(cfg.n)], seed=cfg.seed)
+    return {"weights": model.weights, "Biases": model.biases}, losses
 
 
 def _score(cfg):

@@ -15,22 +15,22 @@ def _separable(seed=0, n=40):
 
 def test_fits_separable_data():
     X, y = _separable()
-    w, b = lr.fit_binary(X, y, l2=1e-4)
+    w, b, _ = lr.fit_binary(X, y, l2=1e-4)
     p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
     assert np.mean((p > 0.5) == (y == 1)) == 1.0
 
 
 def test_huge_l2_collapses_to_chance():
     X, y = _separable()
-    w, b = lr.fit_binary(X, y, l2=1e6)
+    w, b, _ = lr.fit_binary(X, y, l2=1e6)
     p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
     np.testing.assert_allclose(p, 0.5, atol=1e-2)
 
 
 def test_deterministic_and_empty_rejected():
     X, y = _separable()
-    w1, b1 = lr.fit_binary(X, y, seed=0)
-    w2, b2 = lr.fit_binary(X, y, seed=123)  # zero init: seed is moot
+    w1, b1, _ = lr.fit_binary(X, y, seed=0)
+    w2, b2, _ = lr.fit_binary(X, y, seed=123)  # zero init: seed is moot
     np.testing.assert_array_equal(w1, w2)
     assert b1 == b2
     with pytest.raises(OptimError):
@@ -50,7 +50,7 @@ def test_loss_gradients_match_finite_differences():
 
 def test_model_prediction_monotone_in_positive_weight_direction():
     X, y = _separable()
-    w, b = lr.fit_binary(X, y)
+    w, b, _ = lr.fit_binary(X, y)
     model = lr.LogRegModel([w], [b])
     x = np.zeros(3)
     base, stepped = model.predict_proba(
@@ -62,11 +62,16 @@ def test_model_prediction_monotone_in_positive_weight_direction():
 def test_train_temporal_one_unit_per_cluster():
     Xa, ya = _separable(seed=1)
     Xb, yb = _separable(seed=2)
-    model = lr.train_temporal([(Xa, ya), (Xb, yb)])
+    model, losses = lr.train_temporal([(Xa, ya), (Xb, yb)])
     assert model.weights.shape == (2, 3)
     assert model.biases.shape == (2,)
     p = model.predict_proba(np.stack([Xa[-1], Xb[-1]]))
     assert p.shape == (2,) and p[1] > 0.5
+    # each epoch's loss is the mean of the clusters' losses
+    per_cluster = [lr.fit_binary(X, y)[2]
+                   for X, y in ((Xa, ya), (Xb, yb))]
+    assert losses == np.mean(per_cluster, axis=0).tolist()
+    assert len(losses) == 300 and losses[-1] < losses[0]
 
 
 def test_predict_proba_scores_every_step_and_cluster_at_once():

@@ -12,6 +12,10 @@ from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
 from threadcurve.storage import load_store, save_store, sha256_file
 
 
+# the epochs `logreg.train_temporal` runs by default
+LOGREG_EPOCHS = 300
+
+
 def mini_config(tmp_path, name="run", **kw):
     kw.setdefault("desk_scale", True)
     kw.setdefault("synth_discussions", 9)
@@ -43,6 +47,28 @@ def test_desk_scale_overrides_widths(tmp_path):
     cfg = mini_config(tmp_path)
     assert (cfg.d, cfg.n, cfg.N, cfg.w) == (8, 3, 4, 5)
     assert (cfg.h1, cfg.h2, cfg.h3) == (16, 8, 8)
+
+
+def test_desk_scale_refuses_a_set_width(tmp_path):
+    for name in pipeline.DESK_WIDTHS:
+        with pytest.raises(PipelineError, match="desk_scale sets %s=" % name):
+            mini_config(tmp_path, **{name: 32})
+    # a width at its default or at its desk value is taken as desk scale
+    assert mini_config(tmp_path, d=128, h1=16).d == 8
+    # a saved desk-scale config loads, and --desk-scale applies to a saved
+    # full-width one
+    path = str(tmp_path / "cfg.json")
+    mini_config(tmp_path).save(path)
+    assert PipelineConfig.load(path) == mini_config(tmp_path)
+    PipelineConfig(workdir=str(tmp_path / "full")).save(path)
+    args = cli.build_parser().parse_args(
+        ["--config", path, "--desk-scale", "synth"])
+    assert cli.config_from_args(args).d == 8
+    PipelineConfig(workdir=str(tmp_path / "wide"), d=64).save(path)
+    args = cli.build_parser().parse_args(
+        ["--config", path, "--desk-scale", "synth"])
+    with pytest.raises(PipelineError, match="d=64"):
+        cli.config_from_args(args)
 
 
 def test_config_save_load_roundtrip(tmp_path):
@@ -211,9 +237,20 @@ def test_commentless_training_discussions_are_set_aside(tmp_path):
         with open(cfg.path("train_log.json")) as fh:
             log = json.load(fh)
         assert log["rows_without_valid_step"] == set_aside
-        assert len(log["epoch_losses"]) == (0 if model == "logreg"
+        assert len(log["epoch_losses"]) == (LOGREG_EPOCHS if model == "logreg"
                                             else cfg.epochs)
         run_stage("evaluate", mcfg)
+
+
+def test_logreg_train_log_records_its_losses(tmp_path):
+    cfg = mini_config(tmp_path, model="logreg")
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
+                  "featurize", "train"):
+        run_stage(stage, cfg)
+    with open(cfg.path("train_log.json")) as fh:
+        losses = json.load(fh)["epoch_losses"]
+    assert len(losses) == LOGREG_EPOCHS
+    assert losses[-1] < losses[0]
 
 
 def test_no_valid_step_is_a_named_error(tmp_path):
