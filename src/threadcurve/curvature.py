@@ -60,7 +60,6 @@ def init_model(cfg, seed):
 
 
 def _as_vars(params):
-    """A Var per tensor of a training store or a loaded checkpoint."""
     return {name: Var(value) for name, value in params.items()}
 
 

@@ -15,7 +15,9 @@ class ParameterStore:
     one of gradients; `layout` maps each name to its (slice, shape)."""
 
     def __init__(self):
-        self.values, self.grads, self.layout = np.zeros(0), np.zeros(0), {}
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
+        self.layout = {}
 
     def register(self, name, value):
         """Append a tensor; views taken earlier keep the old buffers."""
@@ -90,8 +92,12 @@ class Adam:
     """Adam (Kingma & Ba, ICLR 2015) over a store's whole flat vector."""
 
     def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.store, self.t = store, 0
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.store = store
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
         self._m = np.zeros_like(store.values)
         self._v = np.zeros_like(store.values)
 

@@ -214,3 +214,16 @@ def test_grad_check_negative_control_catches_wrong_gradient():
     report = grad_check(bad_loss, store, tol=1e-4)
     assert not report["passed"]
     assert report["worst"] is not None
+
+
+def test_grad_check_fails_a_nan_gradient():
+    store = ParameterStore()
+    store.register("w", np.array([0.5, 1.5]))
+
+    def nan_loss(s):
+        w = s.get("w")
+        s.set_grad("w", np.array([2 * w[0], np.nan]))
+        return float(np.sum(w ** 2))
+
+    report = grad_check(nan_loss, store, tol=1e-4)
+    assert not report["passed"]
