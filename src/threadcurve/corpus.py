@@ -98,8 +98,14 @@ def _build_discussion(raw, manifest, excluded_tags):
         body=str(post_raw.get("body", "")),
         timestamp=int(post_raw["timestamp"]),
     )
-    kept = []
+    kept, seen = [], {post.id}
     for c in raw.get("comments", []):
+        cid = str(c["id"])
+        if cid in seen:  # a reply to it could not say which one it answers
+            raise CorpusError("comment id %r in discussion %r is %s" % (
+                cid, post.id, "the post's id" if cid == post.id
+                else "used twice"))
+        seen.add(cid)
         if str(c["author"]) in excluded_tags:
             manifest.removed_by_tag += 1
             continue
@@ -107,12 +113,7 @@ def _build_discussion(raw, manifest, excluded_tags):
 
     known = {post.id}
     for c in kept:
-        cid = str(c["id"])
-        if cid in known:  # a reply to it could not tell which one it meant
-            raise CorpusError("comment id %r in discussion %r is %s" % (
-                cid, post.id, "the post's id" if cid == post.id
-                else "used twice"))
-        known.add(cid)
+        known.add(str(c["id"]))
     comments = []
     depth_of = {post.id: 0}
     # two passes: fix orphans first, then resolve depths along parent chains

@@ -49,6 +49,11 @@ def test_duplicate_comment_id_is_named(tmp_path):
     with pytest.raises(CorpusError, match="comment id 'c1' in discussion "
                                           "'dup' is used twice"):
         parse_corpus(path)
+    # also when one of the two is removed by its author tag
+    disc["comments"][0]["author"] = "deleted"
+    path = write_corpus(tmp_path / "dup_removed.jsonl", [disc])
+    with pytest.raises(CorpusError, match="'c1' in discussion 'dup' is used"):
+        parse_corpus(path)
 
 
 def test_comment_with_the_post_id_is_named(tmp_path):
