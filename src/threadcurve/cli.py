@@ -9,6 +9,7 @@ from dataclasses import asdict
 from .corpus import CorpusError
 from .pipeline import (PipelineConfig, PipelineError, STAGE_FUNCS, run_all,
                        run_stage)
+from .storage import StoreError
 
 
 def build_parser():
@@ -75,7 +76,7 @@ def main(argv=None):
             outputs = run_all(cfg)
         else:
             outputs = run_stage(args.stage, cfg)
-    except (PipelineError, CorpusError) as exc:
+    except (PipelineError, CorpusError, StoreError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for path in outputs:

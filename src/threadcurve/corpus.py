@@ -168,7 +168,8 @@ def parse_corpus(path, filter_rules=None):
     excluded = set(filter_rules.excluded_author_tags)
     manifest = CorpusManifest()
     discussions = []
-    with open(path) as fh:
+    # read as bytes, so that a line that is not UTF-8 fails inside the `try`
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -28,7 +28,7 @@ from .storage import (atomic_write, atomic_write_json, atomic_write_text,
 
 VERSION = "0.1.0"
 
-PACK = "features_pack.txt"   # every model input, written by `featurize`
+PACK = "features_pack.bin"   # every model input, written by `featurize`
 
 # the widths `desk_scale` sets for quick runs
 DESK_WIDTHS = dict(d=8, n=3, N=4, w=5, h1=16, h2=8, h3=8)
@@ -36,6 +36,18 @@ DESK_WIDTHS = dict(d=8, n=3, N=4, w=5, h1=16, h2=8, h3=8)
 
 class PipelineError(Exception):
     pass
+
+
+# the JSON values a config file may give a field of each annotated type, as
+# (description, test); a bool is not taken for a number
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "list": ("a list of strings",
+             lambda v: type(v) is list and all(type(x) is str for x in v)),
+}
 
 
 @dataclass
@@ -113,12 +125,23 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise PipelineError("cannot read config %s: %s" % (path, exc))
+        if not isinstance(raw, dict):
+            raise PipelineError("config %s is not a JSON object" % path)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
             raise PipelineError("unknown config key(s) in %s: %s"
                                 % (path, ", ".join(unknown)))
+        for name, value in raw.items():
+            kind, test = _JSON_TYPES[types[name]]
+            if not test(value):
+                raise PipelineError("config key %s in %s must be %s, got %s"
+                                    % (name, path, kind, json.dumps(value)))
         return cls(**raw)
 
     def save(self, path):
@@ -289,8 +312,6 @@ def _model_inputs(cfg):
     n_train = len(meta["train_ids"])
     layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
     if cfg.task == "temporal":
-        pack["mask"] = pack["mask"] > 0
-        pack["user_mask"] = pack["user_mask"] > 0
         layouts["x2"] = comment_layout(meta["d_w"], cfg.d)
     if cfg.ablation:
         group, mode = cfg.ablation.split(":")

@@ -1,8 +1,8 @@
-"""Deterministic on-disk artifacts: tensor container, atomic writes, hashes.
+"""Deterministic on-disk artifacts: tensor files, atomic writes, hashes.
 
-The tensor container is a versioned text format (one header line, then per
-tensor: "tensor <name> <dim0> <dim1> ..." followed by one line of %.17g
-values). Byte-identical for identical inputs, unlike zip-based formats.
+A tensor file is a sequence of numpy records (`numpy.lib.format`): one
+record of the tensor names, then one record per tensor in that order. Each
+tensor keeps its shape and dtype, and equal tensors give equal bytes.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ import json
 import os
 
 import numpy as np
+from numpy.lib.format import read_array, write_array
 
-FORMAT_HEADER = "tensorstore v1"
-WRITE_CHUNK = 4096     # values formatted per write
+
+class StoreError(ValueError):
+    """A tensor file that `load_store` cannot read."""
 
 
 def atomic_write(write, *paths):
@@ -46,38 +48,30 @@ def sha256_file(path):
 
 
 def save_store(tensors, path):
-    """Write a name -> array mapping in the tensorstore format, a chunk of
-    values at a time, so that no string of a whole tensor is ever built."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for name, value in tensors.items():
-            fh.write("tensor %s %s\n" % (name, " ".join(str(s) for s in value.shape)))
-            flat = value.ravel()
-            for start in range(0, flat.size, WRITE_CHUNK):
-                chunk = flat[start:start + WRITE_CHUNK].tolist()
-                fh.write((" " if start else "")
-                         + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
-            fh.write("\n")
-    os.replace(tmp, path)
+    """Write a name -> array mapping (anything with `items()`) as a tensor
+    file."""
+    items = list(tensors.items())
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            write_array(fh, np.array([name for name, _ in items], dtype=str))
+            for _, value in items:
+                write_array(fh, np.asarray(value), allow_pickle=False)
+    atomic_write(write, path)
 
 
 def load_store(path):
-    """The tensors of a tensorstore file, as a name -> array dict."""
-    tensors = {}
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != FORMAT_HEADER:
-            raise ValueError("unrecognized checkpoint format in %s" % path)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] != "tensor":
-                raise ValueError("bad tensor header %r" % line)
-            shape = tuple(int(s) for s in parts[2:])
-            text = next(fh, "")
-            # numpy reads a blank line as [-1.0]: an empty tensor is read apart
-            values = (np.zeros(0) if text.isspace()
-                      else np.fromstring(text, sep=" "))
-            tensors[parts[1]] = values.reshape(shape)
+    """The tensors of a tensor file, as a name -> array dict; raises
+    `StoreError` naming the file if it is not one."""
+    try:
+        with open(path, "rb") as fh:
+            names = read_array(fh, allow_pickle=False)
+            if names.dtype.kind != "U" or names.ndim != 1:
+                raise ValueError("its first record is not a list of names")
+            tensors = {name: read_array(fh, allow_pickle=False)
+                       for name in names.tolist()}
+            if fh.read(1):
+                raise ValueError("bytes follow the last tensor")
+    except ValueError as exc:
+        raise StoreError("unreadable tensor file %s: %s" % (path, exc)) from exc
     return tensors

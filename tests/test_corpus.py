@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import pytest
 
@@ -97,10 +99,12 @@ def test_excluded_author_tags_removed(tmp_path):
 
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"post": {"id": "x", "author": "a", "title": "t", '
-                    '"body": "", "timestamp": 1}, "comments": []}\nnot json\n')
-    with pytest.raises(CorpusError, match="line 2"):
-        parse_corpus(str(path))
+    good = (b'{"post": {"id": "x", "author": "a", "title": "t", '
+            b'"body": "", "timestamp": 1}, "comments": []}\n')
+    for bad in (b"not json\n", good.replace(b'"t"', b'"caf\xff"')):
+        path.write_bytes(good + bad)
+        with pytest.raises(CorpusError, match="line 2"):
+            parse_corpus(str(path))
 
 
 def test_comment_timestamps_clamped_to_post(tmp_path):
@@ -198,3 +202,63 @@ def test_growth_target_rejects_empty_window(tiny_corpus):
     wd = windowize(discussions[0], w=3, N=2)
     with pytest.raises(ValueError):
         growth_target(wd.windows[1])
+
+
+FUZZ_AUTHORS = ["alice", "bob", "carol", "deleted", "DeltaBot"]
+FUZZ_JUNK = [None, True, 2.5, -3, "", "12x", [], {}, ["c0"]]
+
+
+def _fuzz_line(rng, k):
+    """One JSON line of a random discussion: comment ids drawn from a small
+    pool (so some repeat or equal the post id), parents that may be
+    missing or form cycles, and now and then a dropped key, a value of the
+    wrong type, a cut line or a byte that is not UTF-8."""
+    did = "d%d" % k
+    ids = ["c%d" % i for i in range(12)] + [did]
+    comments = [{"id": rng.choice(ids[:-1] if rng.random() < 0.95 else ids),
+                 "author": rng.choice(FUZZ_AUTHORS),
+                 "parent_id": rng.choice(ids + ["gone"]),
+                 "timestamp": 1000 + rng.randrange(-20, 80),
+                 "body": "text."}
+                for _ in range(rng.randrange(6))]
+    raw = {"post": {"id": did, "author": rng.choice(FUZZ_AUTHORS),
+                    "title": "a title", "body": "b.", "timestamp": 1000},
+           "comments": comments}
+    if rng.random() < 0.3:
+        target = rng.choice([raw, raw["post"]] + comments)
+        key = rng.choice(sorted(target))
+        if rng.random() < 0.5:
+            del target[key]
+        else:
+            target[key] = rng.choice(FUZZ_JUNK)
+    line = json.dumps(raw).encode()
+    if rng.random() < 0.05:
+        line = line[:rng.randrange(len(line))]
+    if rng.random() < 0.05:
+        cut = rng.randrange(len(line))
+        line = line[:cut] + b"\xff" + line[cut:]
+    return line + b"\n"
+
+
+def test_ingest_fuzz(tmp_path):
+    rng = random.Random(0)
+    path = tmp_path / "fuzz.jsonl"
+    outcomes = {"parsed": 0, "refused": 0}
+    for _ in range(200):
+        path.write_bytes(b"".join(_fuzz_line(rng, k)
+                                  for k in range(rng.randrange(1, 4))))
+        try:
+            discussions, _ = parse_corpus(str(path))
+        except CorpusError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["parsed"] += 1
+        for d in discussions:
+            depth = {d.id: 0}
+            depth.update((c.id, c.depth) for c in d.comments)
+            assert len(depth) == len(d.comments) + 1
+            for c in d.comments:
+                assert c.depth == depth[c.parent_id] + 1
+            keys = [(c.timestamp, c.id) for c in d.comments]
+            assert keys == sorted(keys)
+    assert min(outcomes.values()) >= 40, outcomes

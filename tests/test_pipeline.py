@@ -77,6 +77,10 @@ def test_config_save_load_roundtrip(tmp_path):
     cfg.save(path)
     again = PipelineConfig.load(path)
     assert again == cfg
+    # a whole number is a number
+    with open(path, "w") as fh:
+        fh.write('{"lam": 2, "theta0": 0}')
+    assert PipelineConfig.load(path).lam == 2
 
 
 def test_stage_order_enforced(tmp_path):
@@ -120,6 +124,8 @@ def test_full_temporal_pipeline_and_manifest(tmp_path):
     header = open(cfg.path("predictions_rgnet_temporal.csv")).readline().strip()
     assert header == ("discussion_id,step,y2,y1_1,y1_2,y1_3,"
                       "pred_1,pred_2,pred_3")
+    pack = load_store(cfg.path(pipeline.PACK))
+    assert pack["mask"].dtype == pack["user_mask"].dtype == bool
 
 
 def test_stage_refuses_stale_input(tmp_path):
@@ -352,12 +358,14 @@ def test_cli_workdir_override_moves_default_paths(tmp_path):
 
 def test_cli_reports_malformed_corpus(tmp_path, capsys):
     corpus = write_corpus(tmp_path / "bad.jsonl", [make_discussion_json()])
-    with open(corpus, "a") as fh:
-        fh.write("{not json\n")
-    rc = cli.main(["--workdir", str(tmp_path / "w"), "--corpus", corpus,
-                   "ingest"])
-    assert rc == 2
-    assert "line 2" in capsys.readouterr().err
+    good = open(corpus, "rb").read()
+    for bad in (b"{not json\n", good.replace(b"a title", b"caf\xff")):
+        with open(corpus, "wb") as fh:
+            fh.write(good + bad)
+        rc = cli.main(["--workdir", str(tmp_path / "w"), "--corpus", corpus,
+                       "ingest"])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_ablation(tmp_path, capsys):
@@ -372,3 +380,38 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     bad.write_text(json.dumps({"workdir": str(tmp_path / "w"), "epoch": 3}))
     assert cli.main(["--config", str(bad), "synth"]) == 2
     assert "epoch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": "8"}', '{"d": 8,', "[1, 2]", None, '{"d": true}', '{"d": 8.0}',
+    '{"lam": "1"}', '{"theta0": null}', '{"desk_scale": 1}',
+    '{"model": 3}', '{"excluded_author_tags": "deleted"}',
+    '{"excluded_author_tags": ["deleted", 1]}'])
+def test_cli_rejects_malformed_config(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:  # None: no such file
+        path.write_text(text)
+    assert cli.main(["--config", str(path), "synth"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_cli_reports_unreadable_checkpoint(tmp_path, capsys):
+    cfg = mini_config(tmp_path)
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
+                  "featurize", "train"):
+        run_stage(stage, cfg)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    ckpt = cfg.path("model_rgnet_temporal.ckpt")
+    # a checkpoint in the text format that came before numpy records
+    with open(ckpt, "w") as fh:
+        fh.write("tensorstore v1\n"
+                 "tensor W 2 2\n0.10000000000000001 -2 1e-300 3\n"
+                 "tensor b 0\n\n"
+                 "tensor t \n7\n")
+    assert cli.main(["--config", cfg_path, "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable tensor file %s: " % ckpt)
+    assert err.count("\n") == 1
