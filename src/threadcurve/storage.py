@@ -56,7 +56,7 @@ def save_store(tensors, path):
         with open(tmp, "wb") as fh:
             write_array(fh, np.array([name for name, _ in items], dtype=str))
             for _, value in items:
-                write_array(fh, np.asarray(value), allow_pickle=False)
+                write_array(fh, value, allow_pickle=False)
     atomic_write(write, path)
 
 
