@@ -4,6 +4,14 @@ A discussion loads a learned diagonal "stress-energy" vector at each
 cluster of the user spacetime; contracting it with a learned diagonal
 inverse metric gives a per-cluster scalar curvature that drives the
 engagement and growth heads.
+
+The passes are plain numpy. `forward` and `nontemporal_forward` return
+what the reverse pass needs besides their outputs, and the losses walk
+it back by hand, writing each gradient into the parameter store. Every
+reverse step sums in the order reverse-mode autodiff over the same ops
+sums (bias gradients one leading axis at a time, weight gradients as
+x.T @ dz), so the gradients, and the models trained on them, are
+bit-identical to the tape's in `autodiff`.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Var, concat
 from .optim import fit, init_params
 
 PROB_CLIP = 1e-7
@@ -59,8 +66,43 @@ def init_model(cfg, seed):
     return store
 
 
-def _as_vars(params):
-    return {name: Var(value) for name, value in params.items()}
+def sigmoid(x):
+    """Logistic function; exp sees only -|x|, capped at 500."""
+    e = np.exp(-np.minimum(np.abs(x), 500.0))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def relu(x):
+    return x * (x > 0)
+
+
+def reverse_cumsum(g):
+    """Gradient of a prefix sum along the first axis: suffix sums of g."""
+    return g[::-1].cumsum(axis=0)[::-1]
+
+
+def sum_leading(g, ndim):
+    """g summed over its leading axes, one at a time, down to `ndim` axes:
+    the gradient of an operand that broadcast over them."""
+    while g.ndim > ndim:
+        g = g.sum(axis=0)
+    return g
+
+
+def weight_grad(dz, x):
+    """dL/dW of z = x @ W.T from dz (..., o): x.T @ dz over every row,
+    where x (..., i) may lack dz's leading axes."""
+    dz = sum_leading(dz, x.ndim)
+    return (x.reshape(-1, x.shape[-1]).T @ dz.reshape(-1, dz.shape[-1])).T
+
+
+def sigmoid_layer_backward(store, weight, bias, x, out, d_out):
+    """Gradients of out = sigmoid(x @ W.T + b) into the store from
+    dL/dout; returns dL/dx."""
+    dz = d_out * out * (1.0 - out)
+    store.set_grad(weight, weight_grad(dz, x))
+    store.set_grad(bias, sum_leading(dz, 1))
+    return dz @ store.get(weight)
 
 
 @dataclass
@@ -68,88 +110,130 @@ class ForwardTrace:
     """Whole-pass values over S steps, after any leading discussion axes:
     y1 and r_prime (..., S, n), y2 and r_total (..., S), m_diag and g_inv
     (..., S, n, d+1)."""
-    y1: Var
-    y2: Var
-    r_prime: Var = None
-    r_total: Var = None
-    m_diag: Var = None
-    g_inv: Var = None
+    y1: np.ndarray
+    y2: np.ndarray
+    r_prime: np.ndarray = None
+    r_total: np.ndarray = None
+    m_diag: np.ndarray = None
+    g_inv: np.ndarray = None
 
     @property
     def steps(self):
-        """Step i's values as views: steps[i].y1.data is y1.data[i]."""
-        return [SimpleNamespace(**{k: Var(v.data[i])
+        """Step i's values, each under `.data`: steps[i].y1.data is y1[i]."""
+        return [SimpleNamespace(**{k: SimpleNamespace(data=v[i])
                                    for k, v in vars(self).items()
                                    if v is not None})
-                for i in range(len(self.y2.data))]
+                for i in range(len(self.y2))]
 
     def y1_array(self):
-        return self.y1.data
+        return self.y1
 
     def y2_array(self):
-        return self.y2.data
+        return self.y2
 
     def g_inv_array(self):
-        return self.g_inv.data
+        return self.g_inv
 
     def m_array(self):
-        return self.m_diag.data
+        return self.m_diag
 
     def prediction(self):
         """Per-step probabilities, decisions (y1 > 0.5) and growth estimates."""
-        return {"y1": self.y1.data,
-                "decisions": (self.y1.data > 0.5).astype(int),
-                "y2": self.y2.data, "trace": self}
+        return {"y1": self.y1, "decisions": (self.y1 > 0.5).astype(int),
+                "y2": self.y2, "trace": self}
 
 
-def encode_post(pv, x1):
+def encode_post(P, x1):
     """relu(W1·x1 + B1) for post rows (..., f+d_w)."""
-    return (Var(x1) @ pv["W1"].T + pv["B1"]).relu()
+    return relu(x1 @ P["W1"].T + P["B1"])
 
 
-def encode_steps(pv, x1, x2, steps):
+def encode_steps(P, x1, x2, steps):
     """(..., steps, h1) encodings: the post, then windows 1..steps-1.
 
     The post stays a (..., 1, f+d_w) operand: a 2-D (B, f) @ W1.T is not
     bit-identical to one (1, f) row at a time, a stacked (B, 1, f) is.
     """
-    window = (Var(x2[..., :steps - 1, :]) @ pv["W2"].T + pv["B1"]).relu()
-    return concat([encode_post(pv, x1[..., None, :]), window], axis=-2)
+    window = relu(x2[..., :steps - 1, :] @ P["W2"].T + P["B1"])
+    return np.concatenate([encode_post(P, x1[..., None, :]), window], axis=-2)
 
 
-def cumulative_context(pv, encodings):
+def cumulative_context(P, encodings):
     """Row i: the exp(W3)-weighted mean of encodings[..., 0..i, :], from
-    prefix sums along the step axis."""
+    prefix sums along the step axis; returns it and its numerator."""
     steps = encodings.shape[-2]
-    omega = pv["W3"][:steps].exp()
-    numer = (omega.reshape(steps, 1) * encodings).cumsum(axis=-2)
-    return numer / omega.cumsum().reshape(steps, 1)
+    omega = np.exp(P["W3"][:steps])
+    numer = np.cumsum(omega.reshape(steps, 1) * encodings, axis=-2)
+    return numer / np.cumsum(omega).reshape(steps, 1), numer
 
 
-def stress_energy(pv, ctx, centers):
-    """Diagonal stress-energy vectors of every cluster, in (0, 1).
+def context_backward(store, kept, d_ctx):
+    """dL/dctx (S, h1) of one discussion back through the cumulative
+    context and the post and window encoders into W1, W2, B1 and W3."""
+    encodings = kept.encodings
+    steps = len(encodings)
+    omega = np.exp(store.get("W3")[:steps])
+    denom = np.cumsum(omega).reshape(steps, 1)
+    d_weighted = reverse_cumsum(d_ctx / denom)
+    d_denom = (-d_ctx * kept.numer / denom ** 2).sum(axis=1)
+    d_omega = (d_weighted * encodings).sum(axis=1) + reverse_cumsum(d_denom)
+    d_w3 = store.grad("W3")
+    d_w3[:steps] = d_omega * omega
+    d_w3[steps:] = 0.0
+    d_pre = d_weighted * omega.reshape(steps, 1) * (encodings > 0)
+    store.set_grad("W1", weight_grad(d_pre[:1], kept.x1[None, :]))
+    store.set_grad("W2", weight_grad(d_pre[1:], kept.x2[:steps - 1]))
+    store.set_grad("B1", d_pre[0] + d_pre[1:].sum(axis=0))
+
+
+def stress_energy(P, ctx, centers):
+    """Hidden layer and diagonal stress-energy vectors of every cluster,
+    in (0, 1).
 
     ctx (..., h1) pairs with centers (..., n, d+1); W5 acts on the
     concatenation [ctx, centre], split here into its ctx and centre blocks.
     """
     h1 = ctx.shape[-1]
-    from_ctx = ctx @ pv["W5"][:, :h1].T
+    from_ctx = ctx @ P["W5"][:, :h1].T
     from_ctx = from_ctx.reshape(from_ctx.shape[:-1] + (1, from_ctx.shape[-1]))
-    hidden = (from_ctx + Var(centers) @ pv["W5"][:, h1:].T + pv["B4"]).sigmoid()
-    return (hidden @ pv["W4"].T + pv["B3"]).sigmoid()
+    hidden = sigmoid(from_ctx + centers @ P["W5"][:, h1:].T + P["B4"])
+    return hidden, sigmoid(hidden @ P["W4"].T + P["B3"])
 
 
-def inverse_metric(pv, centers):
-    """Diagonal inverse metric per cluster; a pure function of the
-    time-prepended cluster centers (..., n, d+1)."""
-    hidden = (Var(centers) @ pv["W7"].T + pv["B6"]).sigmoid()
-    return (hidden @ pv["W6"].T + pv["B5"]).sigmoid()
+def inverse_metric(P, centers):
+    """Hidden layer and diagonal inverse metric per cluster; a pure
+    function of the time-prepended cluster centers (..., n, d+1)."""
+    hidden = sigmoid(centers @ P["W7"].T + P["B6"])
+    return hidden, sigmoid(hidden @ P["W6"].T + P["B5"])
 
 
-def curvature(pv, m_diag, g_inv):
+def curvature(P, m_diag, g_inv):
     """Per-cluster R' (..., n) and its W8-weighted total (...)."""
     r_prime = (m_diag * g_inv).sum(axis=-1)
-    return r_prime, r_prime @ pv["W8"]
+    return r_prime, r_prime @ P["W8"]
+
+
+def curvature_backward(store, kept, d_r_prime, d_r_total):
+    """dL/dR' and dL/dR_total back through the curvature, inverse-metric
+    and stress-energy layers into their parameters; returns dL/dctx."""
+    store.set_grad("W8", kept.r_prime.T @ d_r_total)
+    d_r = (d_r_prime + np.outer(d_r_total, store.get("W8")))[..., None]
+    d_g_inv = sum_leading(d_r * kept.m_diag, kept.g_inv.ndim)
+    d_hidden = sigmoid_layer_backward(store, "W6", "B5", kept.im_hidden,
+                                      kept.g_inv, d_g_inv)
+    sigmoid_layer_backward(store, "W7", "B6", kept.centers, kept.im_hidden,
+                           d_hidden)
+    d_hidden = sigmoid_layer_backward(store, "W4", "B3", kept.se_hidden,
+                                      kept.m_diag, d_r * kept.g_inv)
+    hidden = kept.se_hidden
+    dz = d_hidden * hidden * (1.0 - hidden)
+    d_from_ctx = dz.sum(axis=-2)
+    h1 = kept.ctx.shape[-1]
+    d_w5 = store.grad("W5")
+    d_w5[:, :h1] = weight_grad(d_from_ctx, kept.ctx)
+    d_w5[:, h1:] = weight_grad(dz, kept.centers)
+    store.set_grad("B4", sum_leading(dz, 1))
+    return d_from_ctx @ store.get("W5")[:, :h1]
 
 
 def neutral_point(d):
@@ -165,7 +249,19 @@ def neutral_point(d):
 
 
 def heads(r_prime, r_total, neutral=0.0):
-    return (r_prime - neutral).sigmoid(), r_total.relu()
+    return sigmoid(r_prime - neutral), relu(r_total)
+
+
+def _curvature_layers(P, ctx, centers):
+    """Stress-energy, inverse metric and curvature on contexts ctx
+    (..., h1) and centers (..., n, d+1), with the values the reverse pass
+    reads."""
+    se_hidden, m_diag = stress_energy(P, ctx, centers)
+    im_hidden, g_inv = inverse_metric(P, centers)
+    r_prime, r_total = curvature(P, m_diag, g_inv)
+    return SimpleNamespace(ctx=ctx, centers=centers, se_hidden=se_hidden,
+                           m_diag=m_diag, im_hidden=im_hidden, g_inv=g_inv,
+                           r_prime=r_prime, r_total=r_total)
 
 
 def forward(store, x1, x2, centers):
@@ -174,53 +270,66 @@ def forward(store, x1, x2, centers):
     x2 rows are mean feature vectors of windows 1..N (row k = window k+1);
     step i consumes the post encoding plus windows 1..i and the step-i
     spacetime centers (..., N, n, d+1). Any leading axes are discussions:
-    x1 (..., f+d_w) and x2 (..., N, f). Returns (ForwardTrace, parameter
-    Vars).
+    x1 (..., f+d_w) and x2 (..., N, f). Returns the ForwardTrace and the
+    values the reverse pass reads.
     """
     centers = np.asarray(centers, dtype=float)
-    pv = _as_vars(store)
-    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, centers.shape[-3]))
-    m_diag = stress_energy(pv, ctx, centers)
-    g_inv = inverse_metric(pv, centers)
-    r_prime, r_total = curvature(pv, m_diag, g_inv)
-    y1, y2 = heads(r_prime, r_total, neutral=neutral_point(centers.shape[-1] - 1))
-    return ForwardTrace(y1=y1, y2=y2, r_prime=r_prime, r_total=r_total,
-                        m_diag=m_diag, g_inv=g_inv), pv
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    P = dict(store.items())
+    encodings = encode_steps(P, x1, x2, centers.shape[-3])
+    ctx, numer = cumulative_context(P, encodings)
+    kept = _curvature_layers(P, ctx, centers)
+    y1, y2 = heads(kept.r_prime, kept.r_total,
+                   neutral=neutral_point(centers.shape[-1] - 1))
+    kept.x1, kept.x2, kept.encodings, kept.numer = x1, x2, encodings, numer
+    return ForwardTrace(y1=y1, y2=y2, r_prime=kept.r_prime,
+                        r_total=kept.r_total, m_diag=kept.m_diag,
+                        g_inv=kept.g_inv), kept
 
 
-def bce(p, target, axis=None):
-    """Mean binary cross-entropy with clipped probabilities."""
-    p = p.clip(PROB_CLIP, 1.0 - PROB_CLIP)
-    t = Var(np.asarray(target, dtype=float))
-    return -(t * p.log() + (1.0 - t) * (1.0 - p).log()).mean(axis=axis)
+def bce(p, target, axis=None, scale=1.0):
+    """Mean binary cross-entropy with clipped probabilities, and the
+    gradient of `scale` times it with respect to p (zero where p is
+    clipped)."""
+    q = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+    t = np.asarray(target, dtype=float)
+    not_t, not_q = 1.0 - t, 1.0 - q
+    share = 1.0 / (p.size if axis is None else p.shape[axis])
+    loss = (-(t * np.log(q) + not_t * np.log(not_q))).sum(axis=axis)
+    g = -(scale * share)
+    unclipped = (p >= PROB_CLIP) & (p <= 1.0 - PROB_CLIP)
+    return loss * share, (g * t / q - g * not_t / not_q) * unclipped
 
 
 def temporal_loss(trace, labels, growth, mask, lam=1.0):
-    """Mean over valid steps of BCE(y1, Y) + lam * (y2 - g)^2."""
+    """Mean over valid steps of BCE(y1, Y) + lam * (y2 - g)^2; returns
+    the loss and its gradients with respect to trace.y1 and trace.y2."""
     valid = np.flatnonzero(mask)
     if not valid.size:
         raise ValueError("no valid prediction steps")
-    per_step = bce(trace.y1[valid], np.asarray(labels)[valid], axis=1)
+    share = 1.0 / valid.size
+    d_y1, d_y2 = np.zeros_like(trace.y1), np.zeros_like(trace.y2)
+    per_step, d_y1[valid] = bce(trace.y1[valid], np.asarray(labels)[valid],
+                                axis=1, scale=share)
     if lam != 0.0:
         diff = trace.y2[valid] - np.asarray(growth, dtype=float)[valid]
-        per_step = per_step + lam * diff.square()
-    return per_step.mean()
-
-
-def _loss_into_store(store, pv, loss):
-    loss.backward()
-    for name, var in pv.items():
-        if var.grad is not None:  # None: not on this graph (no window path)
-            store.set_grad(name, var.grad)
-    return float(loss.data)
+        per_step = per_step + lam * diff ** 2
+        d_y2[valid] = share * lam * 2.0 * diff
+    return per_step.sum() * share, d_y1, d_y2
 
 
 def discussion_loss(store, instance, lam=1.0):
     """Forward + loss for one discussion instance; fills gradients."""
-    trace, pv = forward(store, instance["x1"], instance["x2"], instance["centers"])
-    loss = temporal_loss(trace, instance["labels"], instance["growth"],
-                         instance["mask"], lam=lam)
-    return _loss_into_store(store, pv, loss)
+    trace, kept = forward(store, instance["x1"], instance["x2"],
+                          instance["centers"])
+    loss, d_y1, d_y2 = temporal_loss(trace, instance["labels"],
+                                     instance["growth"], instance["mask"],
+                                     lam=lam)
+    d_ctx = curvature_backward(store, kept,
+                               d_y1 * trace.y1 * (1.0 - trace.y1),
+                               d_y2 * (trace.y2 > 0))
+    context_backward(store, kept, d_ctx)
+    return loss
 
 
 def train_temporal(dataset, cfg, seed=0, epochs=30, lr=1e-3):
@@ -242,13 +351,14 @@ def nontemporal_forward(store, x1, centers0):
 
     One post, x1 (f+d_w,), or a batch, x1 (B, f+d_w); centers0 (n, d+1)
     is shared by every post, so the inverse metric is computed once.
+    Returns y3 under `.data` and the values the reverse pass reads.
     """
-    pv = _as_vars(store)
-    ctx = encode_post(pv, x1)  # single-term cumulative context
-    m_diag = stress_energy(pv, ctx, centers0)
-    g_inv = inverse_metric(pv, centers0)
-    _, r_total = curvature(pv, m_diag, g_inv)
-    return r_total.sigmoid(), pv
+    P = dict(store.items())
+    x1 = np.asarray(x1, dtype=float)
+    ctx = encode_post(P, x1)  # single-term cumulative context
+    kept = _curvature_layers(P, ctx, np.asarray(centers0, dtype=float))
+    kept.x1 = x1
+    return SimpleNamespace(data=sigmoid(kept.r_total)), kept
 
 
 def predict_nontemporal(store, x1, centers0):
@@ -261,8 +371,16 @@ def predict_nontemporal(store, x1, centers0):
 def nontemporal_batch_loss(store, batch):
     """Mean BCE of y3 over a stacked batch, x1 (B, f+d_w), label (B,) and
     the shared centers0 (n, d+1); fills grads."""
-    y3, pv = nontemporal_forward(store, batch["x1"], batch["centers0"])
-    return _loss_into_store(store, pv, bce(y3, batch["label"]))
+    y3, kept = nontemporal_forward(store, batch["x1"], batch["centers0"])
+    y3 = y3.data
+    loss, d_y3 = bce(y3, batch["label"])
+    d_ctx = curvature_backward(store, kept, 0.0, d_y3 * y3 * (1.0 - y3))
+    d_pre = d_ctx * (kept.ctx > 0)
+    store.set_grad("W1", weight_grad(d_pre, kept.x1))
+    store.set_grad("B1", sum_leading(d_pre, 1))
+    store.grad("W2")[...] = 0.0  # the one-shot pass reads no window
+    store.grad("W3")[...] = 0.0
+    return float(loss)
 
 
 def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3):
@@ -271,4 +389,3 @@ def train_nontemporal(dataset, cfg, seed=0, epochs=100, lr=5e-3):
     store = init_model(cfg, seed)
     return store, fit(store, [dataset] if len(dataset["label"]) else [],
                       nontemporal_batch_loss, epochs, lr)
-

@@ -2,16 +2,19 @@
 
 Shares the post/window encoder and cumulative context with the curvature
 model, but reduces the discussion to a scalar mass and a weighted-average
-position, attracting each cluster by inverse squared distance.
+position, attracting each cluster by inverse squared distance. Like the
+curvature model, its pass is plain numpy with a hand-written reverse pass.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .autodiff import Var, concat
-from .curvature import (_as_vars, _loss_into_store, cumulative_context,
-                        encode_steps, temporal_loss, ForwardTrace)
+from .curvature import (ForwardTrace, context_backward, cumulative_context,
+                        encode_steps, relu, reverse_cumsum, sigmoid,
+                        sigmoid_layer_backward, temporal_loss)
 from .optim import fit, init_params
 
 DIST_EPS = 1e-6
@@ -36,61 +39,109 @@ def init_model(cfg, w, seed):
     return init_params(param_spec(cfg, w), seed)
 
 
-def newton_mass(pv, ctx):
-    """Scalar mass per step from the (..., S, h1) contexts: (..., S) in
-    (0, 1)."""
-    hidden = (ctx @ pv["Wp2"].T + pv["Bp1"]).sigmoid()
-    return (hidden @ pv["Wp1"].T + pv["Bp2"]).sigmoid()[..., 0]
+def newton_mass(P, ctx):
+    """Hidden layer (..., S, h2) and scalar mass per step (..., S) in
+    (0, 1), from the (..., S, h1) contexts."""
+    hidden = sigmoid(ctx @ P["Wp2"].T + P["Bp1"])
+    return hidden, sigmoid(hidden @ P["Wp1"].T + P["Bp2"])[..., 0]
 
 
-def newton_position(pv, user_vectors, mask, w, steps):
-    """(..., steps, d) positions. Row i is the exp(Wp3)-weighted mean of
-    the embedded commenters' vectors among comments 0..i·w-1, read from
-    masked prefix sums at comment i·w-1; the zero vector at step 0 and
-    while no commenter is embedded. user_vectors (..., N·w, d) and mask
-    (..., N·w)."""
+def newton_position(P, user_vectors, mask, w, steps):
+    """(..., steps, d) positions, with the numerators (..., steps-1, d) and
+    totals (..., steps-1) of rows 1 on. Row i is the exp(Wp3)-weighted
+    mean of the embedded commenters' vectors among comments 0..i·w-1,
+    read from masked prefix sums at comment i·w-1; the zero vector at
+    step 0 and while no commenter is embedded. user_vectors (..., N·w, d)
+    and mask (..., N·w)."""
     prefix = (steps - 1) * w  # the comments the last step sees
     mask = np.asarray(mask[..., :prefix], dtype=float)
-    omega = pv["Wp3"][:prefix].exp() * mask
-    numer = (omega.reshape(omega.shape + (1,))
-             * Var(user_vectors[..., :prefix, :])).cumsum(axis=-2)
+    omega = np.exp(P["Wp3"][:prefix]) * mask
+    numer = np.cumsum(omega.reshape(omega.shape + (1,))
+                      * user_vectors[..., :prefix, :], axis=-2)
     read = np.arange(1, steps) * w - 1
     # nobody embedded yet: numer is zero, and 0/1 keeps it so
     empty = np.cumsum(mask, axis=-1)[..., read] == 0
-    total = omega.cumsum(axis=-1)[..., read] + empty
-    later = numer[..., read, :] / total.reshape(total.shape + (1,))
+    total = np.cumsum(omega, axis=-1)[..., read] + empty
+    numer = numer[..., read, :]
+    later = numer / total.reshape(total.shape + (1,))
     origin = np.zeros(later.shape[:-2] + (1, later.shape[-1]))
-    return concat([Var(origin), later], axis=-2)
+    return np.concatenate([origin, later], axis=-2), numer, total
 
 
-def newton_heads(pv, mass, position, centers):
+def newton_heads(P, mass, position, centers):
     """y1[l] = sigmoid(M / (|r - C_l|^2 + eps)); y2 = relu of the weighted
     sum. mass (...), position (..., d), centers (n, d); y1 is (..., n)."""
     diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
-    d2 = (diff - Var(centers)).square().sum(axis=-1) + DIST_EPS
+    d2 = ((diff - centers) ** 2).sum(axis=-1) + DIST_EPS
     arg = mass.reshape(mass.shape + (1,)) / d2
-    return arg.sigmoid(), (arg @ pv["Wp4"]).relu(), arg
+    return sigmoid(arg), relu(arg @ P["Wp4"]), arg
 
 
 def forward(store, x1, x2, centers, user_vectors, mask, w):
     """centers here are flat d-dimensional cluster centers (no time),
     shared by every discussion; any leading axes of x1, x2, user_vectors
-    and mask are discussions."""
-    pv = _as_vars(store)
+    and mask are discussions. Returns the ForwardTrace and the values the
+    reverse pass reads."""
+    P = dict(store.items())
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    user_vectors = np.asarray(user_vectors, dtype=float)
+    centers = np.asarray(centers, dtype=float)
     steps = x2.shape[-2]
-    ctx = cumulative_context(pv, encode_steps(pv, x1, x2, steps))
-    position = newton_position(pv, user_vectors, mask, w, steps)
-    y1, y2, arg = newton_heads(pv, newton_mass(pv, ctx), position, centers)
-    return ForwardTrace(y1=y1, y2=y2, r_prime=arg), pv
+    encodings = encode_steps(P, x1, x2, steps)
+    ctx, numer = cumulative_context(P, encodings)
+    hidden, mass = newton_mass(P, ctx)
+    position, later_numer, total = newton_position(P, user_vectors, mask, w,
+                                                   steps)
+    y1, y2, arg = newton_heads(P, mass, position, centers)
+    kept = SimpleNamespace(x1=x1, x2=x2, encodings=encodings, numer=numer,
+                           ctx=ctx, hidden=hidden, mass=mass,
+                           position=position, later_numer=later_numer,
+                           total=total, w=w, centers=centers,
+                           user_vectors=user_vectors, user_mask=mask)
+    return ForwardTrace(y1=y1, y2=y2, r_prime=arg), kept
+
+
+def position_backward(store, kept, d_later):
+    """dL/dposition (S-1, d) of one discussion's rows 1.. back into Wp3."""
+    steps, w = len(d_later) + 1, kept.w
+    prefix = (steps - 1) * w
+    read = np.arange(1, steps) * w - 1
+    total = kept.total.reshape(steps - 1, 1)
+    d_numer = np.zeros((prefix, d_later.shape[-1]))
+    d_numer[read] = d_later / total
+    d_total = np.zeros(prefix)
+    d_total[read] = (-d_later * kept.later_numer / total ** 2).sum(axis=1)
+    mask = np.asarray(kept.user_mask[:prefix], dtype=float)
+    d_omega = (reverse_cumsum(d_total)
+               + (reverse_cumsum(d_numer) * kept.user_vectors[:prefix])
+               .sum(axis=1))
+    d_wp3 = store.grad("Wp3")
+    d_wp3[:prefix] = d_omega * mask * np.exp(store.get("Wp3")[:prefix])
+    d_wp3[prefix:] = 0.0
 
 
 def discussion_loss(store, instance, w, lam=1.0):
-    trace, pv = forward(store, instance["x1"], instance["x2"],
-                        instance["flat_centers"], instance["user_vectors"],
-                        instance["user_mask"], w)
-    loss = temporal_loss(trace, instance["labels"], instance["growth"],
-                         instance["mask"], lam=lam)
-    return _loss_into_store(store, pv, loss)
+    trace, kept = forward(store, instance["x1"], instance["x2"],
+                          instance["flat_centers"], instance["user_vectors"],
+                          instance["user_mask"], w)
+    loss, d_y1, d_y2 = temporal_loss(trace, instance["labels"],
+                                     instance["growth"], instance["mask"],
+                                     lam=lam)
+    arg, mass = trace.r_prime, kept.mass[:, None]
+    d_total = d_y2 * (trace.y2 > 0)
+    store.set_grad("Wp4", arg.T @ d_total)
+    d_arg = d_y1 * trace.y1 * (1.0 - trace.y1) + np.outer(d_total,
+                                                          store.get("Wp4"))
+    delta = kept.position[:, None, :] - kept.centers
+    d2 = (delta ** 2).sum(axis=-1) + DIST_EPS
+    d_delta = (-d_arg * mass / d2 ** 2)[..., None] * 2.0 * delta
+    position_backward(store, kept, d_delta.sum(axis=1)[1:])
+    d_hidden = sigmoid_layer_backward(store, "Wp1", "Bp2", kept.hidden, mass,
+                                      (d_arg / d2).sum(axis=1)[:, None])
+    d_ctx = sigmoid_layer_backward(store, "Wp2", "Bp1", kept.ctx, kept.hidden,
+                                   d_hidden)
+    context_backward(store, kept, d_ctx)
+    return loss
 
 
 def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):

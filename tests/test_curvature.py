@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from threadcurve import curvature as cv
-from threadcurve.autodiff import Var
 from threadcurve.optim import grad_check
 from conftest import toy_config, toy_instance, toy_split
 
@@ -53,7 +52,7 @@ def test_forward_matches_numpy_oracle():
     y1o, y2o, rpo = oracle_forward(store, inst, cfg)
     np.testing.assert_allclose(trace.y1_array(), y1o, atol=1e-12)
     np.testing.assert_allclose(trace.y2_array(), y2o, atol=1e-12)
-    np.testing.assert_allclose(trace.r_prime.data, rpo, atol=1e-12)
+    np.testing.assert_allclose(trace.r_prime, rpo, atol=1e-12)
 
 
 def test_zero_parameters_sit_at_the_neutral_point():
@@ -64,7 +63,7 @@ def test_zero_parameters_sit_at_the_neutral_point():
     trace, _ = cv.forward(store, inst["x1"], inst["x2"], inst["centers"])
     np.testing.assert_allclose(trace.m_array(), 0.5, atol=1e-15)
     np.testing.assert_allclose(trace.g_inv_array(), 0.5, atol=1e-15)
-    np.testing.assert_allclose(trace.r_prime.data, cv.neutral_point(cfg.d),
+    np.testing.assert_allclose(trace.r_prime, cv.neutral_point(cfg.d),
                                atol=1e-14)
     # engagement probabilities land exactly on the decision boundary
     np.testing.assert_allclose(trace.y1_array(), 0.5, atol=1e-14)
@@ -77,32 +76,36 @@ def test_neutral_point_value():
 
 
 def test_heads_default_frozen_values():
-    y1, y2 = cv.heads(Var(np.array([1.0, -1.0])), Var(np.array(-2.0)))
-    np.testing.assert_allclose(y1.data, [0.7310585786300049,
-                                         0.2689414213699951], atol=1e-12)
-    assert float(y2.data) == 0.0
-    _, y2b = cv.heads(Var(np.array([0.0])), Var(np.array(1.5)))
-    assert float(y2b.data) == 1.5
+    y1, y2 = cv.heads(np.array([1.0, -1.0]), np.array(-2.0))
+    np.testing.assert_allclose(y1, [0.7310585786300049,
+                                    0.2689414213699951], atol=1e-12)
+    assert float(y2) == 0.0
+    _, y2b = cv.heads(np.array([0.0]), np.array(1.5))
+    assert float(y2b) == 1.5
 
 
 def test_cumulative_context_weighted_prefix_mean():
     cfg = toy_config()
     store = _zeroed(cv.init_model(cfg, seed=0))
     store.set("W3", np.array([0.0, np.log(3.0), 0.0, 0.0]))
-    pv = cv._as_vars(store)
-    ctx = cv.cumulative_context(pv, Var(np.eye(2)))
+    ctx, _ = cv.cumulative_context(dict(store.items()), np.eye(2))
     # row 0 is the post alone; row 1 weighs it 1:3 against window 1
-    np.testing.assert_allclose(ctx.data, [[1.0, 0.0], [0.25, 0.75]],
+    np.testing.assert_allclose(ctx, [[1.0, 0.0], [0.25, 0.75]],
                                atol=1e-14)
 
 
 def test_bce_at_half_is_log_two():
-    p = Var(np.full(8, 0.5))
+    p = np.full(8, 0.5)
     t = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=float)
-    assert float(cv.bce(p, t).data) == pytest.approx(np.log(2.0), abs=1e-12)
-    # clipping keeps extreme probabilities finite
-    assert np.isfinite(float(cv.bce(Var(np.array([0.0, 1.0])),
-                                    np.array([1.0, 0.0])).data))
+    loss, grad = cv.bce(p, t)
+    assert float(loss) == pytest.approx(np.log(2.0), abs=1e-12)
+    # d/dp at one half: -2/8 for a positive label, +2/8 for a negative
+    np.testing.assert_allclose(grad, np.where(t == 1, -0.25, 0.25),
+                               atol=1e-15)
+    # clipping keeps extreme probabilities finite and stops their gradient
+    loss, grad = cv.bce(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    assert np.isfinite(float(loss))
+    assert np.all(grad == 0.0)
 
 
 def test_outputs_in_valid_ranges():
@@ -117,7 +120,7 @@ def test_outputs_in_valid_ranges():
         assert np.all(trace.y2_array() >= 0)
         assert np.all(trace.m_array() > 0) and np.all(trace.m_array() < 1)
         assert np.all(trace.g_inv_array() > 0) and np.all(trace.g_inv_array() < 1)
-        assert np.all(trace.r_prime.data > 0)
+        assert np.all(trace.r_prime > 0)
 
 
 def test_causality_future_windows_do_not_leak():
