@@ -86,27 +86,36 @@ class FilterConfig:
     min_user_discussions: int = 2
 
 
+def _get(raw, key, owner):
+    """raw[key]; a missing key is a ValueError naming it and its owner."""
+    try:
+        return raw[key]
+    except KeyError:
+        raise ValueError("%s lacks key %r" % (owner, key)) from None
+
+
 def _build_discussion(raw, manifest, excluded_tags):
-    post_raw = raw["post"]
-    title = post_raw["title"]
+    post_raw = _get(raw, "post", "the line")
+    owner = "post %r" % str(_get(post_raw, "id", "the post"))
+    title = _get(post_raw, "title", owner)
     if not title.strip():
         raise CorpusError("post %r has empty title" % post_raw["id"])
     post = Post(
         id=str(post_raw["id"]),
-        author=str(post_raw["author"]),
+        author=str(_get(post_raw, "author", owner)),
         title=title,
         body=str(post_raw.get("body", "")),
-        timestamp=int(post_raw["timestamp"]),
+        timestamp=int(_get(post_raw, "timestamp", owner)),
     )
     kept, seen = [], {post.id}
-    for c in raw.get("comments", []):
-        cid = str(c["id"])
+    for k, c in enumerate(raw.get("comments", [])):
+        cid = str(_get(c, "id", "comment %d of post %r" % (k, post.id)))
         if cid in seen:  # a reply to it could not say which one it answers
             raise CorpusError("comment id %r in discussion %r is %s" % (
                 cid, post.id, "the post's id" if cid == post.id
                 else "used twice"))
         seen.add(cid)
-        if str(c["author"]) in excluded_tags:
+        if str(_get(c, "author", "comment %r" % cid)) in excluded_tags:
             manifest.removed_by_tag += 1
             continue
         kept.append(c)
@@ -119,7 +128,9 @@ def _build_discussion(raw, manifest, excluded_tags):
     # two passes: fix orphans first, then resolve depths along parent chains
     fixed = []
     for c in kept:
-        parent = str(c["parent_id"])
+        where = "comment %r" % str(c["id"])
+        _get(c, "timestamp", where)  # read below, once depths resolve
+        parent = str(_get(c, "parent_id", where))
         if parent not in known:
             parent = post.id
             manifest.orphans_reattached += 1
@@ -167,7 +178,7 @@ def parse_corpus(path, filter_rules=None):
         filter_rules = FilterConfig()
     excluded = set(filter_rules.excluded_author_tags)
     manifest = CorpusManifest()
-    discussions = []
+    discussions, line_of = [], {}
     # read as bytes, so that a line that is not UTF-8 fails inside the `try`
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -181,6 +192,10 @@ def parse_corpus(path, filter_rules=None):
                 raise
             except Exception as exc:
                 raise CorpusError("malformed corpus line %d: %s" % (lineno, exc)) from exc
+            if disc.id in line_of:  # its predictions could not be told apart
+                raise CorpusError("post id %r on line %d repeats line %d" % (
+                    disc.id, lineno, line_of[disc.id]))
+            line_of[disc.id] = lineno
             discussions.append(disc)
 
     activity = _activity(discussions)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,40 @@ def test_comment_with_the_post_id_is_named(tmp_path):
     with pytest.raises(CorpusError, match="comment id 'p1' in discussion "
                                           "'p1' is the post's id"):
         parse_corpus(path)
+
+
+def test_repeated_post_id_is_named(tmp_path):
+    # its predictions and its balanced-split membership would be shared
+    path = write_corpus(tmp_path / "twice.jsonl", [
+        make_discussion_json("p1", "alice", 1000),
+        make_discussion_json("p2", "bob", 2000),
+        make_discussion_json("p1", "carol", 3000)])
+    with pytest.raises(CorpusError, match="post id 'p1' on line 3 repeats "
+                                          "line 1"):
+        parse_corpus(path)
+
+
+@pytest.mark.parametrize("owner,key,message", [
+    ("line", "post", "the line lacks key 'post'"),
+    ("post", "id", "the post lacks key 'id'"),
+    ("post", "title", "post 'k1' lacks key 'title'"),
+    ("post", "timestamp", "post 'k1' lacks key 'timestamp'"),
+    ("c0", "id", "comment 0 of post 'k1' lacks key 'id'"),
+    ("c1", "author", "comment 'k1_c1' lacks key 'author'"),
+    ("c1", "parent_id", "comment 'k1_c1' lacks key 'parent_id'"),
+    ("c0", "timestamp", "comment 'k1_c0' lacks key 'timestamp'"),
+])
+def test_missing_key_is_named(tmp_path, owner, key, message):
+    disc = make_discussion_json("k1", "alice", 1000,
+                                chain_comments("k1", ["bob", "carol"]))
+    target = {"line": disc, "post": disc["post"], "c0": disc["comments"][0],
+              "c1": disc["comments"][1]}[owner]
+    del target[key]
+    path = write_corpus(tmp_path / "lacks.jsonl",
+                        [make_discussion_json("k0", "dave", 500), disc])
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(path)
+    assert str(err.value) == "malformed corpus line 2: " + message
 
 
 def test_orphan_reattached_to_post(tmp_path):
@@ -243,14 +278,18 @@ def _fuzz_line(rng, k):
 def test_ingest_fuzz(tmp_path):
     rng = random.Random(0)
     path = tmp_path / "fuzz.jsonl"
-    outcomes = {"parsed": 0, "refused": 0}
+    outcomes, lacks_key = {"parsed": 0, "refused": 0}, 0
     for _ in range(200):
         path.write_bytes(b"".join(_fuzz_line(rng, k)
                                   for k in range(rng.randrange(1, 4))))
         try:
             discussions, _ = parse_corpus(str(path))
-        except CorpusError:
+        except CorpusError as exc:
             outcomes["refused"] += 1
+            # a missing key is named with its owner, never as a bare repr
+            assert not re.fullmatch(r"malformed corpus line \d+: '\w+'",
+                                    str(exc)), exc
+            lacks_key += " lacks key " in str(exc)
             continue
         outcomes["parsed"] += 1
         for d in discussions:
@@ -262,3 +301,4 @@ def test_ingest_fuzz(tmp_path):
             keys = [(c.timestamp, c.id) for c in d.comments]
             assert keys == sorted(keys)
     assert min(outcomes.values()) >= 40, outcomes
+    assert lacks_key >= 10
