@@ -3,6 +3,16 @@
 Three additive channels: direct replies (+2 per reply edge), same-discussion
 temporal closeness (sigmoid of the span ratio), and cross-discussion title
 similarity (cos of the title angle, thresholded).
+
+The semantic channel does not test every pair of discussions in Python.
+It stacks the title vectors, counts the pairs with a zero-norm title in
+closed form, and takes the Gram matrix of the unit titles in row blocks
+of `BLOCK_ROWS`: a pair whose cosine is within `CANDIDATE_SLACK` of
+cos(theta0) or above is a candidate (the blocked candidate step of
+Bayardo, Ma & Srikant, "Scaling Up All Pairs Similarity Search", WWW
+2007). Each candidate, in (a, b) order, then goes through the exact
+`title_angle` test in `accumulate_semantic`, so every key gets the same
+increments in the same order as the all-pairs loop.
 """
 
 from __future__ import annotations
@@ -12,6 +22,9 @@ import math
 import numpy as np
 
 from .text import idf_table, tokenize
+
+BLOCK_ROWS = 256         # Gram rows per block; bounds the (rows, D) temporary
+CANDIDATE_SLACK = 1e-9   # far above the rounding gap between the two cosines
 
 
 def sigmoid(x):
@@ -190,6 +203,30 @@ def accumulate_semantic(A, dm, dn, tm, tn, index, theta0):
     return 0
 
 
+def semantic_candidates(title_matrix, theta0):
+    """Candidate title pairs of a (D, dim) matrix, and the pairs skipped.
+
+    Returns (a, b, skipped): index arrays of the pairs a < b with both
+    titles non-zero and cosine >= cos(theta0) - CANDIDATE_SLACK, in
+    lexicographic order, and the number of pairs with a zero-norm title.
+    The candidates are a superset of the pairs `title_angle` keeps.
+    """
+    norms = np.linalg.norm(title_matrix, axis=1)
+    rows = np.flatnonzero(norms != 0)
+    n, D = rows.size, len(title_matrix)
+    skipped = D * (D - 1) // 2 - n * (n - 1) // 2
+    unit = title_matrix[rows] / norms[rows, None]
+    floor = math.cos(theta0) - CANDIDATE_SLACK
+    a, b = [rows[:0]], [rows[:0]]
+    for start in range(0, n, BLOCK_ROWS):
+        gram = unit[start:start + BLOCK_ROWS] @ unit[start:].T
+        i, j = np.nonzero(gram >= floor)
+        later = j > i   # both count from `start`
+        a.append(rows[start + i[later]])
+        b.append(rows[start + j[later]])
+    return np.concatenate(a), np.concatenate(b), skipped
+
+
 def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
     """Run all three channels over a corpus.
 
@@ -200,12 +237,14 @@ def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
     for d in discussions:
         accumulate_communicative(A, d, index)
         accumulate_temporal(A, d, index)
-    skipped = 0
-    for a in range(len(discussions)):
-        for b in range(a + 1, len(discussions)):
-            dm, dn = discussions[a], discussions[b]
-            skipped += accumulate_semantic(
-                A, dm, dn, title_vecs[dm.id], title_vecs[dn.id], index, theta0)
+    if len(discussions) < 2:
+        return A, 0
+    a, b, skipped = semantic_candidates(
+        np.array([title_vecs[d.id] for d in discussions], dtype=float), theta0)
+    for m, n in zip(a.tolist(), b.tolist()):
+        dm, dn = discussions[m], discussions[n]
+        accumulate_semantic(A, dm, dn, title_vecs[dm.id], title_vecs[dn.id],
+                            index, theta0)
     return A, skipped
 
 

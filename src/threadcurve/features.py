@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import CorpusError
 from .text import (count_closing_punct, count_urls, idf_table, sentences,
                    tokenize)
 
@@ -29,23 +30,68 @@ class Lexicons:
         return len(next(iter(self.word_vectors.values())))
 
 
+class LexiconError(CorpusError):
+    """A word-vector or sentiment file that cannot be read; the message
+    names the file and the line."""
+
+
+def _rows(path):
+    """(line number, fields) of every non-blank line of a lexicon file."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                fields = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise LexiconError("%s line %d is not UTF-8"
+                                   % (path, number)) from None
+            if fields:
+                yield number, fields
+
+
+def _finite(path, number, fields):
+    """The fields of line `number` of `path` as floats."""
+    values = []
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise LexiconError("%s line %d: %r is not a finite number"
+                               % (path, number, field))
+        values.append(value)
+    return values
+
+
 def load_word_vectors(path):
-    table = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if parts:
-                table[parts[0]] = np.array([float(x) for x in parts[1:]])
+    """word -> vector. Every line is a word and its values, and every
+    vector has the width of the first one."""
+    table, width = {}, None
+    for number, parts in _rows(path):
+        vec = np.array(_finite(path, number, parts[1:]))
+        if not vec.size:
+            raise LexiconError("%s line %d: %r has no values"
+                               % (path, number, parts[0]))
+        if width is None:
+            width, first = vec.size, number
+        elif vec.size != width:
+            raise LexiconError("%s line %d: %r has %d values, line %d has %d"
+                               % (path, number, parts[0], vec.size, first,
+                                  width))
+        table[parts[0]] = vec
+    if not table:
+        raise LexiconError("%s holds no word vectors" % path)
     return table
 
 
 def load_sentiment(path):
+    """word -> score, one pair per line."""
     table = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 2:
-                table[parts[0]] = float(parts[1])
+    for number, parts in _rows(path):
+        if len(parts) != 2:
+            raise LexiconError("%s line %d: expected a word and a score, got "
+                               "%d fields" % (path, number, len(parts)))
+        table[parts[0]] = _finite(path, number, parts[1:])[0]
     return table
 
 

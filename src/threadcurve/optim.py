@@ -12,12 +12,17 @@ class OptimError(Exception):
 
 class ParameterStore:
     """Named tensors as views into one flat float64 vector of values and
-    one of gradients; `layout` maps each name to its (slice, shape)."""
+    one of gradients; `layout` maps each name to its (slice, shape).
+
+    The views are built once per buffer, in `register`, and stay valid
+    because everything else writes the buffers in place.
+    """
 
     def __init__(self):
         self.values = np.zeros(0)
         self.grads = np.zeros(0)
         self.layout = {}
+        self._views, self._grad_views = {}, {}
 
     def register(self, name, value):
         """Append a tensor; views taken earlier keep the old buffers."""
@@ -28,31 +33,37 @@ class ParameterStore:
         self.layout[name] = (slice(start, start + value.size), value.shape)
         self.values = np.append(self.values, value)
         self.grads = np.append(self.grads, np.zeros(value.size))
+        self._views = self._views_of(self.values)
+        self._grad_views = self._views_of(self.grads)
+
+    def _views_of(self, flat):
+        return {name: flat[where].reshape(shape)
+                for name, (where, shape) in self.layout.items()}
 
     def names(self):
         return list(self.layout)
 
     def items(self):
-        return [(name, self.get(name)) for name in self.layout]
+        return self._views.items()
 
-    def _view(self, flat, name, shape=None):
-        where, own = self.layout[name]
-        if shape not in (None, own):
+    def _checked(self, views, name, shape):
+        view = views[name]
+        if shape != view.shape:
             raise OptimError("shape %r for %r, expected %r"
-                             % (shape, name, own))
-        return flat[where].reshape(own)
+                             % (shape, name, view.shape))
+        return view
 
     def get(self, name):
-        return self._view(self.values, name)
+        return self._views[name]
 
     def set(self, name, value):
-        self._view(self.values, name, np.shape(value))[...] = value
+        self._checked(self._views, name, np.shape(value))[...] = value
 
     def grad(self, name):
-        return self._view(self.grads, name)
+        return self._grad_views[name]
 
     def set_grad(self, name, grad):
-        self._view(self.grads, name, np.shape(grad))[...] = grad
+        self._checked(self._grad_views, name, np.shape(grad))[...] = grad
 
     def zero_grad(self):
         self.grads.fill(0.0)

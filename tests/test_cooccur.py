@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from threadcurve import cooccur
 from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_communicative,
                                  accumulate_semantic, accumulate_temporal,
                                  build_cooccurrence, idf_title_vectors,
@@ -215,3 +216,146 @@ def test_semantic_threshold_and_increment():
     C = CooccurrenceMatrix(2)
     assert accumulate_semantic(C, dm, dn, np.zeros(2), np.ones(2), index,
                                math.pi / 12) == 1
+
+
+# ------------------------------------------------- the all-pairs loop oracle
+
+def pairwise_cooccurrence(discussions, index, title_vecs, theta0):
+    """`build_cooccurrence` as it was before the blocked candidate step:
+    `accumulate_semantic` on every pair of discussions."""
+    A = CooccurrenceMatrix(len(index))
+    for d in discussions:
+        accumulate_communicative(A, d, index)
+        accumulate_temporal(A, d, index)
+    skipped = 0
+    for a in range(len(discussions)):
+        for b in range(a + 1, len(discussions)):
+            dm, dn = discussions[a], discussions[b]
+            skipped += accumulate_semantic(
+                A, dm, dn, title_vecs[dm.id], title_vecs[dn.id], index, theta0)
+    return A, skipped
+
+
+THETA0 = math.pi / 12
+
+
+def _random_corpus(titles, seed):
+    """One discussion per title row, each with a few comments by users
+    from a small pool, so that title pairs share keys."""
+    rng = np.random.default_rng(seed)
+    discussions = []
+    for k in range(len(titles)):
+        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(12))
+        comments, parents = [], [post.id]
+        for c in range(int(rng.integers(0, 4))):
+            comments.append(SimpleNamespace(
+                id="p%d_c%d" % (k, c), author="u%d" % rng.integers(12),
+                parent_id=parents[int(rng.integers(len(parents)))],
+                timestamp=10 * (c + 1)))
+            parents.append(comments[-1].id)
+        discussions.append(SimpleNamespace(id=post.id, post=post,
+                                           comments=comments, t_start=0,
+                                           t_end=10 * len(comments)))
+    index = {"u%d" % u: u for u in range(10)}  # u10 and u11 not embedded
+    return discussions, index, {d.id: t for d, t in zip(discussions, titles)}
+
+
+def _at_angle(theta, scale=1.0):
+    return scale * np.array([math.cos(theta), math.sin(theta), 0.0])
+
+
+def _edge_titles(rng, count):
+    """Random 3-d titles, many within theta0 of each other, plus zero rows,
+    duplicates and pairs built at theta0 +- 1e-12."""
+    titles = list(rng.normal(size=(count, 3)) + [3.0, 0.0, 0.0])
+    titles[3] = np.zeros(3)
+    titles[7] = titles[2].copy()                  # angle 0
+    titles[8] = 2.5 * titles[2]                   # angle 0, other norm
+    for k, delta in enumerate((-1e-12, 0.0, 1e-12)):
+        titles[10 + 2 * k] = _at_angle(0.0, 0.7)
+        titles[11 + 2 * k] = _at_angle(THETA0 + delta, 3.0)
+    titles[16] = np.zeros(3)
+    return np.array(titles)
+
+
+def _assert_matches_oracle(titles, seed, theta0=THETA0):
+    discussions, index, tvecs = _random_corpus(titles, seed)
+    A, skipped = build_cooccurrence(discussions, index, tvecs, theta0)
+    B, expected = pairwise_cooccurrence(discussions, index, tvecs, theta0)
+    assert list(A.items()) == list(B.items())   # same floats, same keys
+    assert skipped == expected
+    return A, skipped
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_semantic_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    titles = _edge_titles(rng, 40)
+    A, skipped = _assert_matches_oracle(titles, seed)
+    # 39 pairs with the first zero row, 38 more with the second
+    assert skipped == 39 + 38
+    assert A.nnz > 0
+
+
+def test_blocked_semantic_matches_at_the_threshold():
+    """Pairs at theta0 - 1e-12, theta0 and theta0 + 1e-12 get the exact
+    test's verdict, whichever side of the rounding it falls."""
+    for scale in (1.0, 1e-3, 1e3):
+        titles = np.array([_at_angle(0.0, scale)]
+                          + [_at_angle(THETA0 + d, 2.0) for d in
+                             (-1e-12, -1e-15, 0.0, 1e-15, 1e-12)])
+        _assert_matches_oracle(titles, 5)
+
+
+def test_candidates_keep_the_slack_and_drop_the_rest():
+    titles = np.array([_at_angle(0.0), _at_angle(THETA0 - 1e-12),
+                       _at_angle(THETA0 + 1e-12, 4.0),
+                       _at_angle(THETA0 + 1e-6), np.zeros(3)])
+    a, b, skipped = cooccur.semantic_candidates(titles, THETA0)
+    # (0, 3) is 1e-6 outside theta0, beyond the slack; row 4 is zero
+    assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (0, 2), (1, 2),
+                                                 (1, 3), (2, 3)]
+    assert skipped == 4
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_blocked_semantic_tiny_corpora(count):
+    titles = np.ones((count, 3))
+    A, skipped = _assert_matches_oracle(titles, count)
+    assert skipped == 0
+    zeros = np.zeros((count, 3))
+    assert _assert_matches_oracle(zeros, count)[1] == count * (count - 1) // 2
+
+
+def test_blocked_semantic_across_blocks(monkeypatch):
+    rng = np.random.default_rng(7)
+    # more rows than one block at the module's size, zero rows in both
+    titles = _edge_titles(rng, cooccur.BLOCK_ROWS + 44)
+    titles[cooccur.BLOCK_ROWS + 1] = 0.0
+    _assert_matches_oracle(titles, 7)
+    # block edges at every offset
+    for rows in (1, 2, 5, 17):
+        monkeypatch.setattr(cooccur, "BLOCK_ROWS", rows)
+        _assert_matches_oracle(_edge_titles(rng, 40), rows)
+
+
+def test_semantic_pairs_go_through_the_module_name(monkeypatch):
+    """Only the candidates reach `accumulate_semantic`, and they reach it
+    through the module, where a tracer can wrap it."""
+    calls = []
+    exact = cooccur.accumulate_semantic
+
+    def counted(A, dm, dn, *rest):
+        calls.append((dm.id, dn.id))
+        return exact(A, dm, dn, *rest)
+    monkeypatch.setattr(cooccur, "accumulate_semantic", counted)
+    titles = _edge_titles(np.random.default_rng(3), 40)
+    discussions, index, tvecs = _random_corpus(titles, 3)
+    build_cooccurrence(discussions, index, tvecs, THETA0)
+    kept = [(dm.id, dn.id) for k, dm in enumerate(discussions)
+            for dn in discussions[k + 1:]
+            if title_angle(tvecs[dm.id], tvecs[dn.id]) is not None
+            and title_angle(tvecs[dm.id], tvecs[dn.id]) <= THETA0]
+    order = {d.id: k for k, d in enumerate(discussions)}
+    assert kept and set(kept) <= set(calls) and len(calls) < 40 * 39 // 2
+    assert calls == sorted(calls, key=lambda p: (order[p[0]], order[p[1]]))

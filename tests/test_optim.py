@@ -168,6 +168,28 @@ def test_store_views_share_the_flat_buffers():
     assert store.locate(4) == ("b", 0) and store.locate(1) == ("a", 1)
 
 
+def test_store_views_are_built_once_per_buffer():
+    store = ParameterStore()
+    store.register("a", np.ones(3))
+    first = dict(store.items())
+    assert store.get("a") is first["a"] and store.get("a") is store.get("a")
+    assert store.grad("a") is store.grad("a")
+    # an in-place write, as Adam and grad_check make, shows in every view
+    store.values[1] = 7.0
+    assert first["a"][1] == 7.0 and store.get("a")[1] == 7.0
+    # register makes new buffers and new views; the old view keeps its own
+    store.register("b", np.zeros((2, 2)))
+    assert store.get("a") is not first["a"]
+    store.values[:] = np.arange(7.0)
+    assert store.get("a").tolist() == [0.0, 1.0, 2.0]
+    assert first["a"].tolist() == [1.0, 7.0, 1.0]
+    assert store.get("b").tolist() == [[3.0, 4.0], [5.0, 6.0]]
+    store.set_grad("b", np.ones((2, 2)))
+    assert store.grads.tolist() == [0.0] * 3 + [1.0] * 4
+    assert [(n, v.shape) for n, v in store.items()] == [("a", (3,)),
+                                                        ("b", (2, 2))]
+
+
 def test_set_grad_rejects_a_wrong_shape():
     store = ParameterStore()
     store.register("x", np.zeros((2, 3)))

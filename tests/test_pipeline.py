@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -366,6 +368,33 @@ def test_cli_reports_malformed_corpus(tmp_path, capsys):
                        "ingest"])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_reports_bad_lexicon_files(tmp_path):
+    """A bad sentiment or word-vector file ends the stage that reads it
+    with exit code 2 and one error line naming the file and the line."""
+    cfg = mini_config(tmp_path, name="lex")
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster"):
+        run_stage(stage, cfg)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(pipeline.__file__))))
+    # featurize first: a failed cooccur leaves its outputs marked unusable
+    cases = [(cfg.sentiment_path, "featurize", b"good 1\nbad minus\n",
+              "line 2: 'minus' is not a finite number"),
+             (cfg.word_vectors_path, "cooccur", b"a 1 2\nb 1\n",
+              "line 2: 'b' has 1 values, line 1 has 2"),
+             (cfg.word_vectors_path, "cooccur", b"", "holds no word vectors")]
+    for path, stage, content, message in cases:
+        with open(path, "wb") as fh:
+            fh.write(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "threadcurve.cli", "--config", cfg_path,
+             stage], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: %s %s\n" % (path, message)
 
 
 def test_cli_rejects_bad_ablation(tmp_path, capsys):

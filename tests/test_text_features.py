@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threadcurve import features as ft
-from threadcurve.corpus import parse_corpus
+from threadcurve.corpus import CorpusError, parse_corpus
 from threadcurve.text import count_closing_punct, count_urls, sentences, tokenize
 from conftest import make_lexicons
 
@@ -61,6 +61,43 @@ def test_avg_tfidf_and_latent_vector():
     assert ft.avg_tfidf("zzz", lex) == 0.0
     np.testing.assert_allclose(ft.latent_vector("a a b", lex), [2.0, 0.5])
     np.testing.assert_allclose(ft.latent_vector("zzz", lex), [0.0, 0.0])
+
+
+def test_lexicon_files_load(tmp_path):
+    wv = tmp_path / "wv.txt"
+    wv.write_text("solar 1.5 -2\n\nwind 0 1e-3\n")
+    table = ft.load_word_vectors(str(wv))
+    assert list(table) == ["solar", "wind"]
+    np.testing.assert_array_equal(table["solar"], [1.5, -2.0])
+    np.testing.assert_array_equal(table["wind"], [0.0, 0.001])
+    sent = tmp_path / "sent.txt"
+    sent.write_text("good 2.5\n\nbad -1\n")
+    assert ft.load_sentiment(str(sent)) == {"good": 2.5, "bad": -1.0}
+
+
+@pytest.mark.parametrize("loader, content, message", [
+    ("word_vectors", b"", "holds no word vectors"),
+    ("word_vectors", b"\n  \n", "holds no word vectors"),
+    ("word_vectors", b"a 1 2\nb 1 x\n", "line 2: 'x' is not a finite number"),
+    ("word_vectors", b"a 1 2\nb 1 nan\n", "line 2: 'nan' is not a finite"),
+    ("word_vectors", b"a 1 2\n\nb 1 2 3\n", "line 3: 'b' has 3 values, line 1 has 2"),
+    ("word_vectors", b"a 1 2\nb 1\n", "line 2: 'b' has 1 values, line 1 has 2"),
+    ("word_vectors", b"a\n", "line 1: 'a' has no values"),
+    ("word_vectors", b"a 1\nb\xff 1\n", "line 2 is not UTF-8"),
+    ("sentiment", b"good 1\nbad minus\n", "line 2: 'minus' is not a finite"),
+    ("sentiment", b"good inf\n", "line 1: 'inf' is not a finite number"),
+    ("sentiment", b"good 1\nbad\n", "line 2: expected a word and a score, got 1"),
+    ("sentiment", b"cool stuff 3\n", "line 1: expected a word and a score, got 3"),
+    ("sentiment", b"\xfe 1\n", "line 1 is not UTF-8"),
+])
+def test_bad_lexicon_file_is_named(tmp_path, loader, content, message):
+    path = tmp_path / "lexicon.txt"
+    path.write_bytes(content)
+    with pytest.raises(ft.LexiconError) as info:
+        getattr(ft, "load_" + loader)(str(path))
+    assert str(info.value).startswith(str(path))
+    assert message in str(info.value)
+    assert isinstance(info.value, CorpusError)  # the CLI's exit-2 errors
 
 
 def test_build_lexicons_idf_and_vocab(tiny_corpus):
