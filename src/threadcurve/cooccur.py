@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .text import idf_table, tokenize
+from .text import idf_table, text_stats, tokenize
 
 BLOCK_ROWS = 256         # Gram rows per block; bounds the (rows, D) temporary
 CANDIDATE_SLACK = 1e-9   # far above the rounding gap between the two cosines
@@ -89,21 +89,19 @@ def title_vector(title, word_vectors, idf, stopwords=frozenset()):
     the tf-idf weights sum to zero (all-new vocabulary).
     """
     dim = len(next(iter(word_vectors.values())))
-    tokens = [t for t in tokenize(title) if t not in stopwords and t in word_vectors]
-    if not tokens:
+    counts = [(t, tf) for t, tf in text_stats(title)[0]
+              if t not in stopwords and t in word_vectors]
+    if not counts:
         return np.zeros(dim)
-    counts = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
     total_w = 0.0
     acc = np.zeros(dim)
-    for t, tf in counts.items():
+    for t, tf in counts:
         wt = tf * idf.get(t, 0.0)
         if wt > 0:
             acc += wt * np.asarray(word_vectors[t], float)
             total_w += wt
     if total_w <= 0:
-        vecs = [np.asarray(word_vectors[t], float) for t in counts]
+        vecs = [np.asarray(word_vectors[t], float) for t, _ in counts]
         return np.mean(vecs, axis=0)
     return acc / total_w
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusError
-from .text import (count_closing_punct, count_urls, idf_table, sentences,
-                   tokenize)
+from .text import idf_table, text_stats, tokenize
 
 CONTENT_NAMES = ["avg_tfidf", "lix", "term_entropy", "polarity_sum",
                  "pos_words", "neg_words"]
@@ -118,11 +117,8 @@ def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):
 # ------------------------------------------------------------------ content
 
 def avg_tfidf(text, lexicons):
-    tokens = tokenize(text)
-    counts = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    scored = [(tf * lexicons.idf[t]) for t, tf in counts.items() if t in lexicons.idf]
+    scored = [(tf * lexicons.idf[t]) for t, tf in text_stats(text)[0]
+              if t in lexicons.idf]
     if not scored:
         return 0.0
     return float(sum(scored) / len(scored))
@@ -130,31 +126,28 @@ def avg_tfidf(text, lexicons):
 
 def lix(text):
     """|w|/|s| + 100*|cw|/|w| with cw = words longer than six characters."""
-    words = tokenize(text)
-    if not words:
+    pairs, n_sent = text_stats(text)[:2]
+    n_words = sum(tf for _, tf in pairs)
+    if not n_words:
         return 0.0
-    sents = sentences(text)
-    n_sent = max(1, len(sents))
-    long_words = sum(1 for w in words if len(w) > 6)
-    return len(words) / n_sent + 100.0 * long_words / len(words)
+    long_words = sum(tf for t, tf in pairs if len(t) > 6)
+    return n_words / max(1, n_sent) + 100.0 * long_words / n_words
 
 
 def term_entropy(text, vocab_size):
     """(1/|T|) * sum over text terms of tf * (log|T| - log tf)."""
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    counts = {}
-    for t in tokenize(text):
-        counts[t] = counts.get(t, 0) + 1
-    acc = sum(tf * (math.log(vocab_size) - math.log(tf)) for tf in counts.values())
+    acc = sum(tf * (math.log(vocab_size) - math.log(tf))
+              for _, tf in text_stats(text)[0])
     return acc / vocab_size
 
 
 def polarity(text, sentiment):
-    """(score sum, positive count, negative count) over unique in-table terms."""
-    terms = set(tokenize(text))
+    """(score sum, positive count, negative count) over unique in-table
+    terms, summed in order of first occurrence."""
     total, pos, neg = 0.0, 0, 0
-    for t in terms:
+    for t, _ in text_stats(text)[0]:
         score = sentiment.get(t)
         if score is None:
             continue
@@ -168,16 +161,13 @@ def polarity(text, sentiment):
 
 def latent_vector(text, lexicons):
     """(1/|C|) * sum of tf-idf weighted word vectors over unique terms."""
-    counts = {}
-    for t in tokenize(text):
-        counts[t] = counts.get(t, 0) + 1
-    in_vocab = [t for t in counts if t in lexicons.word_vectors]
-    if not in_vocab:
-        return np.zeros(lexicons.d_w)
+    in_vocab = [(t, tf) for t, tf in text_stats(text)[0]
+                if t in lexicons.word_vectors]
     acc = np.zeros(lexicons.d_w)
-    for t in in_vocab:
-        w = counts[t] * lexicons.idf.get(t, 0.0)
-        acc += w * lexicons.word_vectors[t]
+    if not in_vocab:
+        return acc
+    for t, tf in in_vocab:
+        acc += tf * lexicons.idf.get(t, 0.0) * lexicons.word_vectors[t]
     return acc / len(in_vocab)
 
 
@@ -222,19 +212,16 @@ def post_layout(d_w, d):
 
 # ----------------------------------------------------------------- featurize
 
-def _content_block(text, lexicons):
+def _text_block(text, lexicons, depth, seconds_since_post):
+    """The content then the surface features of one text."""
+    pairs, n_sent, n_urls, n_closing = text_stats(text)
+    n_words = sum(tf for _, tf in pairs)
     pol, pos, neg = polarity(text, lexicons.sentiment)
     return [avg_tfidf(text, lexicons), lix(text),
-            term_entropy(text, lexicons.vocab_size), pol, float(pos), float(neg)]
-
-
-def _surface_block(text, depth, seconds_since_post):
-    sents = sentences(text)
-    words = tokenize(text)
-    n_sent = len(sents)
-    avg_words = len(words) / n_sent if n_sent else 0.0
-    return [float(n_sent), avg_words, float(count_urls(text)), float(depth),
-            float(seconds_since_post), float(count_closing_punct(text))]
+            term_entropy(text, lexicons.vocab_size), pol, float(pos),
+            float(neg), float(n_sent), n_words / n_sent if n_sent else 0.0,
+            float(n_urls), float(depth), float(seconds_since_post),
+            float(n_closing)]
 
 
 def _user_block(author, embedding):
@@ -247,9 +234,8 @@ def _user_block(author, embedding):
 def featurize_comment(comment, discussion, lexicons, embedding):
     text = comment.text
     parts = [
-        np.asarray(_content_block(text, lexicons)),
-        np.asarray(_surface_block(text, comment.depth,
-                                  comment.timestamp - discussion.post.timestamp)),
+        _text_block(text, lexicons, comment.depth,
+                    comment.timestamp - discussion.post.timestamp),
         latent_vector(text, lexicons),
         _user_block(comment.author, embedding),
     ]
@@ -260,8 +246,7 @@ def featurize_post(discussion, lexicons, embedding, title_vec):
     post = discussion.post
     text = post.title + " " + post.body
     parts = [
-        np.asarray(_content_block(text, lexicons)),
-        np.asarray(_surface_block(text, 0, 0)),
+        _text_block(text, lexicons, 0, 0),
         latent_vector(text, lexicons),
         _user_block(post.author, embedding),
         np.asarray(title_vec, dtype=float),

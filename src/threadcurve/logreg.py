@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cooccur import reply_edges
-from .features import (CONTENT_NAMES, SURFACE_NAMES, _content_block,
-                       _surface_block)
+from .curvature import sigmoid
+from .features import CONTENT_NAMES, SURFACE_NAMES, _text_block
 from .optim import OptimError, ParameterStore, fit
 
-
-def _sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
-                    np.exp(np.clip(z, -500, 500)) / (1.0 + np.exp(np.clip(z, -500, 500))))
+# full-batch Adam settings of every logistic unit
+EPOCHS = 300
+LR = 0.1
 
 
 def feature_width(d):
@@ -38,9 +37,8 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
     for c in prefix.comments:
         merged += " " + c.text
     depth = max((c.depth for c in prefix.comments), default=0)
-    shared = np.concatenate([
-        _content_block(merged, lexicons),
-        _surface_block(merged, depth, prefix.t_end - prefix.t_start)])
+    shared = np.asarray(_text_block(merged, lexicons, depth,
+                                    prefix.t_end - prefix.t_start))
     degree = {}
     for child, parent in reply_edges(prefix):
         if child != parent:
@@ -63,7 +61,7 @@ def logreg_loss(store, X, y, l2):
     """Mean BCE + l2 penalty; fills store gradients. Returns the loss."""
     w = store.get("w")
     b = store.get("b")[0]
-    p = _sigmoid(X @ w + b)
+    p = sigmoid(X @ w + b)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
                  + l2 * (np.dot(w, w) + b * b))
@@ -73,11 +71,9 @@ def logreg_loss(store, X, y, l2):
     return loss
 
 
-def fit_binary(X, y, l2=1e-4, seed=0, epochs=300, lr=0.1):
-    """Fit one logistic unit by full-batch Adam; returns (w, b, epoch
-    losses). Deterministic per seed (zero init makes the seed moot, but
-    the contract holds)."""
-    del seed
+def fit_binary(X, y, l2=1e-4):
+    """Fit one logistic unit by full-batch Adam from zero weights; returns
+    (w, b, epoch losses)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) == 0:
@@ -86,7 +82,7 @@ def fit_binary(X, y, l2=1e-4, seed=0, epochs=300, lr=0.1):
     store.register("w", np.zeros(X.shape[1]))
     store.register("b", np.zeros(1))
     losses = fit(store, [(X, y)], lambda s, batch: logreg_loss(s, *batch, l2),
-                 epochs, lr)
+                 EPOCHS, LR)
     return store.get("w").copy(), float(store.get("b")[0]), losses
 
 
@@ -100,14 +96,13 @@ class LogRegModel:
     def predict_proba(self, x):
         """Engagement probability per cluster of every (..., n, f) row."""
         z = np.matmul(x[..., None, :], self.weights[..., None])[..., 0, 0]
-        return _sigmoid(z + self.biases)
+        return sigmoid(z + self.biases)
 
 
-def train_temporal(per_cluster_data, l2=1e-4, seed=0, epochs=300, lr=0.1):
+def train_temporal(per_cluster_data):
     """per_cluster_data: list (length n) of (X, y) arrays. Returns the
     model and each epoch's loss averaged over the clusters."""
-    weights, biases, losses = zip(*(
-        fit_binary(X, y, l2=l2, seed=seed, epochs=epochs, lr=lr)
-        for X, y in per_cluster_data))
+    weights, biases, losses = zip(*(fit_binary(X, y)
+                                    for X, y in per_cluster_data))
     return (LogRegModel(np.stack(weights), np.array(biases)),
             np.mean(losses, axis=0).tolist())

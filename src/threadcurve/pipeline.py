@@ -377,7 +377,7 @@ def _train_logreg_temporal(cfg, train):
     X = train["logreg_features"][train["mask"]]
     y = train["labels"][train["mask"]]
     model, losses = logreg.train_temporal(
-        [(X[:, c], y[:, c]) for c in range(cfg.n)], seed=cfg.seed)
+        [(X[:, c], y[:, c]) for c in range(cfg.n)])
     return {"weights": model.weights, "Biases": model.biases}, losses
 
 

@@ -1,7 +1,11 @@
-"""Tokenization and idf shared by features and title vectors."""
+"""Tokenization, per-text statistics and idf shared by features and title
+vectors. `text_stats` tokenizes a text once and keeps only the last text
+it saw: the featurizers run every formula of one text before the next."""
 
+import functools
 import math
 import re
+from collections import Counter
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -12,6 +16,14 @@ _CLOSING_RE = re.compile(r"[.!?]")
 def tokenize(text):
     """Lowercase alphanumeric tokens, punctuation stripped."""
     return _TOKEN_RE.findall(text.lower())
+
+
+@functools.lru_cache(maxsize=1)
+def text_stats(text):
+    """(pairs, sentence count, URL count, closing-punctuation count) of a
+    text; pairs holds (token, tf) in order of first occurrence."""
+    return (tuple(Counter(tokenize(text)).items()), len(sentences(text)),
+            count_urls(text), count_closing_punct(text))
 
 
 def idf_table(docs):

@@ -29,8 +29,8 @@ def test_huge_l2_collapses_to_chance():
 
 def test_deterministic_and_empty_rejected():
     X, y = _separable()
-    w1, b1, _ = lr.fit_binary(X, y, seed=0)
-    w2, b2, _ = lr.fit_binary(X, y, seed=123)  # zero init: seed is moot
+    w1, b1, _ = lr.fit_binary(X, y)
+    w2, b2, _ = lr.fit_binary(X, y)
     np.testing.assert_array_equal(w1, w2)
     assert b1 == b2
     with pytest.raises(OptimError):

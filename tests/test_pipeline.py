@@ -14,7 +14,7 @@ from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
 from threadcurve.storage import load_store, save_store, sha256_file
 
 
-# the epochs `logreg.train_temporal` runs by default
+# the epochs `logreg.train_temporal` runs
 LOGREG_EPOCHS = 300
 
 
@@ -395,6 +395,34 @@ def test_cli_reports_bad_lexicon_files(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: %s %s\n" % (path, message)
+
+
+def test_pack_does_not_depend_on_the_hash_seed(tmp_path):
+    """Two processes with different PYTHONHASHSEED write the same pack
+    bytes, with a lexicon that scores several terms of every text."""
+    lexicon = tmp_path / "sentiment.txt"
+    lexicon.write_text("".join("w%02d %r\n" % (k, (k - 19.5) / 10)
+                               for k in range(40)))  # every synth pool word
+    script = ("import sys\n"
+              "from threadcurve.pipeline import PipelineConfig, run_stage\n"
+              "cfg = PipelineConfig.load(sys.argv[1])\n"
+              "for stage in ('synth', 'ingest', 'cooccur', 'embed', "
+              "'cluster', 'featurize'):\n"
+              "    run_stage(stage, cfg)\n")
+    packs = []
+    for hash_seed in ("0", "1"):
+        cfg = mini_config(tmp_path, name="hash" + hash_seed,
+                          sentiment_path=str(lexicon))
+        cfg_path = str(tmp_path / ("hash%s.json" % hash_seed))
+        cfg.save(cfg_path)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(pipeline.__file__))))
+        subprocess.run([sys.executable, "-c", script, cfg_path], env=env,
+                       check=True)
+        with open(cfg.path(pipeline.PACK), "rb") as fh:
+            packs.append(fh.read())
+    assert packs[0] == packs[1]
 
 
 def test_cli_rejects_bad_ablation(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,19 +122,37 @@ def test_layout_widths_and_slices():
         cl.slice_of("title")
 
 
-def test_featurize_comment_matches_block_oracle(tiny_corpus):
+# (text, (sentence count, words per sentence, URL count, closing marks))
+SURFACE_CASES = [
+    pytest.param("text 1.", (1.0, 2.0, 0.0, 1.0), id="text-1"),
+    pytest.param("", (0.0, 0.0, 0.0, 0.0), id="empty"),
+    pytest.param("no closing punctuation here", (1.0, 4.0, 0.0, 0.0),
+                 id="no-closing"),
+    pytest.param("Wow!!! Really?", (2.0, 1.0, 0.0, 4.0), id="marks"),
+    pytest.param("See https://a.b/c. Then www.d.e now.",
+                 (5.0, 2.0, 2.0, 5.0), id="urls"),
+    pytest.param("alpha beta alpha. alpha gamma alpha!",
+                 (2.0, 3.0, 0.0, 2.0), id="repeated"),
+    pytest.param("good news, bad news. Good!", (2.0, 2.5, 0.0, 2.0),
+                 id="sentiment"),
+]
+
+
+@pytest.mark.parametrize("text, surface", SURFACE_CASES)
+def test_featurize_comment_matches_block_oracle(tiny_corpus, text, surface):
     discussions, _, _ = tiny_corpus
     d = discussions[0]
     lex = make_lexicons(d_w=3, extra_vocab=["text", "0", "1", "2"])
-    c = d.comments[1]
+    c = dataclasses.replace(d.comments[1], text=text)
     vec = ft.featurize_comment(c, d, lex, None)
-    pol, pos, neg = ft.polarity(c.text, lex.sentiment)
+    pol, pos, neg = ft.polarity(text, lex.sentiment)
+    n_sent, avg_words, n_urls, n_closing = surface
     oracle = np.concatenate([
-        [ft.avg_tfidf(c.text, lex), ft.lix(c.text),
-         ft.term_entropy(c.text, lex.vocab_size), pol, pos, neg],
-        [1.0, 2.0, 0.0, float(c.depth),
-         float(c.timestamp - d.post.timestamp), 1.0],
-        ft.latent_vector(c.text, lex),
+        [ft.avg_tfidf(text, lex), ft.lix(text),
+         ft.term_entropy(text, lex.vocab_size), pol, pos, neg],
+        [n_sent, avg_words, n_urls, float(c.depth),
+         float(c.timestamp - d.post.timestamp), n_closing],
+        ft.latent_vector(text, lex),
     ])
     np.testing.assert_allclose(vec, oracle, atol=1e-12)
     assert vec.shape == (ft.comment_layout(3, 0).width,)
