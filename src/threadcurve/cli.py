@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 
 from .corpus import CorpusError
+from .optim import OptimError
 from .pipeline import (PipelineConfig, PipelineError, STAGE_FUNCS, run_all,
                        run_stage)
 from .storage import StoreError
@@ -21,9 +22,6 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--workdir", help="artifact directory", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded seeded execution (the default; "
-                             "accepted for explicitness)")
     parser.add_argument("--model", choices=["rgnet", "newtonian", "logreg"],
                         default=None)
     parser.add_argument("--task", choices=["temporal", "nontemporal"],
@@ -76,7 +74,7 @@ def main(argv=None):
             outputs = run_all(cfg)
         else:
             outputs = run_stage(args.stage, cfg)
-    except (PipelineError, CorpusError, StoreError) as exc:
+    except (PipelineError, CorpusError, OptimError, StoreError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for path in outputs:

@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 T_CAP_SECONDS = 30 * 86400  # cap for the log-compressed time coordinate
+MAX_ITER = 100  # Lloyd iterations at most
+TOL = 1e-6      # stop once no center moves farther than this
 
 
 class ClusterModel:
@@ -59,7 +61,7 @@ def _kmeans_pp_init(X, n, rng):
     return centers
 
 
-def kmeans(model, n, seed=0, max_iter=100, tol=1e-6):
+def kmeans(model, n, seed=0):
     """Lloyd iterations with k-means++ seeding on the embedding vectors.
 
     Empty clusters are re-seeded from the point farthest from its center.
@@ -72,7 +74,7 @@ def kmeans(model, n, seed=0, max_iter=100, tol=1e-6):
     centers = _kmeans_pp_init(X, n, rng)
     labels = None
     prev_inertia = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(len(X)), labels].sum())
@@ -89,7 +91,7 @@ def kmeans(model, n, seed=0, max_iter=100, tol=1e-6):
                 new_centers[k] = members.mean(axis=0)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if shift <= tol:
+        if shift <= TOL:
             break
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
@@ -98,14 +100,14 @@ def kmeans(model, n, seed=0, max_iter=100, tol=1e-6):
     return ClusterModel(centers, assignment, inertia)
 
 
-def time_coordinate(elapsed_seconds, t_cap=T_CAP_SECONDS):
+def time_coordinate(elapsed_seconds):
     """Bounded log-compressed elapsed time in [0, 1]."""
     if elapsed_seconds <= 0:
         return 0.0
-    return min(1.0, math.log1p(elapsed_seconds) / math.log1p(t_cap))
+    return min(1.0, math.log1p(elapsed_seconds) / math.log1p(T_CAP_SECONDS))
 
 
-def spacetime_centers(cm, wd, t_cap=T_CAP_SECONDS):
+def spacetime_centers(cm, wd):
     """Per prediction step, the n x (d+1) matrix of time-prepended centers.
 
     Step i observes the post plus windows 1..i; its time coordinate is the
@@ -120,7 +122,7 @@ def spacetime_centers(cm, wd, t_cap=T_CAP_SECONDS):
             win = wd.windows[i - 1]
             if win.valid:
                 last_seen = win.comments[-1].timestamp
-        taus.append(time_coordinate(last_seen - post_t, t_cap))
+        taus.append(time_coordinate(last_seen - post_t))
     n, d = cm.centers.shape
     out = np.empty((wd.N, n, d + 1))
     for i, tau in enumerate(taus):

@@ -28,6 +28,10 @@ CANDIDATE_SLACK = 1e-9   # far above the rounding gap between the two cosines
 
 
 def sigmoid(x):
+    # Scalar libm code on purpose, not `curvature.sigmoid`: numpy's exp and
+    # libm's differ in the last bit for some inputs (5,371 of 700,000
+    # sigmoid values in one probe with numpy 2.4.6), and the temporal channel
+    # sums these values into the bytes of cooccur.txt.
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import features as F
 from . import logreg
-from .clustering import spacetime_centers, T_CAP_SECONDS
+from .clustering import spacetime_centers
 from .cooccur import title_vector
 from .corpus import Discussion, growth_target, window_labels, windowize
 
@@ -20,7 +20,7 @@ def title_vectors(discussions, lexicons):
 
 
 def build_temporal_dataset(discussions, w, N, lexicons, embedding,
-                           cluster_model, t_cap=T_CAP_SECONDS):
+                           cluster_model):
     """Returns (pack, post_layout, comment_layout).
 
     `pack` maps each model input to an array with one row per discussion:
@@ -71,7 +71,7 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
         rows.append({
             "x1": F.featurize_post(disc, lexicons, embedding, tvecs[disc.id]),
             "x2": x2,
-            "centers": spacetime_centers(cluster_model, wd, t_cap),
+            "centers": spacetime_centers(cluster_model, wd),
             "labels": labels,
             "mask": mask,
             "growth": growth,

@@ -30,8 +30,8 @@ class Lexicons:
 
 
 class LexiconError(CorpusError):
-    """A word-vector or sentiment file that cannot be read; the message
-    names the file and the line."""
+    """A word-vector, sentiment or stopwords file that cannot be read; the
+    message names the file and the line."""
 
 
 def _rows(path):
@@ -95,8 +95,8 @@ def load_sentiment(path):
 
 
 def load_stopwords(path):
-    with open(path) as fh:
-        return frozenset(w.strip() for w in fh if w.strip())
+    """The whitespace-separated words of a stopwords file."""
+    return frozenset(w for _, words in _rows(path) for w in words)
 
 
 def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):

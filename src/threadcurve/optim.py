@@ -6,6 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and its floor
+
+
 class OptimError(Exception):
     pass
 
@@ -102,12 +105,9 @@ def init_params(spec, seed):
 class Adam:
     """Adam (Kingma & Ba, ICLR 2015) over a store's whole flat vector."""
 
-    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, lr=1e-3):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(store.values)
         self._v = np.zeros_like(store.values)
@@ -123,11 +123,11 @@ class Adam:
         g = self.store.grads
         self._check("gradient", g)
         t = self.t + 1
-        m = self.beta1 * self._m + (1 - self.beta1) * g
-        v = self.beta2 * self._v + (1 - self.beta2) * g ** 2
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        update = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m = BETA1 * self._m + (1 - BETA1) * g
+        v = BETA2 * self._v + (1 - BETA2) * g ** 2
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
+        update = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         self._check("update", update)
         self.t, self._m, self._v = t, m, v
         self.store.values[:] = update

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict, field, fields
 import numpy as np
 
 from . import curvature, logreg, newton, synth
-from .clustering import ClusterModel, kmeans, T_CAP_SECONDS
+from .clustering import ClusterModel, kmeans
 from .cooccur import (build_cooccurrence, CooccurrenceMatrix,
                       idf_title_vectors, sparsity_profile)
 from .corpus import (FilterConfig, embedded_users, parse_corpus,
@@ -74,9 +74,6 @@ class PipelineConfig:
     holdout: float = 0.2
     epochs: int = 60
     lr: float = 3e-3
-    embed_epochs: int = 30
-    embed_lr: float = 0.05
-    t_cap: int = T_CAP_SECONDS
     min_user_discussions: int = 2
     excluded_author_tags: list = field(
         default_factory=lambda: ["deleted", "DeltaBot"])
@@ -104,9 +101,15 @@ class PipelineConfig:
 
     def _validate(self):
         for name in ("d", "w", "n", "N", "h1", "h2", "h3", "epochs",
-                     "embed_epochs", "min_user_discussions"):
+                     "min_user_discussions"):
             if getattr(self, name) < 1:
                 raise PipelineError("config field %s must be >= 1" % name)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise PipelineError("lr must be a finite number > 0, got %r"
+                                % self.lr)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise PipelineError("lam must be a finite number >= 0, got %r"
+                                % self.lam)
         if not (0 <= self.theta0 <= math.pi / 12 + 1e-12):
             raise PipelineError("theta0 must lie in [0, pi/12]")
         if not (0 < self.holdout < 1):
@@ -225,7 +228,13 @@ def stage_ingest(cfg):
 
 
 def stage_balance(cfg):
-    balanced = synth.nontemporal_balance(_load_discussions(cfg), seed=cfg.seed)
+    discussions = _load_discussions(cfg)
+    commented = sum(bool(d.comments) for d in discussions)
+    if not 0 < commented < len(discussions):
+        raise PipelineError("balance needs posts with and without comments; "
+                            "%d of %d posts have comments"
+                            % (commented, len(discussions)))
+    balanced = synth.nontemporal_balance(discussions, seed=cfg.seed)
     atomic_write_json(cfg.path("balanced_ids.json"),
                       {"ids": sorted(d.id for d in balanced)})
 
@@ -249,16 +258,21 @@ def stage_embed(cfg):
     with open(cfg.path("users.txt")) as fh:
         users = [u.strip() for u in fh if u.strip()]
     A = CooccurrenceMatrix.load(cfg.path("cooccur.txt"), len(users))
+    if not A.nnz:
+        raise PipelineError("cooccur.txt is empty: no two embedded users "
+                            "share a discussion, so there is nothing to embed")
     model, losses = train_guvec(A, users, cfg.d, seed=cfg.seed,
-                                lr=cfg.embed_lr, epochs=cfg.embed_epochs,
                                 return_losses=True)
     atomic_write(model.save, cfg.path("embeddings.txt"))
     atomic_write_json(cfg.path("embed_log.json"), {"epoch_losses": losses})
 
 
 def stage_cluster(cfg):
-    cm = kmeans(EmbeddingModel.load(cfg.path("embeddings.txt")), cfg.n,
-                seed=cfg.seed)
+    embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
+    if cfg.n > len(embedding.user_ids):
+        raise PipelineError("cannot form n=%d clusters from %d embedded users"
+                            % (cfg.n, len(embedding.user_ids)))
+    cm = kmeans(embedding, cfg.n, seed=cfg.seed)
     atomic_write(cm.save, cfg.path("clusters.txt"), cfg.path("centers.txt"))
 
 
@@ -276,7 +290,7 @@ def stage_featurize(cfg):
                          load_stopwords(cfg.stopwords_path))
     if cfg.task == "temporal":
         pack, _, _ = build_temporal_dataset(train + test, cfg.w, cfg.N, lex,
-                                            embedding, cm, t_cap=cfg.t_cap)
+                                            embedding, cm)
     else:
         pack, _ = build_nontemporal_dataset(train + test, lex, embedding)
     save_store(pack, cfg.path(PACK))

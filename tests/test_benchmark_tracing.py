@@ -73,8 +73,7 @@ def _calls_per_stage(tracer, name):
 
 def test_trace_hooks_install_run_and_uninstall(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
-                         synth_discussions=9, epochs=2, embed_epochs=5,
-                         holdout=0.25)
+                         synth_discussions=9, epochs=2, holdout=0.25)
     tracer = _traced_run(cfg)
 
     discussions, _ = parse_corpus(cfg.path("discussions.jsonl"))
@@ -93,7 +92,9 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
     assert counts["curvature.discussion_loss"] == updates
     assert counts["autodiff.backward"] == 0
     assert counts["autodiff.nodes"] == 0
-    assert counts["optim.adam_step"] == updates + cfg.embed_epochs
+    with open(cfg.path("embed_log.json")) as fh:
+        embed_epochs = len(json.load(fh)["epoch_losses"])
+    assert counts["optim.adam_step"] == updates + embed_epochs
 
     # the test split is scored through the traced name, in one pass in
     # each stage that scores it
@@ -104,7 +105,7 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
 def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
                          task="nontemporal", synth_posts=16, epochs=3,
-                         embed_epochs=5, holdout=0.25)
+                         holdout=0.25)
     tracer = _traced_run(cfg)
     assert _calls_per_stage(tracer, "curvature.predict_nontemporal") == {
         "evaluate": 1, "predict": 1}

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_discussion_json, write_corpus
+from conftest import chain_comments, make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
@@ -23,7 +23,6 @@ def mini_config(tmp_path, name="run", **kw):
     kw.setdefault("synth_discussions", 9)
     kw.setdefault("synth_posts", 16)
     kw.setdefault("epochs", 2)
-    kw.setdefault("embed_epochs", 5)
     kw.setdefault("holdout", 0.25)
     return PipelineConfig(workdir=str(tmp_path / name), **kw)
 
@@ -43,6 +42,13 @@ def test_config_validation_errors():
         PipelineConfig(d=0)
     with pytest.raises(PipelineError):
         PipelineConfig(theta0=1.0)  # above the similarity-angle cap
+    for lr in (-0.01, 0, float("inf"), float("nan")):
+        with pytest.raises(PipelineError, match="lr must be"):
+            PipelineConfig(lr=lr)
+    for lam in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(PipelineError, match="lam must be"):
+            PipelineConfig(lam=lam)
+    PipelineConfig(lam=0.0)
 
 
 def test_desk_scale_overrides_widths(tmp_path):
@@ -136,7 +142,7 @@ def test_stage_refuses_stale_input(tmp_path):
     # the same config writes the same bytes, so nothing downstream is stale
     run_stage("embed", cfg)
     run_stage("featurize", cfg)
-    changed = mini_config(tmp_path, embed_epochs=cfg.embed_epochs + 1)
+    changed = mini_config(tmp_path, seed=cfg.seed + 1)
     run_stage("embed", changed)
     with pytest.raises(PipelineError, match=(
             "stale artifact clusters.txt: embeddings.txt has changed since "
@@ -370,31 +376,101 @@ def test_cli_reports_malformed_corpus(tmp_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
+def _cli(*args):
+    """Run the command line in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(pipeline.__file__))))
+    return subprocess.run([sys.executable, "-m", "threadcurve.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def _assert_one_error_line(proc, message):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: %s\n" % message
+
+
 def test_cli_reports_bad_lexicon_files(tmp_path):
-    """A bad sentiment or word-vector file ends the stage that reads it
-    with exit code 2 and one error line naming the file and the line."""
+    """A bad sentiment, stopwords or word-vector file ends the stage that
+    reads it with exit code 2 and one error line naming the file and the
+    line."""
     cfg = mini_config(tmp_path, name="lex")
     cfg_path = str(tmp_path / "cfg.json")
     cfg.save(cfg_path)
     for stage in ("synth", "ingest", "cooccur", "embed", "cluster"):
         run_stage(stage, cfg)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(os.path.abspath(pipeline.__file__))))
     # featurize first: a failed cooccur leaves its outputs marked unusable
     cases = [(cfg.sentiment_path, "featurize", b"good 1\nbad minus\n",
               "line 2: 'minus' is not a finite number"),
+             (cfg.stopwords_path, "cooccur", b"the\ncaf\xff\n",
+              "line 2 is not UTF-8"),
              (cfg.word_vectors_path, "cooccur", b"a 1 2\nb 1\n",
               "line 2: 'b' has 1 values, line 1 has 2"),
              (cfg.word_vectors_path, "cooccur", b"", "holds no word vectors")]
     for path, stage, content, message in cases:
         with open(path, "wb") as fh:
             fh.write(content)
-        proc = subprocess.run(
-            [sys.executable, "-m", "threadcurve.cli", "--config", cfg_path,
-             stage], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == "error: %s %s\n" % (path, message)
+        _assert_one_error_line(_cli("--config", cfg_path, stage),
+                               "%s %s" % (path, message))
+
+
+def test_cli_reports_input_a_stage_cannot_use(tmp_path):
+    """A corpus that a stage cannot work with ends it with exit code 2 and
+    one error line that names the cause."""
+    def discussion(k, post_author, commenter):
+        return make_discussion_json(
+            "t%d" % k, post_author, 1000 * k,
+            chain_comments("t%d" % k, [commenter], start_t=1000 * k + 10))
+    # u, the only user in two discussions, has no one to pair with
+    lonely = [discussion(1, "p1", "u"), discussion(2, "p2", "u")]
+    # alice and bob answer each other: two embedded users, no silent post
+    pair = [discussion(1, "alice", "bob"), discussion(2, "bob", "alice")]
+    cases = [
+        (lonely, "temporal", ("ingest", "cooccur"), "embed",
+         "cooccur.txt is empty: no two embedded users share a discussion, "
+         "so there is nothing to embed"),
+        (pair, "temporal", ("ingest", "cooccur", "embed"), "cluster",
+         "cannot form n=3 clusters from 2 embedded users"),
+        (pair, "nontemporal", ("ingest",), "balance",
+         "balance needs posts with and without comments; 2 of 2 posts "
+         "have comments"),
+    ]
+    for k, (corpus, task, before, stage, message) in enumerate(cases):
+        cfg = mini_config(tmp_path, name="case%d" % k, task=task,
+                          corpus_path=write_corpus(
+                              tmp_path / ("corpus%d.jsonl" % k), corpus))
+        os.makedirs(cfg.workdir)
+        with open(cfg.word_vectors_path, "w") as fh:
+            fh.write("a 1 0\ntitle 0 1\n")
+        with open(cfg.stopwords_path, "w") as fh:
+            fh.write("the\n")
+        for earlier in before:
+            run_stage(earlier, cfg)
+        cfg_path = str(tmp_path / ("case%d.json" % k))
+        cfg.save(cfg_path)
+        _assert_one_error_line(_cli("--config", cfg_path, stage), message)
+
+
+# the diverging run overflows numpy's exp before Adam names the tensor
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_reports_bad_learning_rates(tmp_path, capsys):
+    """A learning rate that is not positive is refused when the config is
+    read; one so large that training diverges ends `train` with the
+    optimizer's error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workdir": str(tmp_path / "w"), "lr": -0.01}))
+    assert cli.main(["--config", str(path), "train"]) == 2
+    assert capsys.readouterr().err == (
+        "error: lr must be a finite number > 0, got -0.01\n")
+    cfg = mini_config(tmp_path, lr=1e300)
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
+                  "featurize"):
+        run_stage(stage, cfg)
+    cfg.save(str(path))
+    assert cli.main(["--config", str(path), "train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1
 
 
 def test_pack_does_not_depend_on_the_hash_seed(tmp_path):
@@ -434,9 +510,12 @@ def test_cli_rejects_bad_ablation(tmp_path, capsys):
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"workdir": str(tmp_path / "w"), "epoch": 3}))
-    assert cli.main(["--config", str(bad), "synth"]) == 2
-    assert "epoch" in capsys.readouterr().err
+    # a typo, and keys that are no longer settings
+    for key in ("epoch", "embed_epochs", "embed_lr", "t_cap"):
+        bad.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: 3}))
+        assert cli.main(["--config", str(bad), "synth"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config key(s) in %s: %s\n" % (bad, key))
 
 
 @pytest.mark.parametrize("text", [

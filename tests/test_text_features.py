@@ -74,6 +74,9 @@ def test_lexicon_files_load(tmp_path):
     sent = tmp_path / "sent.txt"
     sent.write_text("good 2.5\n\nbad -1\n")
     assert ft.load_sentiment(str(sent)) == {"good": 2.5, "bad": -1.0}
+    stop = tmp_path / "stop.txt"
+    stop.write_text("the\n\n  of \r\n")
+    assert ft.load_stopwords(str(stop)) == {"the", "of"}
 
 
 @pytest.mark.parametrize("loader, content, message", [
@@ -90,6 +93,7 @@ def test_lexicon_files_load(tmp_path):
     ("sentiment", b"good 1\nbad\n", "line 2: expected a word and a score, got 1"),
     ("sentiment", b"cool stuff 3\n", "line 1: expected a word and a score, got 3"),
     ("sentiment", b"\xfe 1\n", "line 1 is not UTF-8"),
+    ("stopwords", b"the\ncaf\xff\n", "line 2 is not UTF-8"),
 ])
 def test_bad_lexicon_file_is_named(tmp_path, loader, content, message):
     path = tmp_path / "lexicon.txt"
