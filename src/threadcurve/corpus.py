@@ -124,7 +124,6 @@ def _build_discussion(raw, manifest, excluded_tags):
     for c in kept:
         known.add(str(c["id"]))
     comments = []
-    depth_of = {post.id: 0}
     # two passes: fix orphans first, then resolve depths along parent chains
     fixed = []
     for c in kept:
@@ -135,23 +134,7 @@ def _build_discussion(raw, manifest, excluded_tags):
             parent = post.id
             manifest.orphans_reattached += 1
         fixed.append((c, parent))
-    parent_of = {str(c["id"]): parent for c, parent in fixed}
-
-    def depth(cid):
-        chain, on_chain = [], set()  # cid and its unresolved ancestors
-        while cid not in depth_of:
-            if cid in on_chain:
-                raise CorpusError("reply cycle through comment %r in "
-                                  "discussion %r" % (cid, post.id))
-            chain.append(cid)
-            on_chain.add(cid)
-            cid = parent_of[cid]
-        known = depth_of[cid]
-        for c in reversed(chain):
-            known += 1
-            depth_of[c] = known
-        return known
-
+    depth = _depths(post.id, {str(c["id"]): parent for c, parent in fixed})
     for c, parent in fixed:
         comments.append(Comment(
             id=str(c["id"]),
@@ -160,10 +143,31 @@ def _build_discussion(raw, manifest, excluded_tags):
             discussion_id=post.id,
             timestamp=max(int(c["timestamp"]), post.timestamp),
             text=str(c.get("body", "")),
-            depth=depth(str(c["id"])),
+            depth=depth[str(c["id"])],
         ))
     comments.sort(key=lambda c: (c.timestamp, c.id))
     return Discussion(post=post, comments=tuple(comments))
+
+
+def _depths(post_id, parent_of):
+    """Depth of every comment id in `parent_of` (comment id -> parent id),
+    along its chain of parents to the post (depth 0); a parent may come
+    later than its reply. A chain that loops raises CorpusError."""
+    depth_of = {post_id: 0}
+    for cid in parent_of:
+        chain, on_chain = [], set()  # cid and its unresolved ancestors
+        while cid not in depth_of:
+            if cid in on_chain:
+                raise CorpusError("reply cycle through comment %r in "
+                                  "discussion %r" % (cid, post_id))
+            chain.append(cid)
+            on_chain.add(cid)
+            cid = parent_of[cid]
+        known = depth_of[cid]
+        for c in reversed(chain):
+            known += 1
+            depth_of[c] = known
+    return depth_of
 
 
 def parse_corpus(path, filter_rules=None):
@@ -206,6 +210,35 @@ def parse_corpus(path, filter_rules=None):
     manifest.users = len(activity)
     manifest.single_activity_users = len(single)
     return discussions, manifest
+
+
+def read_discussions(path):
+    """The discussions of a file that `serialize_corpus` wrote from
+    `parse_corpus` output, without checking them again: that form is
+    already filtered, repaired and sorted, so only the depths are rebuilt.
+    A line that cannot be read raises CorpusError naming it."""
+    discussions = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+                post = Post(**raw["post"])
+                depth = _depths(post.id, {c["id"]: c["parent_id"]
+                                          for c in raw["comments"]})
+                comments = tuple(
+                    Comment(c["id"], c["author"], c["parent_id"], post.id,
+                            c["timestamp"], c["body"], depth[c["id"]])
+                    for c in raw["comments"])
+            except CorpusError as exc:
+                raise CorpusError("%s line %d: %s"
+                                  % (path, lineno, exc)) from None
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorpusError("%s line %d cannot be read: %r"
+                                  % (path, lineno, exc)) from None
+            discussions.append(Discussion(post, comments))
+    return discussions
 
 
 def _activity(discussions):

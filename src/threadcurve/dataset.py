@@ -1,4 +1,12 @@
-"""Assemble model-ready instances from corpus artifacts."""
+"""Assemble model-ready instances from corpus artifacts.
+
+Text features come from one array pass, `features.text_rows`, per chunk of
+discussions. It covers three kinds of text record: every post, every
+windowed comment and, for logreg, the prefix before every valid step (the
+post and the comments of the windows before it). A prefix record is the
+last one merged with one window's records (`text.merge_stats`), so no text
+is tokenized twice.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,10 @@ from . import features as F
 from . import logreg
 from .clustering import spacetime_centers
 from .cooccur import title_vector
-from .corpus import Discussion, growth_target, window_labels, windowize
+from .corpus import growth_target, window_labels, windowize
+from .text import merge_stats, text_stats
+
+CHUNK = 128  # discussions per array pass; bounds the records held at once
 
 
 def title_vectors(discussions, lexicons):
@@ -17,6 +28,38 @@ def title_vectors(discussions, lexicons):
                            lexicons.stopwords)
         for d in discussions
     }
+
+
+def _chunks(discussions):
+    for start in range(0, len(discussions), CHUNK):
+        yield start, discussions[start:start + CHUNK]
+
+
+def _post_text(disc):
+    return text_stats(disc.post.title + " " + disc.post.body)
+
+
+def _post_row(disc, text_row, embedding, tvec):
+    return np.concatenate([text_row, F._user_block(disc.post.author,
+                                                   embedding), tvec])
+
+
+def _temporal_records(disc, w, N):
+    """A discussion's text records with the depth and the seconds since the
+    post of each: the post, its first N*w comments, then one prefix per
+    valid step."""
+    comments = disc.comments[:N * w]
+    records = [_post_text(disc)] + [text_stats(c.text) for c in comments]
+    depth = [0] + [c.depth for c in comments]
+    seconds = [0] + [c.timestamp - disc.post.timestamp for c in comments]
+    prefix = records[0]
+    for k in range(0, len(comments), w):  # the step before comment k
+        if k:
+            prefix = merge_stats([prefix] + records[k - w + 1:k + 1])
+        records.append(prefix)
+        depth.append(max(depth[:k + 1]))
+        seconds.append(seconds[k])
+    return records, depth, seconds
 
 
 def build_temporal_dataset(discussions, w, N, lexicons, embedding,
@@ -33,55 +76,70 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
     post_layout = F.post_layout(lexicons.d_w, d)
     comment_layout = F.comment_layout(lexicons.d_w, d)
     tvecs = title_vectors(discussions, lexicons)
-    assignment, n = cluster_model.assignment, cluster_model.n
-    rows = []
-    for disc in discussions:
-        wd = windowize(disc, w, N)
-        x2 = np.zeros((N, comment_layout.width))
-        labels = np.zeros((N, n))
-        mask = np.zeros(N, dtype=bool)
-        growth = np.zeros(N)
-        logreg_features = np.zeros((N, n, logreg.feature_width(d)))
-        engaged_counts = np.zeros((N, n))
-        seen = np.zeros(n)
-        for k, (win, lab) in enumerate(
-                zip(wd.windows, window_labels(wd, assignment, n))):
-            engaged_counts[k] = seen
-            for c in win.comments:
-                if c.author in assignment:
-                    seen[assignment[c.author]] += 1
-            if lab is None:
-                continue
-            x2[k] = np.mean([F.featurize_comment(c, disc, lexicons, embedding)
-                             for c in win.comments], axis=0)
-            labels[k] = lab
-            mask[k] = True
-            growth[k] = growth_target(win)[1]
-            logreg_features[k] = logreg.aggregate_step_features(
-                Discussion(disc.post, disc.comments[:k * w]), cluster_model,
-                lexicons, embedding)
-
-        user_vectors = np.zeros((N * w, d))
-        user_mask = np.zeros(N * w, dtype=bool)
-        for pos, c in enumerate(disc.comments[:N * w]):
-            if c.author in embedding.index:
-                user_vectors[pos] = embedding.vector(c.author)
-                user_mask[pos] = True
-
-        rows.append({
-            "x1": F.featurize_post(disc, lexicons, embedding, tvecs[disc.id]),
-            "x2": x2,
-            "centers": spacetime_centers(cluster_model, wd),
-            "labels": labels,
-            "mask": mask,
-            "growth": growth,
-            "user_vectors": user_vectors,
-            "user_mask": user_mask,
-            "logreg_features": logreg_features,
-            "engaged_counts": engaged_counts,
-        })
-    pack = {key: np.stack([r[key] for r in rows]) for key in rows[0]}
+    n, D = cluster_model.n, len(discussions)
+    pack = {
+        "x1": np.zeros((D, post_layout.width)),
+        "x2": np.zeros((D, N, comment_layout.width)),
+        "centers": np.zeros((D, N, n, d + 1)),
+        "labels": np.zeros((D, N, n)),
+        "mask": np.zeros((D, N), dtype=bool),
+        "growth": np.zeros((D, N)),
+        "user_vectors": np.zeros((D, N * w, d)),
+        "user_mask": np.zeros((D, N * w), dtype=bool),
+        "logreg_features": np.zeros((D, N, n, logreg.feature_width(d))),
+        "engaged_counts": np.zeros((D, N, n)),
+    }
+    for start, chunk in _chunks(discussions):
+        records, depth, seconds, sizes = [], [], [], []
+        for disc in chunk:
+            more = _temporal_records(disc, w, N)
+            records += more[0]
+            depth += more[1]
+            seconds += more[2]
+            sizes.append(len(more[0]))
+        rows = F.text_rows(records, lexicons, depth, seconds)
+        for r, disc, text in zip(range(start, D), chunk,
+                                 np.split(rows, np.cumsum(sizes)[:-1])):
+            pack["x1"][r] = _post_row(disc, text[0], embedding,
+                                      tvecs[disc.id])
+            _fill_steps(pack, r, disc, text, w, N, embedding, cluster_model)
     return pack, post_layout, comment_layout
+
+
+def _fill_steps(pack, r, disc, text, w, N, embedding, cluster_model):
+    """Row r of every per-step and per-comment array of a temporal pack,
+    from the discussion's text rows (`_temporal_records` order)."""
+    assignment, n = cluster_model.assignment, cluster_model.n
+    wd = windowize(disc, w, N)
+    comments = disc.comments[:N * w]
+    m = len(comments)
+    for pos, c in enumerate(comments):
+        if c.author in embedding.index:
+            pack["user_vectors"][r, pos] = embedding.vector(c.author)
+            pack["user_mask"][r, pos] = True
+    comment_rows = np.concatenate([text[1:m + 1],
+                                   pack["user_vectors"][r, :m]], axis=1)
+    seen = np.zeros(n)
+    for k, (win, lab) in enumerate(
+            zip(wd.windows, window_labels(wd, assignment, n))):
+        pack["engaged_counts"][r, k] = seen
+        for c in win.comments:
+            if c.author in assignment:
+                seen[assignment[c.author]] += 1
+        if lab is None:
+            continue
+        # np.mean of the stacked rows adds them row by row, in window order
+        pack["x2"][r, k] = np.mean(
+            comment_rows[k * w:k * w + win.actual_count], axis=0)
+        pack["labels"][r, k] = lab
+        pack["mask"][r, k] = True
+        pack["growth"][r, k] = growth_target(win)[1]
+    steps = range(0, m, w)
+    logreg_rows = pack["logreg_features"][r, :len(steps)]
+    logreg_rows[..., :F.TEXT_WIDTH] = text[m + 1:, None, :F.TEXT_WIDTH]
+    logreg_rows[..., F.TEXT_WIDTH:] = logreg.social_blocks(
+        disc, steps, cluster_model, embedding)
+    pack["centers"][r] = spacetime_centers(cluster_model, wd)
 
 
 def build_nontemporal_dataset(discussions, lexicons, embedding):
@@ -89,9 +147,15 @@ def build_nontemporal_dataset(discussions, lexicons, embedding):
     (any comment at all), one row per discussion."""
     post_layout = F.post_layout(lexicons.d_w, embedding.dim)
     tvecs = title_vectors(discussions, lexicons)
+    x1 = np.zeros((len(discussions), post_layout.width))
+    for start, chunk in _chunks(discussions):
+        zeros = [0] * len(chunk)
+        rows = F.text_rows([_post_text(disc) for disc in chunk], lexicons,
+                           zeros, zeros)
+        for r, (disc, row) in enumerate(zip(chunk, rows), start):
+            x1[r] = _post_row(disc, row, embedding, tvecs[disc.id])
     pack = {
-        "x1": np.array([F.featurize_post(d, lexicons, embedding, tvecs[d.id])
-                        for d in discussions]),
+        "x1": x1,
         "label": np.array([1.0 if d.comments else 0.0 for d in discussions]),
     }
     return pack, post_layout

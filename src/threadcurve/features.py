@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class Lexicons:
 
     @property
     def d_w(self):
-        return len(next(iter(self.word_vectors.values())))
+        return len(next(iter(self.word_vectors.values()), ()))
 
 
 class LexiconError(CorpusError):
@@ -116,59 +116,136 @@ def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):
 
 # ------------------------------------------------------------------ content
 
+TEXT_WIDTH = len(CONTENT_NAMES) + len(SURFACE_NAMES)
+
+
+def text_rows(records, lexicons, depth, seconds):
+    """The content and surface columns, then the latent vector, of every
+    text record (`text.text_stats`): an (R, TEXT_WIDTH + d_w) array.
+    `depth` and `seconds` give each record's tree depth and seconds since
+    the post.
+
+    One array pass over (record, position) arrays; position p holds a
+    record's p-th term in order of first occurrence. Counts are integer
+    sums. Each float sum adds one position at a time across the records
+    that long, from +0.0: the additions, and their order, of a loop over
+    one text's terms, so a row does not depend on the rest of the batch.
+    A term outside a table adds +0.0, which changes no sum.
+      avg_tfidf     mean of tf * idf over the terms in the idf table
+      lix           |w|/|s| + 100 * |words longer than six|/|w|
+      term_entropy  (1/|T|) * sum of tf * (log|T| - log tf)
+      polarity      score sum, positive and negative counts over the terms
+      latent        (1/|C|) * sum of tf * idf * vector over the |C| terms
+                    with a word vector (idf 0 outside the table)
+    """
+    vocab_size = lexicons.vocab_size
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
+    R = len(records)
+    lengths = np.array([len(r.pairs) for r in records], dtype=np.intp)
+    index = {}
+    ids = np.array([index.setdefault(t, len(index))
+                    for r in records for t, _ in r.pairs], dtype=np.intp)
+    tfs = [tf for r in records for _, tf in r.pairs]
+    tf = np.array(tfs, dtype=float)
+    # per distinct token, then per position; tables give 0 where they lack
+    # a token, and the logs come from `math`, as in a loop over terms
+    idf, vectors = lexicons.idf, lexicons.word_vectors
+    idf_of = np.array([idf.get(t, 0.0) for t in index], dtype=float)
+    score_of = np.array([lexicons.sentiment.get(t, 0.0) for t in index],
+                        dtype=float)
+    vec_of = np.zeros((len(index), lexicons.d_w))
+    for k, t in enumerate(index):
+        if t in vectors:
+            vec_of[k] = vectors[t]
+    distinct = sorted(set(tfs))
+    log_v = math.log(vocab_size)
+    entropy = np.array([f * (log_v - math.log(f)) for f in distinct],
+                       dtype=float)[np.searchsorted(distinct, tf)]
+
+    record = np.repeat(np.arange(R), lengths)
+
+    def count(weights):
+        return np.bincount(record, weights, minlength=R)
+
+    def flag(test):
+        return np.array([test(t) for t in index], dtype=bool)[ids]
+
+    n_words = count(tf)
+    n_long = count(tf * flag(lambda t: len(t) > 6))
+    n_idf = count(flag(idf.__contains__))
+    n_vec = count(flag(vectors.__contains__))
+
+    # one position at a time, over the records that have it
+    order = np.argsort(-lengths, kind="stable")
+    ranked = -lengths[order]
+    starts = np.cumsum(lengths) - lengths
+    sums = np.zeros((R, 3))
+    latent = np.zeros((R, lexicons.d_w))
+    for p in range(-ranked[0] if R else 0):
+        rows = order[:np.searchsorted(ranked, -p)]
+        at = starts[rows] + p
+        k = ids[at]
+        weight = tf[at] * idf_of[k]
+        sums[rows] += np.column_stack([weight, entropy[at], score_of[k]])
+        latent[rows] += weight[:, None] * vec_of[k]
+
+    score = score_of[ids]
+    n_sent = np.array([r.sentences for r in records], dtype=float)
+    out = np.empty((R, TEXT_WIDTH + lexicons.d_w))
+    out[:, 0] = np.where(n_idf > 0, sums[:, 0] / np.maximum(n_idf, 1), 0.0)
+    out[:, 1] = np.where(n_words > 0, n_words / np.maximum(n_sent, 1)
+                         + 100.0 * n_long / np.maximum(n_words, 1), 0.0)
+    out[:, 2] = sums[:, 1] / vocab_size
+    out[:, 3] = sums[:, 2]
+    out[:, 4] = count(score > 0)
+    out[:, 5] = count(score < 0)
+    out[:, 6] = n_sent
+    out[:, 7] = np.where(n_sent > 0, n_words / np.maximum(n_sent, 1), 0.0)
+    out[:, 8] = [r.urls for r in records]
+    out[:, 9] = depth
+    out[:, 10] = seconds
+    out[:, 11] = [r.closing for r in records]
+    out[:, TEXT_WIDTH:] = latent / np.maximum(n_vec, 1)[:, None]
+    return out
+
+
+# tables for the formulas that read none, or only one
+_NO_TABLES = Lexicons(idf={}, word_vectors={}, sentiment={},
+                      stopwords=frozenset(), vocab_size=1)
+
+
+def _text_row(text, lexicons, depth=0, seconds_since_post=0):
+    """`text_rows` of one text."""
+    return text_rows([text_stats(text)], lexicons, [depth],
+                     [seconds_since_post])[0]
+
+
 def avg_tfidf(text, lexicons):
-    scored = [(tf * lexicons.idf[t]) for t, tf in text_stats(text)[0]
-              if t in lexicons.idf]
-    if not scored:
-        return 0.0
-    return float(sum(scored) / len(scored))
+    return float(_text_row(text, lexicons)[0])
 
 
 def lix(text):
     """|w|/|s| + 100*|cw|/|w| with cw = words longer than six characters."""
-    pairs, n_sent = text_stats(text)[:2]
-    n_words = sum(tf for _, tf in pairs)
-    if not n_words:
-        return 0.0
-    long_words = sum(tf for t, tf in pairs if len(t) > 6)
-    return n_words / max(1, n_sent) + 100.0 * long_words / n_words
+    return float(_text_row(text, _NO_TABLES)[1])
 
 
 def term_entropy(text, vocab_size):
     """(1/|T|) * sum over text terms of tf * (log|T| - log tf)."""
-    if vocab_size < 1:
-        raise ValueError("vocab_size must be >= 1")
-    acc = sum(tf * (math.log(vocab_size) - math.log(tf))
-              for _, tf in text_stats(text)[0])
-    return acc / vocab_size
+    return float(_text_row(text, replace(_NO_TABLES,
+                                         vocab_size=vocab_size))[2])
 
 
 def polarity(text, sentiment):
     """(score sum, positive count, negative count) over unique in-table
     terms, summed in order of first occurrence."""
-    total, pos, neg = 0.0, 0, 0
-    for t, _ in text_stats(text)[0]:
-        score = sentiment.get(t)
-        if score is None:
-            continue
-        total += score
-        if score > 0:
-            pos += 1
-        elif score < 0:
-            neg += 1
-    return total, pos, neg
+    row = _text_row(text, replace(_NO_TABLES, sentiment=sentiment))
+    return float(row[3]), int(row[4]), int(row[5])
 
 
 def latent_vector(text, lexicons):
     """(1/|C|) * sum of tf-idf weighted word vectors over unique terms."""
-    in_vocab = [(t, tf) for t, tf in text_stats(text)[0]
-                if t in lexicons.word_vectors]
-    acc = np.zeros(lexicons.d_w)
-    if not in_vocab:
-        return acc
-    for t, tf in in_vocab:
-        acc += tf * lexicons.idf.get(t, 0.0) * lexicons.word_vectors[t]
-    return acc / len(in_vocab)
+    return _text_row(text, lexicons)[TEXT_WIDTH:]
 
 
 # ------------------------------------------------------------------- layout
@@ -214,14 +291,7 @@ def post_layout(d_w, d):
 
 def _text_block(text, lexicons, depth, seconds_since_post):
     """The content then the surface features of one text."""
-    pairs, n_sent, n_urls, n_closing = text_stats(text)
-    n_words = sum(tf for _, tf in pairs)
-    pol, pos, neg = polarity(text, lexicons.sentiment)
-    return [avg_tfidf(text, lexicons), lix(text),
-            term_entropy(text, lexicons.vocab_size), pol, float(pos),
-            float(neg), float(n_sent), n_words / n_sent if n_sent else 0.0,
-            float(n_urls), float(depth), float(seconds_since_post),
-            float(n_closing)]
+    return _text_row(text, lexicons, depth, seconds_since_post)[:TEXT_WIDTH]
 
 
 def _user_block(author, embedding):
@@ -232,26 +302,20 @@ def _user_block(author, embedding):
 
 
 def featurize_comment(comment, discussion, lexicons, embedding):
-    text = comment.text
-    parts = [
-        _text_block(text, lexicons, comment.depth,
-                    comment.timestamp - discussion.post.timestamp),
-        latent_vector(text, lexicons),
+    return np.concatenate([
+        _text_row(comment.text, lexicons, comment.depth,
+                  comment.timestamp - discussion.post.timestamp),
         _user_block(comment.author, embedding),
-    ]
-    return np.concatenate(parts)
+    ])
 
 
 def featurize_post(discussion, lexicons, embedding, title_vec):
     post = discussion.post
-    text = post.title + " " + post.body
-    parts = [
-        _text_block(text, lexicons, 0, 0),
-        latent_vector(text, lexicons),
+    return np.concatenate([
+        _text_row(post.title + " " + post.body, lexicons),
         _user_block(post.author, embedding),
         np.asarray(title_vec, dtype=float),
-    ]
-    return np.concatenate(parts)
+    ])
 
 
 # ------------------------------------------------------------------ ablation

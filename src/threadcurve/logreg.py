@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cooccur import reply_edges
 from .curvature import sigmoid
-from .features import CONTENT_NAMES, SURFACE_NAMES, _text_block
+from .features import TEXT_WIDTH, _text_block
 from .optim import OptimError, ParameterStore, fit
 
 # full-batch Adam settings of every logistic unit
@@ -21,7 +20,63 @@ LR = 0.1
 
 def feature_width(d):
     """Length of `aggregate_step_features` for a d-dimensional embedding."""
-    return len(CONTENT_NAMES) + len(SURFACE_NAMES) + d + 1
+    return TEXT_WIDTH + d + 1
+
+
+def social_blocks(discussion, ends, cluster_model, embedding):
+    """The social blocks (len(ends), n, d + 1) of the prefixes
+    comments[:e] of a discussion, for ascending ends e.
+
+    Row l of a block holds the mean member vector of cluster l's engaged
+    users (its users among the prefix's authors, in name order) and their
+    mean degree in the prefix's reply graph. Degrees are running counts: an
+    edge between two authors counts from the first prefix that holds both
+    of its comments, as a parent can come later in time order than its
+    reply.
+    """
+    post, comments = discussion.post, discussion.comments
+    assignment, n = cluster_model.assignment, cluster_model.n
+    position = {c.id: k for k, c in enumerate(comments)}
+    edges = []  # (comments the prefix needs, child author, parent author)
+    for k, c in enumerate(comments):
+        if c.parent_id == post.id:
+            need, parent = k + 1, post.author
+        elif c.parent_id in position:
+            j = position[c.parent_id]
+            need, parent = max(k, j) + 1, comments[j].author
+        else:
+            continue
+        if parent != c.author:
+            edges.append((need, c.author, parent))
+    edges.sort(key=lambda edge: edge[0])
+    degree, engaged = {}, [set() for _ in range(n)]
+    members = [[] for _ in range(n)]  # sorted engaged users, as last taken
+    out = np.zeros((len(ends), n, embedding.dim + 1))
+    added = start = 0
+    for row, end in enumerate(ends):
+        while added < len(edges) and edges[added][0] <= end:
+            for author in edges[added][1:]:
+                degree[author] = degree.get(author, 0) + 1
+            added += 1
+        for c in comments[start:end]:
+            if c.author in assignment:
+                engaged[assignment[c.author]].add(c.author)
+        start = end
+        for cluster, users in enumerate(engaged):
+            if not users:
+                continue
+            if len(users) != len(members[cluster]):
+                members[cluster] = sorted(users)
+                mean = np.mean([embedding.vector(u)
+                                for u in members[cluster]], axis=0)
+            else:
+                mean = out[row - 1, cluster, :-1]
+            out[row, cluster, :-1] = mean
+            # an exact integer sum over a count: np.mean's value
+            out[row, cluster, -1] = (sum(degree.get(u, 0)
+                                         for u in members[cluster])
+                                     / len(users))
+    return out
 
 
 def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
@@ -30,30 +85,17 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
 
     Content/surface blocks come from the merged text of the post and the
     prefix comments, and every row shares them; the social block of row l
-    holds the mean member vector of cluster l's engaged users and their
-    mean degree in the prefix's reply graph.
+    is `social_blocks`' for the whole prefix.
     """
     merged = prefix.post.title + " " + prefix.post.body
     for c in prefix.comments:
         merged += " " + c.text
     depth = max((c.depth for c in prefix.comments), default=0)
-    shared = np.asarray(_text_block(merged, lexicons, depth,
-                                    prefix.t_end - prefix.t_start))
-    degree = {}
-    for child, parent in reply_edges(prefix):
-        if child != parent:
-            degree[child] = degree.get(child, 0) + 1
-            degree[parent] = degree.get(parent, 0) + 1
-    d = embedding.dim
-    out = np.zeros((cluster_model.n, feature_width(d)))
-    out[:, :shared.size] = shared
-    for cluster in range(cluster_model.n):
-        engaged = sorted({c.author for c in prefix.comments
-                          if cluster_model.assignment.get(c.author) == cluster})
-        if engaged:
-            out[cluster, shared.size:-1] = np.mean(
-                [embedding.vector(u) for u in engaged], axis=0)
-            out[cluster, -1] = np.mean([degree.get(u, 0) for u in engaged])
+    out = np.zeros((cluster_model.n, feature_width(embedding.dim)))
+    out[:, :TEXT_WIDTH] = _text_block(merged, lexicons, depth,
+                                      prefix.t_end - prefix.t_start)
+    out[:, TEXT_WIDTH:] = social_blocks(prefix, [len(prefix.comments)],
+                                        cluster_model, embedding)[0]
     return out
 
 

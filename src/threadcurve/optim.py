@@ -3,6 +3,8 @@ finite-difference gradient check."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -143,13 +145,20 @@ def fit(store, batches, loss, epochs, lr):
         raise OptimError("nothing to train on")
     opt = Adam(store, lr=lr)
     losses = []
-    for _ in range(epochs):
-        total = 0.0
-        for batch in batches:
-            store.zero_grad()
-            total += loss(store, batch)
-            opt.step()
-        losses.append(total / len(batches))
+    # a diverging model overflows numpy here: each non-finite value it
+    # leaves in a gradient, an update or a loss is raised as an OptimError
+    # that names it, with no warning printed above that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            total = 0.0
+            for batch in batches:
+                store.zero_grad()
+                value = loss(store, batch)
+                opt.step()
+                if not math.isfinite(value):
+                    raise OptimError("non-finite loss")
+                total += value
+            losses.append(total / len(batches))
     return losses
 
 

@@ -16,7 +16,7 @@ from .clustering import ClusterModel, kmeans
 from .cooccur import (build_cooccurrence, CooccurrenceMatrix,
                       idf_title_vectors, sparsity_profile)
 from .corpus import (FilterConfig, embedded_users, parse_corpus,
-                     serialize_corpus)
+                     read_discussions, serialize_corpus)
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
                       split_dataset, standardize_instances, unstack)
 from .embedding import EmbeddingModel, train_guvec
@@ -201,8 +201,17 @@ def _filter_config(cfg):
 
 
 def _load_discussions(cfg):
-    discussions, _ = parse_corpus(cfg.path("discussions.jsonl"),
-                                  _filter_config(cfg))
+    """The discussions `ingest` wrote. They are not filtered again: a
+    comment by an author tag the config now excludes means that ingest ran
+    under other tags, and is refused."""
+    discussions = read_discussions(cfg.path("discussions.jsonl"))
+    excluded = set(cfg.excluded_author_tags)
+    for d in discussions:
+        for c in d.comments:
+            if c.author in excluded:
+                raise PipelineError(
+                    "discussions.jsonl holds a comment by excluded author "
+                    "tag %r: run ingest again" % c.author)
     return discussions
 
 

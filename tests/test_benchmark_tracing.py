@@ -13,6 +13,7 @@ import math
 import os
 from collections import Counter
 
+from threadcurve import dataset
 from threadcurve.corpus import parse_corpus
 from threadcurve.pipeline import PipelineConfig, run_all
 
@@ -39,18 +40,26 @@ def _attributes(tc):
     return out
 
 
-def _traced_run(cfg):
-    """run_all(cfg) under the trace hooks; checks that uninstalling puts
-    every patched name back, and returns the tracer."""
+def _traced_run(cfg, spans=()):
+    """run_all(cfg) under the trace hooks, plus a span named "module.name"
+    around each (module, name, after) in `spans`; checks that uninstalling
+    puts every patched name back, and returns the tracer."""
     tracing = _load_tracing()
     tc = {m: importlib.import_module("threadcurve." + m) for m in MODULES}
     before = _attributes(tc)
     stages = dict(tc["pipeline"].STAGE_FUNCS)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer, tc, math.pi / 12)
+    extra = [(tc[module], name, vars(tc[module])[name])
+             for module, name, _ in spans]
+    for (owner, name, fn), (module, _, after) in zip(extra, spans):
+        setattr(owner, name,
+                tracing._span(tracer, module + "." + name, fn, after))
     try:
         run_all(cfg)
     finally:
+        for owner, name, fn in extra:
+            setattr(owner, name, fn)
         uninstall()
     after = _attributes(tc)
     assert all(after[key] is value for key, value in before.items())
@@ -74,13 +83,22 @@ def _calls_per_stage(tracer, name):
 def test_trace_hooks_install_run_and_uninstall(tmp_path):
     cfg = PipelineConfig(workdir=str(tmp_path / "run"), desk_scale=True,
                          synth_discussions=9, epochs=2, holdout=0.25)
-    tracer = _traced_run(cfg)
+    batches = []
+    tracer = _traced_run(cfg, [("features", "text_rows",
+                                lambda args, rows: batches.append(len(rows)))])
 
     discussions, _ = parse_corpus(cfg.path("discussions.jsonl"))
-    windowed = sum(min(len(d.comments), cfg.N * cfg.w) for d in discussions)
+    windowed = [min(len(d.comments), cfg.N * cfg.w) for d in discussions]
+    steps = sum(-(-m // cfg.w) for m in windowed)  # non-empty windows
     counts = tracer.counts
-    # features are computed once, by `featurize`
-    assert counts["features.featurize_comment"] == windowed
+    # text features are computed once, by `featurize`, in one array pass
+    # over the corpus, which fits one chunk: a row per post, per windowed
+    # comment and per valid step's prefix, and by no per-text call
+    assert len(discussions) <= dataset.CHUNK
+    assert _calls_per_stage(tracer, "features.text_rows") == {"featurize": 1}
+    assert sum(batches) == len(discussions) + sum(windowed) + steps
+    assert counts["features.featurize_comment"] == 0
+    assert counts["logreg.aggregate_step_features"] == 0
     assert counts["features.load_word_vectors"] == 2
     assert counts["dataset.build_temporal_dataset"] == 1
     assert counts["pipeline.diagnose"] == 1

@@ -1,14 +1,18 @@
 import json
 import math
+import os
 import random
 import re
 
 import pytest
 
+from threadcurve import synth
 from threadcurve.corpus import (CorpusError, FilterConfig, embedded_users,
-                                growth_target, parse_corpus, serialize_corpus,
-                                window_labels, windowize)
+                                growth_target, parse_corpus, read_discussions,
+                                serialize_corpus, window_labels, windowize)
 from conftest import chain_comments, make_discussion_json, write_corpus
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_parse_sorts_and_depths(tiny_corpus):
@@ -169,6 +173,55 @@ def test_roundtrip_serialization(tiny_corpus, tmp_path):
     assert again == discussions
 
 
+def _read_back(discussions, path):
+    """`discussions` as ingest writes them and later stages read them."""
+    serialize_corpus(discussions, str(path))
+    return read_discussions(str(path))
+
+
+def test_read_discussions_equals_parse_corpus(tiny_corpus, tmp_path):
+    """The reader of ingest's output gives back what `parse_corpus` gave:
+    on the fixtures, on planted corpora, with a reply timestamped before
+    its parent and with a deep chain listed newest first."""
+    spec = synth.SynthSpec(discussions=6, posts=12)
+    synth.make_temporal_corpus(spec, 0, str(tmp_path / "t.jsonl"),
+                               str(tmp_path / "t.json"))
+    synth.make_nontemporal_corpus(spec, 0, str(tmp_path / "n.jsonl"),
+                                  str(tmp_path / "n.json"))
+    early = make_discussion_json("e", "alice", 1000, [
+        {"id": "c0", "author": "bob", "parent_id": "e", "timestamp": 1030,
+         "body": "late parent."},
+        {"id": "c1", "author": "carol", "parent_id": "c0",
+         "timestamp": 1010, "body": "early reply."}])
+    deep = make_discussion_json(
+        "deep", "alice", 1000, chain_comments("deep", ["bob", "carol"] * 50)[::-1])
+    paths = [os.path.join(DATA, "cooccur_fixture.jsonl"),
+             str(tmp_path / "t.jsonl"), str(tmp_path / "n.jsonl"),
+             write_corpus(tmp_path / "odd.jsonl", [early, deep])]
+    cases = [tiny_corpus[0]] + [parse_corpus(p)[0] for p in paths]
+    assert [c.id for c in cases[-1][0].comments] == ["c1", "c0"]
+    for k, discussions in enumerate(cases):
+        assert _read_back(discussions, tmp_path / ("%d.jsonl" % k)) == (
+            discussions)
+
+
+def test_read_discussions_names_a_line_it_cannot_read(tiny_corpus, tmp_path):
+    path = tmp_path / "discussions.jsonl"
+    serialize_corpus(tiny_corpus[0], str(path))
+    first, second = path.read_bytes().splitlines(keepends=True)
+    cycle = make_discussion_json("cyc", "alice", 1000, [
+        {"id": "c0", "author": "bob", "parent_id": "c1", "timestamp": 1010,
+         "body": "x."},
+        {"id": "c1", "author": "carol", "parent_id": "c0",
+         "timestamp": 1020, "body": "y."}])
+    for bad in (b"not json\n", second.replace(b'"comments"', b'"replies"'),
+                second[:-1] + b"\xff\n", json.dumps(cycle).encode() + b"\n"):
+        path.write_bytes(first + bad)
+        with pytest.raises(CorpusError) as err:
+            read_discussions(str(path))
+        assert str(err.value).startswith("%s line 2" % path)
+
+
 def test_windowize_frozen_example(tmp_path):
     # 32 comments, w=15, N=4 -> sizes [15, 15, 2, 0], validity [T, T, T, F]
     disc = make_discussion_json(
@@ -302,3 +355,21 @@ def test_ingest_fuzz(tmp_path):
             assert keys == sorted(keys)
     assert min(outcomes.values()) >= 40, outcomes
     assert lacks_key >= 10
+
+
+def test_read_discussions_equals_parse_corpus_on_fuzzed_lines(tmp_path):
+    """Orphans, removed authors, clamped timestamps and reply chains in any
+    order all survive the round trip through ingest's output."""
+    rng = random.Random(1)
+    path = tmp_path / "fuzz.jsonl"
+    read = 0
+    for _ in range(200):
+        path.write_bytes(b"".join(_fuzz_line(rng, k)
+                                  for k in range(rng.randrange(1, 4))))
+        try:
+            discussions, _ = parse_corpus(str(path))
+        except CorpusError:
+            continue
+        assert _read_back(discussions, tmp_path / "out.jsonl") == discussions
+        read += 1
+    assert read >= 40
