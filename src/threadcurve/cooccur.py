@@ -53,12 +53,6 @@ class CooccurrenceMatrix:
         key = (i, j) if i < j else (j, i)
         self._data[key] = self._data.get(key, 0.0) + value
 
-    def query(self, i, j):
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self._data.get(key, 0.0)
-
     @property
     def nnz(self):
         return len(self._data)
@@ -110,12 +104,17 @@ def title_vector(title, word_vectors, idf, stopwords=frozenset()):
     return acc / total_w
 
 
+def title_vectors(discussions, word_vectors, idf, stopwords):
+    """Title vector per discussion id."""
+    return {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
+            for d in discussions}
+
+
 def idf_title_vectors(discussions, word_vectors, stopwords=frozenset()):
     """Title vector per discussion id for the semantic channel, with idf
     over the titles of `discussions`."""
     idf = idf_table([tokenize(d.post.title) for d in discussions])
-    return {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
-            for d in discussions}
+    return title_vectors(discussions, word_vectors, idf, stopwords)
 
 
 def reply_edges(d):
@@ -249,7 +248,3 @@ def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
                             index, theta0)
     return A, skipped
 
-
-def sparsity_profile(A, n_users):
-    """(|U|, nnz) pair for the complexity diagnostic."""
-    return {"users": n_users, "nonzeros": A.nnz}

@@ -1,11 +1,16 @@
-"""Discussion data model: parsing, user filtering, comment windows, labels."""
+"""Discussion data model: parsing, user filtering, comment windows, growth."""
 
 from __future__ import annotations
 
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+# the author filter: comments by these tags are removed, and users active in
+# fewer discussions than this stay unembedded
+EXCLUDED_AUTHOR_TAGS = ("deleted", "DeltaBot")
+MIN_USER_DISCUSSIONS = 2
 
 
 class CorpusError(Exception):
@@ -80,12 +85,6 @@ class CorpusManifest:
     malformed_lines: int = 0
 
 
-@dataclass
-class FilterConfig:
-    excluded_author_tags: list = field(default_factory=lambda: ["deleted", "DeltaBot"])
-    min_user_discussions: int = 2
-
-
 def _get(raw, key, owner):
     """raw[key]; a missing key is a ValueError naming it and its owner."""
     try:
@@ -120,33 +119,32 @@ def _build_discussion(raw, manifest, excluded_tags):
             continue
         kept.append(c)
 
-    known = {post.id}
-    for c in kept:
-        known.add(str(c["id"]))
+    # every kept id is known before an orphan is reattached to the post
+    known = {post.id} | {str(c["id"]) for c in kept}
     comments = []
-    # two passes: fix orphans first, then resolve depths along parent chains
-    fixed = []
     for c in kept:
         where = "comment %r" % str(c["id"])
-        _get(c, "timestamp", where)  # read below, once depths resolve
+        timestamp = _get(c, "timestamp", where)
         parent = str(_get(c, "parent_id", where))
         if parent not in known:
             parent = post.id
             manifest.orphans_reattached += 1
-        fixed.append((c, parent))
-    depth = _depths(post.id, {str(c["id"]): parent for c, parent in fixed})
-    for c, parent in fixed:
-        comments.append(Comment(
-            id=str(c["id"]),
-            author=str(c["author"]),
-            parent_id=parent,
-            discussion_id=post.id,
-            timestamp=max(int(c["timestamp"]), post.timestamp),
-            text=str(c.get("body", "")),
-            depth=depth[str(c["id"])],
-        ))
-    comments.sort(key=lambda c: (c.timestamp, c.id))
-    return Discussion(post=post, comments=tuple(comments))
+        comments.append({"id": str(c["id"]), "author": str(c["author"]),
+                         "parent_id": parent,
+                         "timestamp": max(int(timestamp), post.timestamp),
+                         "body": str(c.get("body", ""))})
+    return _discussion(post, comments)
+
+
+def _discussion(post, comments):
+    """The Discussion of a Post and its comments in the form
+    `discussion_to_json` writes; depths follow the parents, and the
+    comments are sorted by time, then id."""
+    depth = _depths(post.id, {c["id"]: c["parent_id"] for c in comments})
+    return Discussion(post, tuple(sorted(
+        (Comment(c["id"], c["author"], c["parent_id"], post.id,
+                 c["timestamp"], c["body"], depth[c["id"]])
+         for c in comments), key=lambda c: (c.timestamp, c.id))))
 
 
 def _depths(post_id, parent_of):
@@ -170,7 +168,8 @@ def _depths(post_id, parent_of):
     return depth_of
 
 
-def parse_corpus(path, filter_rules=None):
+def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
+                 min_user_discussions=MIN_USER_DISCUSSIONS):
     """Read a JSON-lines corpus; returns (discussions, manifest).
 
     Comments by excluded author tags are removed. Users below the
@@ -178,9 +177,7 @@ def parse_corpus(path, filter_rules=None):
     flagged in the manifest (callers exclude them from embedding,
     labels and user features).
     """
-    if filter_rules is None:
-        filter_rules = FilterConfig()
-    excluded = set(filter_rules.excluded_author_tags)
+    excluded = set(excluded_author_tags)
     manifest = CorpusManifest()
     discussions, line_of = [], {}
     # read as bytes, so that a line that is not UTF-8 fails inside the `try`
@@ -203,7 +200,7 @@ def parse_corpus(path, filter_rules=None):
             discussions.append(disc)
 
     activity = _activity(discussions)
-    single = {u for u, k in activity.items() if k < filter_rules.min_user_discussions}
+    single = {u for u, k in activity.items() if k < min_user_discussions}
 
     manifest.discussions = len(discussions)
     manifest.comments = sum(len(d.comments) for d in discussions)
@@ -224,20 +221,14 @@ def read_discussions(path):
                 continue
             try:
                 raw = json.loads(line)
-                post = Post(**raw["post"])
-                depth = _depths(post.id, {c["id"]: c["parent_id"]
-                                          for c in raw["comments"]})
-                comments = tuple(
-                    Comment(c["id"], c["author"], c["parent_id"], post.id,
-                            c["timestamp"], c["body"], depth[c["id"]])
-                    for c in raw["comments"])
+                discussions.append(_discussion(Post(**raw["post"]),
+                                               raw["comments"]))
             except CorpusError as exc:
                 raise CorpusError("%s line %d: %s"
                                   % (path, lineno, exc)) from None
             except (ValueError, KeyError, TypeError) as exc:
                 raise CorpusError("%s line %d cannot be read: %r"
                                   % (path, lineno, exc)) from None
-            discussions.append(Discussion(post, comments))
     return discussions
 
 
@@ -250,12 +241,10 @@ def _activity(discussions):
     return activity
 
 
-def embedded_users(discussions, filter_rules=None):
+def embedded_users(discussions, min_user_discussions=MIN_USER_DISCUSSIONS):
     """Users eligible for embedding: active in >= min_user_discussions discussions."""
-    if filter_rules is None:
-        filter_rules = FilterConfig()
     activity = _activity(discussions)
-    return {u for u, k in activity.items() if k >= filter_rules.min_user_discussions}
+    return {u for u, k in activity.items() if k >= min_user_discussions}
 
 
 def serialize_corpus(discussions, path):
@@ -291,28 +280,6 @@ def windowize(d, w, N):
     dropped = max(0, len(d.comments) - N * w)
     return WindowedDiscussion(discussion=d, w=w, N=N, windows=tuple(windows),
                               dropped=dropped)
-
-
-def window_labels(wd, assignments, n):
-    """Per valid window, the binary engaged-cluster vector of length n.
-
-    Comments by users without a cluster assignment (filtered users) are
-    ignored. Cluster indices are 0-based.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    labels = []
-    for win in wd.windows:
-        if not win.valid:
-            labels.append(None)
-            continue
-        y = [0] * n
-        for c in win.comments:
-            cl = assignments.get(c.author)
-            if cl is not None:
-                y[cl] = 1
-        labels.append(y)
-    return labels
 
 
 def growth_target(win):

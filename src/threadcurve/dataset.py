@@ -15,19 +15,11 @@ import numpy as np
 from . import features as F
 from . import logreg
 from .clustering import spacetime_centers
-from .cooccur import title_vector
-from .corpus import growth_target, window_labels, windowize
+from .cooccur import title_vectors
+from .corpus import growth_target, windowize
 from .text import merge_stats, text_stats
 
 CHUNK = 128  # discussions per array pass; bounds the records held at once
-
-
-def title_vectors(discussions, lexicons):
-    return {
-        d.id: title_vector(d.post.title, lexicons.word_vectors, lexicons.idf,
-                           lexicons.stopwords)
-        for d in discussions
-    }
 
 
 def _chunks(discussions):
@@ -75,7 +67,8 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
     d = embedding.dim
     post_layout = F.post_layout(lexicons.d_w, d)
     comment_layout = F.comment_layout(lexicons.d_w, d)
-    tvecs = title_vectors(discussions, lexicons)
+    tvecs = title_vectors(discussions, lexicons.word_vectors, lexicons.idf,
+                          lexicons.stopwords)
     n, D = cluster_model.n, len(discussions)
     pack = {
         "x1": np.zeros((D, post_layout.width)),
@@ -108,7 +101,11 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
 
 def _fill_steps(pack, r, disc, text, w, N, embedding, cluster_model):
     """Row r of every per-step and per-comment array of a temporal pack,
-    from the discussion's text rows (`_temporal_records` order)."""
+    from the discussion's text rows (`_temporal_records` order).
+
+    A valid window's label is 1 for each cluster with an assigned author
+    among its comments: the clusters whose running count it raises.
+    Cluster indices are 0-based."""
     assignment, n = cluster_model.assignment, cluster_model.n
     wd = windowize(disc, w, N)
     comments = disc.comments[:N * w]
@@ -120,18 +117,17 @@ def _fill_steps(pack, r, disc, text, w, N, embedding, cluster_model):
     comment_rows = np.concatenate([text[1:m + 1],
                                    pack["user_vectors"][r, :m]], axis=1)
     seen = np.zeros(n)
-    for k, (win, lab) in enumerate(
-            zip(wd.windows, window_labels(wd, assignment, n))):
+    for k, win in enumerate(wd.windows):
         pack["engaged_counts"][r, k] = seen
         for c in win.comments:
             if c.author in assignment:
                 seen[assignment[c.author]] += 1
-        if lab is None:
+        if not win.valid:
             continue
         # np.mean of the stacked rows adds them row by row, in window order
         pack["x2"][r, k] = np.mean(
             comment_rows[k * w:k * w + win.actual_count], axis=0)
-        pack["labels"][r, k] = lab
+        pack["labels"][r, k] = seen > pack["engaged_counts"][r, k]
         pack["mask"][r, k] = True
         pack["growth"][r, k] = growth_target(win)[1]
     steps = range(0, m, w)
@@ -146,7 +142,8 @@ def build_nontemporal_dataset(discussions, lexicons, embedding):
     """Returns (pack, post_layout): post features and the binary label
     (any comment at all), one row per discussion."""
     post_layout = F.post_layout(lexicons.d_w, embedding.dim)
-    tvecs = title_vectors(discussions, lexicons)
+    tvecs = title_vectors(discussions, lexicons.word_vectors, lexicons.idf,
+                          lexicons.stopwords)
     x1 = np.zeros((len(discussions), post_layout.width))
     for start, chunk in _chunks(discussions):
         zeros = [0] * len(chunk)
@@ -161,14 +158,13 @@ def build_nontemporal_dataset(discussions, lexicons, embedding):
     return pack, post_layout
 
 
-def unstack(arrays, rows, **shared):
-    """One dict per row r in `rows`: every array's row r (`ids` aside),
-    plus the `shared` values."""
-    return [dict({key: value[r] for key, value in arrays.items()
-                  if key != "ids"}, **shared) for r in rows]
+def unstack(arrays, rows):
+    """One dict per row r in `rows`: every array's row r (`ids` aside)."""
+    return [{key: value[r] for key, value in arrays.items() if key != "ids"}
+            for r in rows]
 
 
-def standardize_instances(train, test, keys=("x1", "x2")):
+def standardize_instances(train, test, keys):
     """Z-score the stacked rows (..., f) of each key with per-column
     statistics over every training row.
 
@@ -190,11 +186,16 @@ def standardize_instances(train, test, keys=("x1", "x2")):
     return train, test
 
 
-def split_dataset(instances, holdout_fraction=0.2, seed=0):
+def holdout_count(total, holdout_fraction):
+    """How many of `total` instances the split holds out: at least one."""
+    return max(1, int(round(holdout_fraction * total)))
+
+
+def split_dataset(instances, holdout_fraction, seed):
     """Deterministic shuffled split into (train, test)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(instances))
-    n_test = max(1, int(round(holdout_fraction * len(instances))))
+    n_test = holdout_count(len(instances), holdout_fraction)
     test_idx = set(order[:n_test].tolist())
     train = [inst for k, inst in enumerate(instances) if k not in test_idx]
     test = [inst for k, inst in enumerate(instances) if k in test_idx]

@@ -72,11 +72,6 @@ def guvec_loss_and_grad(vectors, biases, ii, jj, logw):
     return loss, grad_v, grad_b
 
 
-def loss_and_grad(model, A):
-    ii, jj, logw = _pair_arrays(A)
-    return guvec_loss_and_grad(model.vectors, model.biases, ii, jj, logw)
-
-
 def train_guvec(A, user_ids, d, seed=0, lr=0.05, epochs=30, return_losses=False):
     """Fit user vectors and biases with Adam; deterministic per seed."""
     if d <= 0:

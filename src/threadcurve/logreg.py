@@ -128,23 +128,18 @@ def fit_binary(X, y, l2=1e-4):
     return store.get("w").copy(), float(store.get("b")[0]), losses
 
 
-class LogRegModel:
-    """One weight vector per cluster (temporal) or a single unit."""
-
-    def __init__(self, weights, biases):
-        self.weights = np.asarray(weights, dtype=float)
-        self.biases = np.asarray(biases, dtype=float)
-
-    def predict_proba(self, x):
-        """Engagement probability per cluster of every (..., n, f) row."""
-        z = np.matmul(x[..., None, :], self.weights[..., None])[..., 0, 0]
-        return sigmoid(z + self.biases)
+def predict_proba(model, x):
+    """Engagement probability per cluster of every (..., n, f) row, from a
+    `train_temporal` model."""
+    z = np.matmul(x[..., None, :], model["weights"][..., None])[..., 0, 0]
+    return sigmoid(z + model["Biases"])
 
 
 def train_temporal(per_cluster_data):
     """per_cluster_data: list (length n) of (X, y) arrays. Returns the
-    model and each epoch's loss averaged over the clusters."""
+    model, {"weights": (n, f), "Biases": (n,)}, and each epoch's loss
+    averaged over the clusters."""
     weights, biases, losses = zip(*(fit_binary(X, y)
                                     for X, y in per_cluster_data))
-    return (LogRegModel(np.stack(weights), np.array(biases)),
+    return ({"weights": np.stack(weights), "Biases": np.array(biases)},
             np.mean(losses, axis=0).tolist())

@@ -70,7 +70,8 @@ def newton_position(P, user_vectors, mask, w, steps):
 
 def newton_heads(P, mass, position, centers):
     """y1[l] = sigmoid(M / (|r - C_l|^2 + eps)); y2 = relu of the weighted
-    sum. mass (...), position (..., d), centers (n, d); y1 is (..., n)."""
+    sum. mass (...), position (..., d), centers (n, d) or one set per step
+    (..., n, d); y1 is (..., n)."""
     diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
     d2 = ((diff - centers) ** 2).sum(axis=-1) + DIST_EPS
     arg = mass.reshape(mass.shape + (1,)) / d2
@@ -78,10 +79,10 @@ def newton_heads(P, mass, position, centers):
 
 
 def forward(store, x1, x2, centers, user_vectors, mask, w):
-    """centers here are flat d-dimensional cluster centers (no time),
-    shared by every discussion; any leading axes of x1, x2, user_vectors
-    and mask are discussions. Returns the ForwardTrace and the values the
-    reverse pass reads."""
+    """centers are the cluster centers in embedding space (no time), (n, d)
+    or per step; any leading axes of x1, x2, user_vectors and mask are
+    discussions. Returns the ForwardTrace and the values the reverse pass
+    reads."""
     P = dict(store.items())
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     user_vectors = np.asarray(user_vectors, dtype=float)
@@ -122,7 +123,8 @@ def position_backward(store, kept, d_later):
 
 def discussion_loss(store, instance, w, lam=1.0):
     trace, kept = forward(store, instance["x1"], instance["x2"],
-                          instance["flat_centers"], instance["user_vectors"],
+                          instance["centers"][..., 1:],
+                          instance["user_vectors"],
                           instance["user_mask"], w)
     loss, d_y1, d_y2 = temporal_loss(trace, instance["labels"],
                                      instance["growth"], instance["mask"],
@@ -155,6 +157,6 @@ def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):
 
 def predict_temporal(store, instance, w):
     trace, _ = forward(store, instance["x1"], instance["x2"],
-                       instance["flat_centers"], instance["user_vectors"],
+                       instance["centers"][..., 1:], instance["user_vectors"],
                        instance["user_mask"], w)
     return trace.prediction()

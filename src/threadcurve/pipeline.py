@@ -13,12 +13,13 @@ import numpy as np
 
 from . import curvature, logreg, newton, synth
 from .clustering import ClusterModel, kmeans
-from .cooccur import (build_cooccurrence, CooccurrenceMatrix,
-                      idf_title_vectors, sparsity_profile)
-from .corpus import (FilterConfig, embedded_users, parse_corpus,
-                     read_discussions, serialize_corpus)
+from .cooccur import build_cooccurrence, CooccurrenceMatrix, idf_title_vectors
+from .corpus import (EXCLUDED_AUTHOR_TAGS, MIN_USER_DISCUSSIONS,
+                     embedded_users, parse_corpus, read_discussions,
+                     serialize_corpus)
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
-                      split_dataset, standardize_instances, unstack)
+                      holdout_count, split_dataset, standardize_instances,
+                      unstack)
 from .embedding import EmbeddingModel, train_guvec
 from .features import (ablate, build_lexicons, comment_layout, load_sentiment,
                        load_stopwords, load_word_vectors, post_layout)
@@ -74,9 +75,9 @@ class PipelineConfig:
     holdout: float = 0.2
     epochs: int = 60
     lr: float = 3e-3
-    min_user_discussions: int = 2
+    min_user_discussions: int = MIN_USER_DISCUSSIONS
     excluded_author_tags: list = field(
-        default_factory=lambda: ["deleted", "DeltaBot"])
+        default_factory=lambda: list(EXCLUDED_AUTHOR_TAGS))
     synth_discussions: int = 50
     synth_posts: int = 120
 
@@ -195,11 +196,6 @@ def _io(cfg):
     }
 
 
-def _filter_config(cfg):
-    return FilterConfig(excluded_author_tags=list(cfg.excluded_author_tags),
-                        min_user_discussions=cfg.min_user_discussions)
-
-
 def _load_discussions(cfg):
     """The discussions `ingest` wrote. They are not filtered again: a
     comment by an author tag the config now excludes means that ingest ran
@@ -230,7 +226,9 @@ def stage_synth(cfg):
 
 
 def stage_ingest(cfg):
-    discussions, manifest = parse_corpus(cfg.corpus_path, _filter_config(cfg))
+    discussions, manifest = parse_corpus(cfg.corpus_path,
+                                         cfg.excluded_author_tags,
+                                         cfg.min_user_discussions)
     atomic_write(lambda tmp: serialize_corpus(discussions, tmp),
                  cfg.path("discussions.jsonl"))
     atomic_write_json(cfg.path("corpus_manifest.json"), asdict(manifest))
@@ -250,7 +248,7 @@ def stage_balance(cfg):
 
 def stage_cooccur(cfg):
     discussions = _load_discussions(cfg)
-    users = sorted(embedded_users(discussions, _filter_config(cfg)))
+    users = sorted(embedded_users(discussions, cfg.min_user_discussions))
     index = {u: k for k, u in enumerate(users)}
     tvecs = idf_title_vectors(
         discussions, load_word_vectors(cfg.word_vectors_path),
@@ -258,9 +256,9 @@ def stage_cooccur(cfg):
     A, skipped = build_cooccurrence(discussions, index, tvecs, cfg.theta0)
     atomic_write_text(cfg.path("users.txt"), "\n".join(users) + "\n")
     atomic_write(A.save, cfg.path("cooccur.txt"))
-    prof = sparsity_profile(A, len(users))
-    prof["skipped_title_pairs"] = skipped
-    atomic_write_json(cfg.path("sparsity.json"), prof)
+    atomic_write_json(cfg.path("sparsity.json"), {
+        "users": len(users), "nonzeros": A.nnz,
+        "skipped_title_pairs": skipped})
 
 
 def stage_embed(cfg):
@@ -322,7 +320,8 @@ def _model_inputs(cfg):
     every pack key to its stacked rows, `ids` to the discussion ids and, on
     the one-shot task, `centers0` to the step-0 spacetime centres (n, d+1)
     that every post shares. `layouts` maps x1 (and, on the temporal task,
-    x2) to its feature layout after the ablation.
+    x2) to its feature layout after the ablation. A config whose widths or
+    holdout differ from the artifacts' is refused.
     """
     with open(cfg.path("features_meta.json")) as fh:
         meta = json.load(fh)
@@ -332,7 +331,26 @@ def _model_inputs(cfg):
                             % (meta["task"], cfg.task))
     pack = load_store(cfg.path(PACK))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
-    n_train = len(meta["train_ids"])
+    # widths the upstream stages fixed, with the first stage to run again
+    n, d = cm.centers.shape
+    made = [("d", d, "embed"), ("n", n, "cluster")]
+    if cfg.task == "temporal":
+        N = pack["mask"].shape[1]
+        made += [("N", N, "featurize"),
+                 ("w", pack["user_mask"].shape[1] // N, "featurize")]
+    for name, value, stage in made:
+        if getattr(cfg, name) != value:
+            raise PipelineError("config %s=%d differs from %s=%d in the "
+                                "artifacts: run %s again" % (
+                                    name, getattr(cfg, name), name, value,
+                                    stage))
+    n_train, n_test = len(meta["train_ids"]), len(meta["test_ids"])
+    asked = holdout_count(n_train + n_test, cfg.holdout)
+    if asked != n_test:
+        raise PipelineError(
+            "config holdout=%r holds out %d of %d discussions; the features "
+            "pack holds out %d: run featurize again"
+            % (cfg.holdout, asked, n_train + n_test, n_test))
     layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
     if cfg.task == "temporal":
         layouts["x2"] = comment_layout(meta["d_w"], cfg.d)
@@ -366,7 +384,7 @@ def _model_config(cfg, layouts):
 def stage_train(cfg):
     if cfg.task == "nontemporal" and cfg.model != "rgnet":
         raise PipelineError("non-temporal training supports rgnet only")
-    train, _, layouts, cm = _model_inputs(cfg)
+    train, _, layouts, _ = _model_inputs(cfg)
     mc = _model_config(cfg, layouts)
     opts = dict(seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
     log = {}
@@ -382,7 +400,7 @@ def stage_train(cfg):
         if cfg.model == "logreg":
             store, losses = _train_logreg_temporal(cfg, train)
         else:
-            instances = unstack(train, rows, flat_centers=cm.centers)
+            instances = unstack(train, rows)
             if cfg.model == "rgnet":
                 store, losses = curvature.train_temporal(instances, mc,
                                                          **opts)
@@ -399,9 +417,7 @@ def _train_logreg_temporal(cfg, train):
     valid training step."""
     X = train["logreg_features"][train["mask"]]
     y = train["labels"][train["mask"]]
-    model, losses = logreg.train_temporal(
-        [(X[:, c], y[:, c]) for c in range(cfg.n)])
-    return {"weights": model.weights, "Biases": model.biases}, losses
+    return logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)])
 
 
 def _score(cfg):
@@ -427,8 +443,8 @@ def _score(cfg):
     scores = {"discussion_id": test["ids"][rows], "step": steps,
               "truth": test["labels"][mask], "v_true": test["growth"][mask]}
     if cfg.model == "logreg":
-        model = logreg.LogRegModel(store["weights"], store["Biases"])
-        scores["y1"] = model.predict_proba(test["logreg_features"][mask])
+        scores["y1"] = logreg.predict_proba(store,
+                                            test["logreg_features"][mask])
         scores["y2"] = np.full(rows.size, np.nan)
         scores["decision"] = (scores["y1"] > 0.5).astype(int)
     else:
@@ -439,8 +455,7 @@ def _score(cfg):
             scores["g_inv"] = pred["trace"].g_inv_array()[mask]
             scores["engaged_counts"] = test["engaged_counts"][mask]
         else:
-            pred = newton.predict_temporal(
-                store, dict(test, flat_centers=cm.centers), cfg.w)
+            pred = newton.predict_temporal(store, test, cfg.w)
         scores.update(y1=pred["y1"][mask], y2=pred["y2"][mask],
                       decision=pred["decisions"][mask])
     return scores, cm

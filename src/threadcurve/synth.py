@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ REPEL_WORD = "pebble"
 STOPWORDS = ["the", "a", "an", "of", "to", "and", "in", "is", "it"]
 SENTIMENT = {"good": 0.8, "great": 0.6, "fine": 0.3,
              "bad": -0.5, "awful": -0.7, "poor": -0.4}
+
+BASE_TIME = 1_600_000_000  # the first post's timestamp
+WINDOW_GAP = 600           # seconds between window starts
+EMPTY_FRACTION = 0.5       # share of one-shot posts without comments
 
 
 @dataclass
@@ -32,11 +36,7 @@ class SynthSpec:
     N: int = 4
     d_w: int = 6
     vocab_words: int = 40
-    base_time: int = 1_600_000_000
-    window_gap: int = 600          # seconds between window starts
-    # non-temporal knobs
-    posts: int = 120
-    empty_fraction: float = 0.5
+    posts: int = 120               # non-temporal corpus size
 
 
 def _word_pool(spec):
@@ -92,7 +92,7 @@ def make_temporal_corpus(spec, seed, corpus_path, truth_path):
     with open(corpus_path, "w") as fh:
         for j in range(spec.discussions):
             c = j % spec.clusters
-            post_t = spec.base_time + j * 50_000
+            post_t = BASE_TIME + j * 50_000
             post_author = _user(c, j % spec.users_per_cluster)
             disc_id = "d%03d" % j
             truth["topics"][disc_id] = c
@@ -104,7 +104,7 @@ def make_temporal_corpus(spec, seed, corpus_path, truth_path):
             cid = 0
             members = rng.permutation(spec.users_per_cluster)
             for k in range(1, spec.N + 1):
-                start = post_t + k * spec.window_gap
+                start = post_t + k * WINDOW_GAP
                 offsets = sorted(
                     int(x) for x in rng.integers(0, k + 1, size=spec.w - 2))
                 times = [start] + [start + o for o in offsets] + [start + k]
@@ -137,7 +137,7 @@ def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
     n_users = spec.clusters * spec.users_per_cluster
     all_users = [_user(c, k) for c in range(spec.clusters)
                  for k in range(spec.users_per_cluster)]
-    n_empty = int(round(spec.posts * spec.empty_fraction))
+    n_empty = int(round(spec.posts * EMPTY_FRACTION))
     truth = {"rule": "attracts iff title contains %r" % ATTRACT_WORD,
              "labels": {}}
     with open(corpus_path, "w") as fh:
@@ -148,7 +148,7 @@ def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
             filler = " ".join(rng.choice(pool, size=2))
             # keyword twice: term frequency keeps it dominant after weighting
             title = "%s %s %s" % (keyword, keyword, filler)
-            post_t = spec.base_time + j * 10_000
+            post_t = BASE_TIME + j * 10_000
             author = all_users[j % n_users]
             post = {"id": disc_id, "author": author, "title": title,
                     "body": _sentence(rng, pool, int(rng.integers(5, 10))),

@@ -9,8 +9,8 @@ from threadcurve import cooccur
 from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_communicative,
                                  accumulate_semantic, accumulate_temporal,
                                  build_cooccurrence, idf_title_vectors,
-                                 reply_edges, sigmoid, sparsity_profile,
-                                 title_angle, title_vector)
+                                 reply_edges, sigmoid, title_angle,
+                                 title_vector)
 from threadcurve.corpus import embedded_users, parse_corpus
 from threadcurve.features import load_word_vectors
 from conftest import chain_comments, make_discussion_json, write_corpus
@@ -26,6 +26,11 @@ def _fixture_matrix():
     tvecs = {d.id: title_vector(d.post.title, wv, {}) for d in discussions}
     A, skipped = build_cooccurrence(discussions, index, tvecs, math.pi / 12)
     return A, skipped, users
+
+
+def _entries(A):
+    """The matrix's stored entries by (i, j), i < j."""
+    return {(i, j): v for i, j, v in A.items()}
 
 
 def _expected_entries():
@@ -64,11 +69,11 @@ def test_sigmoid_frozen_values():
 def test_matrix_symmetry_and_monotonicity():
     A = CooccurrenceMatrix(4)
     A.add(2, 0, 1.5)
-    assert A.query(0, 2) == A.query(2, 0) == 1.5
+    assert _entries(A) == {(0, 2): 1.5}
     A.add(0, 2, 0.25)
-    assert A.query(2, 0) == 1.75
+    assert _entries(A) == {(0, 2): 1.75}
     A.add(1, 1, 9.0)  # diagonal ignored
-    assert A.query(1, 1) == 0.0
+    assert _entries(A) == {(0, 2): 1.75}
     with pytest.raises(ValueError):
         A.add(0, 1, -1.0)
 
@@ -83,12 +88,14 @@ def test_matrix_save_load_roundtrip(tmp_path):
     assert list(B.items()) == list(A.items())
 
 
-def test_sparsity_profile_counts_unordered_pairs():
+def test_nnz_counts_unordered_pairs():
     A = CooccurrenceMatrix(4)
     for i in range(4):
-        for j in range(i + 1, 4):
+        for j in range(4):
             A.add(i, j, 1.0)
-    assert sparsity_profile(A, 4) == {"users": 4, "nonzeros": 6}
+    assert A.nnz == 6
+    # each pair was added in both orders, into one entry
+    assert set(_entries(A).values()) == {2.0}
 
 
 def _one_discussion(comments, post_author="alice", post_t=0):
@@ -111,8 +118,8 @@ def test_communicative_repeated_replies_accumulate():
     index = {"u1": 0, "u2": 1, "alice": 2}
     A = CooccurrenceMatrix(3)
     accumulate_communicative(A, d, index)
-    assert A.query(0, 1) == 4.0  # two replies -> +2 twice
-    assert A.query(0, 2) == 2.0  # comment -> post reply
+    # two replies -> +2 twice; comment -> post reply
+    assert _entries(A) == {(0, 1): 4.0, (0, 2): 2.0}
 
 
 def test_communicative_skips_self_reply_and_unembedded():
@@ -123,8 +130,7 @@ def test_communicative_skips_self_reply_and_unembedded():
     ])
     A = CooccurrenceMatrix(2)
     accumulate_communicative(A, d, {"u1": 0, "alice": 1})
-    assert A.query(0, 1) == 2.0  # only u1 -> post
-    assert A.nnz == 1
+    assert _entries(A) == {(0, 1): 2.0}  # only u1 -> post
 
 
 def test_temporal_frozen_examples():
@@ -137,9 +143,10 @@ def test_temporal_frozen_examples():
     index = {"u1": 0, "u2": 1, "u3": 2}
     A = CooccurrenceMatrix(3)
     accumulate_temporal(A, d, index)
-    assert A.query(0, 1) == pytest.approx(1.0, abs=1e-9)        # sigmoid(100)
+    entries = _entries(A)
+    assert entries[(0, 1)] == pytest.approx(1.0, abs=1e-9)        # sigmoid(100)
     # u1 at 0? span ratio for (u1,u3): alpha = 100/50 -> sigmoid(2)
-    assert A.query(0, 2) == pytest.approx(sigmoid(2.0), abs=1e-12)
+    assert entries[(0, 2)] == pytest.approx(sigmoid(2.0), abs=1e-12)
 
 
 def test_temporal_alpha_one_is_073106():
@@ -149,7 +156,7 @@ def test_temporal_alpha_one_is_073106():
     ])
     A = CooccurrenceMatrix(2)
     accumulate_temporal(A, d, {"u1": 0, "u2": 1})
-    assert A.query(0, 1) == pytest.approx(0.73106, abs=1e-5)
+    assert _entries(A)[(0, 1)] == pytest.approx(0.73106, abs=1e-5)
 
 
 def test_temporal_skips_replying_pairs_and_uses_earliest_time():
@@ -162,10 +169,11 @@ def test_temporal_skips_replying_pairs_and_uses_earliest_time():
     index = {"u1": 0, "u2": 1, "u3": 2}
     A = CooccurrenceMatrix(3)
     accumulate_temporal(A, d, index)
-    assert A.query(0, 1) == 0.0  # replied
+    entries = _entries(A)
+    assert (0, 1) not in entries  # replied
     span = 95 - 0 + 1
-    assert A.query(0, 2) == pytest.approx(sigmoid(span / (80 + 1)), abs=1e-12)
-    assert A.query(1, 2) == pytest.approx(sigmoid(span / (70 + 1)), abs=1e-12)
+    assert entries[(0, 2)] == pytest.approx(sigmoid(span / (80 + 1)), abs=1e-12)
+    assert entries[(1, 2)] == pytest.approx(sigmoid(span / (70 + 1)), abs=1e-12)
 
 
 def test_title_vector_examples():
@@ -206,7 +214,7 @@ def test_semantic_threshold_and_increment():
     skipped = accumulate_semantic(A, dm, dn, np.array([1.0, 0.0]),
                                   np.array([0.97, t]), index, math.pi / 12)
     assert skipped == 0
-    assert A.query(0, 1) == pytest.approx(0.97, abs=1e-12)
+    assert _entries(A)[(0, 1)] == pytest.approx(0.97, abs=1e-12)
     # orthogonal titles: no change
     B = CooccurrenceMatrix(2)
     accumulate_semantic(B, dm, dn, np.array([1.0, 0.0]),

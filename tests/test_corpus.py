@@ -7,9 +7,9 @@ import re
 import pytest
 
 from threadcurve import synth
-from threadcurve.corpus import (CorpusError, FilterConfig, embedded_users,
-                                growth_target, parse_corpus, read_discussions,
-                                serialize_corpus, window_labels, windowize)
+from threadcurve.corpus import (CorpusError, embedded_users, growth_target,
+                                parse_corpus, read_discussions,
+                                serialize_corpus, windowize)
 from conftest import chain_comments, make_discussion_json, write_corpus
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -161,8 +161,7 @@ def test_embedded_users_counts_posting_and_commenting(tiny_corpus):
     # alice posts t1 + comments t2; bob comments t1 + posts t2;
     # carol comments in both
     assert embedded_users(discussions) == {"alice", "bob", "carol"}
-    strict = FilterConfig(min_user_discussions=3)
-    assert embedded_users(discussions, strict) == set()
+    assert embedded_users(discussions, min_user_discussions=3) == set()
 
 
 def test_roundtrip_serialization(tiny_corpus, tmp_path):
@@ -242,23 +241,6 @@ def test_windowize_drops_overflow(tiny_corpus):
     assert wd.dropped == 1
     with pytest.raises(ValueError):
         windowize(discussions[0], 0, 2)
-
-
-def test_window_labels_zero_based_one_hot(tiny_corpus):
-    discussions, _, _ = tiny_corpus
-    wd = windowize(discussions[0], w=2, N=2)
-    labels = window_labels(wd, {"bob": 2, "carol": 5}, n=8)
-    # matches the {2, 5} -> [0,0,1,0,0,1,0,0] engagement vector convention
-    assert labels[0] == [0, 0, 1, 0, 0, 1, 0, 0]
-    assert labels[1] == [0, 0, 1, 0, 0, 0, 0, 0]
-
-
-def test_window_labels_ignores_unassigned(tiny_corpus):
-    discussions, _, _ = tiny_corpus
-    wd = windowize(discussions[0], w=3, N=2)
-    labels = window_labels(wd, {}, n=4)
-    assert labels[0] == [0, 0, 0, 0]
-    assert labels[1] is None  # invalid (empty) window
 
 
 def test_growth_target_values(tiny_corpus):

@@ -10,6 +10,7 @@ from threadcurve.corpus import Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.features import (ablate, build_lexicons, load_sentiment,
                                  load_stopwords, load_word_vectors)
+from conftest import make_lexicons
 
 
 @pytest.fixture
@@ -59,6 +60,36 @@ def test_engaged_counts_cover_comments_before_each_step(synth_materials):
             for c in d.comments[:i * spec.w]:
                 expect[cm.assignment[c.author]] += 1
             np.testing.assert_array_equal(pack["engaged_counts"][r, i], expect)
+
+
+def _labels(discussion, w, N, assignment, n):
+    """The labels and mask of one discussion's pack row."""
+    users = ["alice", "bob", "carol"]
+    emb = EmbeddingModel(users, np.eye(3), np.zeros(3))
+    cm = ClusterModel(np.zeros((n, 3)), assignment, 0.0)
+    pack, _, _ = ds.build_temporal_dataset([discussion], w, N,
+                                           make_lexicons(), emb, cm)
+    return pack["labels"][0].tolist(), pack["mask"][0].tolist()
+
+
+def test_labels_are_zero_based_one_hot(tiny_corpus):
+    # t1's comments come from bob, carol and bob
+    discussion = tiny_corpus[0][0]
+    labels, mask = _labels(discussion, 2, 2, {"bob": 2, "carol": 5}, n=8)
+    # matches the {2, 5} -> [0,0,1,0,0,1,0,0] engagement vector convention;
+    # bob engages again in the second window
+    assert labels == [[0, 0, 1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]
+    assert mask == [True, True]
+
+
+def test_labels_ignore_unassigned_authors(tiny_corpus):
+    discussion = tiny_corpus[0][0]
+    labels, _ = _labels(discussion, 3, 2, {"carol": 1}, n=4)
+    assert labels[0] == [0, 1, 0, 0]
+    labels, mask = _labels(discussion, 3, 2, {}, n=4)
+    assert labels[0] == [0, 0, 0, 0] and mask[0]
+    # the second window is empty: zero labels and a false mask
+    assert labels[1] == [0, 0, 0, 0] and not mask[1]
 
 
 def test_logreg_features_see_only_the_prefix(synth_materials):

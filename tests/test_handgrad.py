@@ -89,7 +89,8 @@ def tape_newton(pv, inst, w, lam):
     later = numer[read] / total.reshape(total.shape + (1,))
     position = concat([Var(np.zeros((1, later.shape[-1]))), later], axis=0)
     diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
-    d2 = (diff - Var(inst["flat_centers"])).square().sum(axis=-1) + nw.DIST_EPS
+    d2 = ((diff - Var(inst["centers"][..., 1:])).square().sum(axis=-1)
+          + nw.DIST_EPS)
     arg = mass.reshape(mass.shape + (1,)) / d2
     return _temporal_loss(arg.sigmoid(), (arg @ pv["Wp4"]).relu(), inst, lam)
 

@@ -51,10 +51,10 @@ def test_loss_gradients_match_finite_differences():
 def test_model_prediction_monotone_in_positive_weight_direction():
     X, y = _separable()
     w, b, _ = lr.fit_binary(X, y)
-    model = lr.LogRegModel([w], [b])
+    model = {"weights": w[None], "Biases": np.array([b])}
     x = np.zeros(3)
-    base, stepped = model.predict_proba(
-        np.stack([x, x + 0.5 * np.sign(w)])[:, None, :])[:, 0]
+    base, stepped = lr.predict_proba(
+        model, np.stack([x, x + 0.5 * np.sign(w)])[:, None, :])[:, 0]
     assert stepped > base
     assert 0.0 < base < 1.0
 
@@ -63,9 +63,10 @@ def test_train_temporal_one_unit_per_cluster():
     Xa, ya = _separable(seed=1)
     Xb, yb = _separable(seed=2)
     model, losses = lr.train_temporal([(Xa, ya), (Xb, yb)])
-    assert model.weights.shape == (2, 3)
-    assert model.biases.shape == (2,)
-    p = model.predict_proba(np.stack([Xa[-1], Xb[-1]]))
+    assert list(model) == ["weights", "Biases"]  # the checkpoint's keys
+    assert model["weights"].shape == (2, 3)
+    assert model["Biases"].shape == (2,)
+    p = lr.predict_proba(model, np.stack([Xa[-1], Xb[-1]]))
     assert p.shape == (2,) and p[1] > 0.5
     # each epoch's loss is the mean of the clusters' losses
     per_cluster = [lr.fit_binary(X, y)[2]
@@ -76,10 +77,10 @@ def test_train_temporal_one_unit_per_cluster():
 
 def test_predict_proba_scores_every_step_and_cluster_at_once():
     rng = np.random.default_rng(9)
-    model = lr.LogRegModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+    model = {"weights": rng.normal(size=(3, 4)), "Biases": rng.normal(size=3)}
     X = rng.normal(size=(5, 3, 4))  # (steps, clusters, features)
-    expected = [[1.0 / (1.0 + np.exp(-(model.weights[c] @ X[s, c]
-                                       + model.biases[c])))
+    expected = [[1.0 / (1.0 + np.exp(-(model["weights"][c] @ X[s, c]
+                                       + model["Biases"][c])))
                  for c in range(3)] for s in range(5)]
-    np.testing.assert_allclose(model.predict_proba(X), expected,
+    np.testing.assert_allclose(lr.predict_proba(model, X), expected,
                                rtol=1e-14, atol=0)

@@ -101,14 +101,15 @@ def test_forward_rotational_symmetry():
     rng = np.random.default_rng(21)
     store = nw.init_model(cfg, w=2, seed=3)
     inst = toy_instance(rng, cfg, w=2)
-    base, _ = nw.forward(store, inst["x1"], inst["x2"], inst["flat_centers"],
+    centers = inst["centers"][..., 1:]
+    base, _ = nw.forward(store, inst["x1"], inst["x2"], centers,
                          inst["user_vectors"], inst["user_mask"], 2)
     theta = 1.1
     R = np.eye(cfg.d)
     R[:2, :2] = [[np.cos(theta), -np.sin(theta)],
                  [np.sin(theta), np.cos(theta)]]
     rotated, _ = nw.forward(store, inst["x1"], inst["x2"],
-                            inst["flat_centers"] @ R.T,
+                            centers @ R.T,
                             inst["user_vectors"] @ R.T,
                             inst["user_mask"], 2)
     np.testing.assert_allclose(rotated.y1_array(), base.y1_array(), atol=1e-9)
@@ -161,3 +162,29 @@ def test_training_reduces_loss():
     data = [toy_instance(rng, cfg, w=2) for _ in range(3)]
     _, losses = nw.train_temporal(data, cfg, w=2, seed=0, epochs=15, lr=1e-2)
     assert losses[-1] < losses[0]
+
+
+def test_flat_and_per_step_centers_give_the_same_bits():
+    """The model reads the spacetime centres less their time coordinate,
+    one copy per step; flat (n, d) centres give the same outputs, loss and
+    gradients, bit for bit."""
+    cfg = toy_config()
+    rng = np.random.default_rng(26)
+    inst = toy_instance(rng, cfg, w=2, valid=[True, True, False])
+    flat = rng.normal(size=(cfg.n, cfg.d))
+    inst["centers"][..., 1:] = flat
+    store = nw.init_model(cfg, w=2, seed=7)
+    rest = (inst["user_vectors"], inst["user_mask"], 2)
+    per_step, _ = nw.forward(store, inst["x1"], inst["x2"],
+                             inst["centers"][..., 1:], *rest)
+    shared, _ = nw.forward(store, inst["x1"], inst["x2"], flat, *rest)
+    for key in ("y1", "y2", "r_prime"):
+        assert np.array_equal(getattr(per_step, key), getattr(shared, key))
+    # centres (n, d+1) without a step axis: centers[..., 1:] is `flat`
+    runs = []
+    for centers in (inst["centers"], np.pad(flat, ((0, 0), (1, 0)))):
+        loss = nw.discussion_loss(store, dict(inst, centers=centers), 2)
+        runs.append((loss, store.grads.copy()))
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1], runs[1][1])
+    assert np.any(runs[0][1] != 0.0)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_full_temporal_pipeline_and_manifest(tmp_path):
                       "pred_1,pred_2,pred_3")
     pack = load_store(cfg.path(pipeline.PACK))
     assert pack["mask"].dtype == pack["user_mask"].dtype == bool
+    with open(cfg.path("sparsity.json")) as fh:
+        sparsity = json.load(fh)
+    with open(cfg.path("users.txt")) as fh:
+        users = fh.read().split()
+    with open(cfg.path("cooccur.txt")) as fh:
+        nonzeros = len(fh.read().splitlines())
+    assert sorted(sparsity) == ["nonzeros", "skipped_title_pairs", "users"]
+    assert (sparsity["users"], sparsity["nonzeros"]) == (len(users), nonzeros)
 
 
 def test_stage_refuses_stale_input(tmp_path):
@@ -471,6 +480,41 @@ def test_cli_reports_input_a_stage_cannot_use(tmp_path):
         cfg_path = str(tmp_path / ("case%d.json" % k))
         cfg.save(cfg_path)
         _assert_one_error_line(_cli("--config", cfg_path, stage), message)
+
+
+@pytest.fixture(scope="module")
+def featurized(tmp_path_factory):
+    """A workdir featurized with n=3, d=8, N=4, w=5 and holdout 0.2."""
+    tmp_path = tmp_path_factory.mktemp("featurized")
+    cfg = PipelineConfig(workdir=str(tmp_path / "run"), synth_discussions=10,
+                         epochs=1, holdout=0.2, **pipeline.DESK_WIDTHS)
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
+                  "featurize"):
+        run_stage(stage, cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"d": 16}, "config d=16 differs from d=8 in the artifacts: "
+                "run embed again"),
+    ({"n": 4}, "config n=4 differs from n=3 in the artifacts: "
+               "run cluster again"),
+    ({"N": 3}, "config N=3 differs from N=4 in the artifacts: "
+               "run featurize again"),
+    ({"w": 4, "model": "newtonian"},
+     "config w=4 differs from w=5 in the artifacts: run featurize again"),
+    ({"holdout": 0.5}, "config holdout=0.5 holds out 5 of 10 discussions; "
+                       "the features pack holds out 2: run featurize again"),
+], ids=["d", "n", "N", "w", "holdout"])
+def test_cli_refuses_a_config_that_disagrees_with_the_pack(
+        featurized, tmp_path, change, message):
+    """`cluster` and `featurize` fix the widths and the split; a model stage
+    run under other values names the field and the stage to run again."""
+    cfg = PipelineConfig(**dict(asdict(featurized), **change))
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    _assert_one_error_line(_cli("--config", cfg_path, "train"), message)
+    assert not os.path.exists(cfg.path("train_log.json"))
 
 
 def test_cli_reports_bad_learning_rates(tmp_path, capsys):

@@ -12,6 +12,7 @@ from threadcurve import dataset as ds
 from threadcurve import features as ft
 from threadcurve import logreg, synth
 from threadcurve.clustering import ClusterModel
+from threadcurve.cooccur import title_vectors
 from threadcurve.corpus import Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.text import merge_stats, text_stats
@@ -158,7 +159,8 @@ def test_pack_rows_match_one_text_at_a_time(corpus, monkeypatch):
     assert any(position.get(c.parent_id, -1) > k for k, c in enumerate(first))
     monkeypatch.setattr(ds, "CHUNK", 3)  # three passes, the last one short
     pack, _, _ = ds.build_temporal_dataset(discussions, w, N, lex, emb, cm)
-    tvecs = ds.title_vectors(discussions, lex)
+    tvecs = title_vectors(discussions, lex.word_vectors, lex.idf,
+                          lex.stopwords)
     x1 = np.zeros_like(pack["x1"])
     x2 = np.zeros_like(pack["x2"])
     features = np.zeros_like(pack["logreg_features"])
@@ -197,7 +199,8 @@ def test_nontemporal_posts_match_one_text_at_a_time(corpus, monkeypatch):
     _, discussions, lex, emb, _ = corpus
     monkeypatch.setattr(ds, "CHUNK", 2)
     pack, _ = ds.build_nontemporal_dataset(discussions, lex, emb)
-    tvecs = ds.title_vectors(discussions, lex)
+    tvecs = title_vectors(discussions, lex.word_vectors, lex.idf,
+                          lex.stopwords)
     x1 = np.array([np.concatenate([
         ref.text_row(d.post.title + " " + d.post.body, lex),
         _user(d.post.author, emb), tvecs[d.id]]) for d in discussions])
