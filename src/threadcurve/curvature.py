@@ -69,40 +69,38 @@ def init_model(cfg, seed):
 def sigmoid(x):
     """Logistic function; exp sees only -|x|, capped at 500."""
     e = np.exp(-np.minimum(np.abs(x), 500.0))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def relu(x):
-    return x * (x > 0)
+    return x * (x > 0.0)
 
 
 def reverse_cumsum(g):
     """Gradient of a prefix sum along the first axis: suffix sums of g."""
-    return g[::-1].cumsum(axis=0)[::-1]
+    return np.add.accumulate(g[::-1])[::-1]
 
 
 def sum_leading(g, ndim):
     """g summed over its leading axes, one at a time, down to `ndim` axes:
     the gradient of an operand that broadcast over them."""
     while g.ndim > ndim:
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, 0)
     return g
 
 
-def weight_grad(dz, x):
-    """dL/dW of z = x @ W.T from dz (..., o): x.T @ dz over every row,
-    where x (..., i) may lack dz's leading axes."""
-    dz = sum_leading(dz, x.ndim)
-    return (x.reshape(-1, x.shape[-1]).T @ dz.reshape(-1, dz.shape[-1])).T
+def rows_t(x):
+    """x (..., i) as (i, rows): x.T @ dz is dL/dW.T of z = x @ W.T."""
+    return x.reshape(-1, x.shape[-1]).T
 
 
-def sigmoid_layer_backward(store, weight, bias, x, out, d_out):
-    """Gradients of out = sigmoid(x @ W.T + b) into the store from
-    dL/dout; returns dL/dx."""
+def sigmoid_backward(store, weight, bias, x_t, out, d_out):
+    """Gradients of out = sigmoid(x @ W.T + b) into the store from dL/dout
+    and x_t = rows_t(x); returns dL/dz."""
     dz = d_out * out * (1.0 - out)
-    store.set_grad(weight, weight_grad(dz, x))
+    store.set_grad(weight, (x_t @ dz.reshape(-1, dz.shape[-1])).T)
     store.set_grad(bias, sum_leading(dz, 1))
-    return dz @ store.get(weight)
+    return dz
 
 
 @dataclass
@@ -160,30 +158,32 @@ def encode_steps(P, x1, x2, steps):
 
 def cumulative_context(P, encodings):
     """Row i: the exp(W3)-weighted mean of encodings[..., 0..i, :], from
-    prefix sums along the step axis; returns it and its numerator."""
+    prefix sums along the step axis; returns it and the (numerator,
+    weights, denominator) that the reverse pass reads."""
     steps = encodings.shape[-2]
     omega = np.exp(P["W3"][:steps])
-    numer = np.cumsum(omega.reshape(steps, 1) * encodings, axis=-2)
-    return numer / np.cumsum(omega).reshape(steps, 1), numer
+    numer = np.add.accumulate(omega.reshape(steps, 1) * encodings, axis=-2)
+    denom = np.add.accumulate(omega).reshape(steps, 1)
+    return numer / denom, (numer, omega, denom)
 
 
-def context_backward(store, kept, d_ctx):
+def context_backward(store, kept, d_ctx, inst):
     """dL/dctx (S, h1) of one discussion back through the cumulative
-    context and the post and window encoders into W1, W2, B1 and W3."""
-    encodings = kept.encodings
+    context and the post and window encoders into W1, W2, B1 and W3; the
+    encoders' input rows come from `inst`, as `prepare` made it."""
+    encodings, (numer, omega, denom) = kept.encodings, kept.context
     steps = len(encodings)
-    omega = np.exp(store.get("W3")[:steps])
-    denom = np.cumsum(omega).reshape(steps, 1)
     d_weighted = reverse_cumsum(d_ctx / denom)
-    d_denom = (-d_ctx * kept.numer / denom ** 2).sum(axis=1)
-    d_omega = (d_weighted * encodings).sum(axis=1) + reverse_cumsum(d_denom)
+    d_denom = np.add.reduce(-d_ctx * numer / denom ** 2, 1)
+    d_omega = (np.add.reduce(d_weighted * encodings, 1)
+               + reverse_cumsum(d_denom))
     d_w3 = store.grad("W3")
     d_w3[:steps] = d_omega * omega
     d_w3[steps:] = 0.0
-    d_pre = d_weighted * omega.reshape(steps, 1) * (encodings > 0)
-    store.set_grad("W1", weight_grad(d_pre[:1], kept.x1[None, :]))
-    store.set_grad("W2", weight_grad(d_pre[1:], kept.x2[:steps - 1]))
-    store.set_grad("B1", d_pre[0] + d_pre[1:].sum(axis=0))
+    d_pre = d_weighted * omega.reshape(steps, 1) * (encodings > 0.0)
+    store.set_grad("W1", (inst.post_t @ d_pre[:1]).T)
+    store.set_grad("W2", (inst.windows_t @ d_pre[1:]).T)
+    store.set_grad("B1", d_pre[0] + np.add.reduce(d_pre[1:], 0))
 
 
 def stress_energy(P, ctx, centers):
@@ -209,31 +209,33 @@ def inverse_metric(P, centers):
 
 def curvature(P, m_diag, g_inv):
     """Per-cluster R' (..., n) and its W8-weighted total (...)."""
-    r_prime = (m_diag * g_inv).sum(axis=-1)
+    r_prime = np.add.reduce(m_diag * g_inv, -1)
     return r_prime, r_prime @ P["W8"]
 
 
-def curvature_backward(store, kept, d_r_prime, d_r_total):
+def curvature_backward(store, kept, d_r_prime, d_r_total, centers_t):
     """dL/dR' and dL/dR_total back through the curvature, inverse-metric
-    and stress-energy layers into their parameters; returns dL/dctx."""
+    and stress-energy layers into their parameters, with centers_t =
+    rows_t(kept.centers); returns dL/dctx."""
+    get, g_inv, m_diag, se_hidden = (store.get, kept.g_inv, kept.m_diag,
+                                     kept.se_hidden)
     store.set_grad("W8", kept.r_prime.T @ d_r_total)
-    d_r = (d_r_prime + np.outer(d_r_total, store.get("W8")))[..., None]
-    d_g_inv = sum_leading(d_r * kept.m_diag, kept.g_inv.ndim)
-    d_hidden = sigmoid_layer_backward(store, "W6", "B5", kept.im_hidden,
-                                      kept.g_inv, d_g_inv)
-    sigmoid_layer_backward(store, "W7", "B6", kept.centers, kept.im_hidden,
-                           d_hidden)
-    d_hidden = sigmoid_layer_backward(store, "W4", "B3", kept.se_hidden,
-                                      kept.m_diag, d_r * kept.g_inv)
-    hidden = kept.se_hidden
-    dz = d_hidden * hidden * (1.0 - hidden)
-    d_from_ctx = dz.sum(axis=-2)
+    d_r = (d_r_prime + d_r_total[:, None] * get("W8"))[..., None]
+    dz = sigmoid_backward(store, "W6", "B5", rows_t(kept.im_hidden), g_inv,
+                          sum_leading(d_r * m_diag, g_inv.ndim))
+    sigmoid_backward(store, "W7", "B6", centers_t, kept.im_hidden,
+                     dz @ get("W6"))
+    dz = sigmoid_backward(store, "W4", "B3", rows_t(se_hidden), m_diag,
+                          d_r * g_inv)
+    dz = (dz @ get("W4")) * se_hidden * (1.0 - se_hidden)
+    d_from_ctx = np.add.reduce(dz, -2)
     h1 = kept.ctx.shape[-1]
     d_w5 = store.grad("W5")
-    d_w5[:, :h1] = weight_grad(d_from_ctx, kept.ctx)
-    d_w5[:, h1:] = weight_grad(dz, kept.centers)
+    d_w5[:, :h1] = (kept.ctx.T @ d_from_ctx).T
+    d_centers = sum_leading(dz, kept.centers.ndim)
+    d_w5[:, h1:] = (centers_t @ d_centers.reshape(-1, dz.shape[-1])).T
     store.set_grad("B4", sum_leading(dz, 1))
-    return d_from_ctx @ store.get("W5")[:, :h1]
+    return d_from_ctx @ get("W5")[:, :h1]
 
 
 def neutral_point(d):
@@ -277,66 +279,97 @@ def forward(store, x1, x2, centers):
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     P = dict(store.items())
     encodings = encode_steps(P, x1, x2, centers.shape[-3])
-    ctx, numer = cumulative_context(P, encodings)
+    ctx, context = cumulative_context(P, encodings)
     kept = _curvature_layers(P, ctx, centers)
     y1, y2 = heads(kept.r_prime, kept.r_total,
                    neutral=neutral_point(centers.shape[-1] - 1))
-    kept.x1, kept.x2, kept.encodings, kept.numer = x1, x2, encodings, numer
+    kept.encodings, kept.context = encodings, context
     return ForwardTrace(y1=y1, y2=y2, r_prime=kept.r_prime,
                         r_total=kept.r_total, m_diag=kept.m_diag,
                         g_inv=kept.g_inv), kept
+
+
+def clipped_bce(p, t, not_t, g_t, g_not_t, axis):
+    """Cross-entropy of p against t (1 - t is not_t) summed along `axis`,
+    and g times its gradient from g·t and g·not_t; zero where p is clipped."""
+    q = np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
+    not_q = 1.0 - q
+    loss = np.add.reduce(-(t * np.log(q) + not_t * np.log(not_q)), axis)
+    return loss, (g_t / q - g_not_t / not_q) * (q == p)
 
 
 def bce(p, target, axis=None, scale=1.0):
     """Mean binary cross-entropy with clipped probabilities, and the
     gradient of `scale` times it with respect to p (zero where p is
     clipped)."""
-    q = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     t = np.asarray(target, dtype=float)
-    not_t, not_q = 1.0 - t, 1.0 - q
     share = 1.0 / (p.size if axis is None else p.shape[axis])
-    loss = (-(t * np.log(q) + not_t * np.log(not_q))).sum(axis=axis)
-    g = -(scale * share)
-    unclipped = (p >= PROB_CLIP) & (p <= 1.0 - PROB_CLIP)
-    return loss * share, (g * t / q - g * not_t / not_q) * unclipped
+    g, not_t = -(scale * share), 1.0 - t
+    loss, grad = clipped_bce(p, t, not_t, g * t, g * not_t, axis)
+    return loss * share, grad
 
 
-def temporal_loss(trace, labels, growth, mask, lam=1.0):
-    """Mean over valid steps of BCE(y1, Y) + lam * (y2 - g)^2; returns
-    the loss and its gradients with respect to trace.y1 and trace.y2."""
-    valid = np.flatnonzero(mask)
+def prepare(instance):
+    """The instance's arrays, with the data-only values its loss reads
+    derived once per fit (x2 holds a row per step); a prepared instance
+    passes through."""
+    if isinstance(instance, SimpleNamespace):
+        return instance
+    x1, x2, centers = (np.asarray(instance[key], dtype=float)
+                       for key in ("x1", "x2", "centers"))
+    valid = np.flatnonzero(instance["mask"])
     if not valid.size:
         raise ValueError("no valid prediction steps")
-    share = 1.0 / valid.size
-    d_y1, d_y2 = np.zeros_like(trace.y1), np.zeros_like(trace.y2)
-    per_step, d_y1[valid] = bce(trace.y1[valid], np.asarray(labels)[valid],
-                                axis=1, scale=share)
+    t = np.asarray(np.asarray(instance["labels"])[valid], dtype=float)
+    share, label_share = 1.0 / valid.size, 1.0 / t.shape[1]
+    g, not_t = -(share * label_share), 1.0 - t  # bce's g at scale share
+    return SimpleNamespace(**dict(
+        instance, x1=x1, x2=x2, centers=centers, centers_t=rows_t(centers),
+        t=t, not_t=not_t, g_t=g * t, g_not_t=g * not_t, share=share,
+        label_share=label_share, post_t=rows_t(x1[None, :]),
+        windows_t=rows_t(x2[:-1]),
+        growth_valid=np.asarray(instance["growth"], dtype=float)[valid],
+        valid=None if valid.size == len(instance["mask"]) else valid))
+
+
+def temporal_loss(trace, inst, lam=1.0):
+    """Mean over valid steps of BCE(y1, Y) + lam * (y2 - g)^2, from the
+    values of `prepare` (`valid` is None when every step is); returns the
+    loss and its gradients with respect to trace.y1 and trace.y2."""
+    y1, y2, valid = trace.y1, trace.y2, inst.valid
+    if valid is not None:
+        y1, y2 = y1[valid], y2[valid]
+    per_step, d_y1 = clipped_bce(y1, inst.t, inst.not_t, inst.g_t,
+                                 inst.g_not_t, 1)
+    per_step, d_y2 = per_step * inst.label_share, np.zeros(y2.shape)
     if lam != 0.0:
-        diff = trace.y2[valid] - np.asarray(growth, dtype=float)[valid]
+        diff = y2 - inst.growth_valid
         per_step = per_step + lam * diff ** 2
-        d_y2[valid] = share * lam * 2.0 * diff
-    return per_step.sum() * share, d_y1, d_y2
+        d_y2 = inst.share * lam * 2.0 * diff
+    if valid is not None:
+        full = np.zeros_like(trace.y1), np.zeros_like(trace.y2)
+        full[0][valid], full[1][valid] = d_y1, d_y2
+        d_y1, d_y2 = full
+    return np.add.reduce(per_step) * inst.share, d_y1, d_y2
 
 
 def discussion_loss(store, instance, lam=1.0):
-    """Forward + loss for one discussion instance; fills gradients."""
-    trace, kept = forward(store, instance["x1"], instance["x2"],
-                          instance["centers"])
-    loss, d_y1, d_y2 = temporal_loss(trace, instance["labels"],
-                                     instance["growth"], instance["mask"],
-                                     lam=lam)
-    d_ctx = curvature_backward(store, kept,
-                               d_y1 * trace.y1 * (1.0 - trace.y1),
-                               d_y2 * (trace.y2 > 0))
-    context_backward(store, kept, d_ctx)
+    """Forward + loss for one discussion instance, raw or prepared; fills
+    gradients."""
+    inst = prepare(instance)
+    trace, kept = forward(store, inst.x1, inst.x2, inst.centers)
+    loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
+    d_ctx = curvature_backward(store, kept, d_y1 * trace.y1 * (1.0 - trace.y1),
+                               d_y2 * (trace.y2 > 0), inst.centers_t)
+    context_backward(store, kept, d_ctx, inst)
     return loss
 
 
 def train_temporal(dataset, cfg, seed=0, epochs=30, lr=1e-3):
     """Adam over discussions, one update per discussion per epoch; returns
-    the store and the epoch losses."""
+    the store and the epoch losses. Each discussion is prepared once."""
     store = init_model(cfg, seed)
-    return store, fit(store, dataset,
+    return store, fit(store, [prepare(inst) for inst in dataset],
                       lambda s, inst: discussion_loss(s, inst, lam=cfg.lam),
                       epochs, lr)
 
@@ -374,9 +407,10 @@ def nontemporal_batch_loss(store, batch):
     y3, kept = nontemporal_forward(store, batch["x1"], batch["centers0"])
     y3 = y3.data
     loss, d_y3 = bce(y3, batch["label"])
-    d_ctx = curvature_backward(store, kept, 0.0, d_y3 * y3 * (1.0 - y3))
+    d_ctx = curvature_backward(store, kept, 0.0, d_y3 * y3 * (1.0 - y3),
+                               rows_t(kept.centers))
     d_pre = d_ctx * (kept.ctx > 0)
-    store.set_grad("W1", weight_grad(d_pre, kept.x1))
+    store.set_grad("W1", (rows_t(kept.x1) @ d_pre).T)
     store.set_grad("B1", sum_leading(d_pre, 1))
     store.grad("W2")[...] = 0.0  # the one-shot pass reads no window
     store.grad("W3")[...] = 0.0

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .curvature import (ForwardTrace, context_backward, cumulative_context,
-                        encode_steps, relu, reverse_cumsum, sigmoid,
-                        sigmoid_layer_backward, temporal_loss)
+                        encode_steps, prepare, relu, reverse_cumsum, rows_t,
+                        sigmoid, sigmoid_backward, temporal_loss)
 from .optim import fit, init_params
 
 DIST_EPS = 1e-6
@@ -56,12 +56,12 @@ def newton_position(P, user_vectors, mask, w, steps):
     prefix = (steps - 1) * w  # the comments the last step sees
     mask = np.asarray(mask[..., :prefix], dtype=float)
     omega = np.exp(P["Wp3"][:prefix]) * mask
-    numer = np.cumsum(omega.reshape(omega.shape + (1,))
-                      * user_vectors[..., :prefix, :], axis=-2)
+    numer = np.add.accumulate(omega.reshape(omega.shape + (1,))
+                              * user_vectors[..., :prefix, :], axis=-2)
     read = np.arange(1, steps) * w - 1
     # nobody embedded yet: numer is zero, and 0/1 keeps it so
-    empty = np.cumsum(mask, axis=-1)[..., read] == 0
-    total = np.cumsum(omega, axis=-1)[..., read] + empty
+    empty = np.add.accumulate(mask, axis=-1)[..., read] == 0
+    total = np.add.accumulate(omega, axis=-1)[..., read] + empty
     numer = numer[..., read, :]
     later = numer / total.reshape(total.shape + (1,))
     origin = np.zeros(later.shape[:-2] + (1, later.shape[-1]))
@@ -73,7 +73,7 @@ def newton_heads(P, mass, position, centers):
     sum. mass (...), position (..., d), centers (n, d) or one set per step
     (..., n, d); y1 is (..., n)."""
     diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
-    d2 = ((diff - centers) ** 2).sum(axis=-1) + DIST_EPS
+    d2 = np.add.reduce((diff - centers) ** 2, -1) + DIST_EPS
     arg = mass.reshape(mass.shape + (1,)) / d2
     return sigmoid(arg), relu(arg @ P["Wp4"]), arg
 
@@ -89,16 +89,16 @@ def forward(store, x1, x2, centers, user_vectors, mask, w):
     centers = np.asarray(centers, dtype=float)
     steps = x2.shape[-2]
     encodings = encode_steps(P, x1, x2, steps)
-    ctx, numer = cumulative_context(P, encodings)
+    ctx, context = cumulative_context(P, encodings)
     hidden, mass = newton_mass(P, ctx)
     position, later_numer, total = newton_position(P, user_vectors, mask, w,
                                                    steps)
     y1, y2, arg = newton_heads(P, mass, position, centers)
-    kept = SimpleNamespace(x1=x1, x2=x2, encodings=encodings, numer=numer,
-                           ctx=ctx, hidden=hidden, mass=mass,
-                           position=position, later_numer=later_numer,
-                           total=total, w=w, centers=centers,
-                           user_vectors=user_vectors, user_mask=mask)
+    kept = SimpleNamespace(encodings=encodings, context=context, ctx=ctx,
+                           hidden=hidden, mass=mass, position=position,
+                           later_numer=later_numer, total=total, w=w,
+                           centers=centers, user_vectors=user_vectors,
+                           user_mask=mask)
     return ForwardTrace(y1=y1, y2=y2, r_prime=arg), kept
 
 
@@ -111,46 +111,43 @@ def position_backward(store, kept, d_later):
     d_numer = np.zeros((prefix, d_later.shape[-1]))
     d_numer[read] = d_later / total
     d_total = np.zeros(prefix)
-    d_total[read] = (-d_later * kept.later_numer / total ** 2).sum(axis=1)
+    d_total[read] = np.add.reduce(-d_later * kept.later_numer / total ** 2, 1)
     mask = np.asarray(kept.user_mask[:prefix], dtype=float)
     d_omega = (reverse_cumsum(d_total)
-               + (reverse_cumsum(d_numer) * kept.user_vectors[:prefix])
-               .sum(axis=1))
+               + np.add.reduce(reverse_cumsum(d_numer)
+                               * kept.user_vectors[:prefix], 1))
     d_wp3 = store.grad("Wp3")
     d_wp3[:prefix] = d_omega * mask * np.exp(store.get("Wp3")[:prefix])
     d_wp3[prefix:] = 0.0
 
 
 def discussion_loss(store, instance, w, lam=1.0):
-    trace, kept = forward(store, instance["x1"], instance["x2"],
-                          instance["centers"][..., 1:],
-                          instance["user_vectors"],
-                          instance["user_mask"], w)
-    loss, d_y1, d_y2 = temporal_loss(trace, instance["labels"],
-                                     instance["growth"], instance["mask"],
-                                     lam=lam)
-    arg, mass = trace.r_prime, kept.mass[:, None]
+    inst = prepare(instance)
+    trace, kept = forward(store, inst.x1, inst.x2, inst.centers[..., 1:],
+                          inst.user_vectors, inst.user_mask, w)
+    loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
+    arg, mass, y1 = trace.r_prime, kept.mass[:, None], trace.y1
     d_total = d_y2 * (trace.y2 > 0)
     store.set_grad("Wp4", arg.T @ d_total)
-    d_arg = d_y1 * trace.y1 * (1.0 - trace.y1) + np.outer(d_total,
-                                                          store.get("Wp4"))
+    d_arg = d_y1 * y1 * (1.0 - y1) + d_total[:, None] * store.get("Wp4")
     delta = kept.position[:, None, :] - kept.centers
-    d2 = (delta ** 2).sum(axis=-1) + DIST_EPS
+    d2 = np.add.reduce(delta ** 2, -1) + DIST_EPS
     d_delta = (-d_arg * mass / d2 ** 2)[..., None] * 2.0 * delta
-    position_backward(store, kept, d_delta.sum(axis=1)[1:])
-    d_hidden = sigmoid_layer_backward(store, "Wp1", "Bp2", kept.hidden, mass,
-                                      (d_arg / d2).sum(axis=1)[:, None])
-    d_ctx = sigmoid_layer_backward(store, "Wp2", "Bp1", kept.ctx, kept.hidden,
-                                   d_hidden)
-    context_backward(store, kept, d_ctx)
+    position_backward(store, kept, np.add.reduce(d_delta, 1)[1:])
+    hidden = kept.hidden
+    dz = sigmoid_backward(store, "Wp1", "Bp2", rows_t(hidden), mass,
+                          np.add.reduce(d_arg / d2, 1)[:, None])
+    dz = sigmoid_backward(store, "Wp2", "Bp1", kept.ctx.T, hidden,
+                          dz @ store.get("Wp1"))
+    context_backward(store, kept, dz @ store.get("Wp2"), inst)
     return loss
 
 
 def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):
     """Adam over discussions, one update per discussion per epoch; returns
-    the store and the epoch losses."""
+    the store and the epoch losses. Each discussion is prepared once."""
     store = init_model(cfg, w, seed)
-    return store, fit(store, dataset,
+    return store, fit(store, [prepare(inst) for inst in dataset],
                       lambda s, inst: discussion_loss(s, inst, w, lam=cfg.lam),
                       epochs, lr)
 

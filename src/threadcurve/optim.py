@@ -51,8 +51,9 @@ class ParameterStore:
     def items(self):
         return self._views.items()
 
-    def _checked(self, views, name, shape):
+    def _checked(self, views, name, value):
         view = views[name]
+        shape = value.shape if type(value) is np.ndarray else np.shape(value)
         if shape != view.shape:
             raise OptimError("shape %r for %r, expected %r"
                              % (shape, name, view.shape))
@@ -62,13 +63,13 @@ class ParameterStore:
         return self._views[name]
 
     def set(self, name, value):
-        self._checked(self._views, name, np.shape(value))[...] = value
+        self._checked(self._views, name, value)[...] = value
 
     def grad(self, name):
         return self._grad_views[name]
 
     def set_grad(self, name, grad):
-        self._checked(self._grad_views, name, np.shape(grad))[...] = grad
+        self._checked(self._grad_views, name, grad)[...] = grad
 
     def zero_grad(self):
         self.grads.fill(0.0)
@@ -105,14 +106,16 @@ def init_params(spec, seed):
 
 
 class Adam:
-    """Adam (Kingma & Ba, ICLR 2015) over a store's whole flat vector."""
+    """Adam (Kingma & Ba, ICLR 2015) over a store's whole flat vector, in
+    buffers allocated once: the moments (m, v), their next values, and the
+    update with a scratch row."""
 
     def __init__(self, store, lr=1e-3):
         self.store = store
         self.lr = lr
         self.t = 0
-        self._m = np.zeros_like(store.values)
-        self._v = np.zeros_like(store.values)
+        self._mv, self._next, (self._update, self._tmp) = np.zeros(
+            (3, 2, store.values.size))
 
     def _check(self, what, flat):
         finite = np.isfinite(flat)
@@ -121,18 +124,30 @@ class Adam:
             raise OptimError("non-finite %s for %r" % (what, name))
 
     def step(self):
-        """One update; a non-finite gradient or update raises unapplied."""
-        g = self.store.grads
-        self._check("gradient", g)
-        t = self.t + 1
-        m = BETA1 * self._m + (1 - BETA1) * g
-        v = BETA2 * self._v + (1 - BETA2) * g ** 2
-        m_hat = m / (1 - BETA1 ** t)
-        v_hat = v / (1 - BETA2 ** t)
-        update = self.store.values - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        self._check("update", update)
-        self.t, self._m, self._v = t, m, v
-        self.store.values[:] = update
+        """One update; a non-finite gradient or update raises unapplied.
+
+        A non-finite gradient makes its update element non-finite, so one
+        sum tests both; the scans that name the tensor run only when that
+        sum is not finite (a sum of finite values can overflow too)."""
+        g, values, update, tmp = (self.store.grads, self.store.values,
+                                  self._update, self._tmp)
+        (m, v), t = self._next, self.t + 1
+        # m = BETA1 * m + (1 - BETA1) * g, and v likewise from g ** 2
+        np.add(np.multiply(self._mv[0], BETA1, out=m),
+               np.multiply(g, 1 - BETA1, out=tmp), out=m)
+        np.add(np.multiply(self._mv[1], BETA2, out=v),
+               np.multiply(np.square(g, out=tmp), 1 - BETA2, out=tmp), out=v)
+        # update = values - lr * m_hat / (sqrt(v_hat) + EPS)
+        np.multiply(np.divide(m, 1 - BETA1 ** t, out=update), self.lr,
+                    out=update)
+        np.add(np.sqrt(np.divide(v, 1 - BETA2 ** t, out=tmp), out=tmp), EPS,
+               out=tmp)
+        np.subtract(values, np.divide(update, tmp, out=update), out=update)
+        if not math.isfinite(np.add.reduce(update)):
+            self._check("gradient", g)
+            self._check("update", update)
+        self.t, self._mv, self._next = t, self._next, self._mv
+        values[:] = update
 
 
 def fit(store, batches, loss, epochs, lr):

@@ -6,12 +6,15 @@ same loss bit for bit and its gradients are the oracle for the hand
 ones.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from threadcurve import curvature as cv
 from threadcurve import newton as nw
 from threadcurve.autodiff import Var, concat
+from threadcurve.optim import Adam
 from conftest import toy_config, toy_instance, toy_split
 
 REL_TOL = 1e-10
@@ -243,3 +246,50 @@ def test_sigmoid_is_bitwise_the_tapes():
     x = np.random.default_rng(45).normal(scale=30.0, size=100_000)
     x[:7] = [0.0, -0.0, 700.0, -700.0, np.inf, -np.inf, np.nan]
     np.testing.assert_array_equal(cv.sigmoid(x), Var(x).sigmoid().data)
+
+
+def _tape_fit(store, rows, tape_loss, epochs, lr):
+    """`optim.fit`'s loop, one Adam step per discussion, on the tape's
+    losses and gradients."""
+    opt, losses = Adam(store, lr=lr), []
+    for _ in range(epochs):
+        total = 0.0
+        for inst in rows:
+            pv = _vars(store)
+            loss = tape_loss(pv, inst)
+            loss.backward()
+            for name, var in pv.items():
+                store.set_grad(name, np.zeros_like(var.data)
+                               if var.grad is None else var.grad)
+            opt.step()
+            total += float(loss.data)
+        losses.append(total / len(rows))
+    return losses
+
+
+@pytest.mark.parametrize("model", ["rgnet", "newton"])
+@pytest.mark.parametrize("lam", [1.0, 0.0, 0.3])
+def test_training_matches_adam_on_the_tape_epoch_by_epoch(model, lam):
+    """Three epochs over the valid-every-step and the valid-at-step-0-only
+    rows: the checkpoint's bytes and every epoch loss equal Adam stepped on
+    the tape's gradients, so no prepared constant or optimizer buffer goes
+    stale after the first update."""
+    cfg, rows = replace(toy_config(), lam=lam), _split()
+
+    def tape(pv, inst):
+        if model == "rgnet":
+            return tape_rgnet(pv, inst, lam)
+        return tape_newton(pv, inst, 2, lam)
+
+    if model == "rgnet":
+        store, losses = cv.train_temporal(rows, cfg, seed=5, epochs=3,
+                                          lr=1e-2)
+        tape_store = cv.init_model(cfg, 5)
+    else:
+        store, losses = nw.train_temporal(rows, cfg, 2, seed=5, epochs=3,
+                                          lr=1e-2)
+        tape_store = nw.init_model(cfg, 2, 5)
+    start = tape_store.values.copy()
+    assert losses == _tape_fit(tape_store, rows, tape, epochs=3, lr=1e-2)
+    assert store.values.tobytes() == tape_store.values.tobytes()
+    assert not np.array_equal(store.values, start)

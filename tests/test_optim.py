@@ -142,14 +142,57 @@ def test_non_finite_gradient_names_its_tensor_and_changes_nothing():
 
 
 def test_non_finite_update_names_its_tensor():
+    big = np.finfo(float).max
     store = ParameterStore()
     store.register("a", np.zeros(2))
-    store.register("big", np.array([1.0, np.finfo(float).max]))
+    store.register("big", np.array([1.0, big]))
     store.set_grad("big", np.array([0.0, -1.0]))
+    opt = Adam(store, lr=big)
     with np.errstate(over="ignore"), pytest.raises(
             OptimError, match="non-finite update for 'big'"):
-        Adam(store, lr=np.finfo(float).max).step()
-    assert store.get("big")[1] == np.finfo(float).max
+        opt.step()
+    assert store.get("big")[1] == big
+    # the moments and the step count, kept in reused buffers, are untouched:
+    # the next step is the reference's first
+    ref = ReferenceAdam({"a": np.zeros(2), "big": np.array([1.0, big])},
+                        lr=big)
+    grads = {"a": np.array([0.5, -0.25]), "big": np.zeros(2)}
+    for name, g in grads.items():
+        store.set_grad(name, g)
+    opt.step()
+    ref.step(grads)
+    for name in grads:
+        assert np.array_equal(store.get(name), ref.p[name]), name
+    assert np.all(np.abs(store.get("a")) > 1e307)
+
+
+def test_finite_step_whose_sums_overflow_matches_the_reference():
+    """Two gradient entries (first step) and two values at the largest
+    float: the sums of the gradient and of the update overflow, but every
+    element is finite, so each step is taken, bit for bit as the reference
+    takes it."""
+    big = np.finfo(float).max
+    rng = np.random.default_rng(2)
+    tensors = {n: rng.normal(size=shape) for n, shape in SHAPES.items()}
+    tensors["b"][:2] = big
+    store = ParameterStore()
+    for name, value in tensors.items():
+        store.register(name, value)
+    ref, opt = ReferenceAdam(tensors, lr=0.05), Adam(store, lr=0.05)
+    for step in range(3):
+        grads = {n: rng.normal(size=SHAPES[n]) for n in SHAPES}
+        if step == 0:
+            grads["W"][0, :2] = big
+        for name, g in grads.items():
+            store.set_grad(name, g)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(store.grads.sum()) == (step > 0)
+            opt.step()
+            ref.step(grads)
+            assert not np.isfinite(store.values.sum())
+    for name in SHAPES:
+        assert np.array_equal(store.get(name), ref.p[name]), name
+    assert opt.t == 3 and np.all(np.isfinite(store.values))
 
 
 def test_store_views_share_the_flat_buffers():
