@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from .corpus import CorpusError
 from .optim import OptimError
@@ -41,29 +40,14 @@ def build_parser():
 
 
 def config_from_args(args):
-    if args.config:
-        cfg = PipelineConfig.load(args.config)
-    else:
-        cfg = PipelineConfig()
     overrides = {"workdir": args.workdir, "seed": args.seed,
                  "model": args.model, "task": args.task,
-                 "ablation": args.ablate, "corpus_path": args.corpus}
-    changed = {k: v for k, v in overrides.items() if v is not None}
-    if args.desk_scale:
-        changed["desk_scale"] = True
-    if changed:
-        raw = asdict(cfg)
-        if "workdir" in changed:
-            # input paths still at their default in the old workdir follow
-            # the new one; --corpus is put back below
-            default = PipelineConfig(workdir=cfg.workdir)
-            for key in ("corpus_path", "word_vectors_path",
-                        "sentiment_path", "stopwords_path"):
-                if raw[key] == getattr(default, key):
-                    raw[key] = ""
-        raw.update(changed)
-        cfg = PipelineConfig(**raw)
-    return cfg
+                 "ablation": args.ablate, "corpus_path": args.corpus,
+                 "desk_scale": args.desk_scale or None}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if args.config:
+        return PipelineConfig.load(args.config, **overrides)
+    return PipelineConfig(**overrides)
 
 
 def main(argv=None):
@@ -74,7 +58,8 @@ def main(argv=None):
             outputs = run_all(cfg)
         else:
             outputs = run_stage(args.stage, cfg)
-    except (PipelineError, CorpusError, OptimError, StoreError) as exc:
+    except (PipelineError, CorpusError, OptimError, StoreError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for path in outputs:

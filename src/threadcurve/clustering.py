@@ -12,10 +12,9 @@ TOL = 1e-6      # stop once no center moves farther than this
 
 
 class ClusterModel:
-    def __init__(self, centers, assignment, inertia):
+    def __init__(self, centers, assignment):
         self.centers = np.asarray(centers, dtype=float)
         self.assignment = dict(assignment)
-        self.inertia = float(inertia)
 
     @property
     def n(self):
@@ -42,7 +41,7 @@ class ClusterModel:
             for line in fh:
                 if line.strip():
                     centers.append([float(x) for x in line.split()])
-        return cls(np.array(centers), assignment, inertia=float("nan"))
+        return cls(np.array(centers), assignment)
 
 
 def _kmeans_pp_init(X, n, rng):
@@ -95,9 +94,8 @@ def kmeans(model, n, seed=0):
             break
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(X)), labels].sum())
     assignment = {uid: int(labels[k]) for k, uid in enumerate(model.user_ids)}
-    return ClusterModel(centers, assignment, inertia)
+    return ClusterModel(centers, assignment)
 
 
 def time_coordinate(elapsed_seconds):

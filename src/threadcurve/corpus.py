@@ -82,7 +82,6 @@ class CorpusManifest:
     removed_by_tag: int = 0
     orphans_reattached: int = 0
     single_activity_users: int = 0
-    malformed_lines: int = 0
 
 
 def _get(raw, key, owner):

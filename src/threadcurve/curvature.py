@@ -298,14 +298,12 @@ def clipped_bce(p, t, not_t, g_t, g_not_t, axis):
     return loss, (g_t / q - g_not_t / not_q) * (q == p)
 
 
-def bce(p, target, axis=None, scale=1.0):
-    """Mean binary cross-entropy with clipped probabilities, and the
-    gradient of `scale` times it with respect to p (zero where p is
-    clipped)."""
+def bce(p, target):
+    """Mean binary cross-entropy with clipped probabilities, and its
+    gradient with respect to p (zero where p is clipped)."""
     t = np.asarray(target, dtype=float)
-    share = 1.0 / (p.size if axis is None else p.shape[axis])
-    g, not_t = -(scale * share), 1.0 - t
-    loss, grad = clipped_bce(p, t, not_t, g * t, g * not_t, axis)
+    share, not_t = 1.0 / p.size, 1.0 - t
+    loss, grad = clipped_bce(p, t, not_t, -share * t, -share * not_t, None)
     return loss * share, grad
 
 
@@ -322,7 +320,7 @@ def prepare(instance):
         raise ValueError("no valid prediction steps")
     t = np.asarray(np.asarray(instance["labels"])[valid], dtype=float)
     share, label_share = 1.0 / valid.size, 1.0 / t.shape[1]
-    g, not_t = -(share * label_share), 1.0 - t  # bce's g at scale share
+    g, not_t = -(share * label_share), 1.0 - t  # mean over labels, then steps
     return SimpleNamespace(**dict(
         instance, x1=x1, x2=x2, centers=centers, centers_t=rows_t(centers),
         t=t, not_t=not_t, g_t=g * t, g_not_t=g * not_t, share=share,

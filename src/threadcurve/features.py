@@ -221,10 +221,6 @@ def _text_row(text, lexicons, depth=0, seconds_since_post=0):
                      [seconds_since_post])[0]
 
 
-def avg_tfidf(text, lexicons):
-    return float(_text_row(text, lexicons)[0])
-
-
 def lix(text):
     """|w|/|s| + 100*|cw|/|w| with cw = words longer than six characters."""
     return float(_text_row(text, _NO_TABLES)[1])
@@ -241,11 +237,6 @@ def polarity(text, sentiment):
     terms, summed in order of first occurrence."""
     row = _text_row(text, replace(_NO_TABLES, sentiment=sentiment))
     return float(row[3]), int(row[4]), int(row[5])
-
-
-def latent_vector(text, lexicons):
-    """(1/|C|) * sum of tf-idf weighted word vectors over unique terms."""
-    return _text_row(text, lexicons)[TEXT_WIDTH:]
 
 
 # ------------------------------------------------------------------- layout

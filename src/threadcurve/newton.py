@@ -47,12 +47,12 @@ def newton_mass(P, ctx):
 
 
 def newton_position(P, user_vectors, mask, w, steps):
-    """(..., steps, d) positions, with the numerators (..., steps-1, d) and
-    totals (..., steps-1) of rows 1 on. Row i is the exp(Wp3)-weighted
-    mean of the embedded commenters' vectors among comments 0..i·w-1,
-    read from masked prefix sums at comment i·w-1; the zero vector at
-    step 0 and while no commenter is embedded. user_vectors (..., N·w, d)
-    and mask (..., N·w)."""
+    """(..., steps, d) positions, and the (numerators, weights, totals,
+    read indices) that the reverse pass reads. Row i is the exp(Wp3)-
+    weighted mean of the embedded commenters' vectors among comments
+    0..i·w-1, read from masked prefix sums at comment i·w-1; the zero
+    vector at step 0 and while no commenter is embedded. user_vectors
+    (..., N·w, d) and mask (..., N·w)."""
     prefix = (steps - 1) * w  # the comments the last step sees
     mask = np.asarray(mask[..., :prefix], dtype=float)
     omega = np.exp(P["Wp3"][:prefix]) * mask
@@ -65,17 +65,20 @@ def newton_position(P, user_vectors, mask, w, steps):
     numer = numer[..., read, :]
     later = numer / total.reshape(total.shape + (1,))
     origin = np.zeros(later.shape[:-2] + (1, later.shape[-1]))
-    return np.concatenate([origin, later], axis=-2), numer, total
+    return (np.concatenate([origin, later], axis=-2),
+            (numer, omega, total, read))
 
 
 def newton_heads(P, mass, position, centers):
     """y1[l] = sigmoid(M / (|r - C_l|^2 + eps)); y2 = relu of the weighted
     sum. mass (...), position (..., d), centers (n, d) or one set per step
-    (..., n, d); y1 is (..., n)."""
-    diff = position.reshape(position.shape[:-1] + (1, position.shape[-1]))
-    d2 = np.add.reduce((diff - centers) ** 2, -1) + DIST_EPS
+    (..., n, d); y1 is (..., n). Also returns the argument M / d2 and the
+    (r - C, d2) that the reverse pass reads."""
+    delta = (position.reshape(position.shape[:-1] + (1, position.shape[-1]))
+             - centers)
+    d2 = np.add.reduce(delta ** 2, -1) + DIST_EPS
     arg = mass.reshape(mass.shape + (1,)) / d2
-    return sigmoid(arg), relu(arg @ P["Wp4"]), arg
+    return sigmoid(arg), relu(arg @ P["Wp4"]), arg, (delta, d2)
 
 
 def forward(store, x1, x2, centers, user_vectors, mask, w):
@@ -91,33 +94,27 @@ def forward(store, x1, x2, centers, user_vectors, mask, w):
     encodings = encode_steps(P, x1, x2, steps)
     ctx, context = cumulative_context(P, encodings)
     hidden, mass = newton_mass(P, ctx)
-    position, later_numer, total = newton_position(P, user_vectors, mask, w,
-                                                   steps)
-    y1, y2, arg = newton_heads(P, mass, position, centers)
+    position, weighted = newton_position(P, user_vectors, mask, w, steps)
+    y1, y2, arg, (delta, d2) = newton_heads(P, mass, position, centers)
     kept = SimpleNamespace(encodings=encodings, context=context, ctx=ctx,
-                           hidden=hidden, mass=mass, position=position,
-                           later_numer=later_numer, total=total, w=w,
-                           centers=centers, user_vectors=user_vectors,
-                           user_mask=mask)
+                           hidden=hidden, mass=mass, weighted=weighted,
+                           delta=delta, d2=d2, user_vectors=user_vectors)
     return ForwardTrace(y1=y1, y2=y2, r_prime=arg), kept
 
 
 def position_backward(store, kept, d_later):
     """dL/dposition (S-1, d) of one discussion's rows 1.. back into Wp3."""
-    steps, w = len(d_later) + 1, kept.w
-    prefix = (steps - 1) * w
-    read = np.arange(1, steps) * w - 1
-    total = kept.total.reshape(steps - 1, 1)
+    numer, omega, total, read = kept.weighted
+    prefix, total = len(omega), total.reshape(-1, 1)
     d_numer = np.zeros((prefix, d_later.shape[-1]))
     d_numer[read] = d_later / total
     d_total = np.zeros(prefix)
-    d_total[read] = np.add.reduce(-d_later * kept.later_numer / total ** 2, 1)
-    mask = np.asarray(kept.user_mask[:prefix], dtype=float)
+    d_total[read] = np.add.reduce(-d_later * numer / total ** 2, 1)
     d_omega = (reverse_cumsum(d_total)
                + np.add.reduce(reverse_cumsum(d_numer)
                                * kept.user_vectors[:prefix], 1))
     d_wp3 = store.grad("Wp3")
-    d_wp3[:prefix] = d_omega * mask * np.exp(store.get("Wp3")[:prefix])
+    d_wp3[:prefix] = d_omega * omega  # omega is 0 where the mask is
     d_wp3[prefix:] = 0.0
 
 
@@ -126,13 +123,11 @@ def discussion_loss(store, instance, w, lam=1.0):
     trace, kept = forward(store, inst.x1, inst.x2, inst.centers[..., 1:],
                           inst.user_vectors, inst.user_mask, w)
     loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
-    arg, mass, y1 = trace.r_prime, kept.mass[:, None], trace.y1
+    arg, mass, y1, d2 = trace.r_prime, kept.mass[:, None], trace.y1, kept.d2
     d_total = d_y2 * (trace.y2 > 0)
     store.set_grad("Wp4", arg.T @ d_total)
     d_arg = d_y1 * y1 * (1.0 - y1) + d_total[:, None] * store.get("Wp4")
-    delta = kept.position[:, None, :] - kept.centers
-    d2 = np.add.reduce(delta ** 2, -1) + DIST_EPS
-    d_delta = (-d_arg * mass / d2 ** 2)[..., None] * 2.0 * delta
+    d_delta = (-d_arg * mass / d2 ** 2)[..., None] * 2.0 * kept.delta
     position_backward(store, kept, np.add.reduce(d_delta, 1)[1:])
     hidden = kept.hidden
     dz = sigmoid_backward(store, "Wp1", "Bp2", rows_t(hidden), mass,

@@ -128,7 +128,9 @@ class PipelineConfig:
                                     % self.ablation)
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, **overrides):
+        """The JSON file at `path` with `overrides` on top: an input path
+        the file leaves unset lies in the final workdir."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
@@ -146,7 +148,7 @@ class PipelineConfig:
             if not test(value):
                 raise PipelineError("config key %s in %s must be %s, got %s"
                                     % (name, path, kind, json.dumps(value)))
-        return cls(**raw)
+        return cls(**dict(raw, **overrides))
 
     def save(self, path):
         atomic_write_json(path, asdict(self))
@@ -302,8 +304,6 @@ def stage_featurize(cfg):
         pack, _ = build_nontemporal_dataset(train + test, lex, embedding)
     save_store(pack, cfg.path(PACK))
     meta = {
-        "idf": lex.idf,
-        "vocab_size": lex.vocab_size,
         "d_w": lex.d_w,
         "task": cfg.task,
         "train_ids": [d.id for d in train],

@@ -81,11 +81,6 @@ def idf_table(docs):
     return {t: math.log(n_docs / (1 + k)) for t, k in df.items()}
 
 
-def sentences(text):
-    """Non-empty sentence chunks, split on closing punctuation . ! ?"""
-    return [s for s in (p.strip() for p in _SENTENCE_RE.split(text)) if s]
-
-
 def count_urls(text):
     return len(_URL_RE.findall(text))
 

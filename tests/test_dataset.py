@@ -30,7 +30,7 @@ def synth_materials(tmp_path):
     emb = EmbeddingModel(users, rng.normal(size=(len(users), 3)),
                          np.zeros(len(users)))
     cm = ClusterModel(rng.normal(size=(2, 3)),
-                      {u: k % 2 for k, u in enumerate(users)}, 0.0)
+                      {u: k % 2 for k, u in enumerate(users)})
     return spec, discussions, lex, emb, cm
 
 
@@ -66,7 +66,7 @@ def _labels(discussion, w, N, assignment, n):
     """The labels and mask of one discussion's pack row."""
     users = ["alice", "bob", "carol"]
     emb = EmbeddingModel(users, np.eye(3), np.zeros(3))
-    cm = ClusterModel(np.zeros((n, 3)), assignment, 0.0)
+    cm = ClusterModel(np.zeros((n, 3)), assignment)
     pack, _, _ = ds.build_temporal_dataset([discussion], w, N,
                                            make_lexicons(), emb, cm)
     return pack["labels"][0].tolist(), pack["mask"][0].tolist()

@@ -109,7 +109,7 @@ def test_diagnostics_bundle(tmp_path):
                                    [0.0, 1.0], [1.0, 1.0]]),
                          np.zeros(4))
     cm = ClusterModel(np.array([[0.5, 0.0], [0.5, 1.0]]),
-                      {"a": 0, "b": 0, "c": 1, "d": 1}, 0.0)
+                      {"a": 0, "b": 0, "c": 1, "d": 1})
     g_inv = np.full((2, 3), 0.25)  # metric distance doubles every offset
     # one row per scored step; no engaged user before step 0
     scores = {

@@ -73,7 +73,7 @@ def test_heads_frozen_values_and_symmetries():
     position = np.array([[0.0, 0.0], [1.0, 0.0]])
     # |r - C| = 1 -> argument ~ 1 -> sigmoid ~ 0.73106
     centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    y1, y2, arg = nw.newton_heads(pv, mass, position, centers)
+    y1, y2, arg, _ = nw.newton_heads(pv, mass, position, centers)
     assert y1.shape == (2, 3) and y2.shape == (2,)
     np.testing.assert_allclose(y1[0], 0.73106, atol=1e-4)
     # equidistant clusters attract identically
@@ -83,7 +83,7 @@ def test_heads_frozen_values_and_symmetries():
                                2.0 / (np.array([0.0, 2.0, 4.0]) + nw.DIST_EPS))
     assert np.all(y2 == 0.0)  # Wp4 is zero
     # sitting on a center saturates the attraction
-    y1_on, _, _ = nw.newton_heads(pv, mass, position, np.zeros((3, 2)))
+    y1_on, _, _, _ = nw.newton_heads(pv, mass, position, np.zeros((3, 2)))
     assert float(y1_on[0, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -92,7 +92,7 @@ def test_attraction_decays_with_distance():
     store = _zeroed(nw.init_model(cfg, w=2, seed=0))
     pv = dict(store.items())
     centers = np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-    y1, _, _ = nw.newton_heads(pv, np.array(1.0), np.zeros(2), centers)
+    y1, _, _, _ = nw.newton_heads(pv, np.array(1.0), np.zeros(2), centers)
     assert y1[0] > y1[1] > y1[2]
 
 
@@ -139,9 +139,9 @@ def test_stacked_pass_equals_per_discussion_passes():
         for key in ("y1", "y2", "decisions"):
             assert np.array_equal(out[key][r], one[key]), key
     # no embedded commenter: the discussion stays at the origin
-    position, _, _ = nw.newton_position(dict(store.items()),
-                                        stacked["user_vectors"],
-                                        stacked["user_mask"], 2, cfg.N)
+    position, _ = nw.newton_position(dict(store.items()),
+                                     stacked["user_vectors"],
+                                     stacked["user_mask"], 2, cfg.N)
     assert position.shape == (len(rows), cfg.N, cfg.d)
     assert np.all(position[-1] == 0.0)
 

@@ -393,6 +393,32 @@ def test_cli_workdir_override_moves_default_paths(tmp_path):
     assert cfg.word_vectors_path == "/data/wv.txt"
     assert cfg.corpus_path == str(tmp_path / "b" / "corpus.jsonl")
     assert cfg.stopwords_path == str(tmp_path / "b" / "stopwords.txt")
+    # a path the file spells out is kept, even its own workdir's default
+    spelled = str(tmp_path / "a" / "corpus.jsonl")
+    cfg_path.write_text(json.dumps({"workdir": str(tmp_path / "a"),
+                                    "corpus_path": spelled}))
+    cfg = cli.config_from_args(args)
+    assert cfg.corpus_path == spelled
+    for name in ("word_vectors", "sentiment", "stopwords"):
+        assert getattr(cfg, name + "_path") == str(tmp_path / "b" / (name + ".txt"))
+    # --desk-scale does not overwrite a width the file sets
+    cfg_path.write_text(json.dumps({"d": 64}))
+    args = cli.build_parser().parse_args(
+        ["--config", str(cfg_path), "--desk-scale", "synth"])
+    with pytest.raises(PipelineError, match="desk_scale sets d=8; d=64"):
+        cli.config_from_args(args)
+
+
+def test_cli_reports_paths_it_cannot_use(tmp_path, capsys):
+    # a workdir that is a file, then a corpus that is a directory
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["--workdir", str(taken), "--desk-scale", "synth"],
+                 ["--workdir", str(tmp_path / "w"), "--corpus",
+                  str(tmp_path), "ingest"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_reports_malformed_corpus(tmp_path, capsys):

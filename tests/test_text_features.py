@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import text_reference as ref
 from threadcurve import features as ft
 from threadcurve.corpus import CorpusError, parse_corpus
-from threadcurve.text import count_closing_punct, count_urls, sentences, tokenize
+from threadcurve.text import (count_closing_punct, count_urls, text_stats,
+                              tokenize)
 from conftest import make_lexicons
 
 
@@ -17,8 +19,10 @@ def test_tokenize_lowercase_alnum():
 
 
 def test_sentences_split_on_closing_punct():
-    assert sentences("One. Two!! Three? ") == ["One", "Two", "Three"]
-    assert sentences("no terminator") == ["no terminator"]
+    assert ref.sentences("One. Two!! Three? ") == ["One", "Two", "Three"]
+    assert ref.sentences("no terminator") == ["no terminator"]
+    for text in ("One. Two!! Three? ", "no terminator", "", " . "):
+        assert text_stats(text).sentences == len(ref.sentences(text))
 
 
 def test_url_and_punct_counts():
@@ -58,10 +62,15 @@ def test_avg_tfidf_and_latent_vector():
                                     "b": np.array([0.0, 1.0])},
                       sentiment={}, stopwords=frozenset(), vocab_size=2)
     # counts a:2, b:1 -> tf*idf scores [4, 1]
-    assert ft.avg_tfidf("a a b", lex) == pytest.approx(2.5)
-    assert ft.avg_tfidf("zzz", lex) == 0.0
-    np.testing.assert_allclose(ft.latent_vector("a a b", lex), [2.0, 0.5])
-    np.testing.assert_allclose(ft.latent_vector("zzz", lex), [0.0, 0.0])
+    assert ref.avg_tfidf("a a b", lex) == pytest.approx(2.5)
+    assert ref.avg_tfidf("zzz", lex) == 0.0
+    np.testing.assert_allclose(ref.latent_vector("a a b", lex), [2.0, 0.5])
+    np.testing.assert_allclose(ref.latent_vector("zzz", lex), [0.0, 0.0])
+    for text in ("a a b", "zzz"):
+        row = ft.text_rows([text_stats(text)], lex, [0], [0])[0]
+        assert row[0] == ref.avg_tfidf(text, lex)
+        np.testing.assert_array_equal(row[ft.TEXT_WIDTH:],
+                                      ref.latent_vector(text, lex))
 
 
 def test_lexicon_files_load(tmp_path):
@@ -152,11 +161,11 @@ def test_featurize_comment_matches_block_oracle(tiny_corpus, text, surface):
     pol, pos, neg = ft.polarity(text, lex.sentiment)
     n_sent, avg_words, n_urls, n_closing = surface
     oracle = np.concatenate([
-        [ft.avg_tfidf(text, lex), ft.lix(text),
+        [ref.avg_tfidf(text, lex), ft.lix(text),
          ft.term_entropy(text, lex.vocab_size), pol, pos, neg],
         [n_sent, avg_words, n_urls, float(c.depth),
          float(c.timestamp - d.post.timestamp), n_closing],
-        ft.latent_vector(text, lex),
+        ref.latent_vector(text, lex),
     ])
     np.testing.assert_allclose(vec, oracle, atol=1e-12)
     assert vec.shape == (ft.comment_layout(3, 0).width,)

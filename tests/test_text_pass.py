@@ -103,7 +103,8 @@ def test_one_text_functions_match_the_loops(text):
 
     def same(a, b):
         assert np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
-    same(ft.avg_tfidf(text, lex), ref.avg_tfidf(text, lex))
+    row = ft.text_rows([text_stats(text)], lex, [0], [0])[0]
+    same(row[0], ref.avg_tfidf(text, lex))
     same(ft.lix(text), ref.lix(text))
     same(ft.term_entropy(text, lex.vocab_size),
          ref.term_entropy(text, lex.vocab_size))
@@ -111,7 +112,7 @@ def test_one_text_functions_match_the_loops(text):
                                                             lex.sentiment)
     same(ft.polarity(text, lex.sentiment)[0],
          ref.polarity(text, lex.sentiment)[0])
-    same(ft.latent_vector(text, lex), ref.latent_vector(text, lex))
+    same(row[ft.TEXT_WIDTH:], ref.latent_vector(text, lex))
     same(ft._text_block(text, lex, 2, 30), ref.text_block(text, lex, 2, 30))
 
 
@@ -143,7 +144,7 @@ def corpus(tmp_path):
     emb = EmbeddingModel(users, rng.normal(size=(len(users), 3)),
                          np.zeros(len(users)))
     cm = ClusterModel(rng.normal(size=(2, 3)),
-                      {u: k % 2 for k, u in enumerate(users)}, 0.0)
+                      {u: k % 2 for k, u in enumerate(users)})
     return spec, discussions, lex, emb, cm
 
 

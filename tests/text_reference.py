@@ -4,11 +4,17 @@ pack assembly are tested against. Logreg's prefix features come from the
 merged string of the prefix and a walk over its reply edges."""
 
 import math
+import re
 
 import numpy as np
 
 from threadcurve.cooccur import reply_edges
 from threadcurve.text import text_stats
+
+
+def sentences(text):
+    """Non-empty sentence chunks, split on closing punctuation . ! ?"""
+    return [s for s in (p.strip() for p in re.split(r"[.!?]+", text)) if s]
 
 
 def avg_tfidf(text, lexicons):
