@@ -174,7 +174,8 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
     Comments by excluded author tags are removed. Users below the
     min-discussion activity threshold stay in the discussions but are
     flagged in the manifest (callers exclude them from embedding,
-    labels and user features).
+    labels and user features). A file with no discussion raises
+    CorpusError naming it.
     """
     excluded = set(excluded_author_tags)
     manifest = CorpusManifest()
@@ -197,6 +198,8 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
                     disc.id, lineno, line_of[disc.id]))
             line_of[disc.id] = lineno
             discussions.append(disc)
+    if not discussions:
+        raise CorpusError("%s holds no discussion" % path)
 
     activity = _activity(discussions)
     single = {u for u, k in activity.items() if k < min_user_discussions}

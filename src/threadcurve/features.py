@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import CorpusError
-from .text import idf_table, text_stats, tokenize
+from .text import Texts, ranges
 
 CONTENT_NAMES = ["avg_tfidf", "lix", "term_entropy", "polarity_sum",
                  "pos_words", "neg_words"]
@@ -99,19 +100,44 @@ def load_stopwords(path):
     return frozenset(w for _, words in _rows(path) for w in words)
 
 
-def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):
+class DiscussionTexts:
+    """Every post and comment of some discussions, tokenized once
+    (`text.Texts`): each discussion's post (title and body joined by " "),
+    then its comments in order. `first` maps a discussion id to the index
+    of its post's text."""
+
+    def __init__(self, discussions):
+        strings, self.first = [], {}
+        for d in discussions:
+            self.first[d.id] = len(strings)
+            strings.append(d.post.title + " " + d.post.body)
+            strings.extend(c.text for c in d.comments)
+        self.texts = Texts(strings)
+
+
+def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset(),
+                   texts=None):
     """idf table and vocabulary size from the training corpus.
 
     Documents are every post and every comment; idf = log(D / (1 + df)).
+    df counts one unique (document, token id) pair per document. `texts`
+    holds the tokenized discussions (`DiscussionTexts` of these and maybe
+    more); by default they are tokenized here.
     """
-    docs = []
-    for d in discussions:
-        docs.append(tokenize(d.post.title + " " + d.post.body))
-        for c in d.comments:
-            docs.append(tokenize(c.text))
-    return Lexicons(idf=idf_table(docs), word_vectors=dict(word_vectors),
+    if texts is None:
+        texts = DiscussionTexts(discussions)
+    first = np.array([texts.first[d.id] for d in discussions], dtype=np.intp)
+    sizes = np.array([1 + len(d.comments) for d in discussions], dtype=np.intp)
+    docs = ranges(first, first + sizes)[1]
+    vocabulary = texts.texts.vocabulary
+    df = texts.texts.document_frequency(docs)
+    n_docs = max(1, len(docs))
+    seen = np.flatnonzero(df)
+    idf = {vocabulary[k]: math.log(n_docs / (1 + n))
+           for k, n in zip(seen.tolist(), df[seen].tolist())}
+    return Lexicons(idf=idf, word_vectors=dict(word_vectors),
                     sentiment=dict(sentiment), stopwords=frozenset(stopwords),
-                    vocab_size=max(1, len(set().union(*docs))))
+                    vocab_size=max(1, len(seen)))
 
 
 # ------------------------------------------------------------------ content
@@ -119,18 +145,50 @@ def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset()):
 TEXT_WIDTH = len(CONTENT_NAMES) + len(SURFACE_NAMES)
 
 
-def text_rows(records, lexicons, depth, seconds):
-    """The content and surface columns, then the latent vector, of every
-    text record (`text.text_stats`): an (R, TEXT_WIDTH + d_w) array.
-    `depth` and `seconds` give each record's tree depth and seconds since
-    the post.
+class TermTables(NamedTuple):
+    """A lexicon's tables over the token ids of a `text.Texts`: what
+    `text_rows` reads. A token outside a table reads 0 there."""
+    idf: np.ndarray
+    in_idf: np.ndarray     # bool
+    score: np.ndarray      # sentiment
+    vectors: np.ndarray    # (V, d_w) word vectors
+    in_vectors: np.ndarray
+    long: np.ndarray       # longer than six characters
+    vocab_size: int
 
-    One array pass over (record, position) arrays; position p holds a
-    record's p-th term in order of first occurrence. Counts are integer
-    sums. Each float sum adds one position at a time across the records
-    that long, from +0.0: the additions, and their order, of a loop over
-    one text's terms, so a row does not depend on the rest of the batch.
-    A term outside a table adds +0.0, which changes no sum.
+
+def term_tables(lexicons, vocabulary):
+    """`TermTables` of `lexicons` for the tokens of `vocabulary`, by id."""
+    if lexicons.vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
+    idf, vectors = lexicons.idf, lexicons.word_vectors
+    rows = np.zeros((len(vocabulary), lexicons.d_w))
+    for k, t in enumerate(vocabulary):
+        if t in vectors:
+            rows[k] = vectors[t]
+
+    def per_id(value, dtype=float):
+        return np.array([value(t) for t in vocabulary], dtype=dtype)
+
+    return TermTables(per_id(lambda t: idf.get(t, 0.0)),
+                      per_id(idf.__contains__, bool),
+                      per_id(lambda t: lexicons.sentiment.get(t, 0.0)),
+                      rows, per_id(vectors.__contains__, bool),
+                      per_id(lambda t: len(t) > 6, bool),
+                      lexicons.vocab_size)
+
+
+def text_rows(records, tables, depth, seconds):
+    """The content and surface columns, then the latent vector, of every
+    record of a `text.Records` batch: an (R, TEXT_WIDTH + d_w) array, with
+    `tables` the lexicon's `TermTables`. `depth` and `seconds` give each
+    record's tree depth and seconds since the post.
+
+    Counts are integer sums. Each float sum adds a record's terms one at a
+    time, in order of first occurrence, from +0.0 (`np.bincount` adds in
+    index order): the additions, and their order, of a loop over one text's
+    terms, so a row does not depend on the rest of the batch. A term
+    outside a table adds +0.0 or -0.0, which changes no sum.
       avg_tfidf     mean of tf * idf over the terms in the idf table
       lix           |w|/|s| + 100 * |words longer than six|/|w|
       term_entropy  (1/|T|) * sum of tf * (log|T| - log tf)
@@ -138,74 +196,43 @@ def text_rows(records, lexicons, depth, seconds):
       latent        (1/|C|) * sum of tf * idf * vector over the |C| terms
                     with a word vector (idf 0 outside the table)
     """
-    vocab_size = lexicons.vocab_size
-    if vocab_size < 1:
-        raise ValueError("vocab_size must be >= 1")
-    R = len(records)
-    lengths = np.array([len(r.pairs) for r in records], dtype=np.intp)
-    index = {}
-    ids = np.array([index.setdefault(t, len(index))
-                    for r in records for t, _ in r.pairs], dtype=np.intp)
-    tfs = [tf for r in records for _, tf in r.pairs]
-    tf = np.array(tfs, dtype=float)
-    # per distinct token, then per position; tables give 0 where they lack
-    # a token, and the logs come from `math`, as in a loop over terms
-    idf, vectors = lexicons.idf, lexicons.word_vectors
-    idf_of = np.array([idf.get(t, 0.0) for t in index], dtype=float)
-    score_of = np.array([lexicons.sentiment.get(t, 0.0) for t in index],
-                        dtype=float)
-    vec_of = np.zeros((len(index), lexicons.d_w))
-    for k, t in enumerate(index):
-        if t in vectors:
-            vec_of[k] = vectors[t]
-    distinct = sorted(set(tfs))
-    log_v = math.log(vocab_size)
-    entropy = np.array([f * (log_v - math.log(f)) for f in distinct],
-                       dtype=float)[np.searchsorted(distinct, tf)]
-
-    record = np.repeat(np.arange(R), lengths)
+    R = len(records.sentences)
+    record, k = records.record, records.ids
+    tf = records.tf.astype(float)
 
     def count(weights):
         return np.bincount(record, weights, minlength=R)
 
-    def flag(test):
-        return np.array([test(t) for t in index], dtype=bool)[ids]
-
+    # per distinct count, with the logs from `math`, as in a loop over terms
+    log_v = math.log(tables.vocab_size)
+    counts = np.flatnonzero(np.bincount(records.tf))
+    entropy = np.zeros(counts[-1] + 1 if len(counts) else 0)
+    entropy[counts] = [f * (log_v - math.log(f)) for f in counts.tolist()]
+    weight = tf * tables.idf[k]
+    score = tables.score[k]
     n_words = count(tf)
-    n_long = count(tf * flag(lambda t: len(t) > 6))
-    n_idf = count(flag(idf.__contains__))
-    n_vec = count(flag(vectors.__contains__))
+    n_idf = count(tables.in_idf[k])
+    n_vec = count(tables.in_vectors[k])
+    latent = np.zeros((R, tables.vectors.shape[1]))
+    for column, vector in zip(latent.T, tables.vectors.T):
+        column[:] = count(weight * vector[k])
 
-    # one position at a time, over the records that have it
-    order = np.argsort(-lengths, kind="stable")
-    ranked = -lengths[order]
-    starts = np.cumsum(lengths) - lengths
-    sums = np.zeros((R, 3))
-    latent = np.zeros((R, lexicons.d_w))
-    for p in range(-ranked[0] if R else 0):
-        rows = order[:np.searchsorted(ranked, -p)]
-        at = starts[rows] + p
-        k = ids[at]
-        weight = tf[at] * idf_of[k]
-        sums[rows] += np.column_stack([weight, entropy[at], score_of[k]])
-        latent[rows] += weight[:, None] * vec_of[k]
-
-    score = score_of[ids]
-    n_sent = np.array([r.sentences for r in records], dtype=float)
-    out = np.empty((R, TEXT_WIDTH + lexicons.d_w))
-    out[:, 0] = np.where(n_idf > 0, sums[:, 0] / np.maximum(n_idf, 1), 0.0)
+    n_sent = records.sentences.astype(float)
+    out = np.empty((R, TEXT_WIDTH + latent.shape[1]))
+    out[:, 0] = np.where(n_idf > 0, count(weight) / np.maximum(n_idf, 1), 0.0)
     out[:, 1] = np.where(n_words > 0, n_words / np.maximum(n_sent, 1)
-                         + 100.0 * n_long / np.maximum(n_words, 1), 0.0)
-    out[:, 2] = sums[:, 1] / vocab_size
-    out[:, 3] = sums[:, 2]
+                         + 100.0 * count(tf * tables.long[k])
+                         / np.maximum(n_words, 1), 0.0)
+    out[:, 2] = count(entropy[records.tf]) / tables.vocab_size
+    out[:, 3] = count(score)
     out[:, 4] = count(score > 0)
     out[:, 5] = count(score < 0)
     out[:, 6] = n_sent
     out[:, 7] = np.where(n_sent > 0, n_words / np.maximum(n_sent, 1), 0.0)
-    out[:, 8] = [r.urls for r in records]
+    out[:, 8] = records.urls
     out[:, 9] = depth
     out[:, 10] = seconds
-    out[:, 11] = [r.closing for r in records]
+    out[:, 11] = records.closing
     out[:, TEXT_WIDTH:] = latent / np.maximum(n_vec, 1)[:, None]
     return out
 
@@ -217,7 +244,9 @@ _NO_TABLES = Lexicons(idf={}, word_vectors={}, sentiment={},
 
 def _text_row(text, lexicons, depth=0, seconds_since_post=0):
     """`text_rows` of one text."""
-    return text_rows([text_stats(text)], lexicons, [depth],
+    texts = Texts([text])
+    return text_rows(texts.join([0], [1]),
+                     term_tables(lexicons, texts.vocabulary), [depth],
                      [seconds_since_post])[0]
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .curvature import sigmoid
 from .features import TEXT_WIDTH, _text_block
 from .optim import OptimError, ParameterStore, fit
+from .text import ranges
 
 # full-batch Adam settings of every logistic unit
 EPOCHS = 300
@@ -23,60 +24,86 @@ def feature_width(d):
     return TEXT_WIDTH + d + 1
 
 
-def social_blocks(discussion, ends, cluster_model, embedding):
+def social_blocks(discussions, owner, ends, cluster_model, embedding):
     """The social blocks (len(ends), n, d + 1) of the prefixes
-    comments[:e] of a discussion, for ascending ends e.
+    discussions[owner[j]].comments[:ends[j]], with `owner` ascending.
 
     Row l of a block holds the mean member vector of cluster l's engaged
-    users (its users among the prefix's authors, in name order) and their
-    mean degree in the prefix's reply graph. Degrees are running counts: an
-    edge between two authors counts from the first prefix that holds both
-    of its comments, as a parent can come later in time order than its
-    reply.
+    users (its users among the prefix's authors, added in name order) and
+    their mean degree in the prefix's reply graph. An edge between two
+    authors counts from the first prefix that holds both of its comments,
+    as a parent can come later in time order than its reply.
     """
-    post, comments = discussion.post, discussion.comments
-    assignment, n = cluster_model.assignment, cluster_model.n
-    position = {c.id: k for k, c in enumerate(comments)}
-    edges = []  # (comments the prefix needs, child author, parent author)
-    for k, c in enumerate(comments):
-        if c.parent_id == post.id:
-            need, parent = k + 1, post.author
-        elif c.parent_id in position:
-            j = position[c.parent_id]
-            need, parent = max(k, j) + 1, comments[j].author
-        else:
-            continue
-        if parent != c.author:
-            edges.append((need, c.author, parent))
-    edges.sort(key=lambda edge: edge[0])
-    degree, engaged = {}, [set() for _ in range(n)]
-    members = [[] for _ in range(n)]  # sorted engaged users, as last taken
-    out = np.zeros((len(ends), n, embedding.dim + 1))
-    added = start = 0
-    for row, end in enumerate(ends):
-        while added < len(edges) and edges[added][0] <= end:
-            for author in edges[added][1:]:
-                degree[author] = degree.get(author, 0) + 1
-            added += 1
-        for c in comments[start:end]:
-            if c.author in assignment:
-                engaged[assignment[c.author]].add(c.author)
-        start = end
-        for cluster, users in enumerate(engaged):
-            if not users:
-                continue
-            if len(users) != len(members[cluster]):
-                members[cluster] = sorted(users)
-                mean = np.mean([embedding.vector(u)
-                                for u in members[cluster]], axis=0)
-            else:
-                mean = out[row - 1, cluster, :-1]
-            out[row, cluster, :-1] = mean
-            # an exact integer sum over a count: np.mean's value
-            out[row, cluster, -1] = (sum(degree.get(u, 0)
-                                         for u in members[cluster])
-                                     / len(users))
-    return out
+    assignment, n, d = cluster_model.assignment, cluster_model.n, embedding.dim
+    owner = np.asarray(owner, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    top = np.zeros(len(discussions), dtype=np.intp)
+    np.maximum.at(top, owner, ends)
+    # every comment a prefix can hold: its discussion, its author's code
+    # and its parent's position (-1 for the post, -2 for none)
+    code, disc, author, parent, poster = {}, [], [], [], []
+    for b, dsc in enumerate(discussions):
+        comments = dsc.comments[:top[b]]
+        position = {c.id: k for k, c in enumerate(comments)}
+        position[dsc.post.id] = -1
+        disc += [b] * len(comments)
+        author += [code.setdefault(c.author, len(code)) for c in comments]
+        parent += [position.get(c.parent_id, -2) for c in comments]
+        poster.append(code.setdefault(dsc.post.author, len(code)))
+    names = list(code)
+    cluster = np.array([assignment.get(u, -1) for u in names], dtype=np.intp)
+    row = np.array([embedding.index[u] if u in assignment else -1
+                    for u in names], dtype=np.intp)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = range(len(names))
+    disc, author, parent, poster = (np.array(x, dtype=np.intp)
+                                    for x in (disc, author, parent, poster))
+    first = np.searchsorted(disc, np.arange(len(discussions)))
+    k = np.arange(len(disc)) - first[disc]
+
+    def groups(at, user, held):
+        """(item, row * n + cluster) of every prefix row that holds an item:
+        user `user` of discussion `at`, held by prefixes of `held` comments
+        or more."""
+        item, j = ranges(np.searchsorted(owner, at),
+                         np.searchsorted(owner, at, "right"))
+        item, j = item[ends[j] >= held[item]], j[ends[j] >= held[item]]
+        return item, j * n + cluster[user[item]]
+
+    # engaged users: a prefix holds one from its first comment on
+    engaged = np.flatnonzero(cluster[author] >= 0)
+    users, at = np.unique(disc[engaged] * len(names) + author[engaged],
+                          return_index=True)
+    at = engaged[at]
+    named = at[np.lexsort((rank[author[at]], disc[at]))]
+    member, group = groups(disc[named], author[named], k[named] + 1)
+    count = np.bincount(group, minlength=len(ends) * n)
+    sums = np.zeros((len(ends) * n, d))
+    np.add.at(sums, group, embedding.vectors[row[author[named[member]]]])
+
+    # each side of a reply edge between two authors, counted from the first
+    # prefix that holds both comments and its user's first one
+    edge = np.flatnonzero(parent >= -1)
+    replied = np.where(parent[edge] >= 0,
+                       author[first[disc[edge]] + np.maximum(parent[edge], 0)],
+                       poster[disc[edge]])
+    mutual = author[edge] != replied
+    edge, replied = edge[mutual], replied[mutual]
+    side_disc = np.tile(disc[edge], 2)
+    side_user = np.concatenate([author[edge], replied])
+    side_key = side_disc * len(names) + side_user
+    engaged = np.isin(side_key, users)
+    held = np.maximum(np.tile(np.maximum(k[edge], parent[edge]) + 1, 2)[engaged],
+                      k[at[np.searchsorted(users, side_key[engaged])]] + 1)
+    degree = np.bincount(groups(side_disc[engaged], side_user[engaged],
+                                held)[1], minlength=len(ends) * n)
+
+    out = np.zeros((len(ends) * n, d + 1))
+    has = count > 0
+    # np.mean's additions: one member at a time from +0.0, then the count
+    out[has, :-1] = sums[has] / count[has, None]
+    out[has, -1] = degree[has] / count[has]
+    return out.reshape(len(ends), n, d + 1)
 
 
 def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
@@ -94,7 +121,7 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
     out = np.zeros((cluster_model.n, feature_width(embedding.dim)))
     out[:, :TEXT_WIDTH] = _text_block(merged, lexicons, depth,
                                       prefix.t_end - prefix.t_start)
-    out[:, TEXT_WIDTH:] = social_blocks(prefix, [len(prefix.comments)],
+    out[:, TEXT_WIDTH:] = social_blocks([prefix], [0], [len(prefix.comments)],
                                         cluster_model, embedding)[0]
     return out
 

@@ -21,8 +21,9 @@ from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
                       holdout_count, split_dataset, standardize_instances,
                       unstack)
 from .embedding import EmbeddingModel, train_guvec
-from .features import (ablate, build_lexicons, comment_layout, load_sentiment,
-                       load_stopwords, load_word_vectors, post_layout)
+from .features import (DiscussionTexts, ablate, build_lexicons,
+                       comment_layout, load_sentiment, load_stopwords,
+                       load_word_vectors, post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
 from .storage import (atomic_write, atomic_write_json, atomic_write_text,
                       save_store, load_store, sha256_file)
@@ -294,14 +295,16 @@ def stage_featurize(cfg):
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     train, test = split_dataset(discussions, cfg.holdout, seed=cfg.seed)
+    texts = DiscussionTexts(train + test)  # every text, tokenized once
     lex = build_lexicons(train, load_word_vectors(cfg.word_vectors_path),
                          load_sentiment(cfg.sentiment_path),
-                         load_stopwords(cfg.stopwords_path))
+                         load_stopwords(cfg.stopwords_path), texts)
     if cfg.task == "temporal":
         pack, _, _ = build_temporal_dataset(train + test, cfg.w, cfg.N, lex,
-                                            embedding, cm)
+                                            embedding, cm, texts)
     else:
-        pack, _ = build_nontemporal_dataset(train + test, lex, embedding)
+        pack, _ = build_nontemporal_dataset(train + test, lex, embedding,
+                                            texts)
     save_store(pack, cfg.path(PACK))
     meta = {
         "d_w": lex.d_w,

@@ -1,20 +1,27 @@
-"""Tokenization, per-text records and idf shared by features and title
-vectors.
+"""Tokenization, text records and idf shared by features and title vectors.
 
-`text_stats` tokenizes a text once into a record. `merge_stats` gives the
-record of texts joined by " " from their records alone, so a prefix of a
-discussion grows window by window without tokenizing anything again (a
-running merge: each step's record is the last one plus one window)."""
+`Texts` tokenizes texts once: every distinct token gets one integer id, and
+each text keeps its ids in order. `Texts.join` gives the records of runs of
+consecutive texts joined by " " from those ids and per-text counts alone,
+so a discussion's prefix (its post and first comments) is the concatenated
+id stream of its texts, and no text is tokenized twice. `text_stats` is the
+record of one string, the form the tests check the joins against.
+"""
 
 import math
 import re
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _CLOSING_RE = re.compile(r"[.!?]")
+
+BATCH = 2048  # texts tokenized at a time; bounds the token strings held
 
 
 class TextStats(NamedTuple):
@@ -35,40 +42,122 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
+def _marks(text):
+    """The fields of a text's record after its pairs."""
+    chunks = [chunk.strip() for chunk in _SENTENCE_RE.split(text)]
+    return (sum(map(bool, chunks)), count_urls(text),
+            count_closing_punct(text), bool(chunks[0]), bool(chunks[-1]))
+
+
 def text_stats(text):
     """The record of one text."""
-    chunks = [chunk.strip() for chunk in _SENTENCE_RE.split(text)]
-    return TextStats(tuple(Counter(tokenize(text)).items()),
-                     sum(map(bool, chunks)), count_urls(text),
-                     count_closing_punct(text), bool(chunks[0]),
-                     bool(chunks[-1]))
+    return TextStats(tuple(Counter(tokenize(text)).items()), *_marks(text))
 
 
-def merge_stats(records):
-    """The record of the texts of `records` joined by " ", in order.
+def ranges(lo, hi):
+    """(owner, index) of every index in the ranges lo[r] <= index < hi[r],
+    range after range."""
+    lo = np.asarray(lo, dtype=np.intp)
+    size = np.asarray(hi, dtype=np.intp) - lo
+    owner = np.repeat(np.arange(len(lo)), size)
+    return owner, np.arange(len(owner)) + (lo - np.cumsum(size) + size)[owner]
 
-    Token counts merge in order of first occurrence, and URL and closing
-    counts add: neither a token nor a URL nor a run of marks spans the
-    joining space. Sentences add too, less one wherever a non-blank tail
-    meets a non-blank head. The joined text's first chunk is the first
-    text's, grown by what follows while no closing mark has come; its last
-    chunk likewise from the other end.
-    """
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        return text_stats("")
-    counts = dict(first.pairs)
-    n, urls, closing, head, tail = first[1:]
-    for r in records:
-        for t, tf in r.pairs:
-            counts[t] = counts.get(t, 0) + tf
-        n += r.sentences - (tail and r.head)
-        head = head if closing else head or r.head
-        tail = r.tail if r.closing else tail or r.tail
-        urls += r.urls
-        closing += r.closing
-    return TextStats(tuple(counts.items()), n, urls, closing, head, tail)
+
+class Records(NamedTuple):
+    """Text records as arrays. Term j is token id `ids[j]`, found `tf[j]`
+    times in record `record[j]`; records come in order, and each one's terms
+    in order of first occurrence."""
+    record: np.ndarray
+    ids: np.ndarray
+    tf: np.ndarray
+    sentences: np.ndarray  # per record
+    urls: np.ndarray
+    closing: np.ndarray
+
+
+def _first_terms(record, ids, tf, vocabulary_size):
+    """(record, id, tf) of each record's distinct ids, in order of first
+    occurrence, from (record, id, tf) listed record after record: one
+    unique (record, id) pair per term, kept at its first position, with
+    the counts of all its positions added."""
+    key = record * max(1, vocabulary_size) + ids
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    total = np.zeros(len(key), dtype=tf.dtype)
+    total[order[first]] = np.add.reduceat(tf[order], first)
+    terms = np.flatnonzero(total)
+    return record[terms], ids[terms], total[terms]
+
+
+class Texts:
+    """Texts tokenized once. `vocabulary` holds the token of each id, in
+    order of first sight. Text t's record is `ids` and `tf` from
+    `starts[t]` to `starts[t + 1]`, its distinct token ids in order of first
+    occurrence and their counts, and entry t of `sentences`, `urls`,
+    `closing`, `head` and `tail` (`TextStats`' fields)."""
+
+    def __init__(self, texts):
+        index, ids, tf = {}, [], []
+        lengths = [np.zeros(1, dtype=np.intp)]
+        marks = [np.zeros((0, 5), dtype=np.intp)]
+        for start in range(0, len(texts), BATCH):
+            batch = texts[start:start + BATCH]
+            marks.append(np.array([_marks(text) for text in batch],
+                                  dtype=np.intp))
+            tokens = [tokenize(text) for text in batch]
+            flat = list(chain.from_iterable(tokens))
+            for t in dict.fromkeys(flat):
+                index.setdefault(t, len(index))
+            text, k, n = _first_terms(
+                np.repeat(np.arange(len(tokens)), list(map(len, tokens))),
+                np.fromiter(map(index.__getitem__, flat), np.int32, len(flat)),
+                np.ones(len(flat), dtype=np.int32), len(index))
+            ids.append(k)
+            tf.append(n)
+            lengths.append(np.bincount(text, minlength=len(tokens)))
+        self.vocabulary = list(index)
+        self.ids = np.concatenate([np.zeros(0, dtype=np.int32)] + ids)
+        self.tf = np.concatenate([np.zeros(0, dtype=np.int32)] + tf)
+        self.starts = np.cumsum(np.concatenate(lengths))
+        self.sentences, self.urls, self.closing, head, tail = np.concatenate(
+            marks).T
+        self.head, self.tail = head.astype(bool), tail.astype(bool)
+
+    def document_frequency(self, docs):
+        """How many of the texts `docs` hold each token id."""
+        at = ranges(self.starts[docs], self.starts[docs + 1])[1]
+        return np.bincount(self.ids[at], minlength=len(self.vocabulary))
+
+    def join(self, lo, hi):
+        """The records of texts lo[r] .. hi[r] - 1 joined by " ", for
+        every r.
+
+        Neither a token nor a URL nor a run of closing marks spans a joining
+        space, so the joined text's terms are its texts' terms end to end,
+        each kept where it first occurs, and its URL and closing counts add.
+        Sentences add too, less one at each join where the text so far ends
+        in a non-blank chunk and the next text starts with one: the join
+        runs the two into one sentence. The text so far ends in a non-blank
+        chunk when some text from its last closing mark on (that text's
+        tail, then whole texts) is non-blank.
+        """
+        lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+        owner, t = ranges(lo, hi)
+        closed = np.maximum.accumulate(
+            np.where(self.closing > 0, np.arange(len(self.closing)), -1))
+        tails = np.concatenate([[0], np.cumsum(self.tail)])
+        since = np.maximum(closed[t - 1], lo[owner])
+        runs = (t > lo[owner]) & self.head[t] & (tails[t] > tails[since])
+
+        def add(values):
+            return np.bincount(owner, values,
+                               minlength=len(lo)).astype(np.intp)
+
+        record, at = ranges(self.starts[lo], self.starts[hi])
+        return Records(*_first_terms(record, self.ids[at], self.tf[at],
+                                     len(self.vocabulary)),
+                       add(self.sentences[t] - runs), add(self.urls[t]),
+                       add(self.closing[t]))
 
 
 def idf_table(docs):

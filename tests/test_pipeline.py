@@ -447,6 +447,18 @@ def _assert_one_error_line(proc, message):
     assert proc.stderr == "error: %s\n" % message
 
 
+def test_cli_refuses_an_empty_corpus(tmp_path):
+    """A corpus with no discussion stops `ingest`, naming the file, instead
+    of a later stage failing for another reason."""
+    corpus = tmp_path / "empty.jsonl"
+    for content in (b"", b"\n  \n\t\n"):
+        corpus.write_bytes(content)
+        proc = _cli("--workdir", str(tmp_path / "w"), "--corpus", str(corpus),
+                    "ingest")
+        _assert_one_error_line(proc, "%s holds no discussion" % corpus)
+        assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
+
+
 def test_cli_reports_bad_lexicon_files(tmp_path):
     """A bad sentiment, stopwords or word-vector file ends the stage that
     reads it with exit code 2 and one error line naming the file and the

@@ -67,7 +67,7 @@ def test_avg_tfidf_and_latent_vector():
     np.testing.assert_allclose(ref.latent_vector("a a b", lex), [2.0, 0.5])
     np.testing.assert_allclose(ref.latent_vector("zzz", lex), [0.0, 0.0])
     for text in ("a a b", "zzz"):
-        row = ft.text_rows([text_stats(text)], lex, [0], [0])[0]
+        row = ft._text_row(text, lex)
         assert row[0] == ref.avg_tfidf(text, lex)
         np.testing.assert_array_equal(row[ft.TEXT_WIDTH:],
                                       ref.latent_vector(text, lex))

@@ -1,14 +1,17 @@
 """The text features one text at a time, as plain Python loops over its
 terms: the reference that the array pass (`features.text_rows`) and the
 pack assembly are tested against. Logreg's prefix features come from the
-merged string of the prefix and a walk over its reply edges."""
+merged string of the prefix and a walk over its reply edges, and the other
+per-step arrays of the pack from a walk over a discussion's windows."""
 
 import math
 import re
 
 import numpy as np
 
+from threadcurve.clustering import spacetime_centers
 from threadcurve.cooccur import reply_edges
+from threadcurve.corpus import growth_target, windowize
 from threadcurve.text import text_stats
 
 
@@ -109,4 +112,33 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
             out[cluster, shared.size:-1] = np.mean(
                 [embedding.vector(u) for u in engaged], axis=0)
             out[cluster, -1] = np.mean([degree.get(u, 0) for u in engaged])
+    return out
+
+
+def step_rows(discussion, w, N, embedding, cluster_model):
+    """A discussion's pack rows other than the text features: per comment
+    position its author's vector and whether it has one, and per step the
+    comments before it from each cluster, the clusters its window raises,
+    whether the window is valid, its growth and the spacetime centres."""
+    assignment, n = cluster_model.assignment, cluster_model.n
+    windowed = windowize(discussion, w, N)
+    out = {"user_vectors": np.zeros((N * w, embedding.dim)),
+           "user_mask": np.zeros(N * w, dtype=bool),
+           "engaged_counts": np.zeros((N, n)), "labels": np.zeros((N, n)),
+           "mask": np.zeros(N, dtype=bool), "growth": np.zeros(N),
+           "centers": spacetime_centers(cluster_model, windowed)}
+    for pos, c in enumerate(discussion.comments[:N * w]):
+        if c.author in embedding.index:
+            out["user_vectors"][pos] = embedding.vector(c.author)
+            out["user_mask"][pos] = True
+    seen = np.zeros(n)
+    for k, window in enumerate(windowed.windows):
+        out["engaged_counts"][k] = seen
+        for c in window.comments:
+            if c.author in assignment:
+                seen[assignment[c.author]] += 1
+        if window.valid:
+            out["labels"][k] = seen > out["engaged_counts"][k]
+            out["mask"][k] = True
+            out["growth"][k] = growth_target(window)[1]
     return out
