@@ -67,8 +67,8 @@ def social_blocks(discussions, owner, ends, cluster_model, embedding):
         or more."""
         item, j = ranges(np.searchsorted(owner, at),
                          np.searchsorted(owner, at, "right"))
-        item, j = item[ends[j] >= held[item]], j[ends[j] >= held[item]]
-        return item, j * n + cluster[user[item]]
+        keep = ends[j] >= held[item]
+        return item[keep], j[keep] * n + cluster[user[item[keep]]]
 
     # engaged users: a prefix holds one from its first comment on
     engaged = np.flatnonzero(cluster[author] >= 0)
@@ -92,11 +92,11 @@ def social_blocks(discussions, owner, ends, cluster_model, embedding):
     side_disc = np.tile(disc[edge], 2)
     side_user = np.concatenate([author[edge], replied])
     side_key = side_disc * len(names) + side_user
-    engaged = np.isin(side_key, users)
-    held = np.maximum(np.tile(np.maximum(k[edge], parent[edge]) + 1, 2)[engaged],
-                      k[at[np.searchsorted(users, side_key[engaged])]] + 1)
-    degree = np.bincount(groups(side_disc[engaged], side_user[engaged],
-                                held)[1], minlength=len(ends) * n)
+    known = np.isin(side_key, users)
+    held = np.maximum(np.tile(np.maximum(k[edge], parent[edge]) + 1, 2)[known],
+                      k[at[np.searchsorted(users, side_key[known])]] + 1)
+    degree = np.bincount(groups(side_disc[known], side_user[known], held)[1],
+                         minlength=len(ends) * n)
 
     out = np.zeros((len(ends) * n, d + 1))
     has = count > 0

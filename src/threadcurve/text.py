@@ -4,8 +4,9 @@
 each text keeps its ids in order. `Texts.join` gives the records of runs of
 consecutive texts joined by " " from those ids and per-text counts alone,
 so a discussion's prefix (its post and first comments) is the concatenated
-id stream of its texts, and no text is tokenized twice. `text_stats` is the
-record of one string, the form the tests check the joins against.
+id stream of its texts, and building it tokenizes nothing again.
+`text_stats` is the record of one string, the form the tests check the
+joins against.
 """
 
 import math
