@@ -6,6 +6,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 # the author filter: comments by these tags are removed, and users active in
 # fewer discussions than this stay unembedded
@@ -17,8 +19,9 @@ class CorpusError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Post:
+# a post and its comments are named tuples: immutable, read by field name
+# and built at tuple speed, once per record of every corpus read
+class Post(NamedTuple):
     id: str
     author: str
     title: str
@@ -26,8 +29,7 @@ class Post:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(NamedTuple):
     id: str
     author: str
     parent_id: str
@@ -84,36 +86,33 @@ class CorpusManifest:
     single_activity_users: int = 0
 
 
-def _get(raw, key, owner):
-    """raw[key]; a missing key is a ValueError naming it and its owner."""
+def _get(raw, key, owner, *args):
+    """raw[key]; a missing key is a ValueError naming it and its owner,
+    `owner % args`, which is formatted only then."""
     try:
         return raw[key]
     except KeyError:
-        raise ValueError("%s lacks key %r" % (owner, key)) from None
+        raise ValueError("%s lacks key %r" % (owner % args, key)) from None
 
 
 def _build_discussion(raw, manifest, excluded_tags):
     post_raw = _get(raw, "post", "the line")
-    owner = "post %r" % str(_get(post_raw, "id", "the post"))
-    title = _get(post_raw, "title", owner)
+    post_id = str(_get(post_raw, "id", "the post"))
+    title = _get(post_raw, "title", "post %r", post_id)
     if not title.strip():
         raise CorpusError("post %r has empty title" % post_raw["id"])
-    post = Post(
-        id=str(post_raw["id"]),
-        author=str(_get(post_raw, "author", owner)),
-        title=title,
-        body=str(post_raw.get("body", "")),
-        timestamp=int(_get(post_raw, "timestamp", owner)),
-    )
+    post = Post(post_id, str(_get(post_raw, "author", "post %r", post_id)),
+                title, str(post_raw.get("body", "")),
+                int(_get(post_raw, "timestamp", "post %r", post_id)))
     kept, seen = [], {post.id}
     for k, c in enumerate(raw.get("comments", [])):
-        cid = str(_get(c, "id", "comment %d of post %r" % (k, post.id)))
+        cid = str(_get(c, "id", "comment %d of post %r", k, post.id))
         if cid in seen:  # a reply to it could not say which one it answers
             raise CorpusError("comment id %r in discussion %r is %s" % (
                 cid, post.id, "the post's id" if cid == post.id
                 else "used twice"))
         seen.add(cid)
-        if str(_get(c, "author", "comment %r" % cid)) in excluded_tags:
+        if str(_get(c, "author", "comment %r", cid)) in excluded_tags:
             manifest.removed_by_tag += 1
             continue
         kept.append(c)
@@ -122,13 +121,13 @@ def _build_discussion(raw, manifest, excluded_tags):
     known = {post.id} | {str(c["id"]) for c in kept}
     comments = []
     for c in kept:
-        where = "comment %r" % str(c["id"])
-        timestamp = _get(c, "timestamp", where)
-        parent = str(_get(c, "parent_id", where))
+        cid = str(c["id"])
+        timestamp = _get(c, "timestamp", "comment %r", cid)
+        parent = str(_get(c, "parent_id", "comment %r", cid))
         if parent not in known:
             parent = post.id
             manifest.orphans_reattached += 1
-        comments.append({"id": str(c["id"]), "author": str(c["author"]),
+        comments.append({"id": cid, "author": str(c["author"]),
                          "parent_id": parent,
                          "timestamp": max(int(timestamp), post.timestamp),
                          "body": str(c.get("body", ""))})
@@ -143,7 +142,7 @@ def _discussion(post, comments):
     return Discussion(post, tuple(sorted(
         (Comment(c["id"], c["author"], c["parent_id"], post.id,
                  c["timestamp"], c["body"], depth[c["id"]])
-         for c in comments), key=lambda c: (c.timestamp, c.id))))
+         for c in comments), key=attrgetter("timestamp", "id"))))
 
 
 def _depths(post_id, parent_of):

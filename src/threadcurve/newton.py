@@ -12,9 +12,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import curvature
 from .curvature import (ForwardTrace, context_backward, cumulative_context,
-                        encode_steps, prepare, relu, reverse_cumsum, rows_t,
-                        sigmoid, sigmoid_backward, temporal_loss)
+                        encode_steps, relu, reverse_cumsum, rows_t, sigmoid,
+                        sigmoid_backward, temporal_loss)
 from .optim import fit, init_params
 
 DIST_EPS = 1e-6
@@ -46,25 +47,34 @@ def newton_mass(P, ctx):
     return hidden, sigmoid(hidden @ P["Wp1"].T + P["Bp2"])[..., 0]
 
 
-def newton_position(P, user_vectors, mask, w, steps):
+def position_constants(mask, w, steps, d):
+    """The data-only values `newton_position` reads, from the commenter
+    mask (..., N·w): the mask as floats over the comments the last step
+    sees, the comment index i·w-1 that step i >= 1 reads, whether no
+    commenter is embedded by then, and the zero row of step 0."""
+    prefix = (steps - 1) * w
+    mask = np.asarray(mask[..., :prefix], dtype=float)
+    read = np.arange(1, steps) * w - 1
+    empty = np.add.accumulate(mask, axis=-1)[..., read] == 0
+    return mask, read, empty, np.zeros(mask.shape[:-1] + (1, d))
+
+
+def newton_position(P, user_vectors, constants):
     """(..., steps, d) positions, and the (numerators, weights, totals,
     read indices) that the reverse pass reads. Row i is the exp(Wp3)-
     weighted mean of the embedded commenters' vectors among comments
     0..i·w-1, read from masked prefix sums at comment i·w-1; the zero
     vector at step 0 and while no commenter is embedded. user_vectors
-    (..., N·w, d) and mask (..., N·w)."""
-    prefix = (steps - 1) * w  # the comments the last step sees
-    mask = np.asarray(mask[..., :prefix], dtype=float)
+    (..., N·w, d); `constants` come from `position_constants`."""
+    mask, read, empty, origin = constants
+    prefix = mask.shape[-1]  # the comments the last step sees
     omega = np.exp(P["Wp3"][:prefix]) * mask
     numer = np.add.accumulate(omega.reshape(omega.shape + (1,))
                               * user_vectors[..., :prefix, :], axis=-2)
-    read = np.arange(1, steps) * w - 1
     # nobody embedded yet: numer is zero, and 0/1 keeps it so
-    empty = np.add.accumulate(mask, axis=-1)[..., read] == 0
     total = np.add.accumulate(omega, axis=-1)[..., read] + empty
     numer = numer[..., read, :]
     later = numer / total.reshape(total.shape + (1,))
-    origin = np.zeros(later.shape[:-2] + (1, later.shape[-1]))
     return (np.concatenate([origin, later], axis=-2),
             (numer, omega, total, read))
 
@@ -81,11 +91,11 @@ def newton_heads(P, mass, position, centers):
     return sigmoid(arg), relu(arg @ P["Wp4"]), arg, (delta, d2)
 
 
-def forward(store, x1, x2, centers, user_vectors, mask, w):
+def forward(store, x1, x2, centers, user_vectors, constants):
     """centers are the cluster centers in embedding space (no time), (n, d)
-    or per step; any leading axes of x1, x2, user_vectors and mask are
-    discussions. Returns the ForwardTrace and the values the reverse pass
-    reads."""
+    or per step; any leading axes of x1, x2, user_vectors and the
+    `position_constants` are discussions. Returns the ForwardTrace and the
+    values the reverse pass reads."""
     P = dict(store.items())
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     user_vectors = np.asarray(user_vectors, dtype=float)
@@ -94,7 +104,7 @@ def forward(store, x1, x2, centers, user_vectors, mask, w):
     encodings = encode_steps(P, x1, x2, steps)
     ctx, context = cumulative_context(P, encodings)
     hidden, mass = newton_mass(P, ctx)
-    position, weighted = newton_position(P, user_vectors, mask, w, steps)
+    position, weighted = newton_position(P, user_vectors, constants)
     y1, y2, arg, (delta, d2) = newton_heads(P, mass, position, centers)
     kept = SimpleNamespace(encodings=encodings, context=context, ctx=ctx,
                            hidden=hidden, mass=mass, weighted=weighted,
@@ -118,10 +128,21 @@ def position_backward(store, kept, d_later):
     d_wp3[prefix:] = 0.0
 
 
+def prepare(instance, w):
+    """`curvature.prepare`, plus the `position_constants` of the instance,
+    derived once per fit; a prepared instance passes through."""
+    if isinstance(instance, SimpleNamespace):
+        return instance
+    inst = curvature.prepare(instance)
+    inst.position = position_constants(inst.user_mask, w, inst.x2.shape[-2],
+                                       np.shape(inst.user_vectors)[-1])
+    return inst
+
+
 def discussion_loss(store, instance, w, lam=1.0):
-    inst = prepare(instance)
+    inst = prepare(instance, w)
     trace, kept = forward(store, inst.x1, inst.x2, inst.centers[..., 1:],
-                          inst.user_vectors, inst.user_mask, w)
+                          inst.user_vectors, inst.position)
     loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
     arg, mass, y1, d2 = trace.r_prime, kept.mass[:, None], trace.y1, kept.d2
     d_total = d_y2 * (trace.y2 > 0)
@@ -142,13 +163,16 @@ def train_temporal(dataset, cfg, w, seed=0, epochs=30, lr=1e-3):
     """Adam over discussions, one update per discussion per epoch; returns
     the store and the epoch losses. Each discussion is prepared once."""
     store = init_model(cfg, w, seed)
-    return store, fit(store, [prepare(inst) for inst in dataset],
+    return store, fit(store, [prepare(inst, w) for inst in dataset],
                       lambda s, inst: discussion_loss(s, inst, w, lam=cfg.lam),
                       epochs, lr)
 
 
 def predict_temporal(store, instance, w):
-    trace, _ = forward(store, instance["x1"], instance["x2"],
-                       instance["centers"][..., 1:], instance["user_vectors"],
-                       instance["user_mask"], w)
+    x2, user_vectors = instance["x2"], instance["user_vectors"]
+    constants = position_constants(instance["user_mask"], w,
+                                   np.shape(x2)[-2],
+                                   np.shape(user_vectors)[-1])
+    trace, _ = forward(store, instance["x1"], x2, instance["centers"][..., 1:],
+                       user_vectors, constants)
     return trace.prediction()

@@ -103,7 +103,8 @@ class PipelineConfig:
 
     def _validate(self):
         for name in ("d", "w", "n", "N", "h1", "h2", "h3", "epochs",
-                     "min_user_discussions"):
+                     "min_user_discussions", "synth_discussions",
+                     "synth_posts"):
             if getattr(self, name) < 1:
                 raise PipelineError("config field %s must be >= 1" % name)
         if not (math.isfinite(self.lr) and self.lr > 0):

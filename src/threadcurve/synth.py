@@ -72,8 +72,15 @@ def write_lexicon_files(spec, out_dir, seed=0):
     return wv_path, sent_path, stop_path
 
 
+def _words(rng, pool, n_words):
+    """n_words words of `pool`, drawn in one call: the draws of
+    `rng.choice(pool, size=n_words)`, without making the pool an array."""
+    return " ".join(map(pool.__getitem__,
+                        rng.integers(0, len(pool), size=n_words).tolist()))
+
+
 def _sentence(rng, pool, n_words):
-    return " ".join(rng.choice(pool, size=n_words)) + "."
+    return _words(rng, pool, n_words) + "."
 
 
 def _user(cluster, k):
@@ -102,15 +109,14 @@ def make_temporal_corpus(spec, seed, corpus_path, truth_path):
                     "timestamp": post_t}
             comments = []
             cid = 0
-            members = rng.permutation(spec.users_per_cluster)
+            members = rng.permutation(spec.users_per_cluster).tolist()
             for k in range(1, spec.N + 1):
                 start = post_t + k * WINDOW_GAP
-                offsets = sorted(
-                    int(x) for x in rng.integers(0, k + 1, size=spec.w - 2))
+                offsets = sorted(rng.integers(0, k + 1, size=spec.w - 2).tolist())
                 times = [start] + [start + o for o in offsets] + [start + k]
                 prev_id = post["id"] if k == 1 else comments[-1]["id"]
                 for m in range(spec.w):
-                    author = _user(c, int(members[(cid + m) % spec.users_per_cluster]))
+                    author = _user(c, members[(cid + m) % spec.users_per_cluster])
                     comment_id = "%s_c%02d" % (disc_id, cid + m)
                     # chain replies within the window; first comment of a
                     # window replies to the previous window's tail (or post)
@@ -145,7 +151,7 @@ def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
             attract = j >= n_empty
             disc_id = "p%04d" % j
             keyword = ATTRACT_WORD if attract else REPEL_WORD
-            filler = " ".join(rng.choice(pool, size=2))
+            filler = _words(rng, pool, 2)
             # keyword twice: term frequency keeps it dominant after weighting
             title = "%s %s %s" % (keyword, keyword, filler)
             post_t = BASE_TIME + j * 10_000

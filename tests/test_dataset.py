@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -105,9 +103,8 @@ def test_logreg_features_see_only_the_prefix(synth_materials):
             start = k * spec.w
             parent = disc.comments[0].id if start else disc.post.id
             later = tuple(
-                dataclasses.replace(c, author=users[j % len(users)],
-                                    text="bad alpha, great beta!",
-                                    parent_id=parent)
+                c._replace(author=users[j % len(users)],
+                           text="bad alpha, great beta!", parent_id=parent)
                 for j, c in enumerate(disc.comments[start:]))
             mutated = Discussion(disc.post, disc.comments[:start] + later)
             pack, _, _ = ds.build_temporal_dataset([mutated], spec.w, spec.N,

@@ -22,8 +22,8 @@ def test_zero_parameters_give_half_mass():
 
 
 def _position(store, vecs, mask, w, steps):
-    return nw.newton_position(dict(store.items()), vecs, np.array(mask),
-                              w, steps)[0]
+    constants = nw.position_constants(np.array(mask), w, steps, vecs.shape[-1])
+    return nw.newton_position(dict(store.items()), vecs, constants)[0]
 
 
 def test_position_single_and_weighted_average():
@@ -102,16 +102,16 @@ def test_forward_rotational_symmetry():
     store = nw.init_model(cfg, w=2, seed=3)
     inst = toy_instance(rng, cfg, w=2)
     centers = inst["centers"][..., 1:]
+    constants = nw.position_constants(inst["user_mask"], 2, cfg.N, cfg.d)
     base, _ = nw.forward(store, inst["x1"], inst["x2"], centers,
-                         inst["user_vectors"], inst["user_mask"], 2)
+                         inst["user_vectors"], constants)
     theta = 1.1
     R = np.eye(cfg.d)
     R[:2, :2] = [[np.cos(theta), -np.sin(theta)],
                  [np.sin(theta), np.cos(theta)]]
     rotated, _ = nw.forward(store, inst["x1"], inst["x2"],
                             centers @ R.T,
-                            inst["user_vectors"] @ R.T,
-                            inst["user_mask"], 2)
+                            inst["user_vectors"] @ R.T, constants)
     np.testing.assert_allclose(rotated.y1_array(), base.y1_array(), atol=1e-9)
     np.testing.assert_allclose(rotated.y2_array(), base.y2_array(), atol=1e-9)
 
@@ -139,9 +139,8 @@ def test_stacked_pass_equals_per_discussion_passes():
         for key in ("y1", "y2", "decisions"):
             assert np.array_equal(out[key][r], one[key]), key
     # no embedded commenter: the discussion stays at the origin
-    position, _ = nw.newton_position(dict(store.items()),
-                                     stacked["user_vectors"],
-                                     stacked["user_mask"], 2, cfg.N)
+    position = _position(store, stacked["user_vectors"],
+                         stacked["user_mask"], 2, cfg.N)
     assert position.shape == (len(rows), cfg.N, cfg.d)
     assert np.all(position[-1] == 0.0)
 
@@ -174,7 +173,8 @@ def test_flat_and_per_step_centers_give_the_same_bits():
     flat = rng.normal(size=(cfg.n, cfg.d))
     inst["centers"][..., 1:] = flat
     store = nw.init_model(cfg, w=2, seed=7)
-    rest = (inst["user_vectors"], inst["user_mask"], 2)
+    rest = (inst["user_vectors"],
+            nw.position_constants(inst["user_mask"], 2, cfg.N, cfg.d))
     per_step, _ = nw.forward(store, inst["x1"], inst["x2"],
                              inst["centers"][..., 1:], *rest)
     shared, _ = nw.forward(store, inst["x1"], inst["x2"], flat, *rest)

@@ -459,6 +459,19 @@ def test_cli_refuses_an_empty_corpus(tmp_path):
         assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
 
 
+@pytest.mark.parametrize("field,value", [("synth_discussions", -3),
+                                         ("synth_posts", 0)])
+def test_cli_refuses_an_empty_synthetic_corpus(tmp_path, field, value):
+    """A synthetic corpus size below 1 is refused when the config is read,
+    naming the field, before `synth` writes an empty corpus."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    proc = _cli("--config", str(cfg_path), "--workdir", str(tmp_path / "w"),
+                "synth")
+    _assert_one_error_line(proc, "config field %s must be >= 1" % field)
+    assert not os.path.exists(tmp_path / "w" / "corpus.jsonl")
+
+
 def test_cli_reports_bad_lexicon_files(tmp_path):
     """A bad sentiment, stopwords or word-vector file ends the stage that
     reads it with exit code 2 and one error line naming the file and the

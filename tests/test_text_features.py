@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -156,7 +155,7 @@ def test_featurize_comment_matches_block_oracle(tiny_corpus, text, surface):
     discussions, _, _ = tiny_corpus
     d = discussions[0]
     lex = make_lexicons(d_w=3, extra_vocab=["text", "0", "1", "2"])
-    c = dataclasses.replace(d.comments[1], text=text)
+    c = d.comments[1]._replace(text=text)
     vec = ft.featurize_comment(c, d, lex, None)
     pol, pos, neg = ft.polarity(text, lex.sentiment)
     n_sent, avg_words, n_urls, n_closing = surface
