@@ -5,13 +5,14 @@ cluster of the user spacetime; contracting it with a learned diagonal
 inverse metric gives a per-cluster scalar curvature that drives the
 engagement and growth heads.
 
-The passes are plain numpy. `forward` and `nontemporal_forward` return
-what the reverse pass needs besides their outputs, and the losses walk
-it back by hand, writing each gradient into the parameter store. Every
-reverse step sums in the order reverse-mode autodiff over the same ops
-sums (bias gradients one leading axis at a time, weight gradients as
-x.T @ dz), so the gradients, and the models trained on them, are
-bit-identical to the tape's in `autodiff`.
+The passes are plain numpy over views bound once per store (`bind`): each
+weight matrix also transposed, each gradient as the view the reverse pass
+writes it into. `forward` serves training and prediction, over any leading
+discussion axes; the one-shot pass shares its `curvature_layers`. Every
+reverse step sums in the order reverse-mode autodiff over the same ops sums
+(bias gradients one leading axis at a time, weight gradients as x.T @ dz),
+so the gradients, and the models trained on them, are bit-identical to the
+tape's in `autodiff`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .optim import fit, init_params
+from .optim import bound, fit, init_params, with_transposes
 
 PROB_CLIP = 1e-7
+
+# constant operands as 0-d arrays: numpy dispatches them faster than
+# Python floats, to the same bits
+ZERO, ONE, EXP_CAP = np.array(0.0), np.array(1.0), np.array(500.0)
 
 
 @dataclass
@@ -66,14 +71,24 @@ def init_model(cfg, seed):
     return store
 
 
+def bind(views):
+    """`with_transposes` of a name -> view dict, plus W5's blocks: W5 acts
+    on [ctx, centre], its ctx block is W5c and its centre block W5z."""
+    P = with_transposes(views)
+    h1 = P["W1"].shape[0]
+    P.update(W5c=P["W5"][:, :h1], W5cT=P["W5"][:, :h1].T,
+             W5zT=P["W5"][:, h1:].T)
+    return P
+
+
 def sigmoid(x):
     """Logistic function; exp sees only -|x|, capped at 500."""
-    e = np.exp(-np.minimum(np.abs(x), 500.0))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    e = np.exp(-np.minimum(np.abs(x), EXP_CAP))
+    return np.where(x >= ZERO, ONE, e) / (ONE + e)
 
 
 def relu(x):
-    return x * (x > 0.0)
+    return x * (x > ZERO)
 
 
 def reverse_cumsum(g):
@@ -92,15 +107,6 @@ def sum_leading(g, ndim):
 def rows_t(x):
     """x (..., i) as (i, rows): x.T @ dz is dL/dW.T of z = x @ W.T."""
     return x.reshape(-1, x.shape[-1]).T
-
-
-def sigmoid_backward(store, weight, bias, x_t, out, d_out):
-    """Gradients of out = sigmoid(x @ W.T + b) into the store from dL/dout
-    and x_t = rows_t(x); returns dL/dz."""
-    dz = d_out * out * (1.0 - out)
-    store.set_grad(weight, (x_t @ dz.reshape(-1, dz.shape[-1])).T)
-    store.set_grad(bias, sum_leading(dz, 1))
-    return dz
 
 
 @dataclass
@@ -141,19 +147,16 @@ class ForwardTrace:
                 "y2": self.y2, "trace": self}
 
 
-def encode_post(P, x1):
-    """relu(W1·x1 + B1) for post rows (..., f+d_w)."""
-    return relu(x1 @ P["W1"].T + P["B1"])
-
-
 def encode_steps(P, x1, x2, steps):
-    """(..., steps, h1) encodings: the post, then windows 1..steps-1.
+    """(..., steps, h1) encodings relu(x @ W.T + B1): the post through W1,
+    then windows 1..steps-1 through W2; P is a model's bound views.
 
     The post stays a (..., 1, f+d_w) operand: a 2-D (B, f) @ W1.T is not
     bit-identical to one (1, f) row at a time, a stacked (B, 1, f) is.
     """
-    window = relu(x2[..., :steps - 1, :] @ P["W2"].T + P["B1"])
-    return np.concatenate([encode_post(P, x1[..., None, :]), window], axis=-2)
+    post = x1[..., None, :] @ P["W1T"] + P["B1"]
+    window = x2[..., :steps - 1, :] @ P["W2T"] + P["B1"]
+    return np.concatenate([relu(post), relu(window)], axis=-2)
 
 
 def cumulative_context(P, encodings):
@@ -167,75 +170,64 @@ def cumulative_context(P, encodings):
     return numer / denom, (numer, omega, denom)
 
 
-def context_backward(store, kept, d_ctx, inst):
+def context_backward(G, encodings, context, d_ctx, inst):
     """dL/dctx (S, h1) of one discussion back through the cumulative
-    context and the post and window encoders into W1, W2, B1 and W3; the
-    encoders' input rows come from `inst`, as `prepare` made it."""
-    encodings, (numer, omega, denom) = kept.encodings, kept.context
+    context and the post and window encoders, into the gradient views G of
+    W1, W2, B1 and W3; the encoders' input rows come from `inst`, as
+    `prepare` made it."""
+    numer, omega, denom = context
     steps = len(encodings)
     d_weighted = reverse_cumsum(d_ctx / denom)
     d_denom = np.add.reduce(-d_ctx * numer / denom ** 2, 1)
     d_omega = (np.add.reduce(d_weighted * encodings, 1)
                + reverse_cumsum(d_denom))
-    d_w3 = store.grad("W3")
-    d_w3[:steps] = d_omega * omega
-    d_w3[steps:] = 0.0
-    d_pre = d_weighted * omega.reshape(steps, 1) * (encodings > 0.0)
-    store.set_grad("W1", (inst.post_t @ d_pre[:1]).T)
-    store.set_grad("W2", (inst.windows_t @ d_pre[1:]).T)
-    store.set_grad("B1", d_pre[0] + np.add.reduce(d_pre[1:], 0))
+    G["W3"][:steps] = d_omega * omega
+    G["W3"][steps:] = 0.0
+    d_pre = d_weighted * omega.reshape(steps, 1) * (encodings > ZERO)
+    G["W1T"][...] = inst.post_t @ d_pre[:1]
+    G["W2T"][...] = inst.windows_t @ d_pre[1:]
+    G["B1"][...] = d_pre[0] + np.add.reduce(d_pre[1:], 0)
 
 
-def stress_energy(P, ctx, centers):
-    """Hidden layer and diagonal stress-energy vectors of every cluster,
-    in (0, 1).
-
-    ctx (..., h1) pairs with centers (..., n, d+1); W5 acts on the
-    concatenation [ctx, centre], split here into its ctx and centre blocks.
-    """
-    h1 = ctx.shape[-1]
-    from_ctx = ctx @ P["W5"][:, :h1].T
-    from_ctx = from_ctx.reshape(from_ctx.shape[:-1] + (1, from_ctx.shape[-1]))
-    hidden = sigmoid(from_ctx + centers @ P["W5"][:, h1:].T + P["B4"])
-    return hidden, sigmoid(hidden @ P["W4"].T + P["B3"])
-
-
-def inverse_metric(P, centers):
-    """Hidden layer and diagonal inverse metric per cluster; a pure
-    function of the time-prepended cluster centers (..., n, d+1)."""
-    hidden = sigmoid(centers @ P["W7"].T + P["B6"])
-    return hidden, sigmoid(hidden @ P["W6"].T + P["B5"])
-
-
-def curvature(P, m_diag, g_inv):
-    """Per-cluster R' (..., n) and its W8-weighted total (...)."""
+def curvature_layers(P, ctx, centers):
+    """Stress-energy, inverse metric and curvature on contexts ctx
+    (..., h1) and time-prepended centres (..., n, d+1): the hidden layer
+    and diagonal stress-energy vectors of every cluster, the hidden layer
+    and diagonal inverse metric (a pure function of the centres), and the
+    per-cluster R' (..., n) and its W8-weighted total (...)."""
+    from_ctx = (ctx @ P["W5cT"])[..., None, :]  # the same for every cluster
+    se_hidden = sigmoid(from_ctx + centers @ P["W5zT"] + P["B4"])
+    m_diag = sigmoid(se_hidden @ P["W4T"] + P["B3"])
+    im_hidden = sigmoid(centers @ P["W7T"] + P["B6"])
+    g_inv = sigmoid(im_hidden @ P["W6T"] + P["B5"])
     r_prime = np.add.reduce(m_diag * g_inv, -1)
-    return r_prime, r_prime @ P["W8"]
+    return se_hidden, m_diag, im_hidden, g_inv, r_prime, r_prime @ P["W8"]
 
 
-def curvature_backward(store, kept, d_r_prime, d_r_total, centers_t):
-    """dL/dR' and dL/dR_total back through the curvature, inverse-metric
-    and stress-energy layers into their parameters, with centers_t =
-    rows_t(kept.centers); returns dL/dctx."""
-    get, g_inv, m_diag, se_hidden = (store.get, kept.g_inv, kept.m_diag,
-                                     kept.se_hidden)
-    store.set_grad("W8", kept.r_prime.T @ d_r_total)
-    d_r = (d_r_prime + d_r_total[:, None] * get("W8"))[..., None]
-    dz = sigmoid_backward(store, "W6", "B5", rows_t(kept.im_hidden), g_inv,
-                          sum_leading(d_r * m_diag, g_inv.ndim))
-    sigmoid_backward(store, "W7", "B6", centers_t, kept.im_hidden,
-                     dz @ get("W6"))
-    dz = sigmoid_backward(store, "W4", "B3", rows_t(se_hidden), m_diag,
-                          d_r * g_inv)
-    dz = (dz @ get("W4")) * se_hidden * (1.0 - se_hidden)
+def curvature_backward(P, G, ctx, centers_t, kept, d_r_prime, d_r_total):
+    """dL/dR' and dL/dR_total back through `curvature_layers`, whose
+    values are `kept`, into the gradient views G; centers_t is
+    rows_t(centres). Returns dL/dctx. One-shot posts share the centres, so
+    the gradients that reach them sum over the batch axis first."""
+    se_hidden, m_diag, im_hidden, g_inv, r_prime, _ = kept
+    G["W8"][...] = r_prime.T @ d_r_total
+    d_r = (d_r_prime + d_r_total[:, None] * P["W8"])[..., None]
+    dz = sum_leading(d_r * m_diag, g_inv.ndim) * g_inv * (ONE - g_inv)
+    G["W6T"][...] = rows_t(im_hidden) @ dz.reshape(-1, dz.shape[-1])
+    G["B5"][...] = sum_leading(dz, 1)
+    dz = (dz @ P["W6"]) * im_hidden * (ONE - im_hidden)
+    G["W7T"][...] = centers_t @ dz.reshape(-1, dz.shape[-1])
+    G["B6"][...] = sum_leading(dz, 1)
+    dz = d_r * g_inv * m_diag * (ONE - m_diag)
+    G["W4T"][...] = rows_t(se_hidden) @ dz.reshape(-1, dz.shape[-1])
+    G["B3"][...] = sum_leading(dz, 1)
+    dz = (dz @ P["W4"]) * se_hidden * (ONE - se_hidden)
     d_from_ctx = np.add.reduce(dz, -2)
-    h1 = kept.ctx.shape[-1]
-    d_w5 = store.grad("W5")
-    d_w5[:, :h1] = (kept.ctx.T @ d_from_ctx).T
-    d_centers = sum_leading(dz, kept.centers.ndim)
-    d_w5[:, h1:] = (centers_t @ d_centers.reshape(-1, dz.shape[-1])).T
-    store.set_grad("B4", sum_leading(dz, 1))
-    return d_from_ctx @ get("W5")[:, :h1]
+    G["W5cT"][...] = ctx.T @ d_from_ctx
+    G["W5zT"][...] = centers_t @ sum_leading(dz, g_inv.ndim).reshape(
+        -1, dz.shape[-1])
+    G["B4"][...] = sum_leading(dz, 1)
+    return d_from_ctx @ P["W5c"]
 
 
 def neutral_point(d):
@@ -254,18 +246,6 @@ def heads(r_prime, r_total, neutral=0.0):
     return sigmoid(r_prime - neutral), relu(r_total)
 
 
-def _curvature_layers(P, ctx, centers):
-    """Stress-energy, inverse metric and curvature on contexts ctx
-    (..., h1) and centers (..., n, d+1), with the values the reverse pass
-    reads."""
-    se_hidden, m_diag = stress_energy(P, ctx, centers)
-    im_hidden, g_inv = inverse_metric(P, centers)
-    r_prime, r_total = curvature(P, m_diag, g_inv)
-    return SimpleNamespace(ctx=ctx, centers=centers, se_hidden=se_hidden,
-                           m_diag=m_diag, im_hidden=im_hidden, g_inv=g_inv,
-                           r_prime=r_prime, r_total=r_total)
-
-
 def forward(store, x1, x2, centers):
     """Run the model over every prediction step in one pass.
 
@@ -275,18 +255,16 @@ def forward(store, x1, x2, centers):
     x1 (..., f+d_w) and x2 (..., N, f). Returns the ForwardTrace and the
     values the reverse pass reads.
     """
+    P, _ = bound(store, bind)
     centers = np.asarray(centers, dtype=float)
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    P = dict(store.items())
     encodings = encode_steps(P, x1, x2, centers.shape[-3])
     ctx, context = cumulative_context(P, encodings)
-    kept = _curvature_layers(P, ctx, centers)
-    y1, y2 = heads(kept.r_prime, kept.r_total,
-                   neutral=neutral_point(centers.shape[-1] - 1))
-    kept.encodings, kept.context = encodings, context
-    return ForwardTrace(y1=y1, y2=y2, r_prime=kept.r_prime,
-                        r_total=kept.r_total, m_diag=kept.m_diag,
-                        g_inv=kept.g_inv), kept
+    kept = curvature_layers(P, ctx, centers)
+    _, m_diag, _, g_inv, r_prime, r_total = kept
+    y1, y2 = heads(r_prime, r_total, neutral_point(centers.shape[-1] - 1))
+    return (ForwardTrace(y1, y2, r_prime, r_total, m_diag, g_inv),
+            (encodings, context, ctx, kept))
 
 
 def clipped_bce(p, t, not_t, g_t, g_not_t, axis):
@@ -355,11 +333,15 @@ def discussion_loss(store, instance, lam=1.0):
     """Forward + loss for one discussion instance, raw or prepared; fills
     gradients."""
     inst = prepare(instance)
-    trace, kept = forward(store, inst.x1, inst.x2, inst.centers)
+    trace, (encodings, context, ctx, kept) = forward(
+        store, inst.x1, inst.x2, inst.centers)
     loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
-    d_ctx = curvature_backward(store, kept, d_y1 * trace.y1 * (1.0 - trace.y1),
-                               d_y2 * (trace.y2 > 0), inst.centers_t)
-    context_backward(store, kept, d_ctx, inst)
+    P, G = bound(store, bind)
+    y1 = trace.y1
+    d_ctx = curvature_backward(P, G, ctx, inst.centers_t, kept,
+                               d_y1 * y1 * (ONE - y1),
+                               d_y2 * (trace.y2 > ZERO))
+    context_backward(G, encodings, context, d_ctx, inst)
     return loss
 
 
@@ -384,12 +366,12 @@ def nontemporal_forward(store, x1, centers0):
     is shared by every post, so the inverse metric is computed once.
     Returns y3 under `.data` and the values the reverse pass reads.
     """
-    P = dict(store.items())
+    P, _ = bound(store, bind)
     x1 = np.asarray(x1, dtype=float)
-    ctx = encode_post(P, x1)  # single-term cumulative context
-    kept = _curvature_layers(P, ctx, np.asarray(centers0, dtype=float))
-    kept.x1 = x1
-    return SimpleNamespace(data=sigmoid(kept.r_total)), kept
+    centers0 = np.asarray(centers0, dtype=float)
+    ctx = relu(x1 @ P["W1T"] + P["B1"])  # single-term cumulative context
+    kept = curvature_layers(P, ctx, centers0)
+    return SimpleNamespace(data=sigmoid(kept[-1])), (x1, ctx, centers0, kept)
 
 
 def predict_nontemporal(store, x1, centers0):
@@ -402,16 +384,18 @@ def predict_nontemporal(store, x1, centers0):
 def nontemporal_batch_loss(store, batch):
     """Mean BCE of y3 over a stacked batch, x1 (B, f+d_w), label (B,) and
     the shared centers0 (n, d+1); fills grads."""
-    y3, kept = nontemporal_forward(store, batch["x1"], batch["centers0"])
+    y3, (x1, ctx, centers0, kept) = nontemporal_forward(
+        store, batch["x1"], batch["centers0"])
     y3 = y3.data
     loss, d_y3 = bce(y3, batch["label"])
-    d_ctx = curvature_backward(store, kept, 0.0, d_y3 * y3 * (1.0 - y3),
-                               rows_t(kept.centers))
-    d_pre = d_ctx * (kept.ctx > 0)
-    store.set_grad("W1", (rows_t(kept.x1) @ d_pre).T)
-    store.set_grad("B1", sum_leading(d_pre, 1))
-    store.grad("W2")[...] = 0.0  # the one-shot pass reads no window
-    store.grad("W3")[...] = 0.0
+    P, G = bound(store, bind)
+    d_ctx = curvature_backward(P, G, ctx, rows_t(centers0), kept, 0.0,
+                               d_y3 * y3 * (ONE - y3))
+    d_pre = d_ctx * (ctx > ZERO)
+    G["W1T"][...] = rows_t(x1) @ d_pre
+    G["B1"][...] = sum_leading(d_pre, 1)
+    G["W2"][...] = 0.0  # the one-shot pass reads no window
+    G["W3"][...] = 0.0
     return float(loss)
 
 

@@ -3,7 +3,8 @@
 Shares the post/window encoder and cumulative context with the curvature
 model, but reduces the discussion to a scalar mass and a weighted-average
 position, attracting each cluster by inverse squared distance. Like the
-curvature model, its pass is plain numpy with a hand-written reverse pass.
+curvature model, its pass is plain numpy over bound views
+(`optim.with_transposes`) with a hand-written reverse pass.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import curvature
-from .curvature import (ForwardTrace, context_backward, cumulative_context,
-                        encode_steps, relu, reverse_cumsum, rows_t, sigmoid,
-                        sigmoid_backward, temporal_loss)
-from .optim import fit, init_params
+from .curvature import (ONE, ZERO, ForwardTrace, context_backward,
+                        cumulative_context, encode_steps, relu,
+                        reverse_cumsum, sigmoid, temporal_loss)
+from .optim import bound, fit, init_params, with_transposes
 
 DIST_EPS = 1e-6
 
@@ -43,8 +44,8 @@ def init_model(cfg, w, seed):
 def newton_mass(P, ctx):
     """Hidden layer (..., S, h2) and scalar mass per step (..., S) in
     (0, 1), from the (..., S, h1) contexts."""
-    hidden = sigmoid(ctx @ P["Wp2"].T + P["Bp1"])
-    return hidden, sigmoid(hidden @ P["Wp1"].T + P["Bp2"])[..., 0]
+    hidden = sigmoid(ctx @ P["Wp2T"] + P["Bp1"])
+    return hidden, sigmoid(hidden @ P["Wp1T"] + P["Bp2"])[..., 0]
 
 
 def position_constants(mask, w, steps, d):
@@ -96,7 +97,7 @@ def forward(store, x1, x2, centers, user_vectors, constants):
     or per step; any leading axes of x1, x2, user_vectors and the
     `position_constants` are discussions. Returns the ForwardTrace and the
     values the reverse pass reads."""
-    P = dict(store.items())
+    P, _ = bound(store, with_transposes)
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     user_vectors = np.asarray(user_vectors, dtype=float)
     centers = np.asarray(centers, dtype=float)
@@ -112,7 +113,7 @@ def forward(store, x1, x2, centers, user_vectors, constants):
     return ForwardTrace(y1=y1, y2=y2, r_prime=arg), kept
 
 
-def position_backward(store, kept, d_later):
+def position_backward(G, kept, d_later):
     """dL/dposition (S-1, d) of one discussion's rows 1.. back into Wp3."""
     numer, omega, total, read = kept.weighted
     prefix, total = len(omega), total.reshape(-1, 1)
@@ -123,9 +124,8 @@ def position_backward(store, kept, d_later):
     d_omega = (reverse_cumsum(d_total)
                + np.add.reduce(reverse_cumsum(d_numer)
                                * kept.user_vectors[:prefix], 1))
-    d_wp3 = store.grad("Wp3")
-    d_wp3[:prefix] = d_omega * omega  # omega is 0 where the mask is
-    d_wp3[prefix:] = 0.0
+    G["Wp3"][:prefix] = d_omega * omega  # omega is 0 where the mask is
+    G["Wp3"][prefix:] = 0.0
 
 
 def prepare(instance, w):
@@ -144,18 +144,21 @@ def discussion_loss(store, instance, w, lam=1.0):
     trace, kept = forward(store, inst.x1, inst.x2, inst.centers[..., 1:],
                           inst.user_vectors, inst.position)
     loss, d_y1, d_y2 = temporal_loss(trace, inst, lam=lam)
+    P, G = bound(store, with_transposes)
     arg, mass, y1, d2 = trace.r_prime, kept.mass[:, None], trace.y1, kept.d2
-    d_total = d_y2 * (trace.y2 > 0)
-    store.set_grad("Wp4", arg.T @ d_total)
-    d_arg = d_y1 * y1 * (1.0 - y1) + d_total[:, None] * store.get("Wp4")
+    d_total = d_y2 * (trace.y2 > ZERO)
+    G["Wp4"][...] = arg.T @ d_total
+    d_arg = d_y1 * y1 * (ONE - y1) + d_total[:, None] * P["Wp4"]
     d_delta = (-d_arg * mass / d2 ** 2)[..., None] * 2.0 * kept.delta
-    position_backward(store, kept, np.add.reduce(d_delta, 1)[1:])
+    position_backward(G, kept, np.add.reduce(d_delta, 1)[1:])
     hidden = kept.hidden
-    dz = sigmoid_backward(store, "Wp1", "Bp2", rows_t(hidden), mass,
-                          np.add.reduce(d_arg / d2, 1)[:, None])
-    dz = sigmoid_backward(store, "Wp2", "Bp1", kept.ctx.T, hidden,
-                          dz @ store.get("Wp1"))
-    context_backward(store, kept, dz @ store.get("Wp2"), inst)
+    dz = np.add.reduce(d_arg / d2, 1)[:, None] * mass * (ONE - mass)
+    G["Wp1T"][...] = hidden.T @ dz
+    G["Bp2"][...] = np.add.reduce(dz, 0)
+    dz = (dz @ P["Wp1"]) * hidden * (ONE - hidden)
+    G["Wp2T"][...] = kept.ctx.T @ dz
+    G["Bp1"][...] = np.add.reduce(dz, 0)
+    context_backward(G, kept.encodings, kept.context, dz @ P["Wp2"], inst)
     return loss
 
 

@@ -27,7 +27,7 @@ class ParameterStore:
         self.values = np.zeros(0)
         self.grads = np.zeros(0)
         self.layout = {}
-        self._views, self._grad_views = {}, {}
+        self._views, self._grad_views, self._bound = {}, {}, {}
 
     def register(self, name, value):
         """Append a tensor; views taken earlier keep the old buffers."""
@@ -40,6 +40,7 @@ class ParameterStore:
         self.grads = np.append(self.grads, np.zeros(value.size))
         self._views = self._views_of(self.values)
         self._grad_views = self._views_of(self.grads)
+        self._bound = {}
 
     def _views_of(self, flat):
         return {name: flat[where].reshape(shape)
@@ -79,6 +80,27 @@ class ParameterStore:
         return next((name, index - where.start)
                     for name, (where, _) in self.layout.items()
                     if where.start <= index < where.stop)
+
+
+def with_transposes(views):
+    """The name -> array dict `views`, with each matrix also under its name
+    + "T" as its transpose: x @ P["W1T"] is x @ W1.T, transposed once."""
+    return dict(views, **{name + "T": value.T for name, value in views.items()
+                          if np.ndim(value) == 2})
+
+
+def bound(params, bind):
+    """(bind(views), bind(gradient views)), each a dict by name: what a
+    model's passes read and write. A ParameterStore makes them on the first
+    call with `bind` and keeps them; a loaded checkpoint's dict has weights
+    only, (bind(params), None)."""
+    if not isinstance(params, ParameterStore):
+        return bind(params), None
+    made = params._bound.get(bind)
+    if made is None:
+        made = params._bound[bind] = (bind(dict(params._views)),
+                                      bind(dict(params._grad_views)))
+    return made
 
 
 def init_params(spec, seed):

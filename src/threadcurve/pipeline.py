@@ -133,13 +133,7 @@ class PipelineConfig:
     def load(cls, path, **overrides):
         """The JSON file at `path` with `overrides` on top: an input path
         the file leaves unset lies in the final workdir."""
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise PipelineError("cannot read config %s: %s" % (path, exc))
-        if not isinstance(raw, dict):
-            raise PipelineError("config %s is not a JSON object" % path)
+        raw = _read_json(path, "fix the config")
         types = {f.name: f.type for f in fields(cls)}
         unknown = sorted(set(raw) - set(types))
         if unknown:
@@ -157,6 +151,21 @@ class PipelineConfig:
 
     def path(self, name):
         return os.path.join(self.workdir, name)
+
+
+def _read_json(path, fix, **kinds):
+    """The JSON object in `path`, each key of `kinds` holding a value of its
+    type; anything else raises PipelineError naming the file, then `fix`."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise PipelineError("cannot read %s (%s): %s" % (path, exc, fix))
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(key), kind)
+                                          for key, kind in kinds.items())):
+        raise PipelineError("%s is not a JSON object%s: %s" % (
+            path, " with " + ", ".join(kinds) if kinds else "", fix))
+    return obj
 
 
 def _model_file(cfg, kind, ext):
@@ -290,8 +299,8 @@ def stage_cluster(cfg):
 def stage_featurize(cfg):
     discussions = _load_discussions(cfg)
     if cfg.task == "nontemporal":  # trained on the balanced subset
-        with open(cfg.path("balanced_ids.json")) as fh:
-            keep = set(json.load(fh)["ids"])
+        keep = set(_read_json(cfg.path("balanced_ids.json"),
+                              "run balance again", ids=list)["ids"])
         discussions = [d for d in discussions if d.id in keep]
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
@@ -327,8 +336,8 @@ def _model_inputs(cfg):
     x2) to its feature layout after the ablation. A config whose widths or
     holdout differ from the artifacts' is refused.
     """
-    with open(cfg.path("features_meta.json")) as fh:
-        meta = json.load(fh)
+    meta = _read_json(cfg.path("features_meta.json"), "run featurize again",
+                      d_w=int, task=str, train_ids=list, test_ids=list)
     if meta["task"] != cfg.task:
         raise PipelineError("the features pack is for the %s task: run "
                             "featurize for the %s task first"
@@ -553,8 +562,8 @@ def run_stage(name, cfg):
     manifest_path = cfg.path("manifest.json")
     manifest = {"stages": {}}
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(manifest_path, "remove it and run every stage "
+                              "again", stages=dict)
     records, base = manifest["stages"], os.path.basename
 
     def recorded(path):

@@ -15,6 +15,7 @@ from threadcurve import curvature as cv
 from threadcurve import newton as nw
 from threadcurve.autodiff import Var, concat
 from threadcurve.optim import Adam
+from threadcurve.pipeline import DESK_WIDTHS
 from conftest import toy_config, toy_instance, toy_split
 
 REL_TOL = 1e-10
@@ -291,5 +292,61 @@ def test_training_matches_adam_on_the_tape_epoch_by_epoch(model, lam):
         tape_store = nw.init_model(cfg, 2, 5)
     start = tape_store.values.copy()
     assert losses == _tape_fit(tape_store, rows, tape, epochs=3, lr=1e-2)
+    assert store.values.tobytes() == tape_store.values.tobytes()
+    assert not np.array_equal(store.values, start)
+
+
+def desk_config(task="temporal"):
+    """The widths the benchmark and CI train at (`pipeline.DESK_WIDTHS`),
+    with the desk packs' feature widths; and the window size w."""
+    widths = dict(DESK_WIDTHS)
+    w = widths.pop("w")
+    f = 26 if task == "temporal" else 32
+    return cv.ModelConfig(comment_width=f, post_width=32, **widths), w
+
+
+@pytest.mark.parametrize("model", ["rgnet", "newton"])
+def test_training_at_desk_widths_matches_adam_on_the_tape(model):
+    """Three epochs at the widths the benchmark trains at, over a row valid
+    at every step and one valid at step 0 only: the gradient views written
+    through transposes and the matmul kernels numpy picks depend on the
+    shapes, so the toy widths above do not cover these."""
+    cfg, w = desk_config()
+    rows = toy_split(np.random.default_rng(48), cfg, w)[0][:2]
+
+    def tape(pv, inst):
+        if model == "rgnet":
+            return tape_rgnet(pv, inst, cfg.lam)
+        return tape_newton(pv, inst, w, cfg.lam)
+
+    if model == "rgnet":
+        store, losses = cv.train_temporal(rows, cfg, seed=6, epochs=3,
+                                          lr=1e-2)
+        tape_store = cv.init_model(cfg, 6)
+    else:
+        store, losses = nw.train_temporal(rows, cfg, w, seed=6, epochs=3,
+                                          lr=1e-2)
+        tape_store = nw.init_model(cfg, w, 6)
+    start = tape_store.values.copy()
+    assert losses == _tape_fit(tape_store, rows, tape, epochs=3, lr=1e-2)
+    assert store.values.tobytes() == tape_store.values.tobytes()
+    assert not np.array_equal(store.values, start)
+
+
+@pytest.mark.parametrize("widths", ["toy", "desk"])
+def test_one_shot_training_matches_adam_on_the_tape(widths):
+    """Full-batch one-shot training over several epochs equals Adam stepped
+    on the tape's gradients, checkpoint bytes and epoch losses alike."""
+    cfg = toy_config() if widths == "toy" else desk_config("nontemporal")[0]
+    rng = np.random.default_rng(49)
+    batch = {"x1": rng.normal(size=(24, cfg.post_width)),
+             "centers0": rng.normal(size=(cfg.n, cfg.d + 1)),
+             "label": np.arange(24) % 2.0}
+    store, losses = cv.train_nontemporal(batch, cfg, seed=7, epochs=4,
+                                         lr=1e-2)
+    tape_store = cv.init_model(cfg, 7)
+    start = tape_store.values.copy()
+    assert losses == _tape_fit(tape_store, [batch], tape_one_shot, epochs=4,
+                               lr=1e-2)
     assert store.values.tobytes() == tape_store.values.tobytes()
     assert not np.array_equal(store.values, start)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from threadcurve import newton as nw
-from threadcurve.optim import grad_check
+from threadcurve.optim import bound, grad_check, with_transposes
 from conftest import toy_config, toy_instance, toy_split
 
 
@@ -16,7 +16,7 @@ def test_zero_parameters_give_half_mass():
     cfg = toy_config()
     store = _zeroed(nw.init_model(cfg, w=2, seed=0))
     ctx = np.random.default_rng(0).normal(size=(cfg.N, cfg.h1))
-    hidden, mass = nw.newton_mass(dict(store.items()), ctx)
+    hidden, mass = nw.newton_mass(bound(store, with_transposes)[0], ctx)
     assert hidden.shape == (cfg.N, cfg.h2) and mass.shape == (cfg.N,)
     np.testing.assert_allclose(mass, 0.5, atol=1e-15)
 

@@ -665,3 +665,34 @@ def test_cli_reports_unreadable_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable tensor file %s: " % ckpt)
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task, name, text, reader, again", [
+    ("temporal", "manifest.json", "{", "evaluate",
+     "remove it and run every stage again"),
+    ("temporal", "manifest.json", "[]", "evaluate",
+     "remove it and run every stage again"),
+    ("temporal", "features_meta.json", "truncated", "evaluate",
+     "run featurize again"),
+    ("nontemporal", "balanced_ids.json", '{"ids": 3}', "featurize",
+     "run balance again"),
+])
+def test_cli_reports_a_corrupt_json_artifact(tmp_path, capsys, task, name,
+                                             text, reader, again):
+    cfg = mini_config(tmp_path, task=task)
+    stages = ["synth", "ingest", "cooccur", "embed", "cluster", "featurize",
+              "train"]
+    if task == "nontemporal":
+        stages.insert(2, "balance")
+    for stage in stages:
+        run_stage(stage, cfg)
+    with open(cfg.path(name)) as fh:
+        content = fh.read()
+    with open(cfg.path(name), "w") as fh:
+        fh.write(content[:len(content) // 2] if text == "truncated" else text)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, reader]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cfg.path(name) in err and err.endswith(": %s\n" % again)
