@@ -18,159 +18,163 @@ increments in the same order as the all-pairs loop.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from .text import idf_table, text_stats, tokenize
+from .text import ranges, title_rows
 
 BLOCK_ROWS = 256         # Gram rows per block; bounds the (rows, D) temporary
 CANDIDATE_SLACK = 1e-9   # far above the rounding gap between the two cosines
+_ID, _AUTHOR, _PARENT, _TIME = map(attrgetter,
+                                   ("id", "author", "parent_id", "timestamp"))
 
 
 def sigmoid(x):
-    # Scalar libm code on purpose, not `curvature.sigmoid`: numpy's exp and
-    # libm's differ in the last bit for some inputs (5,371 of 700,000
-    # sigmoid values in one probe with numpy 2.4.6), and the temporal channel
-    # sums these values into the bytes of cooccur.txt.
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    """1 / (1 + exp(-x)) of each value of an array."""
+    # One libm `math.exp` per value on purpose, not `curvature.sigmoid`:
+    # numpy's exp and libm's differ in the last bit for some inputs (5,371
+    # of 700,000 sigmoid values in one probe with numpy 2.4.6), and the
+    # temporal channel sums these values into the bytes of cooccur.txt.
+    x = np.asarray(x, dtype=float)
+    neg = x < 0
+    e = np.fromiter(map(math.exp, np.where(neg, x, -x).ravel().tolist()),
+                    float, x.size).reshape(x.shape)
+    return np.where(neg, e, 1.0) / (1.0 + e)
 
 
 class CooccurrenceMatrix:
-    """Symmetric accumulator keyed by (i, j) with i < j; no diagonal."""
+    """Symmetric accumulator keyed by (i, j) with i < j; no diagonal.
+
+    Increments are kept as COO arrays in the order they are made. Reading
+    the entries adds each key's increments in that order, from +0.0
+    (`np.add.at` adds in index order): the sum that a dict updated one
+    increment at a time gives, so cooccur.txt keeps its bytes."""
 
     def __init__(self, dim):
         self.dim = dim
-        self._data = {}
+        empty = np.zeros(0, dtype=np.intp)
+        # (i, j, value) blocks; one block alone is the resolved entries
+        self._parts = [(empty, empty, np.zeros(0))]
 
     def add(self, i, j, value):
-        if i == j:
-            return
-        if value < 0 or not math.isfinite(value):
-            raise ValueError("invalid increment %r" % value)
-        key = (i, j) if i < j else (j, i)
-        self._data[key] = self._data.get(key, 0.0) + value
+        """Add `value` at (i, j); or, with arrays, value[k] (or the one
+        value) at each (i[k], j[k]) in turn. The diagonal is dropped."""
+        i, j = (np.asarray(k, dtype=np.intp).ravel() for k in (i, j))
+        off = i != j
+        value = np.full(off.shape, value, dtype=float)[off]
+        bad = ~((value >= 0) & (value < math.inf))
+        if bad.any():
+            raise ValueError("invalid increment %r" % float(value[bad][0]))
+        i, j = i[off], j[off]
+        self._parts.append((np.minimum(i, j), np.maximum(i, j), value))
+
+    def arrays(self):
+        """(i, j, value) arrays of the entries, sorted by (i, j), i < j."""
+        if len(self._parts) > 1:
+            i, j, value = (np.concatenate(part) for part in zip(*self._parts))
+            _, first, inverse = np.unique(i * (j.max(initial=0) + 1) + j,
+                                          return_index=True,
+                                          return_inverse=True)
+            total = np.zeros(len(first))
+            np.add.at(total, inverse, value)
+            self._parts = [(i[first], j[first], total)]
+        return self._parts[0]
 
     @property
     def nnz(self):
-        return len(self._data)
+        return len(self.arrays()[0])
 
     def items(self):
         """Sorted (i, j, value) triples, i < j."""
-        for key in sorted(self._data):
-            yield key[0], key[1], self._data[key]
+        return zip(*(a.tolist() for a in self.arrays()))
 
     def save(self, path):
         with open(path, "w") as fh:
-            for i, j, v in self.items():
-                fh.write("%d %d %.17g\n" % (i, j, v))
+            fh.writelines("%d %d %.17g\n" % item for item in self.items())
 
     @classmethod
     def load(cls, path, dim):
-        mat = cls(dim)
         with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-                mat.add(i, j, v)
+            rows = [line.split() for line in fh if line.strip()]
+        mat = cls(dim)
+        mat.add([int(r[0]) for r in rows], [int(r[1]) for r in rows],
+                [float(r[2]) for r in rows])
         return mat
 
 
 def title_vector(title, word_vectors, idf, stopwords=frozenset()):
-    """tf-idf weighted mean of word vectors over in-vocabulary title tokens.
-
-    Zero vector if no token survives. Falls back to the plain mean when
-    the tf-idf weights sum to zero (all-new vocabulary).
-    """
-    dim = len(next(iter(word_vectors.values())))
-    counts = [(t, tf) for t, tf in text_stats(title)[0]
-              if t not in stopwords and t in word_vectors]
-    if not counts:
-        return np.zeros(dim)
-    total_w = 0.0
-    acc = np.zeros(dim)
-    for t, tf in counts:
-        wt = tf * idf.get(t, 0.0)
-        if wt > 0:
-            acc += wt * np.asarray(word_vectors[t], float)
-            total_w += wt
-    if total_w <= 0:
-        vecs = [np.asarray(word_vectors[t], float) for t, _ in counts]
-        return np.mean(vecs, axis=0)
-    return acc / total_w
+    """The title's vector: `text.title_rows` of one title."""
+    return title_rows([title], word_vectors, idf, stopwords)[0]
 
 
 def title_vectors(discussions, word_vectors, idf, stopwords):
-    """Title vector per discussion id."""
-    return {d.id: title_vector(d.post.title, word_vectors, idf, stopwords)
-            for d in discussions}
+    """Title vector per discussion id, from one pass over the titles."""
+    return dict(zip([d.id for d in discussions], title_rows(
+        [d.post.title for d in discussions], word_vectors, idf, stopwords)))
 
 
 def idf_title_vectors(discussions, word_vectors, stopwords=frozenset()):
     """Title vector per discussion id for the semantic channel, with idf
     over the titles of `discussions`."""
-    idf = idf_table([tokenize(d.post.title) for d in discussions])
-    return title_vectors(discussions, word_vectors, idf, stopwords)
+    return title_vectors(discussions, word_vectors, None, stopwords)
 
 
-def reply_edges(d):
-    """Directed (child_author, parent_author) pairs, comment->post included."""
-    author_of = {d.post.id: d.post.author}
-    for c in d.comments:
-        author_of[c.id] = c.author
-    edges = []
-    for c in d.comments:
-        parent_author = author_of.get(c.parent_id)
-        if parent_author is not None:
-            edges.append((c.author, parent_author))
-    return edges
+def discussion_channels(discussions, index):
+    """(i, j, value) increments of the reply and temporal channels, made
+    discussion after discussion, from per-comment arrays.
 
-
-def accumulate_communicative(A, d, index):
-    """+2 per reply edge between distinct embedded users."""
-    for child, parent in reply_edges(d):
-        if child == parent:
-            continue
-        i, j = index.get(child), index.get(parent)
-        if i is None or j is None:
-            continue
-        A.add(i, j, 2.0)
-
-
-def _earliest_times(d, index):
-    times = {}
-    for c in d.comments:
-        if c.author in index and c.author not in times:
-            times[c.author] = c.timestamp
-    return times
-
-
-def accumulate_temporal(A, d, index):
-    """sigmoid(span ratio) per unordered embedded pair that did not reply.
-
-    Uses each user's earliest comment time in the discussion; one
-    increment per pair per discussion.
+    Reply: +2 per comment and the author of its parent (comment or post),
+    both embedded; a self-reply falls on the diagonal, which the matrix
+    drops. Temporal: sigmoid(span / (|ta - tb| + 1)) per pair of embedded
+    commenters that did not reply to each other, at their first comment
+    times, with span = t_end - t_start + 1. A pair gets one kind or the
+    other in a discussion, so its increments come in discussion order.
     """
-    times = _earliest_times(d, index)
-    users = sorted(times)
-    if len(users) < 2:
-        return
-    replied = set()
-    for child, parent in reply_edges(d):
-        if child != parent:
-            replied.add(frozenset((child, parent)))
-    span = d.t_end - d.t_start + 1
-    for a_pos in range(len(users)):
-        for b_pos in range(a_pos + 1, len(users)):
-            ua, ub = users[a_pos], users[b_pos]
-            if frozenset((ua, ub)) in replied:
-                continue
-            alpha = span / (abs(times[ua] - times[ub]) + 1)
-            A.add(index[ua], index[ub], sigmoid(alpha))
+    n, authors, parents, times, sizes, spans = len(index), [], [], [], [], []
+    for d in discussions:
+        cs = d.comments
+        author_of = {d.post.id: d.post.author}
+        author_of.update(zip(map(_ID, cs), map(_AUTHOR, cs)))
+        authors.extend(map(_AUTHOR, cs))
+        parents.extend(map(author_of.get, map(_PARENT, cs)))
+        times.extend(map(_TIME, cs))
+        sizes.append(len(cs))
+        spans.append(d.t_end - d.t_start + 1)
+    author, parent = (np.fromiter(map(index.get, names, repeat(-1)),
+                                  np.int64, len(names))
+                      for names in (authors, parents))
+    disc = np.repeat(np.arange(len(sizes)), sizes)
+    time = np.array(times, dtype=np.int64)
+    reply = (author >= 0) & (parent >= 0)
+
+    def pair(k, i, j):
+        return (k * n + np.minimum(i, j)) * n + np.maximum(i, j)
+
+    # the first comment of each embedded commenter in a discussion, then
+    # every pair of those in one discussion whose authors did not reply
+    embedded = np.flatnonzero(author >= 0)
+    first = embedded[np.unique(disc[embedded] * n + author[embedded],
+                               return_index=True)[1]]
+    a, b = ranges(np.arange(1, len(first) + 1),
+                  np.searchsorted(disc[first], disc[first], side="right"))
+    a, b = first[a], first[b]
+    # sorted replied keys and a sentinel above all; not np.isin or the
+    # default sort, which page in up to 2 MB of code the run needs nowhere else
+    replied = np.append(np.sort(pair(disc[reply], author[reply],
+                                     parent[reply]), kind="stable"),
+                        np.iinfo(np.int64).max)
+    key = pair(disc[a], author[a], author[b])
+    keep = replied[np.searchsorted(replied, key)] != key
+    a, b = a[keep], b[keep]
+    alpha = np.array(spans, dtype=np.int64)[disc[a]] / (
+        np.abs(time[a] - time[b]) + 1)
+    order = np.argsort(np.concatenate([disc[reply], disc[a]]), kind="stable")
+    return (np.concatenate([author[reply], author[a]])[order],
+            np.concatenate([parent[reply], author[b]])[order],
+            np.concatenate([np.full(int(reply.sum()), 2.0),
+                            sigmoid(alpha)])[order])
 
 
 def title_angle(tm, tn):
@@ -193,14 +197,11 @@ def accumulate_semantic(A, dm, dn, tm, tn, index, theta0):
         return 1
     if theta > theta0:
         return 0
-    users_m = sorted({c.author for c in dm.comments if c.author in index})
-    users_n = sorted({c.author for c in dn.comments if c.author in index})
-    inc = math.cos(theta)
-    for ui in users_m:
-        for uj in users_n:
-            if ui == uj:
-                continue
-            A.add(index[ui], index[uj], inc)
+    users_m, users_n = ([index[u] for u in sorted(
+        {c.author for c in d.comments if c.author in index})] for d in (dm, dn))
+    # every (ui, uj) cross pair, row after row: one block of increments
+    i, j = np.meshgrid(users_m, users_n, indexing="ij")
+    A.add(i, j, math.cos(theta))
     return 0
 
 
@@ -235,9 +236,7 @@ def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
     (A, skipped_title_pairs).
     """
     A = CooccurrenceMatrix(len(index))
-    for d in discussions:
-        accumulate_communicative(A, d, index)
-        accumulate_temporal(A, d, index)
+    A.add(*discussion_channels(discussions, index))
     if len(discussions) < 2:
         return A, 0
     a, b, skipped = semantic_candidates(
@@ -247,4 +246,3 @@ def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
         accumulate_semantic(A, dm, dn, title_vecs[dm.id], title_vecs[dn.id],
                             index, theta0)
     return A, skipped
-

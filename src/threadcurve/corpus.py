@@ -95,6 +95,17 @@ def _get(raw, key, owner, *args):
         raise ValueError("%s lacks key %r" % (owner % args, key)) from None
 
 
+def _timestamp(raw, owner, *args):
+    """raw["timestamp"] as an int in 0 <= t < 2**53, where every span and
+    gap is exact in int64 and float64; else a CorpusError naming `owner %
+    args`."""
+    t = int(_get(raw, "timestamp", owner, *args))
+    if not 0 <= t < 2 ** 53:
+        raise CorpusError("%s has timestamp %d, outside 0 <= t < 2**53"
+                          % (owner % args, t))
+    return t
+
+
 def _build_discussion(raw, manifest, excluded_tags):
     post_raw = _get(raw, "post", "the line")
     post_id = str(_get(post_raw, "id", "the post"))
@@ -103,7 +114,7 @@ def _build_discussion(raw, manifest, excluded_tags):
         raise CorpusError("post %r has empty title" % post_raw["id"])
     post = Post(post_id, str(_get(post_raw, "author", "post %r", post_id)),
                 title, str(post_raw.get("body", "")),
-                int(_get(post_raw, "timestamp", "post %r", post_id)))
+                _timestamp(post_raw, "post %r", post_id))
     kept, seen = [], {post.id}
     for k, c in enumerate(raw.get("comments", [])):
         cid = str(_get(c, "id", "comment %d of post %r", k, post.id))
@@ -122,14 +133,14 @@ def _build_discussion(raw, manifest, excluded_tags):
     comments = []
     for c in kept:
         cid = str(c["id"])
-        timestamp = _get(c, "timestamp", "comment %r", cid)
+        timestamp = _timestamp(c, "comment %r", cid)
         parent = str(_get(c, "parent_id", "comment %r", cid))
         if parent not in known:
             parent = post.id
             manifest.orphans_reattached += 1
         comments.append({"id": cid, "author": str(c["author"]),
                          "parent_id": parent,
-                         "timestamp": max(int(timestamp), post.timestamp),
+                         "timestamp": max(timestamp, post.timestamp),
                          "body": str(c.get("body", ""))})
     return _discussion(post, comments)
 

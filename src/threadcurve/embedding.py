@@ -48,13 +48,10 @@ class EmbeddingModel:
 
 
 def _pair_arrays(A):
-    triples = list(A.items())
-    if not triples:
+    ii, jj, values = A.arrays()
+    if not len(values):
         raise ValueError("empty co-occurrence matrix")
-    ii = np.array([t[0] for t in triples], dtype=int)
-    jj = np.array([t[1] for t in triples], dtype=int)
-    logw = np.log1p(np.array([t[2] for t in triples]))
-    return ii, jj, logw
+    return ii, jj, np.log1p(values)
 
 
 def guvec_loss_and_grad(vectors, biases, ii, jj, logw):

@@ -565,6 +565,14 @@ def run_stage(name, cfg):
         manifest = _read_json(manifest_path, "remove it and run every stage "
                               "again", stages=dict)
     records, base = manifest["stages"], os.path.basename
+    for stage, record in records.items():
+        if not (isinstance(record, dict) and all(
+                isinstance(record.get(key, {}), dict)
+                for key in ("inputs", "outputs"))):
+            raise PipelineError(
+                "%s: the record of stage %r is not an object whose inputs "
+                "and outputs are objects: remove it and run every stage again"
+                % (manifest_path, stage))
 
     def recorded(path):
         """The digest the stage that wrote `path` recorded for it; refuses
@@ -583,7 +591,7 @@ def run_stage(name, cfg):
         recorded(path)
         # stale if a file its writer read has been rewritten since
         for upstream in io[writer][0] if writer in records else ():
-            read = records[writer]["inputs"].get(base(upstream))
+            read = records[writer].get("inputs", {}).get(base(upstream))
             now = recorded(upstream)
             if read and now and read != now:
                 raise PipelineError(

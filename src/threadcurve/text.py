@@ -1,4 +1,4 @@
-"""Tokenization, text records and idf shared by features and title vectors.
+"""Tokenization and text records shared by features and title vectors.
 
 `Texts` tokenizes texts once: every distinct token gets one integer id, and
 each text keeps its ids in order. `Texts.join` gives the records of runs of
@@ -6,7 +6,8 @@ consecutive texts joined by " " from those ids and per-text counts alone,
 so a discussion's prefix (its post and first comments) is the concatenated
 id stream of its texts, and building it tokenizes nothing again.
 `text_stats` is the record of one string, the form the tests check the
-joins against.
+joins against. `title_rows` gives the title vectors of many titles from one
+pass over their token ids.
 """
 
 import math
@@ -161,14 +162,43 @@ class Texts:
                        add(self.closing[t]))
 
 
-def idf_table(docs):
-    """idf = log(D / (1 + df)) of every token over D tokenized documents."""
-    df = {}
-    for doc in docs:
-        for t in set(doc):
-            df[t] = df.get(t, 0) + 1
-    n_docs = max(1, len(docs))
-    return {t: math.log(n_docs / (1 + k)) for t, k in df.items()}
+def title_rows(titles, word_vectors, idf, stopwords):
+    """The title vector of each title, as rows, from one `Texts` pass.
+
+    A title's kept tokens are those in `word_vectors` and not in
+    `stopwords`. Its vector is the mean of their vectors weighted by
+    tf * idf, over those whose weight is positive; their plain mean when no
+    weight is; the zero vector when no token is kept. `idf` is a dict, or
+    None for idf = log(D / (1 + df)) over the D titles themselves.
+    `np.bincount` adds a title's terms in order of first occurrence, from
+    +0.0, as a loop over them does, and a term of weight 0 adds +0.0 or
+    -0.0, which changes no sum.
+    """
+    texts = Texts(titles)
+    vocabulary, ids, starts = texts.vocabulary, texts.ids, texts.starts
+    if idf is None:
+        df = texts.document_frequency(np.arange(len(titles))).tolist()
+        idf = {t: math.log(max(1, len(titles)) / (1 + k))
+               for t, k in zip(vocabulary, df)}
+    zero = np.zeros(len(next(iter(word_vectors.values()))))
+    kept = np.array([t in word_vectors and t not in stopwords
+                     for t in vocabulary], dtype=bool)
+    vectors = np.array([word_vectors[t] if k else zero for t, k in
+                        zip(vocabulary, kept)]).reshape(-1, zero.size)
+    idf_of = np.array([idf.get(t, 0.0) for t in vocabulary], dtype=float)
+    R = len(titles)
+    record = np.repeat(np.arange(R), np.diff(starts))
+    weight = texts.tf * np.where(kept & (idf_of > 0), idf_of, 0.0)[ids]
+    total = np.bincount(record, weight, minlength=R)
+    out = np.zeros((R, zero.size))
+    for column, vector in zip(out.T, vectors.T):
+        column[:] = np.bincount(record, weight * vector[ids], minlength=R)
+    out /= np.where(total > 0, total, 1.0)[:, None]
+    fallback = (total == 0) & (np.bincount(record, kept[ids], minlength=R) > 0)
+    for r in np.flatnonzero(fallback).tolist():
+        terms = ids[starts[r]:starts[r + 1]]
+        out[r] = np.mean(vectors[terms[kept[terms]]], axis=0)
+    return out
 
 
 def count_urls(text):

@@ -1,18 +1,18 @@
 import math
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from threadcurve import cooccur
-from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_communicative,
-                                 accumulate_semantic, accumulate_temporal,
+import cooccur_reference as ref
+from threadcurve import cooccur, synth
+from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_semantic,
                                  build_cooccurrence, idf_title_vectors,
-                                 reply_edges, sigmoid, title_angle,
-                                 title_vector)
+                                 sigmoid, title_angle, title_vector)
 from threadcurve.corpus import embedded_users, parse_corpus
-from threadcurve.features import load_word_vectors
+from threadcurve.features import load_stopwords, load_word_vectors
 from conftest import chain_comments, make_discussion_json, write_corpus
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -109,6 +109,13 @@ def _one_discussion(comments, post_author="alice", post_t=0):
     return discussions[0]
 
 
+def _channels(d, index):
+    """The reply and temporal channels of one discussion."""
+    A = CooccurrenceMatrix(len(index))
+    A.add(*cooccur.discussion_channels([d], index))
+    return A
+
+
 def test_communicative_repeated_replies_accumulate():
     d = _one_discussion([
         {"id": "c0", "author": "u1", "parent_id": "d", "timestamp": 10, "body": "x"},
@@ -116,9 +123,9 @@ def test_communicative_repeated_replies_accumulate():
         {"id": "c2", "author": "u2", "parent_id": "c0", "timestamp": 30, "body": "x"},
     ])
     index = {"u1": 0, "u2": 1, "alice": 2}
-    A = CooccurrenceMatrix(3)
-    accumulate_communicative(A, d, index)
-    # two replies -> +2 twice; comment -> post reply
+    A = _channels(d, index)
+    # two replies -> +2 twice; comment -> post reply; u1 and u2 replied,
+    # so they get no temporal term
     assert _entries(A) == {(0, 1): 4.0, (0, 2): 2.0}
 
 
@@ -128,8 +135,7 @@ def test_communicative_skips_self_reply_and_unembedded():
         {"id": "c1", "author": "u1", "parent_id": "c0", "timestamp": 20, "body": "x"},
         {"id": "c2", "author": "ghost", "parent_id": "c1", "timestamp": 30, "body": "x"},
     ])
-    A = CooccurrenceMatrix(2)
-    accumulate_communicative(A, d, {"u1": 0, "alice": 1})
+    A = _channels(d, {"u1": 0, "alice": 1})
     assert _entries(A) == {(0, 1): 2.0}  # only u1 -> post
 
 
@@ -141,9 +147,7 @@ def test_temporal_frozen_examples():
         {"id": "c2", "author": "u3", "parent_id": "d", "timestamp": 99, "body": "x"},
     ])
     index = {"u1": 0, "u2": 1, "u3": 2}
-    A = CooccurrenceMatrix(3)
-    accumulate_temporal(A, d, index)
-    entries = _entries(A)
+    entries = _entries(_channels(d, index))
     assert entries[(0, 1)] == pytest.approx(1.0, abs=1e-9)        # sigmoid(100)
     # u1 at 0? span ratio for (u1,u3): alpha = 100/50 -> sigmoid(2)
     assert entries[(0, 2)] == pytest.approx(sigmoid(2.0), abs=1e-12)
@@ -154,8 +158,7 @@ def test_temporal_alpha_one_is_073106():
         {"id": "c0", "author": "u1", "parent_id": "d", "timestamp": 0, "body": "x"},
         {"id": "c1", "author": "u2", "parent_id": "d", "timestamp": 99, "body": "x"},
     ])
-    A = CooccurrenceMatrix(2)
-    accumulate_temporal(A, d, {"u1": 0, "u2": 1})
+    A = _channels(d, {"u1": 0, "u2": 1})
     assert _entries(A)[(0, 1)] == pytest.approx(0.73106, abs=1e-5)
 
 
@@ -167,10 +170,8 @@ def test_temporal_skips_replying_pairs_and_uses_earliest_time():
         {"id": "c3", "author": "u3", "parent_id": "d", "timestamp": 95, "body": "x"},
     ])
     index = {"u1": 0, "u2": 1, "u3": 2}
-    A = CooccurrenceMatrix(3)
-    accumulate_temporal(A, d, index)
-    entries = _entries(A)
-    assert (0, 1) not in entries  # replied
+    entries = _entries(_channels(d, index))
+    assert entries[(0, 1)] == 2.0  # the reply, and no temporal term
     span = 95 - 0 + 1
     assert entries[(0, 2)] == pytest.approx(sigmoid(span / (80 + 1)), abs=1e-12)
     assert entries[(1, 2)] == pytest.approx(sigmoid(span / (70 + 1)), abs=1e-12)
@@ -228,22 +229,6 @@ def test_semantic_threshold_and_increment():
 
 # ------------------------------------------------- the all-pairs loop oracle
 
-def pairwise_cooccurrence(discussions, index, title_vecs, theta0):
-    """`build_cooccurrence` as it was before the blocked candidate step:
-    `accumulate_semantic` on every pair of discussions."""
-    A = CooccurrenceMatrix(len(index))
-    for d in discussions:
-        accumulate_communicative(A, d, index)
-        accumulate_temporal(A, d, index)
-    skipped = 0
-    for a in range(len(discussions)):
-        for b in range(a + 1, len(discussions)):
-            dm, dn = discussions[a], discussions[b]
-            skipped += accumulate_semantic(
-                A, dm, dn, title_vecs[dm.id], title_vecs[dn.id], index, theta0)
-    return A, skipped
-
-
 THETA0 = math.pi / 12
 
 
@@ -289,7 +274,7 @@ def _edge_titles(rng, count):
 def _assert_matches_oracle(titles, seed, theta0=THETA0):
     discussions, index, tvecs = _random_corpus(titles, seed)
     A, skipped = build_cooccurrence(discussions, index, tvecs, theta0)
-    B, expected = pairwise_cooccurrence(discussions, index, tvecs, theta0)
+    B, expected = ref.all_pairs(discussions, index, tvecs, theta0)
     assert list(A.items()) == list(B.items())   # same floats, same keys
     assert skipped == expected
     return A, skipped
@@ -367,3 +352,218 @@ def test_semantic_pairs_go_through_the_module_name(monkeypatch):
     order = {d.id: k for k, d in enumerate(discussions)}
     assert kept and set(kept) <= set(calls) and len(calls) < 40 * 39 // 2
     assert calls == sorted(calls, key=lambda p: (order[p[0]], order[p[1]]))
+
+
+# ------------------------------------- the array channels against the loops
+
+def _channel_corpus(seed, count=30):
+    """Discussions drawn so that every case of the reply and temporal
+    channels occurs: replies to a parent later in time order (ties broken
+    by id, as ingest sorts), self-replies, unembedded authors (u12 to u15),
+    parents that are missing, equal timestamps and discussions with a single
+    embedded commenter. The index numbers users in an order that is not
+    their name order. Titles are `_edge_titles` rows."""
+    rng = np.random.default_rng(seed)
+    discussions = []
+    for k in range(count):
+        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(16),
+                               timestamp=int(rng.integers(0, 50)))
+        n = int(rng.integers(0, 9))
+        pool = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
+        ids = ["p%d_c%d" % (k, c) for c in range(n)]
+        times = post.timestamp + np.sort(rng.integers(0, 6, size=n) * 10)
+        comments = [SimpleNamespace(
+            id=ids[c], author="u%d" % rng.choice(pool),
+            # any comment of the discussion, an earlier or later one, the
+            # post, or an id that is not there
+            parent_id=str(rng.choice(ids + [post.id, "gone"])),
+            timestamp=int(times[c])) for c in range(n)]
+        t_end = comments[-1].timestamp if comments else post.timestamp
+        discussions.append(SimpleNamespace(
+            id=post.id, post=post, comments=comments,
+            t_start=post.timestamp, t_end=t_end))
+    codes = rng.permutation(12)
+    index = {"u%d" % u: int(codes[u]) for u in range(12)}
+    titles = _edge_titles(rng, count)
+    return discussions, index, {d.id: t for d, t in zip(discussions, titles)}
+
+
+def _channel_cases(discussions, index):
+    """How often each case `_channel_corpus` promises occurs."""
+    cases = Counter()
+    for d in discussions:
+        position = {c.id: k for k, c in enumerate(d.comments)}
+        author_of = {c.id: c.author for c in d.comments}
+        embedded = {c.author for c in d.comments if c.author in index}
+        cases["one embedded commenter"] += len(embedded) == 1
+        times = [c.timestamp for c in d.comments]
+        cases["equal timestamps"] += len(set(times)) < len(times)
+        for k, c in enumerate(d.comments):
+            cases["parent later"] += position.get(c.parent_id, -1) > k
+            cases["self-reply"] += author_of.get(c.parent_id) == c.author
+            cases["unembedded"] += c.author not in index
+            cases["missing parent"] += c.parent_id == "gone"
+    return cases
+
+
+def _assert_same_as_the_loops(discussions, index, tvecs, tmp_path):
+    A, skipped = build_cooccurrence(discussions, index, tvecs, THETA0)
+    B, expected = ref.all_pairs(discussions, index, tvecs, THETA0)
+    assert list(A.items()) == list(B.items())
+    assert skipped == expected
+    A.save(str(tmp_path / "array.txt"))
+    B.save(str(tmp_path / "dict.txt"))
+    assert ((tmp_path / "array.txt").read_bytes()
+            == (tmp_path / "dict.txt").read_bytes())
+    return A
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_channels_match_the_dict_loops(seed, tmp_path):
+    discussions, index, tvecs = _channel_corpus(seed)
+    cases = _channel_cases(discussions, index)
+    assert min(cases.values()) > 0 and len(cases) == 6, cases
+    assert sorted(index, key=index.get) != sorted(index)
+    A = _assert_same_as_the_loops(discussions, index, tvecs, tmp_path)
+    assert A.nnz > 10
+    # the channels alone, discussion by discussion
+    for d in discussions:
+        B = ref.DictMatrix(len(index))
+        ref.accumulate_communicative(B, d, index)
+        ref.accumulate_temporal(B, d, index)
+        C = CooccurrenceMatrix(len(index))
+        C.add(*cooccur.discussion_channels([d], index))
+        assert list(C.items()) == list(B.items())
+
+
+def test_channels_of_a_synthetic_corpus_match_the_dict_loops(tmp_path):
+    spec = synth.SynthSpec(w=5, N=4, discussions=120)
+    synth.write_lexicon_files(spec, str(tmp_path), seed=3)
+    corpus = str(tmp_path / "corpus.jsonl")
+    synth.make_temporal_corpus(spec, 3, corpus, str(tmp_path / "truth.json"))
+    discussions, _ = parse_corpus(corpus)
+    users = sorted(embedded_users(discussions))
+    index = {u: k for k, u in enumerate(users)}
+    wv = load_word_vectors(str(tmp_path / "word_vectors.txt"))
+    stopwords = load_stopwords(str(tmp_path / "stopwords.txt"))
+    tvecs = idf_title_vectors(discussions, wv, stopwords)
+    expected = ref.idf_title_vectors(discussions, wv, stopwords)
+    assert all(tvecs[d.id].tobytes() == expected[d.id].tobytes()
+               for d in discussions)
+    A = _assert_same_as_the_loops(discussions, index, tvecs, tmp_path)
+    assert A.nnz > 100
+
+
+def test_increments_keep_their_order():
+    """A key's sum depends on the order of its increments; the matrix adds
+    them in the order they were made, as the dict does, also when entries
+    are read between additions."""
+    steps = [(0, 1, 1.0), (1, 0, 1e16), (0, 1, 1.0), (2, 3, 1.0),
+             ([0, 3, 1], [1, 2, 0], [1.0, 1e16, 1.0]), (0, 1, 2.5)]
+    A, B = CooccurrenceMatrix(4), ref.DictMatrix(4)
+    for step, (i, j, v) in enumerate(steps):
+        A.add(i, j, v)
+        for triple in zip(np.atleast_1d(i), np.atleast_1d(j),
+                          np.atleast_1d(v)):
+            B.add(*(x.item() for x in triple))
+        if step % 2:
+            assert list(A.items()) == list(B.items())
+    assert list(A.items()) == list(B.items())
+    assert A.nnz == 2
+    # in the order made, (0, 1) loses each 1.0 after 1e16 to rounding;
+    # summed from small to large it would keep them
+    assert _entries(A)[(0, 1)] == 1e16 + 2.0
+    assert sum(sorted([1.0, 1e16, 1.0, 1.0, 1.0, 2.5])) != 1e16 + 2.0
+
+
+def test_add_drops_the_diagonal_and_refuses_bad_increments():
+    A = CooccurrenceMatrix(4)
+    A.add(1, 1, 9.0)
+    A.add([0, 2, 3], [0, 3, 3], [-1.0, 0.5, math.inf])  # diagonal dropped
+    assert _entries(A) == {(2, 3): 0.5}
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            A.add(0, 1, bad)
+        with pytest.raises(ValueError):  # a block is refused whole
+            A.add([0, 1, 2], [1, 2, 3], [1.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            A.add([0, 1], [2, 3], bad)
+    assert _entries(A) == {(2, 3): 0.5}
+    A.add([0, 1], [2, 3], -0.0)   # -0.0 >= 0 passes, and adds nothing
+    assert _entries(A) == {(0, 2): 0.0, (1, 3): 0.0, (2, 3): 0.5}
+
+
+def test_sigmoid_is_libm_per_value():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(scale=5, size=2000),
+                        rng.uniform(1, 4000, size=2000),
+                        [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]])
+    got = cooccur.sigmoid(x)
+    assert got.tobytes() == np.array([ref.sigmoid(v) for v in x]).tobytes()
+    assert cooccur.sigmoid(x.reshape(2, -1)).tobytes() == got.tobytes()
+
+
+# ---------------------------------------- title vectors against the loop
+
+TITLE_WORDS = ["solar", "wind", "grid", "storage", "common", "negzero",
+               "the", "of", "unknown", "more"]
+
+
+def _title_lexicon(rng):
+    """Word vectors (`unknown` has none) with some components +0.0 and
+    -0.0, and a lexicon idf with zero, negative and missing entries."""
+    vectors = {t: rng.normal(size=4) for t in TITLE_WORDS
+               if t != "unknown"}
+    vectors["negzero"] = np.array([-0.0, 0.0, -0.0, 1.5])
+    vectors["common"][0] = -0.0
+    idf = {"solar": 1.3, "wind": 0.0, "grid": -0.4, "storage": 2.5,
+           "negzero": 0.7, "the": 1.0, "more": 0.9}
+    return vectors, idf
+
+
+def _random_titles(rng, count):
+    titles = ["the of", "The, OF!", "unknown", "", "common", "negzero",
+              "wind", "wind grid", "common negzero", "solar solar wind"]
+    for _ in range(count - len(titles)):
+        words = rng.choice(TITLE_WORDS, size=int(rng.integers(0, 7)))
+        titles.append(" ".join(w.upper() if rng.random() < 0.2 else w
+                               for w in words) + rng.choice(["", ".", "?"]))
+    return titles
+
+
+def _assert_same_bytes(got, expected, discussions):
+    for d in discussions:
+        assert got[d.id].tobytes() == expected[d.id].tobytes(), d.post.title
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_title_vectors_match_the_loop(seed):
+    """Title idf (the semantic channel) and a lexicon's idf (featurize):
+    the one pass equals the one-title loop in bytes, signed zeros included,
+    for stopword-only titles (zero), titles whose weights are all 0 or
+    negative (the plain mean) and titles with no known token."""
+    rng = np.random.default_rng(seed)
+    vectors, idf = _title_lexicon(rng)
+    stopwords = frozenset(["the", "of"])
+    titles = _random_titles(rng, 80)
+    discussions = [SimpleNamespace(id="d%d" % k, post=SimpleNamespace(title=t))
+                   for k, t in enumerate(titles)]
+    got = cooccur.title_vectors(discussions, vectors, idf, stopwords)
+    expected = ref.title_vectors(discussions, vectors, idf, stopwords)
+    _assert_same_bytes(got, expected, discussions)
+    rows = np.array([expected[d.id] for d in discussions])
+    assert not rows[:4].any()                     # stopwords, unknown, empty
+    assert (rows[4] == vectors["common"]).all()   # no idf: the plain mean
+    for d in discussions[:12]:
+        assert (title_vector(d.post.title, vectors, idf, stopwords).tobytes()
+                == expected[d.id].tobytes())
+    # title idf: "common" in all titles but the first, so its idf is 0 and
+    # a title of it alone takes the plain mean
+    for d in discussions[1:]:
+        d.post.title += " common"
+    got = idf_title_vectors(discussions, vectors, stopwords)
+    expected = ref.idf_title_vectors(discussions, vectors, stopwords)
+    _assert_same_bytes(got, expected, discussions)
+    assert not expected["d0"].any()
+    assert (expected["d4"] == vectors["common"]).all()
+    assert cooccur.title_vectors([], vectors, idf, stopwords) == {}

@@ -156,6 +156,27 @@ def test_comment_timestamps_clamped_to_post(tmp_path):
     assert discussions[0].comments[0].timestamp == 1000
 
 
+@pytest.mark.parametrize("owner", ["post", "comment"])
+def test_timestamps_outside_the_exact_range_are_named(tmp_path, owner):
+    """0 <= t < 2**53: every span and gap is then exact in int64 and in
+    float64."""
+    for t, ok in ((-1, False), (0, True), (2 ** 53 - 1, True),
+                  (2 ** 53, False), (10 ** 20, False)):
+        disc = make_discussion_json("k1", "alice", 0,
+                                    chain_comments("k1", ["bob"], start_t=0))
+        (disc["post"] if owner == "post" else disc["comments"][0])[
+            "timestamp"] = t
+        path = write_corpus(tmp_path / "t.jsonl", [disc])
+        if ok:
+            parse_corpus(path)
+            continue
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(path)
+        name = "post 'k1'" if owner == "post" else "comment 'k1_c0'"
+        assert str(err.value) == ("%s has timestamp %d, outside 0 <= t < "
+                                  "2**53" % (name, t))
+
+
 def test_embedded_users_counts_posting_and_commenting(tiny_corpus):
     discussions, _, _ = tiny_corpus
     # alice posts t1 + comments t2; bob comments t1 + posts t2;

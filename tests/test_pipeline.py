@@ -459,6 +459,23 @@ def test_cli_refuses_an_empty_corpus(tmp_path):
         assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
 
 
+@pytest.mark.parametrize("where", ["post", "comment"])
+def test_cli_refuses_a_timestamp_arrays_cannot_hold(tmp_path, where):
+    """A timestamp of 10**20 stops `ingest`, naming its post or comment,
+    instead of an int64 conversion failing in a later stage."""
+    disc = make_discussion_json("k1", "alice", 1000,
+                                chain_comments("k1", ["bob", "carol"]))
+    target = disc["post"] if where == "post" else disc["comments"][1]
+    target["timestamp"] = 10 ** 20
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [disc])
+    proc = _cli("--workdir", str(tmp_path / "w"), "--corpus", corpus,
+                "ingest")
+    _assert_one_error_line(proc, "%s has timestamp %d, outside 0 <= t < 2**53"
+                           % ("post 'k1'" if where == "post"
+                              else "comment 'k1_c1'", 10 ** 20))
+    assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
+
+
 @pytest.mark.parametrize("field,value", [("synth_discussions", -3),
                                          ("synth_posts", 0)])
 def test_cli_refuses_an_empty_synthetic_corpus(tmp_path, field, value):
@@ -672,6 +689,10 @@ def test_cli_reports_unreadable_checkpoint(tmp_path, capsys):
      "remove it and run every stage again"),
     ("temporal", "manifest.json", "[]", "evaluate",
      "remove it and run every stage again"),
+    ("temporal", "manifest.json", '{"stages": {"ingest": 5}}', "cooccur",
+     "remove it and run every stage again"),
+    ("temporal", "manifest.json", '{"stages": {"embed": {"outputs": []}}}',
+     "evaluate", "remove it and run every stage again"),
     ("temporal", "features_meta.json", "truncated", "evaluate",
      "run featurize again"),
     ("nontemporal", "balanced_ids.json", '{"ids": 3}', "featurize",

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import text_reference as ref
+from cooccur_reference import idf_table, title_vectors
 from threadcurve import dataset as ds
 from threadcurve import features as ft
 from threadcurve import logreg, synth, text
 from threadcurve.clustering import ClusterModel
-from threadcurve.cooccur import title_vectors
 from threadcurve.corpus import Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.text import Texts, text_stats
@@ -305,8 +305,8 @@ def test_lexicons_and_pack_from_token_ids(edge_corpus, monkeypatch):
                             frozenset(["the"]), texts)
     docs = [text.tokenize(d.post.title + " " + d.post.body) for d in train]
     docs += [text.tokenize(c.text) for d in train for c in d.comments]
-    assert lex.idf == text.idf_table(docs)
-    assert lex.vocab_size == len(text.idf_table(docs))
+    assert lex.idf == idf_table(docs)
+    assert lex.vocab_size == len(idf_table(docs))
     own = ft.build_lexicons(train, word_vectors, {})  # tokenized alone
     assert (own.idf, own.vocab_size) == (lex.idf, lex.vocab_size)
     # a comment beyond N*w counts; a test-only token does not

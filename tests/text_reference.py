@@ -10,7 +10,7 @@ import re
 import numpy as np
 
 from threadcurve.clustering import spacetime_centers
-from threadcurve.cooccur import reply_edges
+from cooccur_reference import reply_edges
 from threadcurve.corpus import growth_target, windowize
 from threadcurve.text import text_stats
 
