@@ -105,27 +105,20 @@ def time_coordinate(elapsed_seconds):
     return min(1.0, math.log1p(elapsed_seconds) / math.log1p(T_CAP_SECONDS))
 
 
-def spacetime_centers(cm, wd):
-    """Per prediction step, the n x (d+1) matrix of time-prepended centers.
+def spacetime_centers(cm, elapsed):
+    """The n x (d+1) time-prepended centers of every prediction step, an
+    (..., n, d+1) array from the (...) seconds each step has seen.
 
     Step i observes the post plus windows 1..i; its time coordinate is the
     log-compressed span from the post to the last observed comment
-    (step 0: post only, tau = 0). Returns shape (N, n, d+1).
+    (step 0, or no comment yet: tau = 0).
     """
-    post_t = wd.discussion.post.timestamp
-    taus = []
-    last_seen = post_t
-    for i in range(wd.N):
-        if i > 0:
-            win = wd.windows[i - 1]
-            if win.valid:
-                last_seen = win.comments[-1].timestamp
-        taus.append(time_coordinate(last_seen - post_t))
+    elapsed = np.asarray(elapsed)
+    tau = np.array([time_coordinate(s) for s in elapsed.ravel().tolist()])
     n, d = cm.centers.shape
-    out = np.empty((wd.N, n, d + 1))
-    for i, tau in enumerate(taus):
-        out[i, :, 0] = tau
-        out[i, :, 1:] = cm.centers
+    out = np.empty(elapsed.shape + (n, d + 1))
+    out[..., 0] = tau.reshape(elapsed.shape + (1,))
+    out[..., 1:] = cm.centers
     return out
 
 

@@ -18,17 +18,14 @@ increments in the same order as the all-pairs loop.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
-from .text import ranges, title_rows
+from .corpus import Corpus
+from .text import Texts, ranges, title_rows
 
 BLOCK_ROWS = 256         # Gram rows per block; bounds the (rows, D) temporary
 CANDIDATE_SLACK = 1e-9   # far above the rounding gap between the two cosines
-_ID, _AUTHOR, _PARENT, _TIME = map(attrgetter,
-                                   ("id", "author", "parent_id", "timestamp"))
 
 
 def sigmoid(x):
@@ -106,24 +103,12 @@ class CooccurrenceMatrix:
 
 def title_vector(title, word_vectors, idf, stopwords=frozenset()):
     """The title's vector: `text.title_rows` of one title."""
-    return title_rows([title], word_vectors, idf, stopwords)[0]
+    return title_rows(Texts([title]), [0], word_vectors, idf, stopwords)[0]
 
 
-def title_vectors(discussions, word_vectors, idf, stopwords):
-    """Title vector per discussion id, from one pass over the titles."""
-    return dict(zip([d.id for d in discussions], title_rows(
-        [d.post.title for d in discussions], word_vectors, idf, stopwords)))
-
-
-def idf_title_vectors(discussions, word_vectors, stopwords=frozenset()):
-    """Title vector per discussion id for the semantic channel, with idf
-    over the titles of `discussions`."""
-    return title_vectors(discussions, word_vectors, None, stopwords)
-
-
-def discussion_channels(discussions, index):
-    """(i, j, value) increments of the reply and temporal channels, made
-    discussion after discussion, from per-comment arrays.
+def discussion_channels(corpus, index):
+    """(i, j, value) increments of the reply and temporal channels of a
+    `Corpus`, made discussion after discussion.
 
     Reply: +2 per comment and the author of its parent (comment or post),
     both embedded; a self-reply falls on the diagonal, which the matrix
@@ -132,21 +117,9 @@ def discussion_channels(discussions, index):
     times, with span = t_end - t_start + 1. A pair gets one kind or the
     other in a discussion, so its increments come in discussion order.
     """
-    n, authors, parents, times, sizes, spans = len(index), [], [], [], [], []
-    for d in discussions:
-        cs = d.comments
-        author_of = {d.post.id: d.post.author}
-        author_of.update(zip(map(_ID, cs), map(_AUTHOR, cs)))
-        authors.extend(map(_AUTHOR, cs))
-        parents.extend(map(author_of.get, map(_PARENT, cs)))
-        times.extend(map(_TIME, cs))
-        sizes.append(len(cs))
-        spans.append(d.t_end - d.t_start + 1)
-    author, parent = (np.fromiter(map(index.get, names, repeat(-1)),
-                                  np.int64, len(names))
-                      for names in (authors, parents))
-    disc = np.repeat(np.arange(len(sizes)), sizes)
-    time = np.array(times, dtype=np.int64)
+    n, lookup = len(index), corpus.codes(index)
+    author, parent = lookup[corpus.author], lookup[corpus.parent_author()]
+    disc, time = corpus.discussion(), corpus.time
     reply = (author >= 0) & (parent >= 0)
 
     def pair(k, i, j):
@@ -168,7 +141,7 @@ def discussion_channels(discussions, index):
     key = pair(disc[a], author[a], author[b])
     keep = replied[np.searchsorted(replied, key)] != key
     a, b = a[keep], b[keep]
-    alpha = np.array(spans, dtype=np.int64)[disc[a]] / (
+    alpha = (corpus.t_end() - corpus.post_time + 1)[disc[a]] / (
         np.abs(time[a] - time[b]) + 1)
     order = np.argsort(np.concatenate([disc[reply], disc[a]]), kind="stable")
     return (np.concatenate([author[reply], author[a]])[order],
@@ -186,21 +159,22 @@ def title_angle(tm, tn):
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def accumulate_semantic(A, dm, dn, tm, tn, index, theta0):
-    """cos(theta) per embedded cross pair when titles are within theta0.
+def accumulate_semantic(A, m, n, commenters, titles, theta0):
+    """cos(theta) per embedded cross pair of discussions m and n when their
+    titles are within theta0. `commenters[k]` holds the matrix indices of
+    discussion k's embedded commenters in name order, and `titles[k]` its
+    title vector.
 
     Returns the number of skipped discussion pairs (0 or 1, zero-norm
     title guard).
     """
-    theta = title_angle(tm, tn)
+    theta = title_angle(titles[m], titles[n])
     if theta is None:
         return 1
     if theta > theta0:
         return 0
-    users_m, users_n = ([index[u] for u in sorted(
-        {c.author for c in d.comments if c.author in index})] for d in (dm, dn))
     # every (ui, uj) cross pair, row after row: one block of increments
-    i, j = np.meshgrid(users_m, users_n, indexing="ij")
+    i, j = np.meshgrid(commenters[m], commenters[n], indexing="ij")
     A.add(i, j, math.cos(theta))
     return 0
 
@@ -229,20 +203,28 @@ def semantic_candidates(title_matrix, theta0):
     return np.concatenate(a), np.concatenate(b), skipped
 
 
-def build_cooccurrence(discussions, index, title_vecs, theta0=math.pi / 12):
-    """Run all three channels over a corpus.
+def build_cooccurrence(corpus, index, title_vecs, theta0=math.pi / 12):
+    """Run all three channels over a `Corpus` or a list of discussions.
 
     title_vecs maps discussion id -> title vector. Returns
     (A, skipped_title_pairs).
     """
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus.of(corpus)
     A = CooccurrenceMatrix(len(index))
-    A.add(*discussion_channels(discussions, index))
-    if len(discussions) < 2:
+    A.add(*discussion_channels(corpus, index))
+    D = len(corpus.ids)
+    if D < 2:
         return A, 0
-    a, b, skipped = semantic_candidates(
-        np.array([title_vecs[d.id] for d in discussions], dtype=float), theta0)
+    titles = np.array([title_vecs[i] for i in corpus.ids], dtype=float)
+    a, b, skipped = semantic_candidates(titles, theta0)
+    # each discussion's embedded commenters, in name order as codes are
+    U = len(corpus.authors)
+    member = np.unique(corpus.discussion() * U + corpus.author)
+    user = corpus.codes(index)[member % U]
+    held = user >= 0
+    commenters = np.split(user[held], np.searchsorted(member[held] // U,
+                                                      np.arange(1, D)))
     for m, n in zip(a.tolist(), b.tolist()):
-        dm, dn = discussions[m], discussions[n]
-        accumulate_semantic(A, dm, dn, title_vecs[dm.id], title_vecs[dn.id],
-                            index, theta0)
+        accumulate_semantic(A, m, n, commenters, titles, theta0)
     return A, skipped

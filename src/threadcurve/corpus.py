@@ -1,4 +1,5 @@
-"""Discussion data model: parsing, user filtering, comment windows, growth."""
+"""Discussion data model: parsing, user filtering, the columnar corpus
+store, comment windows, growth."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
+
+from .text import Texts, ranges
 
 # the author filter: comments by these tags are removed, and users active in
 # fewer discussions than this stay unembedded
@@ -221,29 +226,6 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
     return discussions, manifest
 
 
-def read_discussions(path):
-    """The discussions of a file that `serialize_corpus` wrote from
-    `parse_corpus` output, without checking them again: that form is
-    already filtered, repaired and sorted, so only the depths are rebuilt.
-    A line that cannot be read raises CorpusError naming it."""
-    discussions = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                discussions.append(_discussion(Post(**raw["post"]),
-                                               raw["comments"]))
-            except CorpusError as exc:
-                raise CorpusError("%s line %d: %s"
-                                  % (path, lineno, exc)) from None
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError("%s line %d cannot be read: %r"
-                                  % (path, lineno, exc)) from None
-    return discussions
-
-
 def _activity(discussions):
     """Discussions each user posted or commented in."""
     activity = Counter()
@@ -253,10 +235,13 @@ def _activity(discussions):
     return activity
 
 
-def embedded_users(discussions, min_user_discussions=MIN_USER_DISCUSSIONS):
-    """Users eligible for embedding: active in >= min_user_discussions discussions."""
-    activity = _activity(discussions)
-    return {u for u, k in activity.items() if k >= min_user_discussions}
+def embedded_users(corpus, min_user_discussions=MIN_USER_DISCUSSIONS):
+    """Users eligible for embedding: active in >= min_user_discussions
+    discussions of a `Corpus` or of a list of discussions."""
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus.of(corpus)
+    active = np.flatnonzero(corpus.activity() >= min_user_discussions)
+    return {corpus.authors[k] for k in active.tolist()}
 
 
 def serialize_corpus(discussions, path):
@@ -278,6 +263,145 @@ def discussion_to_json(d):
             for c in d.comments
         ],
     }
+
+
+def _pack_strings(strings):
+    """A list of strings as one UTF-8 blob and the int64 offsets of each
+    string's bytes in it."""
+    data = [t.encode() for t in strings]
+    return (np.frombuffer(b"".join(data), dtype=np.uint8),
+            np.cumsum([0] + [len(b) for b in data], dtype=np.int64))
+
+
+def _unpack_strings(blob, offsets):
+    """The strings that `_pack_strings` packed."""
+    data = blob.tobytes()
+    return [data[a:b].decode() for a, b in zip(offsets[:-1].tolist(),
+                                                offsets[1:].tolist())]
+
+
+class Corpus:
+    """Discussions as arrays: what the stages after `ingest` read, from
+    the tensor file that `ingest` writes (`tensors`).
+
+    Discussion b has id `ids[b]`, post author `post_author[b]` and post
+    timestamp `post_time[b]`. Its comments are entries `start[b]` to
+    `start[b + 1]` of the per-comment arrays, in time order: `author`,
+    `parent` (the parent's position among the discussion's comments, -1
+    for the post, -2 for a parent outside the record), `time` and `depth`.
+    Authors are codes into `authors`, the distinct names sorted, so codes
+    sort as names do. `texts` is the `text.Texts` of each discussion's
+    title, then body, then comments: the title of b is text `title[b]`,
+    and its comment j is text `title[b] + 2 + j`. `Texts.join` of the title
+    and the body is the post's record, which is that of title + " " +
+    body.
+    """
+
+    ARRAYS = ("start", "post_author", "post_time", "author", "parent",
+              "time", "depth")
+    STRINGS = ("ids", "authors", "vocabulary")
+    KEYS = (ARRAYS + tuple("text_" + name for name in Texts.FIELDS)
+            + STRINGS + tuple(name + "_offsets" for name in STRINGS))
+
+    def __init__(self, ids, authors, texts, **arrays):
+        self.ids, self.authors, self.texts = ids, authors, texts
+        for name in self.ARRAYS:
+            setattr(self, name, arrays[name])
+        self.sizes = np.diff(self.start)
+        self.title = self.start[:-1] + 2 * np.arange(len(ids))
+
+    @classmethod
+    def of(cls, discussions):
+        """The Corpus of a list of discussions."""
+        authors = sorted({d.post.author for d in discussions}
+                         | {c.author for d in discussions for c in d.comments})
+        code = {name: k for k, name in enumerate(authors)}
+        strings, author, parent, time, depth = [], [], [], [], []
+        for d in discussions:
+            position = {c.id: k for k, c in enumerate(d.comments)}
+            position[d.post.id] = -1
+            strings += [d.post.title, d.post.body]
+            for c in d.comments:
+                strings.append(c.text)
+                author.append(code[c.author])
+                parent.append(position.get(c.parent_id, -2))
+                time.append(c.timestamp)
+                depth.append(c.depth)
+
+        def column(values):
+            return np.array(values, dtype=np.int64)
+        return cls([d.id for d in discussions], authors, Texts(strings),
+                   start=np.cumsum([0] + [len(d.comments)
+                                          for d in discussions],
+                                   dtype=np.int64),
+                   post_author=column([code[d.post.author]
+                                       for d in discussions]),
+                   post_time=column([d.post.timestamp for d in discussions]),
+                   author=column(author), parent=column(parent),
+                   time=column(time), depth=column(depth))
+
+    def tensors(self):
+        """The name -> array mapping of the tensor file, under `KEYS`."""
+        out = {name: getattr(self, name) for name in self.ARRAYS}
+        out.update(("text_" + name, getattr(self.texts, name))
+                   for name in Texts.FIELDS)
+        for name, strings in zip(self.STRINGS, (self.ids, self.authors,
+                                                self.texts.vocabulary)):
+            out[name], out[name + "_offsets"] = _pack_strings(strings)
+        return out
+
+    @classmethod
+    def from_tensors(cls, tensors):
+        """The Corpus of a `tensors` mapping."""
+        ids, authors, vocabulary = (
+            _unpack_strings(tensors[name], tensors[name + "_offsets"])
+            for name in cls.STRINGS)
+        texts = Texts.of_arrays(vocabulary, {
+            name: tensors["text_" + name] for name in Texts.FIELDS})
+        return cls(ids, authors, texts,
+                   **{name: tensors[name] for name in cls.ARRAYS})
+
+    def codes(self, table):
+        """table[name] (or -1) for each author code, with one more -1 at
+        the end, so that code -1 reads -1 too."""
+        return np.array([table.get(name, -1) for name in self.authors]
+                        + [-1], dtype=np.intp)
+
+    def discussion(self):
+        """The discussion of each comment."""
+        return np.repeat(np.arange(len(self.ids)), self.sizes)
+
+    def parent_author(self):
+        """The author code of each comment's parent; -1 for a parent
+        outside the record."""
+        own = self.parent >= 0
+        return np.where(own, self.author[self.start[self.discussion()]
+                                         + np.where(own, self.parent, 0)],
+                        np.where(self.parent == -1,
+                                 self.post_author[self.discussion()], -1))
+
+    def t_end(self):
+        """Each discussion's last timestamp: its last comment's, or its
+        post's when it has none."""
+        last = np.append(self.time, 0)[self.start[1:] - 1]
+        return np.where(self.sizes > 0, last, self.post_time)
+
+    def activity(self):
+        """How many discussions each author code posted or commented in."""
+        D, U = len(self.ids), len(self.authors)
+        keys = np.unique(np.concatenate([
+            self.discussion() * U + self.author,
+            np.arange(D) * U + self.post_author]))
+        return np.bincount(keys % U, minlength=U)
+
+    def comments(self, discussions, limit):
+        """(owner, position, comment) of the first `limit` comments of each
+        of `discussions`: owner r is discussions[r], position the comment's
+        index in its discussion, comment its entry in the arrays."""
+        first = self.start[discussions]
+        owner, at = ranges(first, first + np.minimum(self.sizes[discussions],
+                                                     limit))
+        return owner, at - first[owner], at
 
 
 def windowize(d, w, N):

@@ -29,6 +29,7 @@ PROB_CLIP = 1e-7
 # constant operands as 0-d arrays: numpy dispatches them faster than
 # Python floats, to the same bits
 ZERO, ONE, EXP_CAP = np.array(0.0), np.array(1.0), np.array(500.0)
+CLIP_LO, CLIP_HI = np.array(PROB_CLIP), np.array(1.0 - PROB_CLIP)
 
 
 @dataclass
@@ -270,8 +271,8 @@ def forward(store, x1, x2, centers):
 def clipped_bce(p, t, not_t, g_t, g_not_t, axis):
     """Cross-entropy of p against t (1 - t is not_t) summed along `axis`,
     and g times its gradient from g·t and g·not_t; zero where p is clipped."""
-    q = np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
-    not_q = 1.0 - q
+    q = np.minimum(np.maximum(p, CLIP_LO), CLIP_HI)
+    not_q = ONE - q
     loss = np.add.reduce(-(t * np.log(q) + not_t * np.log(not_q)), axis)
     return loss, (g_t / q - g_not_t / not_q) * (q == p)
 

@@ -1,14 +1,15 @@
-"""Assemble model-ready instances from corpus artifacts.
+"""Assemble model-ready instances from the corpus store.
 
-Every post and comment is tokenized once per run into integer token ids
-(`features.DiscussionTexts`), and the idf table counts from those ids. Text
+`ingest` tokenizes every title, body and comment once into integer token
+ids (`corpus.Corpus`), and the idf table counts from those ids. Text
 features then come from one array pass, `features.text_rows`, per chunk of
-discussions. It covers three kinds of text record: every post, every
-windowed comment and, for logreg, the prefix before every valid step (the
-post and the comments of the windows before it). A prefix is the
-concatenated id stream of its texts (`text.Texts.join`), so nothing is
-tokenized again. The per-step arrays (window means, labels, growth, logreg's
-social blocks) are array operations over the chunk's comment positions.
+discussions. It covers three kinds of text record: every post (its title
+and body), every windowed comment and, for logreg, the prefix before every
+valid step (the post and the comments of the windows before it). A record
+is the concatenated id stream of its texts (`text.Texts.join`), so nothing
+is tokenized again. The per-step arrays (window means, labels, growth,
+spacetime centres, logreg's social blocks) are array operations over the
+chunk's comment positions, read from the store's per-comment arrays.
 """
 
 from __future__ import annotations
@@ -20,55 +21,58 @@ import numpy as np
 from . import features as F
 from . import logreg
 from .clustering import spacetime_centers
-from .cooccur import title_vectors
-from .corpus import windowize
-from .text import ranges
+# benchmark/tracing.py counts calls to `windowize` under this name; the
+# windows are array positions here, so the count reads 0
+from .corpus import windowize  # noqa: F401
+from .text import ranges, title_rows
 
 CHUNK = 128  # discussions per array pass; bounds the records held at once
 
 
-def _chunks(discussions):
-    for start in range(0, len(discussions), CHUNK):
-        yield start, discussions[start:start + CHUNK]
+def _inputs(corpus, rows, lexicons, embedding):
+    """The pack's discussions (`rows`, by default every one), the
+    lexicon's tables over the store's token ids, the title vector of each
+    pack row and the embedding row of each author code (-1 for none)."""
+    if rows is None:
+        rows = np.arange(len(corpus.ids))
+    rows = np.asarray(rows, dtype=np.intp)
+    tvecs = title_rows(corpus.texts, corpus.title[rows],
+                       lexicons.word_vectors, lexicons.idf,
+                       lexicons.stopwords)
+    return (rows, F.term_tables(lexicons, corpus.texts.vocabulary), tvecs,
+            corpus.codes(embedding.index))
 
 
-def _post_rows(discussions, text_rows, embedding, tvecs):
+def _chunks(rows):
+    for start in range(0, len(rows), CHUNK):
+        yield slice(start, start + CHUNK), rows[start:start + CHUNK]
+
+
+def _post_rows(corpus, chunk, text_rows, embedding, users, tvecs):
     """x1 rows: each post's text row, its author's vector (zeros when the
     author is not embedded) and its title vector."""
-    users = np.zeros((len(discussions), embedding.dim))
-    for r, disc in enumerate(discussions):
-        users[r] = F._user_block(disc.post.author, embedding)
-    return np.concatenate([text_rows, users,
-                           [tvecs[disc.id] for disc in discussions]], axis=1)
+    user = users[corpus.post_author[chunk]]
+    vectors = np.zeros((len(chunk), embedding.dim))
+    vectors[user >= 0] = embedding.vectors[user[user >= 0]]
+    return np.concatenate([text_rows, vectors, tvecs], axis=1)
 
 
-def _tables(discussions, lexicons, texts):
-    """The run's tokenized texts (by default, `discussions`' own) and the
-    lexicon's tables over their ids, built once per run."""
-    if texts is None:
-        texts = F.DiscussionTexts(discussions)
-    return texts, F.term_tables(lexicons, texts.texts.vocabulary)
-
-
-def build_temporal_dataset(discussions, w, N, lexicons, embedding,
-                           cluster_model, texts=None):
-    """Returns (pack, post_layout, comment_layout).
+def build_temporal_dataset(corpus, w, N, lexicons, embedding, cluster_model,
+                           rows=None):
+    """Returns (pack, post_layout, comment_layout) of the discussions
+    `rows` of a `corpus.Corpus`, by default every one, in that order.
 
     `pack` maps each model input to an array with one row per discussion:
     the inputs of the curvature model and the Newtonian baseline, logreg's
     prefix features per (step, cluster) and, per step, how many of the
     comments before it came from each cluster. Steps whose window is empty
     keep zero labels, growth and logreg features, and a false mask.
-    `texts` is the discussions' `features.DiscussionTexts`, if the run has
-    tokenized them already.
     """
     d = embedding.dim
     post_layout = F.post_layout(lexicons.d_w, d)
     comment_layout = F.comment_layout(lexicons.d_w, d)
-    tvecs = title_vectors(discussions, lexicons.word_vectors, lexicons.idf,
-                          lexicons.stopwords)
-    texts, tables = _tables(discussions, lexicons, texts)
-    n, D = cluster_model.n, len(discussions)
+    rows, tables, tvecs, users = _inputs(corpus, rows, lexicons, embedding)
+    n, D = cluster_model.n, len(rows)
     pack = {
         "x1": np.zeros((D, post_layout.width)),
         "x2": np.zeros((D, N, comment_layout.width)),
@@ -81,21 +85,18 @@ def build_temporal_dataset(discussions, w, N, lexicons, embedding,
         "logreg_features": np.zeros((D, N, n, logreg.feature_width(d))),
         "engaged_counts": np.zeros((D, N, n)),
     }
-    for start, chunk in _chunks(discussions):
-        rows = {key: value[start:start + len(chunk)]
-                for key, value in pack.items()}
-        rows["x1"][:] = _fill_steps(rows, chunk, texts, tables, w, N,
-                                    embedding, cluster_model, tvecs)
-        for r, disc in enumerate(chunk):
-            rows["centers"][r] = spacetime_centers(cluster_model,
-                                                   windowize(disc, w, N))
+    for part, chunk in _chunks(rows):
+        view = {key: value[part] for key, value in pack.items()}
+        view["x1"][:] = _fill_steps(view, corpus, chunk, tables, w, N,
+                                    embedding, users, cluster_model,
+                                    tvecs[part])
     return pack, post_layout, comment_layout
 
 
-def _fill_steps(rows, chunk, texts, tables, w, N, embedding, cluster_model,
-                tvecs):
-    """Fill the per-step and per-comment rows of a chunk of discussions (a
-    view of the pack), and return their x1 rows.
+def _fill_steps(rows, corpus, chunk, tables, w, N, embedding, users,
+                cluster_model, tvecs):
+    """Fill the per-step and per-comment rows of the discussions `chunk`
+    (a view of the pack), and return their x1 rows.
 
     Comment j of a discussion lies in window j // w, and a window is valid
     when it holds a comment; the step before window k is valid with it. A
@@ -103,23 +104,21 @@ def _fill_steps(rows, chunk, texts, tables, w, N, embedding, cluster_model,
     its comments: the clusters whose running count it raises. Cluster
     indices are 0-based."""
     B, n = len(chunk), cluster_model.n
-    comments = [disc.comments[:N * w] for disc in chunk]
-    flat = [c for cs in comments for c in cs]
-    m = np.array([len(cs) for cs in comments], dtype=np.intp)
+    owner, j, at = corpus.comments(chunk, N * w)  # every windowed comment
+    m = np.minimum(corpus.sizes[chunk], N * w)
     steps = -(-m // w)                          # valid steps of each
-    owner, j = ranges(np.zeros(B), m)           # every windowed comment
     step_owner, k = ranges(np.zeros(B), steps)  # every valid step
-    step = step_owner * N + k
-    first = np.cumsum(m)[step_owner] - m[step_owner] + k * w  # of its window
+    before = np.cumsum(m) - m                   # of each one's comments
+    first = before[step_owner] + k * w          # of each step's window
     size = np.minimum(w, m[step_owner] - k * w)
 
     # text rows: posts, comments, then the prefix before each step, with
     # the depth of its deepest comment and the seconds of its last one
-    post = np.array([texts.first[disc.id] for disc in chunk], dtype=np.intp)
+    post = corpus.title[chunk]
     depth = np.zeros((B, N * w), dtype=np.intp)
-    depth[owner, j] = [c.depth for c in flat]
-    times = np.array([c.timestamp for c in flat], dtype=np.intp)
-    seconds = times - np.array([d.post.timestamp for d in chunk])[owner]
+    depth[owner, j] = corpus.depth[at]
+    times = corpus.time[at]
+    seconds = times - corpus.post_time[chunk][owner]
     prefix = np.flatnonzero(k)
     prefix_depth = np.zeros(len(k), dtype=np.intp)
     prefix_depth[prefix] = np.maximum.accumulate(depth, axis=1)[
@@ -127,20 +126,17 @@ def _fill_steps(rows, chunk, texts, tables, w, N, embedding, cluster_model,
     prefix_seconds = np.zeros(len(k), dtype=np.intp)
     prefix_seconds[prefix] = seconds[first[prefix] - 1]
     text = F.text_rows(
-        texts.texts.join(np.concatenate([post, post[owner] + 1 + j,
-                                         post[step_owner]]),
-                         np.concatenate([post + 1, post[owner] + 2 + j,
-                                         post[step_owner] + 1 + k * w])),
+        corpus.texts.join(np.concatenate([post, post[owner] + 2 + j,
+                                          post[step_owner]]),
+                          np.concatenate([post + 2, post[owner] + 3 + j,
+                                          post[step_owner] + 2 + k * w])),
         tables, np.concatenate([np.zeros(B), depth[owner, j], prefix_depth]),
         np.concatenate([np.zeros(B), seconds, prefix_seconds]))
 
     # per comment: its author's vector, if embedded, and cluster
-    authors = [c.author for c in flat]
-    user = np.array([embedding.index.get(a, -1) for a in authors],
-                    dtype=np.intp)
-    cluster = np.array([cluster_model.assignment.get(a, -1) for a in authors],
-                       dtype=np.intp)
-    vectors = np.zeros((len(flat), embedding.dim))
+    user = users[corpus.author[at]]
+    cluster = corpus.codes(cluster_model.assignment)[corpus.author[at]]
+    vectors = np.zeros((len(at), embedding.dim))
     vectors[user >= 0] = embedding.vectors[user[user >= 0]]
     rows["user_vectors"][owner, j] = vectors
     rows["user_mask"][owner, j] = user >= 0
@@ -149,7 +145,7 @@ def _fill_steps(rows, chunk, texts, tables, w, N, embedding, cluster_model,
     # +0.0, in order, then divides by the count
     sums = np.zeros((len(k), rows["x2"].shape[-1]))
     np.add.at(sums, np.cumsum(steps)[owner] - steps[owner] + j // w,
-              np.concatenate([text[B:B + len(flat)], vectors], axis=1))
+              np.concatenate([text[B:B + len(at)], vectors], axis=1))
     rows["x2"][step_owner, k] = sums / size[:, None]
     rows["mask"][step_owner, k] = True
     dt = np.maximum(1, times[first + size - 1] - times[first])
@@ -162,34 +158,35 @@ def _fill_steps(rows, chunk, texts, tables, w, N, embedding, cluster_model,
     rows["labels"][:] = engaged > 0
     rows["engaged_counts"][:] = np.cumsum(engaged, axis=1) - engaged
     rows["logreg_features"][step_owner, k, :, :F.TEXT_WIDTH] = text[
-        B + len(flat):, None, :F.TEXT_WIDTH]
+        B + len(at):, None, :F.TEXT_WIDTH]
     rows["logreg_features"][step_owner, k, :, F.TEXT_WIDTH:] = (
-        logreg.social_blocks(chunk, step_owner, k * w, cluster_model,
+        logreg.social_blocks(corpus, chunk, step_owner, k * w, cluster_model,
                              embedding))
-    return _post_rows(chunk, text[:B], embedding, tvecs)
+
+    # step i sees the post and the windows before it: its time is the
+    # seconds from the post to the last comment it sees, if any
+    seen = np.minimum(m[:, None], np.arange(N) * w)
+    last = np.append(seconds, 0)[before[:, None] + seen - 1]
+    rows["centers"][:] = spacetime_centers(cluster_model,
+                                           np.where(seen > 0, last, 0))
+    return _post_rows(corpus, chunk, text[:B], embedding, users, tvecs)
 
 
-def build_nontemporal_dataset(discussions, lexicons, embedding, texts=None):
+def build_nontemporal_dataset(corpus, lexicons, embedding, rows=None):
     """Returns (pack, post_layout): post features and the binary label
-    (any comment at all), one row per discussion. `texts` is as for
+    (any comment at all), one row per discussion of `rows`, as for
     `build_temporal_dataset`."""
     post_layout = F.post_layout(lexicons.d_w, embedding.dim)
-    tvecs = title_vectors(discussions, lexicons.word_vectors, lexicons.idf,
-                          lexicons.stopwords)
-    texts, tables = _tables(discussions, lexicons, texts)
-    x1 = np.zeros((len(discussions), post_layout.width))
-    for start, chunk in _chunks(discussions):
-        post = np.array([texts.first[disc.id] for disc in chunk],
-                        dtype=np.intp)
+    rows, tables, tvecs, users = _inputs(corpus, rows, lexicons, embedding)
+    x1 = np.zeros((len(rows), post_layout.width))
+    for part, chunk in _chunks(rows):
+        post = corpus.title[chunk]
         zeros = np.zeros(len(chunk))
-        text = F.text_rows(texts.texts.join(post, post + 1), tables, zeros,
+        text = F.text_rows(corpus.texts.join(post, post + 2), tables, zeros,
                            zeros)
-        x1[start:start + len(chunk)] = _post_rows(chunk, text, embedding,
-                                                  tvecs)
-    pack = {
-        "x1": x1,
-        "label": np.array([1.0 if d.comments else 0.0 for d in discussions]),
-    }
+        x1[part] = _post_rows(corpus, chunk, text, embedding, users,
+                              tvecs[part])
+    pack = {"x1": x1, "label": (corpus.sizes[rows] > 0).astype(float)}
     return pack, post_layout
 
 

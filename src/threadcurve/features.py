@@ -100,37 +100,23 @@ def load_stopwords(path):
     return frozenset(w for _, words in _rows(path) for w in words)
 
 
-class DiscussionTexts:
-    """Every post and comment of some discussions, tokenized once
-    (`text.Texts`): each discussion's post (title and body joined by " "),
-    then its comments in order. `first` maps a discussion id to the index
-    of its post's text."""
-
-    def __init__(self, discussions):
-        strings, self.first = [], {}
-        for d in discussions:
-            self.first[d.id] = len(strings)
-            strings.append(d.post.title + " " + d.post.body)
-            strings.extend(c.text for c in d.comments)
-        self.texts = Texts(strings)
-
-
-def build_lexicons(discussions, word_vectors, sentiment, stopwords=frozenset(),
-                   texts=None):
-    """idf table and vocabulary size from the training corpus.
+def build_lexicons(corpus, word_vectors, sentiment, stopwords=frozenset(),
+                   rows=None):
+    """idf table and vocabulary size from the training discussions `rows`
+    of a `corpus.Corpus` (by default, all of them).
 
     Documents are every post and every comment; idf = log(D / (1 + df)).
-    df counts one unique (document, token id) pair per document. `texts`
-    holds the tokenized discussions (`DiscussionTexts` of these and maybe
-    more); by default they are tokenized here.
+    df counts one unique (document, token id) pair per document.
     """
-    if texts is None:
-        texts = DiscussionTexts(discussions)
-    first = np.array([texts.first[d.id] for d in discussions], dtype=np.intp)
-    sizes = np.array([1 + len(d.comments) for d in discussions], dtype=np.intp)
-    docs = ranges(first, first + sizes)[1]
-    vocabulary = texts.texts.vocabulary
-    df = texts.texts.document_frequency(docs)
+    if rows is None:
+        rows = np.arange(len(corpus.ids))
+    title = corpus.title[rows]
+    comments = ranges(title + 2, title + 2 + corpus.sizes[rows])[1]
+    # each post joins its title and body
+    docs = np.concatenate([title, comments])
+    ends = np.concatenate([title + 2, comments + 1])
+    vocabulary = corpus.texts.vocabulary
+    df = corpus.texts.document_frequency(docs, ends)
     n_docs = max(1, len(docs))
     seen = np.flatnonzero(df)
     idf = {vocabulary[k]: math.log(n_docs / (1 + n))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import Corpus
 from .curvature import sigmoid
 from .features import TEXT_WIDTH, _text_block
 from .optim import OptimError, ParameterStore, fit
@@ -24,9 +25,11 @@ def feature_width(d):
     return TEXT_WIDTH + d + 1
 
 
-def social_blocks(discussions, owner, ends, cluster_model, embedding):
-    """The social blocks (len(ends), n, d + 1) of the prefixes
-    discussions[owner[j]].comments[:ends[j]], with `owner` ascending.
+def social_blocks(corpus, discussions, owner, ends, cluster_model,
+                  embedding):
+    """The social blocks (len(ends), n, d + 1) of the prefixes of
+    `corpus.Corpus` discussions `discussions[owner[j]]` that hold their
+    first `ends[j]` comments, with `owner` ascending.
 
     Row l of a block holds the mean member vector of cluster l's engaged
     users (its users among the prefix's authors, added in name order) and
@@ -34,32 +37,23 @@ def social_blocks(discussions, owner, ends, cluster_model, embedding):
     authors counts from the first prefix that holds both of its comments,
     as a parent can come later in time order than its reply.
     """
-    assignment, n, d = cluster_model.assignment, cluster_model.n, embedding.dim
+    n, d = cluster_model.n, embedding.dim
+    discussions = np.asarray(discussions, dtype=np.intp)
     owner = np.asarray(owner, dtype=np.intp)
     ends = np.asarray(ends, dtype=np.intp)
     top = np.zeros(len(discussions), dtype=np.intp)
     np.maximum.at(top, owner, ends)
     # every comment a prefix can hold: its discussion, its author's code
-    # and its parent's position (-1 for the post, -2 for none)
-    code, disc, author, parent, poster = {}, [], [], [], []
-    for b, dsc in enumerate(discussions):
-        comments = dsc.comments[:top[b]]
-        position = {c.id: k for k, c in enumerate(comments)}
-        position[dsc.post.id] = -1
-        disc += [b] * len(comments)
-        author += [code.setdefault(c.author, len(code)) for c in comments]
-        parent += [position.get(c.parent_id, -2) for c in comments]
-        poster.append(code.setdefault(dsc.post.author, len(code)))
-    names = list(code)
-    cluster = np.array([assignment.get(u, -1) for u in names], dtype=np.intp)
-    row = np.array([embedding.index[u] if u in assignment else -1
-                    for u in names], dtype=np.intp)
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = range(len(names))
-    disc, author, parent, poster = (np.array(x, dtype=np.intp)
-                                    for x in (disc, author, parent, poster))
+    # and its parent's position (-1 for the post, -2 for none); author
+    # codes sort as names do
+    disc, k, at = corpus.comments(discussions, top)
+    author, parent = corpus.author[at], corpus.parent[at]
+    parent = np.where(parent < top[disc], parent, -2)
+    poster = corpus.post_author[discussions]
+    U = len(corpus.authors)
+    cluster = corpus.codes(cluster_model.assignment)
+    row = corpus.codes(embedding.index)
     first = np.searchsorted(disc, np.arange(len(discussions)))
-    k = np.arange(len(disc)) - first[disc]
 
     def groups(at, user, held):
         """(item, row * n + cluster) of every prefix row that holds an item:
@@ -72,14 +66,13 @@ def social_blocks(discussions, owner, ends, cluster_model, embedding):
 
     # engaged users: a prefix holds one from its first comment on
     engaged = np.flatnonzero(cluster[author] >= 0)
-    users, at = np.unique(disc[engaged] * len(names) + author[engaged],
+    users, at = np.unique(disc[engaged] * U + author[engaged],
                           return_index=True)
-    at = engaged[at]
-    named = at[np.lexsort((rank[author[at]], disc[at]))]
-    member, group = groups(disc[named], author[named], k[named] + 1)
+    at = engaged[at]  # by discussion, then name
+    member, group = groups(disc[at], author[at], k[at] + 1)
     count = np.bincount(group, minlength=len(ends) * n)
     sums = np.zeros((len(ends) * n, d))
-    np.add.at(sums, group, embedding.vectors[row[author[named[member]]]])
+    np.add.at(sums, group, embedding.vectors[row[author[at[member]]]])
 
     # each side of a reply edge between two authors, counted from the first
     # prefix that holds both comments and its user's first one
@@ -91,7 +84,7 @@ def social_blocks(discussions, owner, ends, cluster_model, embedding):
     edge, replied = edge[mutual], replied[mutual]
     side_disc = np.tile(disc[edge], 2)
     side_user = np.concatenate([author[edge], replied])
-    side_key = side_disc * len(names) + side_user
+    side_key = side_disc * U + side_user
     known = np.isin(side_key, users)
     held = np.maximum(np.tile(np.maximum(k[edge], parent[edge]) + 1, 2)[known],
                       k[at[np.searchsorted(users, side_key[known])]] + 1)
@@ -121,7 +114,8 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
     out = np.zeros((cluster_model.n, feature_width(embedding.dim)))
     out[:, :TEXT_WIDTH] = _text_block(merged, lexicons, depth,
                                       prefix.t_end - prefix.t_start)
-    out[:, TEXT_WIDTH:] = social_blocks([prefix], [0], [len(prefix.comments)],
+    out[:, TEXT_WIDTH:] = social_blocks(Corpus.of([prefix]), [0], [0],
+                                        [len(prefix.comments)],
                                         cluster_model, embedding)[0]
     return out
 

@@ -9,6 +9,10 @@ import numpy as np
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and its floor
+# Adam's constant operands as 0-d arrays: numpy dispatches them faster than
+# Python floats, to the same bits
+_BETA1, _BETA2, _EPS = np.array(BETA1), np.array(BETA2), np.array(EPS)
+_STEP1, _STEP2 = np.array(1 - BETA1), np.array(1 - BETA2)
 
 
 class OptimError(Exception):
@@ -134,7 +138,7 @@ class Adam:
 
     def __init__(self, store, lr=1e-3):
         self.store = store
-        self.lr = lr
+        self.lr = np.array(float(lr))  # a 0-d operand, as the constants
         self.t = 0
         self._mv, self._next, (self._update, self._tmp) = np.zeros(
             (3, 2, store.values.size))
@@ -155,14 +159,14 @@ class Adam:
                                   self._update, self._tmp)
         (m, v), t = self._next, self.t + 1
         # m = BETA1 * m + (1 - BETA1) * g, and v likewise from g ** 2
-        np.add(np.multiply(self._mv[0], BETA1, out=m),
-               np.multiply(g, 1 - BETA1, out=tmp), out=m)
-        np.add(np.multiply(self._mv[1], BETA2, out=v),
-               np.multiply(np.square(g, out=tmp), 1 - BETA2, out=tmp), out=v)
+        np.add(np.multiply(self._mv[0], _BETA1, out=m),
+               np.multiply(g, _STEP1, out=tmp), out=m)
+        np.add(np.multiply(self._mv[1], _BETA2, out=v),
+               np.multiply(np.square(g, out=tmp), _STEP2, out=tmp), out=v)
         # update = values - lr * m_hat / (sqrt(v_hat) + EPS)
         np.multiply(np.divide(m, 1 - BETA1 ** t, out=update), self.lr,
                     out=update)
-        np.add(np.sqrt(np.divide(v, 1 - BETA2 ** t, out=tmp), out=tmp), EPS,
+        np.add(np.sqrt(np.divide(v, 1 - BETA2 ** t, out=tmp), out=tmp), _EPS,
                out=tmp)
         np.subtract(values, np.divide(update, tmp, out=update), out=update)
         if not math.isfinite(np.add.reduce(update)):

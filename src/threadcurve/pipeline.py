@@ -13,24 +13,30 @@ import numpy as np
 
 from . import curvature, logreg, newton, synth
 from .clustering import ClusterModel, kmeans
-from .cooccur import build_cooccurrence, CooccurrenceMatrix, idf_title_vectors
-from .corpus import (EXCLUDED_AUTHOR_TAGS, MIN_USER_DISCUSSIONS,
-                     embedded_users, parse_corpus, read_discussions,
-                     serialize_corpus)
+from .cooccur import build_cooccurrence, CooccurrenceMatrix
+from .corpus import (EXCLUDED_AUTHOR_TAGS, MIN_USER_DISCUSSIONS, Corpus,
+                     embedded_users, parse_corpus, serialize_corpus)
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
                       holdout_count, split_dataset, standardize_instances,
                       unstack)
 from .embedding import EmbeddingModel, train_guvec
-from .features import (DiscussionTexts, ablate, build_lexicons,
-                       comment_layout, load_sentiment, load_stopwords,
-                       load_word_vectors, post_layout)
+from .features import (ablate, build_lexicons, comment_layout,
+                       load_sentiment, load_stopwords, load_word_vectors,
+                       post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
-from .storage import (atomic_write, atomic_write_json, atomic_write_text,
-                      save_store, load_store, sha256_file)
+from .storage import (StoreError, atomic_write, atomic_write_json,
+                      atomic_write_text, save_store, load_store, sha256_file)
+from .text import title_rows
 
 VERSION = "0.1.0"
 
+STORE = "corpus_store.bin"   # the corpus as arrays, written by `ingest`
 PACK = "features_pack.bin"   # every model input, written by `featurize`
+# the tensors of each task's pack
+PACK_KEYS = {"temporal": ("x1", "x2", "centers", "labels", "mask", "growth",
+                          "user_vectors", "user_mask", "logreg_features",
+                          "engaged_counts"),
+             "nontemporal": ("x1", "label")}
 
 # the widths `desk_scale` sets for quick runs
 DESK_WIDTHS = dict(d=8, n=3, N=4, w=5, h1=16, h2=8, h3=8)
@@ -168,6 +174,21 @@ def _read_json(path, fix, **kinds):
     return obj
 
 
+def _load_store(path, fix, keys=()):
+    """The tensors of the tensor file `path`, holding each of `keys`; an
+    unreadable file or a missing key raises PipelineError naming the file,
+    then `fix`."""
+    try:
+        tensors = load_store(path)
+    except (OSError, StoreError) as exc:
+        raise PipelineError("%s: %s" % (exc, fix)) from None
+    missing = [key for key in keys if key not in tensors]
+    if missing:
+        raise PipelineError("%s lacks tensor %s: %s" % (
+            path, ", ".join(map(repr, missing)), fix))
+    return tensors
+
+
 def _model_file(cfg, kind, ext):
     return cfg.path("%s_%s_%s.%s" % (kind, cfg.model, cfg.task, ext))
 
@@ -186,16 +207,16 @@ def _io(cfg):
                        p("word_vectors.txt"), p("sentiment.txt"),
                        p("stopwords.txt")]),
         "ingest": ([cfg.corpus_path],
-                   [p("discussions.jsonl"), p("corpus_manifest.json")]),
-        "balance": ([p("discussions.jsonl")], [p("balanced_ids.json")]),
-        "cooccur": ([p("discussions.jsonl"), cfg.word_vectors_path,
-                     cfg.stopwords_path],
+                   [p("discussions.jsonl"), p(STORE),
+                    p("corpus_manifest.json")]),
+        "balance": ([p(STORE)], [p("balanced_ids.json")]),
+        "cooccur": ([p(STORE), cfg.word_vectors_path, cfg.stopwords_path],
                     [p("users.txt"), p("cooccur.txt"), p("sparsity.json")]),
         "embed": ([p("users.txt"), p("cooccur.txt")],
                   [p("embeddings.txt"), p("embed_log.json")]),
         "cluster": ([p("embeddings.txt")], clusters),
         "featurize": (clusters + [p("embeddings.txt")] + balanced
-                      + [p("discussions.jsonl"), cfg.word_vectors_path,
+                      + [p(STORE), cfg.word_vectors_path,
                          cfg.sentiment_path, cfg.stopwords_path],
                       [p("features_meta.json"), p(PACK)]),
         "train": (features, [ckpt, p("train_log.json")]),
@@ -209,19 +230,18 @@ def _io(cfg):
     }
 
 
-def _load_discussions(cfg):
-    """The discussions `ingest` wrote. They are not filtered again: a
-    comment by an author tag the config now excludes means that ingest ran
-    under other tags, and is refused."""
-    discussions = read_discussions(cfg.path("discussions.jsonl"))
-    excluded = set(cfg.excluded_author_tags)
-    for d in discussions:
-        for c in d.comments:
-            if c.author in excluded:
-                raise PipelineError(
-                    "discussions.jsonl holds a comment by excluded author "
-                    "tag %r: run ingest again" % c.author)
-    return discussions
+def _load_corpus(cfg):
+    """The corpus store `ingest` wrote. It is not filtered again: a comment
+    by an author tag the config now excludes means that ingest ran under
+    other tags, and is refused."""
+    corpus = Corpus.from_tensors(_load_store(cfg.path(STORE),
+                                             "run ingest again", Corpus.KEYS))
+    commenters = {corpus.authors[k] for k in np.unique(corpus.author).tolist()}
+    excluded = sorted(commenters & set(cfg.excluded_author_tags))
+    if excluded:
+        raise PipelineError("%s holds a comment by excluded author tag %r: "
+                            "run ingest again" % (STORE, excluded[0]))
+    return corpus
 
 
 # ------------------------------------------------------------------- stages
@@ -244,29 +264,31 @@ def stage_ingest(cfg):
                                          cfg.min_user_discussions)
     atomic_write(lambda tmp: serialize_corpus(discussions, tmp),
                  cfg.path("discussions.jsonl"))
+    save_store(Corpus.of(discussions).tensors(), cfg.path(STORE))
     atomic_write_json(cfg.path("corpus_manifest.json"), asdict(manifest))
 
 
 def stage_balance(cfg):
-    discussions = _load_discussions(cfg)
-    commented = sum(bool(d.comments) for d in discussions)
-    if not 0 < commented < len(discussions):
+    corpus = _load_corpus(cfg)
+    commented = int(np.count_nonzero(corpus.sizes))
+    if not 0 < commented < len(corpus.ids):
         raise PipelineError("balance needs posts with and without comments; "
                             "%d of %d posts have comments"
-                            % (commented, len(discussions)))
-    balanced = synth.nontemporal_balance(discussions, seed=cfg.seed)
-    atomic_write_json(cfg.path("balanced_ids.json"),
-                      {"ids": sorted(d.id for d in balanced)})
+                            % (commented, len(corpus.ids)))
+    balanced = synth.nontemporal_balance(corpus.sizes, seed=cfg.seed)
+    atomic_write_json(cfg.path("balanced_ids.json"), {
+        "ids": sorted(corpus.ids[k] for k in balanced.tolist())})
 
 
 def stage_cooccur(cfg):
-    discussions = _load_discussions(cfg)
-    users = sorted(embedded_users(discussions, cfg.min_user_discussions))
+    corpus = _load_corpus(cfg)
+    users = sorted(embedded_users(corpus, cfg.min_user_discussions))
     index = {u: k for k, u in enumerate(users)}
-    tvecs = idf_title_vectors(
-        discussions, load_word_vectors(cfg.word_vectors_path),
-        frozenset(load_stopwords(cfg.stopwords_path)))
-    A, skipped = build_cooccurrence(discussions, index, tvecs, cfg.theta0)
+    tvecs = title_rows(corpus.texts, corpus.title,
+                       load_word_vectors(cfg.word_vectors_path), None,
+                       frozenset(load_stopwords(cfg.stopwords_path)))
+    A, skipped = build_cooccurrence(corpus, index,
+                                    dict(zip(corpus.ids, tvecs)), cfg.theta0)
     atomic_write_text(cfg.path("users.txt"), "\n".join(users) + "\n")
     atomic_write(A.save, cfg.path("cooccur.txt"))
     atomic_write_json(cfg.path("sparsity.json"), {
@@ -297,30 +319,30 @@ def stage_cluster(cfg):
 
 
 def stage_featurize(cfg):
-    discussions = _load_discussions(cfg)
+    corpus = _load_corpus(cfg)
+    rows = range(len(corpus.ids))
     if cfg.task == "nontemporal":  # trained on the balanced subset
         keep = set(_read_json(cfg.path("balanced_ids.json"),
                               "run balance again", ids=list)["ids"])
-        discussions = [d for d in discussions if d.id in keep]
+        rows = [k for k in rows if corpus.ids[k] in keep]
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
-    train, test = split_dataset(discussions, cfg.holdout, seed=cfg.seed)
-    texts = DiscussionTexts(train + test)  # every text, tokenized once
-    lex = build_lexicons(train, load_word_vectors(cfg.word_vectors_path),
+    train, test = split_dataset(list(rows), cfg.holdout, seed=cfg.seed)
+    lex = build_lexicons(corpus, load_word_vectors(cfg.word_vectors_path),
                          load_sentiment(cfg.sentiment_path),
-                         load_stopwords(cfg.stopwords_path), texts)
+                         load_stopwords(cfg.stopwords_path), train)
     if cfg.task == "temporal":
-        pack, _, _ = build_temporal_dataset(train + test, cfg.w, cfg.N, lex,
-                                            embedding, cm, texts)
+        pack, _, _ = build_temporal_dataset(corpus, cfg.w, cfg.N, lex,
+                                            embedding, cm, train + test)
     else:
-        pack, _ = build_nontemporal_dataset(train + test, lex, embedding,
-                                            texts)
+        pack, _ = build_nontemporal_dataset(corpus, lex, embedding,
+                                            train + test)
     save_store(pack, cfg.path(PACK))
     meta = {
         "d_w": lex.d_w,
         "task": cfg.task,
-        "train_ids": [d.id for d in train],
-        "test_ids": [d.id for d in test],
+        "train_ids": [corpus.ids[k] for k in train],
+        "test_ids": [corpus.ids[k] for k in test],
     }
     atomic_write_json(cfg.path("features_meta.json"), meta)
 
@@ -342,7 +364,8 @@ def _model_inputs(cfg):
         raise PipelineError("the features pack is for the %s task: run "
                             "featurize for the %s task first"
                             % (meta["task"], cfg.task))
-    pack = load_store(cfg.path(PACK))
+    pack = _load_store(cfg.path(PACK), "run featurize again",
+                       PACK_KEYS[cfg.task])
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     # widths the upstream stages fixed, with the first stage to run again
     n, d = cm.centers.shape
@@ -442,8 +465,16 @@ def _score(cfg):
     row per test post, with discussion_id, y3, class and label. Returns
     (scores, cluster_model).
     """
-    store = load_store(_model_file(cfg, "model", "ckpt"))
-    _, test, _, cm = _model_inputs(cfg)
+    _, test, layouts, cm = _model_inputs(cfg)
+    if cfg.model == "logreg":
+        keys = ["weights", "Biases"]
+    else:
+        mc = _model_config(cfg, layouts)
+        keys = [name for name, _ in (curvature.param_spec(mc)
+                                     if cfg.model == "rgnet"
+                                     else newton.param_spec(mc, cfg.w))]
+    store = _load_store(_model_file(cfg, "model", "ckpt"), "run train again",
+                        keys)
     if cfg.task == "nontemporal":
         y3, cls = curvature.predict_nontemporal(store, test["x1"],
                                                 test["centers0"])

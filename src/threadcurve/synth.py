@@ -177,14 +177,15 @@ def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
     return corpus_path, truth_path
 
 
-def nontemporal_balance(discussions, seed=0):
-    """All zero-comment posts plus an equal-count sample of commented ones."""
-    empty = [d for d in discussions if len(d.comments) == 0]
-    commented = [d for d in discussions if len(d.comments) > 0]
-    if not empty or not commented:
+def nontemporal_balance(sizes, seed=0):
+    """Indices of all zero-comment posts plus an equal-count sample of
+    commented ones, from the comment count of each post."""
+    sizes = np.asarray(sizes)
+    empty, commented = np.flatnonzero(sizes == 0), np.flatnonzero(sizes > 0)
+    if not len(empty) or not len(commented):
         raise ValueError("both classes must be present for balancing")
     rng = np.random.default_rng(seed)
     if len(commented) > len(empty):
         picked = rng.choice(len(commented), size=len(empty), replace=False)
-        commented = [commented[k] for k in sorted(picked)]
-    return empty + commented
+        commented = commented[np.sort(picked)]
+    return np.concatenate([empty, commented])

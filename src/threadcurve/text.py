@@ -6,8 +6,8 @@ consecutive texts joined by " " from those ids and per-text counts alone,
 so a discussion's prefix (its post and first comments) is the concatenated
 id stream of its texts, and building it tokenizes nothing again.
 `text_stats` is the record of one string, the form the tests check the
-joins against. `title_rows` gives the title vectors of many titles from one
-pass over their token ids.
+joins against. `title_rows` gives the title vectors of many titles from
+their token ids.
 """
 
 import math
@@ -21,9 +21,8 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
-_CLOSING_RE = re.compile(r"[.!?]")
 
-BATCH = 2048  # texts tokenized at a time; bounds the token strings held
+BATCH = 512  # texts tokenized at a time; bounds the token strings held
 
 
 class TextStats(NamedTuple):
@@ -46,9 +45,13 @@ def tokenize(text):
 
 def _marks(text):
     """The fields of a text's record after its pairs."""
+    closing = count_closing_punct(text)
+    if not closing:  # one chunk, the whole text
+        kept = bool(text.strip())
+        return kept, count_urls(text), 0, kept, kept
     chunks = [chunk.strip() for chunk in _SENTENCE_RE.split(text)]
-    return (sum(map(bool, chunks)), count_urls(text),
-            count_closing_punct(text), bool(chunks[0]), bool(chunks[-1]))
+    return (sum(map(bool, chunks)), count_urls(text), closing,
+            bool(chunks[0]), bool(chunks[-1]))
 
 
 def text_stats(text):
@@ -96,7 +99,11 @@ class Texts:
     order of first sight. Text t's record is `ids` and `tf` from
     `starts[t]` to `starts[t + 1]`, its distinct token ids in order of first
     occurrence and their counts, and entry t of `sentences`, `urls`,
-    `closing`, `head` and `tail` (`TextStats`' fields)."""
+    `closing`, `head` and `tail` (`TextStats`' fields). `FIELDS` names
+    the arrays."""
+
+    FIELDS = ("ids", "tf", "starts", "sentences", "urls", "closing", "head",
+              "tail")
 
     def __init__(self, texts):
         index, ids, tf = {}, [], []
@@ -106,7 +113,7 @@ class Texts:
             batch = texts[start:start + BATCH]
             marks.append(np.array([_marks(text) for text in batch],
                                   dtype=np.intp))
-            tokens = [tokenize(text) for text in batch]
+            tokens = list(map(_TOKEN_RE.findall, map(str.lower, batch)))
             flat = list(chain.from_iterable(tokens))
             for t in dict.fromkeys(flat):
                 index.setdefault(t, len(index))
@@ -125,10 +132,22 @@ class Texts:
             marks).T
         self.head, self.tail = head.astype(bool), tail.astype(bool)
 
-    def document_frequency(self, docs):
-        """How many of the texts `docs` hold each token id."""
-        at = ranges(self.starts[docs], self.starts[docs + 1])[1]
-        return np.bincount(self.ids[at], minlength=len(self.vocabulary))
+    @classmethod
+    def of_arrays(cls, vocabulary, arrays):
+        """The Texts whose vocabulary is `vocabulary` and whose field f is
+        arrays[f], for each f of `FIELDS`."""
+        texts = cls.__new__(cls)
+        texts.vocabulary = vocabulary
+        for name in cls.FIELDS:
+            setattr(texts, name, arrays[name])
+        return texts
+
+    def document_frequency(self, lo, hi):
+        """How many of the documents lo[r] .. hi[r] - 1 (runs of texts, as
+        for `join`) hold each token id: a joined record holds each of its
+        ids once."""
+        return np.bincount(self.join(lo, hi).ids,
+                           minlength=len(self.vocabulary))
 
     def join(self, lo, hi):
         """The records of texts lo[r] .. hi[r] - 1 joined by " ", for
@@ -162,8 +181,8 @@ class Texts:
                        add(self.closing[t]))
 
 
-def title_rows(titles, word_vectors, idf, stopwords):
-    """The title vector of each title, as rows, from one `Texts` pass.
+def title_rows(texts, titles, word_vectors, idf, stopwords):
+    """The title vector of each text `titles[r]` of a `Texts`, as rows.
 
     A title's kept tokens are those in `word_vectors` and not in
     `stopwords`. Its vector is the mean of their vectors weighted by
@@ -174,21 +193,23 @@ def title_rows(titles, word_vectors, idf, stopwords):
     +0.0, as a loop over them does, and a term of weight 0 adds +0.0 or
     -0.0, which changes no sum.
     """
-    texts = Texts(titles)
-    vocabulary, ids, starts = texts.vocabulary, texts.ids, texts.starts
+    titles = np.asarray(titles, dtype=np.intp)
+    vocabulary, R = texts.vocabulary, len(titles)
+    lo, hi = texts.starts[titles], texts.starts[titles + 1]
+    record, at = ranges(lo, hi)
+    ids = texts.ids[at]
+    first = np.cumsum(hi - lo) - (hi - lo)  # of each title's terms in ids
     if idf is None:
-        df = texts.document_frequency(np.arange(len(titles))).tolist()
-        idf = {t: math.log(max(1, len(titles)) / (1 + k))
-               for t, k in zip(vocabulary, df)}
+        df = texts.document_frequency(titles, titles + 1).tolist()
+        idf_of = np.array([math.log(max(1, R) / (1 + k)) for k in df])
+    else:
+        idf_of = np.array([idf.get(t, 0.0) for t in vocabulary], dtype=float)
     zero = np.zeros(len(next(iter(word_vectors.values()))))
     kept = np.array([t in word_vectors and t not in stopwords
                      for t in vocabulary], dtype=bool)
     vectors = np.array([word_vectors[t] if k else zero for t, k in
                         zip(vocabulary, kept)]).reshape(-1, zero.size)
-    idf_of = np.array([idf.get(t, 0.0) for t in vocabulary], dtype=float)
-    R = len(titles)
-    record = np.repeat(np.arange(R), np.diff(starts))
-    weight = texts.tf * np.where(kept & (idf_of > 0), idf_of, 0.0)[ids]
+    weight = texts.tf[at] * np.where(kept & (idf_of > 0), idf_of, 0.0)[ids]
     total = np.bincount(record, weight, minlength=R)
     out = np.zeros((R, zero.size))
     for column, vector in zip(out.T, vectors.T):
@@ -196,14 +217,18 @@ def title_rows(titles, word_vectors, idf, stopwords):
     out /= np.where(total > 0, total, 1.0)[:, None]
     fallback = (total == 0) & (np.bincount(record, kept[ids], minlength=R) > 0)
     for r in np.flatnonzero(fallback).tolist():
-        terms = ids[starts[r]:starts[r + 1]]
+        terms = ids[first[r]:first[r] + hi[r] - lo[r]]
         out[r] = np.mean(vectors[terms[kept[terms]]], axis=0)
     return out
 
 
 def count_urls(text):
-    return len(_URL_RE.findall(text))
+    # a URL holds "http" or "www.", and most texts hold neither
+    if "http" in text or "www." in text:
+        return len(_URL_RE.findall(text))
+    return 0
 
 
 def count_closing_punct(text):
-    return len(_CLOSING_RE.findall(text))
+    """Closing marks . ! ? in a text."""
+    return text.count(".") + text.count("!") + text.count("?")

@@ -6,10 +6,7 @@ import pytest
 from threadcurve.clustering import (T_CAP_SECONDS, ClusterModel,
                                     homogeneity_entropy, kmeans,
                                     spacetime_centers, time_coordinate)
-from threadcurve.corpus import windowize
 from threadcurve.embedding import EmbeddingModel
-from conftest import chain_comments, make_discussion_json, write_corpus
-from threadcurve.corpus import parse_corpus
 
 
 def test_time_coordinate_frozen_values():
@@ -91,29 +88,23 @@ def test_cluster_model_save_load(tmp_path):
     assert back.assignment == cm.assignment
 
 
-def test_spacetime_centers_shape_and_values(tmp_path):
-    # post at t=0; window 1 ends at t=3599, window 2 empty
-    disc = make_discussion_json("s1", "alice", 0, [
-        {"id": "c0", "author": "b", "parent_id": "s1", "timestamp": 100,
-         "body": "x."},
-        {"id": "c1", "author": "c", "parent_id": "s1", "timestamp": 3599,
-         "body": "y."},
-    ])
-    path = write_corpus(tmp_path / "c.jsonl", [disc])
-    discussions, _ = parse_corpus(path)
-    wd = windowize(discussions[0], w=2, N=3)
+def test_spacetime_centers_shape_and_values():
+    # the seconds each step has seen: a post whose first window ends at
+    # t=3599 and whose second is empty, then a post with no comment
+    elapsed = np.array([[0, 3599, 3599], [0, 0, 0]])
     cm = ClusterModel(np.array([[1.0, 2.0], [3.0, 4.0]]), {})
-    out = spacetime_centers(cm, wd)
-    assert out.shape == (3, 2, 3)
+    out = spacetime_centers(cm, elapsed)
+    assert out.shape == (2, 3, 2, 3)
     # step 0 observes only the post
-    assert np.all(out[0, :, 0] == 0.0)
+    assert np.all(out[:, 0, :, 0] == 0.0) and np.all(out[1, :, :, 0] == 0.0)
     tau1 = math.log(3600) / math.log(T_CAP_SECONDS + 1)
-    np.testing.assert_allclose(out[1, :, 0], tau1, atol=1e-12)
+    np.testing.assert_allclose(out[0, 1, :, 0], tau1, atol=1e-12)
     # the empty trailing window leaves the clock unchanged
-    np.testing.assert_allclose(out[2, :, 0], tau1, atol=1e-12)
+    np.testing.assert_allclose(out[0, 2, :, 0], tau1, atol=1e-12)
     # spatial block is the raw centers at every step
     for i in range(3):
-        np.testing.assert_array_equal(out[i, :, 1:], cm.centers)
+        np.testing.assert_array_equal(out[:, i, :, 1:],
+                                      np.broadcast_to(cm.centers, (2, 2, 2)))
     # tau never decreases across steps
-    taus = out[:, 0, 0]
+    taus = out[0, :, 0, 0]
     assert np.all(np.diff(taus) >= 0)

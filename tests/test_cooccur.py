@@ -9,9 +9,10 @@ import pytest
 import cooccur_reference as ref
 from threadcurve import cooccur, synth
 from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_semantic,
-                                 build_cooccurrence, idf_title_vectors,
-                                 sigmoid, title_angle, title_vector)
-from threadcurve.corpus import embedded_users, parse_corpus
+                                 build_cooccurrence, sigmoid, title_angle,
+                                 title_vector)
+from threadcurve.corpus import Corpus, embedded_users, parse_corpus
+from threadcurve.text import Texts, title_rows
 from threadcurve.features import load_stopwords, load_word_vectors
 from conftest import chain_comments, make_discussion_json, write_corpus
 
@@ -112,7 +113,7 @@ def _one_discussion(comments, post_author="alice", post_t=0):
 def _channels(d, index):
     """The reply and temporal channels of one discussion."""
     A = CooccurrenceMatrix(len(index))
-    A.add(*cooccur.discussion_channels([d], index))
+    A.add(*cooccur.discussion_channels(Corpus.of([d]), index))
     return A
 
 
@@ -186,11 +187,20 @@ def test_title_vector_examples():
                                             frozenset(["the", "of"])), [0.0, 0.0])
 
 
+def _title_vectors(discussions, word_vectors, idf, stopwords):
+    """Title vector per discussion id, from one `title_rows` pass over the
+    titles; idf None is the titles' own idf."""
+    titles = [d.post.title for d in discussions]
+    return dict(zip([d.id for d in discussions], title_rows(
+        Texts(titles), np.arange(len(titles)), word_vectors, idf,
+        stopwords)))
+
+
 def test_idf_title_vectors_weigh_rare_title_words():
     wv = {"solar": np.array([1.0, 0.0]), "wind": np.array([0.0, 1.0])}
     discs = [SimpleNamespace(id="d%d" % k, post=SimpleNamespace(title=t))
              for k, t in enumerate(["solar wind", "wind", "wind", "the"])]
-    tv = idf_title_vectors(discs, wv, frozenset(["the"]))
+    tv = _title_vectors(discs, wv, None, frozenset(["the"]))
     # idf = log(4 / (1 + df)): solar log 2, wind log 1 = 0, so the first
     # title is all solar
     np.testing.assert_allclose(tv["d0"], [1.0, 0.0])
@@ -205,25 +215,23 @@ def test_title_angle_guard():
 
 
 def test_semantic_threshold_and_increment():
-    dm = _one_discussion([
-        {"id": "c0", "author": "u1", "parent_id": "d", "timestamp": 10, "body": "x"}])
-    dn = _one_discussion([
-        {"id": "c0", "author": "u2", "parent_id": "d", "timestamp": 10, "body": "x"}])
-    index = {"u1": 0, "u2": 1}
+    # user 0 comments in discussion 0, user 1 in discussion 1
+    commenters = [np.array([0]), np.array([1])]
     t = math.sqrt(1 - 0.97 ** 2)
     A = CooccurrenceMatrix(2)
-    skipped = accumulate_semantic(A, dm, dn, np.array([1.0, 0.0]),
-                                  np.array([0.97, t]), index, math.pi / 12)
+    skipped = accumulate_semantic(A, 0, 1, commenters,
+                                  np.array([[1.0, 0.0], [0.97, t]]),
+                                  math.pi / 12)
     assert skipped == 0
     assert _entries(A)[(0, 1)] == pytest.approx(0.97, abs=1e-12)
     # orthogonal titles: no change
     B = CooccurrenceMatrix(2)
-    accumulate_semantic(B, dm, dn, np.array([1.0, 0.0]),
-                        np.array([0.0, 1.0]), index, math.pi / 12)
+    accumulate_semantic(B, 0, 1, commenters, np.eye(2), math.pi / 12)
     assert B.nnz == 0
     # zero-norm title: skipped with count
     C = CooccurrenceMatrix(2)
-    assert accumulate_semantic(C, dm, dn, np.zeros(2), np.ones(2), index,
+    assert accumulate_semantic(C, 0, 1, commenters,
+                               np.array([[0.0, 0.0], [1.0, 1.0]]),
                                math.pi / 12) == 1
 
 
@@ -238,13 +246,15 @@ def _random_corpus(titles, seed):
     rng = np.random.default_rng(seed)
     discussions = []
     for k in range(len(titles)):
-        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(12))
+        # with the fields the corpus store reads, texts empty
+        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(12),
+                               title="", body="", timestamp=0)
         comments, parents = [], [post.id]
         for c in range(int(rng.integers(0, 4))):
             comments.append(SimpleNamespace(
                 id="p%d_c%d" % (k, c), author="u%d" % rng.integers(12),
                 parent_id=parents[int(rng.integers(len(parents)))],
-                timestamp=10 * (c + 1)))
+                timestamp=10 * (c + 1), text="", depth=0))
             parents.append(comments[-1].id)
         discussions.append(SimpleNamespace(id=post.id, post=post,
                                            comments=comments, t_start=0,
@@ -338,9 +348,9 @@ def test_semantic_pairs_go_through_the_module_name(monkeypatch):
     calls = []
     exact = cooccur.accumulate_semantic
 
-    def counted(A, dm, dn, *rest):
-        calls.append((dm.id, dn.id))
-        return exact(A, dm, dn, *rest)
+    def counted(A, m, n, *rest):
+        calls.append((discussions[m].id, discussions[n].id))
+        return exact(A, m, n, *rest)
     monkeypatch.setattr(cooccur, "accumulate_semantic", counted)
     titles = _edge_titles(np.random.default_rng(3), 40)
     discussions, index, tvecs = _random_corpus(titles, 3)
@@ -367,7 +377,8 @@ def _channel_corpus(seed, count=30):
     discussions = []
     for k in range(count):
         post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(16),
-                               timestamp=int(rng.integers(0, 50)))
+                               timestamp=int(rng.integers(0, 50)), title="",
+                               body="")
         n = int(rng.integers(0, 9))
         pool = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
         ids = ["p%d_c%d" % (k, c) for c in range(n)]
@@ -377,7 +388,7 @@ def _channel_corpus(seed, count=30):
             # any comment of the discussion, an earlier or later one, the
             # post, or an id that is not there
             parent_id=str(rng.choice(ids + [post.id, "gone"])),
-            timestamp=int(times[c])) for c in range(n)]
+            timestamp=int(times[c]), text="", depth=0) for c in range(n)]
         t_end = comments[-1].timestamp if comments else post.timestamp
         discussions.append(SimpleNamespace(
             id=post.id, post=post, comments=comments,
@@ -432,7 +443,7 @@ def test_channels_match_the_dict_loops(seed, tmp_path):
         ref.accumulate_communicative(B, d, index)
         ref.accumulate_temporal(B, d, index)
         C = CooccurrenceMatrix(len(index))
-        C.add(*cooccur.discussion_channels([d], index))
+        C.add(*cooccur.discussion_channels(Corpus.of([d]), index))
         assert list(C.items()) == list(B.items())
 
 
@@ -446,7 +457,7 @@ def test_channels_of_a_synthetic_corpus_match_the_dict_loops(tmp_path):
     index = {u: k for k, u in enumerate(users)}
     wv = load_word_vectors(str(tmp_path / "word_vectors.txt"))
     stopwords = load_stopwords(str(tmp_path / "stopwords.txt"))
-    tvecs = idf_title_vectors(discussions, wv, stopwords)
+    tvecs = _title_vectors(discussions, wv, None, stopwords)
     expected = ref.idf_title_vectors(discussions, wv, stopwords)
     assert all(tvecs[d.id].tobytes() == expected[d.id].tobytes()
                for d in discussions)
@@ -548,7 +559,7 @@ def test_title_vectors_match_the_loop(seed):
     titles = _random_titles(rng, 80)
     discussions = [SimpleNamespace(id="d%d" % k, post=SimpleNamespace(title=t))
                    for k, t in enumerate(titles)]
-    got = cooccur.title_vectors(discussions, vectors, idf, stopwords)
+    got = _title_vectors(discussions, vectors, idf, stopwords)
     expected = ref.title_vectors(discussions, vectors, idf, stopwords)
     _assert_same_bytes(got, expected, discussions)
     rows = np.array([expected[d.id] for d in discussions])
@@ -561,9 +572,9 @@ def test_title_vectors_match_the_loop(seed):
     # a title of it alone takes the plain mean
     for d in discussions[1:]:
         d.post.title += " common"
-    got = idf_title_vectors(discussions, vectors, stopwords)
+    got = _title_vectors(discussions, vectors, None, stopwords)
     expected = ref.idf_title_vectors(discussions, vectors, stopwords)
     _assert_same_bytes(got, expected, discussions)
     assert not expected["d0"].any()
     assert (expected["d4"] == vectors["common"]).all()
-    assert cooccur.title_vectors([], vectors, idf, stopwords) == {}
+    assert _title_vectors([], vectors, idf, stopwords) == {}

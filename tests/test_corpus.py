@@ -3,13 +3,18 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from threadcurve import synth
-from threadcurve.corpus import (CorpusError, embedded_users, growth_target,
-                                parse_corpus, read_discussions,
+from threadcurve.corpus import (Corpus, CorpusError, Discussion, Post,
+                                embedded_users, growth_target, parse_corpus,
                                 serialize_corpus, windowize)
+from threadcurve.storage import load_store, save_store
+from threadcurve.text import text_stats
 from conftest import chain_comments, make_discussion_json, write_corpus
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -193,16 +198,68 @@ def test_roundtrip_serialization(tiny_corpus, tmp_path):
     assert again == discussions
 
 
-def _read_back(discussions, path):
-    """`discussions` as ingest writes them and later stages read them."""
-    serialize_corpus(discussions, str(path))
-    return read_discussions(str(path))
+def _stats(corpus, lo, hi):
+    """`Texts.join` of the store's texts lo[r] .. hi[r] - 1, as one
+    (pairs, sentences, URLs, closing marks) tuple per record: the fields
+    of `text_stats`."""
+    texts = corpus.texts
+    records = texts.join(lo, hi)
+    return [(tuple((texts.vocabulary[k], int(tf)) for k, tf in
+                   zip(records.ids[records.record == r],
+                       records.tf[records.record == r])),
+             int(records.sentences[r]), int(records.urls[r]),
+             int(records.closing[r])) for r in range(len(lo))]
 
 
-def test_read_discussions_equals_parse_corpus(tiny_corpus, tmp_path):
-    """The reader of ingest's output gives back what `parse_corpus` gave:
-    on the fixtures, on planted corpora, with a reply timestamped before
-    its parent and with a deep chain listed newest first."""
+def _assert_store_holds(discussions, path):
+    """The store of `discussions`, written and read back as `ingest` and
+    the later stages do, holds their fields, and each array the dtype that
+    `Corpus.of` gave it."""
+    made = Corpus.of(discussions).tensors()
+    save_store(made, str(path))
+    tensors = load_store(str(path))
+    assert sorted(tensors) == sorted(Corpus.KEYS)
+    assert {k: v.dtype for k, v in tensors.items()} == {
+        k: v.dtype for k, v in made.items()}
+    corpus = Corpus.from_tensors(tensors)
+    assert corpus.ids == [d.id for d in discussions]
+    assert corpus.authors == sorted({d.post.author for d in discussions} | {
+        c.author for d in discussions for c in d.comments})
+    parent_author = corpus.parent_author()
+    for b, d in enumerate(discussions):
+        assert corpus.authors[corpus.post_author[b]] == d.post.author
+        assert corpus.post_time[b] == d.post.timestamp
+        at = slice(corpus.start[b], corpus.start[b + 1])
+        position = {c.id: k for k, c in enumerate(d.comments)}
+        position[d.id] = -1
+        author_of = {c.id: c.author for c in d.comments}
+        author_of[d.id] = d.post.author
+        assert [corpus.authors[a] for a in corpus.author[at]] == [
+            c.author for c in d.comments]
+        assert corpus.parent[at].tolist() == [position[c.parent_id]
+                                              for c in d.comments]
+        assert [corpus.authors[a] for a in parent_author[at]] == [
+            author_of[c.parent_id] for c in d.comments]
+        assert corpus.time[at].tolist() == [c.timestamp for c in d.comments]
+        assert corpus.depth[at].tolist() == [c.depth for c in d.comments]
+        # the post joins its title and body; each comment is one text
+        title = int(corpus.title[b])
+        m = len(d.comments)
+        assert _stats(corpus, [title] + list(range(title + 2, title + 2 + m)),
+                      [title + 2] + list(range(title + 3, title + 3 + m))) == [
+            text_stats(d.post.title + " " + d.post.body)[:4]] + [
+            text_stats(c.text)[:4] for c in d.comments]
+    last = [d.comments[-1].timestamp if d.comments else d.post.timestamp
+            for d in discussions]
+    assert corpus.t_end().tolist() == last
+    return corpus
+
+
+def test_store_holds_what_parse_corpus_gives(tiny_corpus, tmp_path):
+    """The store that ingest writes holds the fields of what `parse_corpus`
+    gave: on the fixtures, on planted corpora, with a reply timestamped
+    before its parent, an orphan reattached to the post, an empty body, a
+    discussion with no comments and a deep chain listed newest first."""
     spec = synth.SynthSpec(discussions=6, posts=12)
     synth.make_temporal_corpus(spec, 0, str(tmp_path / "t.jsonl"),
                                str(tmp_path / "t.json"))
@@ -212,34 +269,83 @@ def test_read_discussions_equals_parse_corpus(tiny_corpus, tmp_path):
         {"id": "c0", "author": "bob", "parent_id": "e", "timestamp": 1030,
          "body": "late parent."},
         {"id": "c1", "author": "carol", "parent_id": "c0",
-         "timestamp": 1010, "body": "early reply."}])
+         "timestamp": 1010, "body": "early reply."},
+        {"id": "c2", "author": "dave", "parent_id": "gone",
+         "timestamp": 1020, "body": "orphan."}])
+    early["post"]["body"] = ""
+    silent = make_discussion_json("s", "erin", 900, [])
     deep = make_discussion_json(
         "deep", "alice", 1000, chain_comments("deep", ["bob", "carol"] * 50)[::-1])
     paths = [os.path.join(DATA, "cooccur_fixture.jsonl"),
              str(tmp_path / "t.jsonl"), str(tmp_path / "n.jsonl"),
-             write_corpus(tmp_path / "odd.jsonl", [early, deep])]
+             write_corpus(tmp_path / "odd.jsonl", [early, silent, deep])]
     cases = [tiny_corpus[0]] + [parse_corpus(p)[0] for p in paths]
-    assert [c.id for c in cases[-1][0].comments] == ["c1", "c0"]
+    odd = cases[-1]
+    assert [c.id for c in odd[0].comments] == ["c1", "c2", "c0"]
+    assert odd[0].comments[1].parent_id == "e" and not odd[1].comments
     for k, discussions in enumerate(cases):
-        assert _read_back(discussions, tmp_path / ("%d.jsonl" % k)) == (
-            discussions)
+        _assert_store_holds(discussions, tmp_path / ("%d.bin" % k))
+    # a reply whose parent comes later in time: position 2, after it
+    assert _assert_store_holds(odd, tmp_path / "odd.bin").parent[:3].tolist(
+        ) == [2, -1, -1]
 
 
-def test_read_discussions_names_a_line_it_cannot_read(tiny_corpus, tmp_path):
-    path = tmp_path / "discussions.jsonl"
-    serialize_corpus(tiny_corpus[0], str(path))
-    first, second = path.read_bytes().splitlines(keepends=True)
-    cycle = make_discussion_json("cyc", "alice", 1000, [
-        {"id": "c0", "author": "bob", "parent_id": "c1", "timestamp": 1010,
-         "body": "x."},
-        {"id": "c1", "author": "carol", "parent_id": "c0",
-         "timestamp": 1020, "body": "y."}])
-    for bad in (b"not json\n", second.replace(b'"comments"', b'"replies"'),
-                second[:-1] + b"\xff\n", json.dumps(cycle).encode() + b"\n"):
-        path.write_bytes(first + bad)
-        with pytest.raises(CorpusError) as err:
-            read_discussions(str(path))
-        assert str(err.value).startswith("%s line 2" % path)
+# titles without a closing mark or ending in one, bodies that start blank
+# or with a mark, and URLs on either side of the join
+TITLES = ["No closing mark", "Ends here.", "http://a.b/c", "www.x.org",
+          "Two. Sentences", "trailing  ", "?!", "a"]
+BODIES = ["", " ", "  starts blank. then more", "http://q.r then text",
+          ". leading mark", "www.y.org", "plain body", "!"]
+
+
+def test_post_records_join_title_and_body():
+    """Every post record, the join of its title and body texts, is the
+    record of title + " " + body."""
+    rng = random.Random(2)
+    posts = [(t, b) for t in TITLES for b in BODIES]
+    posts += [(rng.choice(TITLES) + rng.choice(BODIES), rng.choice(BODIES)
+               + rng.choice(TITLES)) for _ in range(200)]
+    discussions = [Discussion(Post("p%d" % k, "u", title, body, 0), ())
+                   for k, (title, body) in enumerate(posts)]
+    corpus = Corpus.of(discussions)
+    assert _stats(corpus, corpus.title, corpus.title + 2) == [
+        text_stats(title + " " + body)[:4] for title, body in posts]
+
+
+def test_store_does_not_depend_on_the_hash_seed(tmp_path):
+    """Two processes with different PYTHONHASHSEED write the same store
+    bytes from one corpus."""
+    spec = synth.SynthSpec(discussions=30)
+    corpus = str(tmp_path / "corpus.jsonl")
+    synth.make_temporal_corpus(spec, 0, corpus, str(tmp_path / "t.json"))
+    script = ("import sys\n"
+              "from threadcurve.corpus import Corpus, parse_corpus\n"
+              "from threadcurve.storage import save_store\n"
+              "save_store(Corpus.of(parse_corpus(sys.argv[1])[0]).tensors(),"
+              " sys.argv[2])\n")
+    stores = []
+    for hash_seed in ("0", "1"):
+        out = str(tmp_path / ("store%s.bin" % hash_seed))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(synth.__file__))))
+        subprocess.run([sys.executable, "-c", script, corpus, out], env=env,
+                       check=True)
+        with open(out, "rb") as fh:
+            stores.append(fh.read())
+    assert stores[0] == stores[1]
+
+
+def test_store_strings_keep_long_and_non_ascii_names(tmp_path):
+    """Ids and names are one UTF-8 blob with offsets: a long name costs
+    its own bytes only, and non-ASCII names come back whole."""
+    names = ["ann", "Zoë", "名前", "x" * 5000, ""]
+    discussions = [Discussion(Post("d%d" % k, name, "t", "", k), ())
+                   for k, name in enumerate(names)]
+    corpus = _assert_store_holds(discussions, tmp_path / "s.bin")
+    tensors = corpus.tensors()
+    assert tensors["authors"].dtype == np.uint8
+    assert tensors["authors"].size == sum(len(n.encode()) for n in names)
 
 
 def test_windowize_frozen_example(tmp_path):
@@ -360,9 +466,9 @@ def test_ingest_fuzz(tmp_path):
     assert lacks_key >= 10
 
 
-def test_read_discussions_equals_parse_corpus_on_fuzzed_lines(tmp_path):
+def test_store_holds_what_parse_corpus_gives_on_fuzzed_lines(tmp_path):
     """Orphans, removed authors, clamped timestamps and reply chains in any
-    order all survive the round trip through ingest's output."""
+    order all reach the store."""
     rng = random.Random(1)
     path = tmp_path / "fuzz.jsonl"
     read = 0
@@ -373,6 +479,7 @@ def test_read_discussions_equals_parse_corpus_on_fuzzed_lines(tmp_path):
             discussions, _ = parse_corpus(str(path))
         except CorpusError:
             continue
-        assert _read_back(discussions, tmp_path / "out.jsonl") == discussions
+        _assert_store_holds(discussions, tmp_path / "out.bin")
         read += 1
     assert read >= 40
+

@@ -4,7 +4,7 @@ import pytest
 from threadcurve import dataset as ds
 from threadcurve import logreg, synth
 from threadcurve.clustering import ClusterModel
-from threadcurve.corpus import Discussion, parse_corpus
+from threadcurve.corpus import Corpus, Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.features import (ablate, build_lexicons, load_sentiment,
                                  load_stopwords, load_word_vectors)
@@ -19,7 +19,7 @@ def synth_materials(tmp_path):
     corpus = str(tmp_path / "corpus.jsonl")
     synth.make_temporal_corpus(spec, 0, corpus, str(tmp_path / "truth.json"))
     discussions, _ = parse_corpus(corpus)
-    lex = build_lexicons(discussions,
+    lex = build_lexicons(Corpus.of(discussions),
                          load_word_vectors(str(tmp_path / "word_vectors.txt")),
                          load_sentiment(str(tmp_path / "sentiment.txt")),
                          load_stopwords(str(tmp_path / "stopwords.txt")))
@@ -34,8 +34,8 @@ def synth_materials(tmp_path):
 
 def test_temporal_instances_have_consistent_shapes(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                             lex, emb, cm)
+    pack, pl, cl = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
     R = len(discussions)
     assert pack["x1"].shape == (R, pl.width)
     assert pack["x2"].shape == (R, spec.N, cl.width)
@@ -50,8 +50,8 @@ def test_temporal_instances_have_consistent_shapes(synth_materials):
 
 def test_engaged_counts_cover_comments_before_each_step(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    pack, _, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                           lex, emb, cm)
+    pack, _, _ = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
     for r, d in enumerate(discussions):
         for i in range(spec.N):
             expect = np.zeros(2)
@@ -65,7 +65,7 @@ def _labels(discussion, w, N, assignment, n):
     users = ["alice", "bob", "carol"]
     emb = EmbeddingModel(users, np.eye(3), np.zeros(3))
     cm = ClusterModel(np.zeros((n, 3)), assignment)
-    pack, _, _ = ds.build_temporal_dataset([discussion], w, N,
+    pack, _, _ = ds.build_temporal_dataset(Corpus.of([discussion]), w, N,
                                            make_lexicons(), emb, cm)
     return pack["labels"][0].tolist(), pack["mask"][0].tolist()
 
@@ -92,8 +92,8 @@ def test_labels_ignore_unassigned_authors(tiny_corpus):
 
 def test_logreg_features_see_only_the_prefix(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    base, _, _ = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                           lex, emb, cm)
+    base, _, _ = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
     users = emb.user_ids[::-1]
     for r, disc in enumerate(discussions):
         for k in range(spec.N):
@@ -107,16 +107,16 @@ def test_logreg_features_see_only_the_prefix(synth_materials):
                            text="bad alpha, great beta!", parent_id=parent)
                 for j, c in enumerate(disc.comments[start:]))
             mutated = Discussion(disc.post, disc.comments[:start] + later)
-            pack, _, _ = ds.build_temporal_dataset([mutated], spec.w, spec.N,
-                                                   lex, emb, cm)
+            pack, _, _ = ds.build_temporal_dataset(
+                Corpus.of([mutated]), spec.w, spec.N, lex, emb, cm)
             np.testing.assert_array_equal(pack["logreg_features"][0, :k + 1],
                                           base["logreg_features"][r, :k + 1])
 
 
 def test_drop_ablation_shrinks_both_layouts(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                             lex, emb, cm)
+    pack, pl, cl = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
     x1, pl2 = ablate(pack["x1"], pl, "user", "drop", 4)
     x2, cl2 = ablate(pack["x2"], cl, "user", "drop", 4, valid=pack["mask"])
     assert not pl2.has("user") and not cl2.has("user")
@@ -126,8 +126,8 @@ def test_drop_ablation_shrinks_both_layouts(synth_materials):
 
 def test_noise_ablation_keeps_width_but_changes_block(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
-    pack, pl, cl = ds.build_temporal_dataset(discussions, spec.w, spec.N,
-                                             lex, emb, cm)
+    pack, pl, cl = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
     rngs = [np.random.default_rng(3), np.random.default_rng(4)]
     x1, pl2 = ablate(pack["x1"], pl, "surface", "noise", 4, rngs)
     x2, _ = ablate(pack["x2"], cl, "surface", "noise", 4, rngs,
@@ -146,7 +146,7 @@ def test_nontemporal_labels_follow_comment_presence(synth_materials, tmp_path):
     corpus = str(tmp_path / "nt.jsonl")
     synth.make_nontemporal_corpus(spec, 0, corpus, str(tmp_path / "nt_truth.json"))
     discussions, _ = parse_corpus(corpus)
-    pack, pl = ds.build_nontemporal_dataset(discussions, lex, emb)
+    pack, pl = ds.build_nontemporal_dataset(Corpus.of(discussions), lex, emb)
     assert set(pack["label"]) == {0.0, 1.0}
     assert pack["x1"].shape == (len(discussions), pl.width)
     for label, d in zip(pack["label"], discussions):

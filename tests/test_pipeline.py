@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -172,7 +173,7 @@ def test_stage_refuses_a_corpus_ingested_under_other_author_tags(tmp_path):
         author = json.loads(fh.readline())["comments"][0]["author"]
     stricter = mini_config(tmp_path, excluded_author_tags=["deleted", author])
     with pytest.raises(PipelineError, match=(
-            "discussions.jsonl holds a comment by excluded author tag %r: "
+            "corpus_store.bin holds a comment by excluded author tag %r: "
             "run ingest again" % author)):
         run_stage("cooccur", stricter)
     run_stage("ingest", stricter)
@@ -682,6 +683,54 @@ def test_cli_reports_unreadable_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable tensor file %s: " % ckpt)
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A workdir trained with the temporal RGNet."""
+    cfg = mini_config(tmp_path_factory.mktemp("trained"))
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
+                  "featurize", "train"):
+        run_stage(stage, cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("name, damage, reader, again", [
+    (pipeline.STORE, None, "cooccur", "run ingest again"),
+    (pipeline.STORE, "text_ids", "featurize", "run ingest again"),
+    (pipeline.STORE, "authors_offsets", "balance", "run ingest again"),
+    (pipeline.PACK, None, "train", "run featurize again"),
+    (pipeline.PACK, "mask", "train", "run featurize again"),
+    ("model_rgnet_temporal.ckpt", "W8", "evaluate", "run train again"),
+], ids=["store-truncated", "store-key", "store-balance", "pack-truncated",
+        "pack-key", "checkpoint-key"])
+def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
+                                           damage, reader, again):
+    """A tensor file cut short (damage None), or one without a tensor that
+    its reader needs, ends the reader with one error line naming the file
+    and the stage to run again."""
+    cfg = PipelineConfig(**dict(asdict(trained),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(trained.workdir, cfg.workdir)
+    path = cfg.path(name)
+    if damage is None:
+        with open(path, "rb") as fh:
+            content = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(content[:len(content) // 2])
+        message = "unreadable tensor file %s: " % path
+    else:
+        tensors = load_store(path)
+        del tensors[damage]
+        save_store(tensors, path)
+        message = "%s lacks tensor %r: " % (path, damage)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, reader]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: " + message)
+    assert err.endswith(": %s\n" % again)
 
 
 @pytest.mark.parametrize("task, name, text, reader, again", [

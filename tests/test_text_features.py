@@ -5,7 +5,7 @@ import pytest
 
 import text_reference as ref
 from threadcurve import features as ft
-from threadcurve.corpus import CorpusError, parse_corpus
+from threadcurve.corpus import Corpus, CorpusError, parse_corpus
 from threadcurve.text import (count_closing_punct, count_urls, text_stats,
                               tokenize)
 from conftest import make_lexicons
@@ -116,7 +116,7 @@ def test_bad_lexicon_file_is_named(tmp_path, loader, content, message):
 def test_build_lexicons_idf_and_vocab(tiny_corpus):
     discussions, _, _ = tiny_corpus
     wv = {"text": np.array([1.0])}
-    lex = ft.build_lexicons(discussions, wv, {})
+    lex = ft.build_lexicons(Corpus.of(discussions), wv, {})
     # 2 posts + 5 comments = 7 documents; "text" appears in every comment
     assert lex.idf["text"] == pytest.approx(math.log(7 / 6))
     assert lex.vocab_size == len(lex.idf)

@@ -13,7 +13,7 @@ from threadcurve import dataset as ds
 from threadcurve import features as ft
 from threadcurve import logreg, synth, text
 from threadcurve.clustering import ClusterModel
-from threadcurve.corpus import Discussion, parse_corpus
+from threadcurve.corpus import Corpus, Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
 from threadcurve.text import Texts, text_stats
 
@@ -155,8 +155,8 @@ def corpus(tmp_path):
     discussions, _ = parse_corpus(str(path))
     sentiment = {"w%02d" % k: (k - 5.5) / 10 for k in range(12)}
     lex = ft.build_lexicons(
-        discussions, ft.load_word_vectors(str(tmp_path / "word_vectors.txt")),
-        sentiment)
+        Corpus.of(discussions),
+        ft.load_word_vectors(str(tmp_path / "word_vectors.txt")), sentiment)
     users = sorted({c.author for d in discussions for c in d.comments}
                    - {"stranger"})
     rng = np.random.default_rng(1)
@@ -225,7 +225,8 @@ def test_pack_rows_match_one_text_at_a_time(corpus, monkeypatch):
     position = {c.id: k for k, c in enumerate(first)}
     assert any(position.get(c.parent_id, -1) > k for k, c in enumerate(first))
     monkeypatch.setattr(ds, "CHUNK", 3)  # three passes, the last one short
-    pack, _, _ = ds.build_temporal_dataset(discussions, w, N, lex, emb, cm)
+    pack, _, _ = ds.build_temporal_dataset(Corpus.of(discussions), w, N, lex,
+                                           emb, cm)
     expected = _reference_pack(discussions, w, N, lex, emb, cm)
     _assert_same_bytes(pack, expected)
     # the planted sentiment words reach the content block
@@ -300,26 +301,29 @@ def edge_corpus(tmp_path):
 def test_lexicons_and_pack_from_token_ids(edge_corpus, monkeypatch):
     train, test, word_vectors, emb, cm = edge_corpus
     w, N = 3, 2
-    texts = ft.DiscussionTexts(train + test)
-    lex = ft.build_lexicons(train, word_vectors, {"caf": 0.5, "zebra": -1.0},
-                            frozenset(["the"]), texts)
+    corpus = Corpus.of(train + test)  # tokenized once, as ingest does
+    lex = ft.build_lexicons(corpus, word_vectors, {"caf": 0.5, "zebra": -1.0},
+                            frozenset(["the"]), np.arange(len(train)))
     docs = [text.tokenize(d.post.title + " " + d.post.body) for d in train]
     docs += [text.tokenize(c.text) for d in train for c in d.comments]
     assert lex.idf == idf_table(docs)
     assert lex.vocab_size == len(idf_table(docs))
-    own = ft.build_lexicons(train, word_vectors, {})  # tokenized alone
+    own = ft.build_lexicons(Corpus.of(train), word_vectors, {})  # alone
     assert (own.idf, own.vocab_size) == (lex.idf, lex.vocab_size)
     # a comment beyond N*w counts; a test-only token does not
     assert "laterword" in lex.idf and "zebra" not in lex.idf
     assert {"stanbul", "2024", "007", "42"} <= set(lex.idf)
 
     monkeypatch.setattr(ds, "CHUNK", 3)  # the test discussion in a pass alone
-    pack, _, _ = ds.build_temporal_dataset(train + test, w, N, lex, emb, cm,
-                                           texts)
+    pack, _, _ = ds.build_temporal_dataset(corpus, w, N, lex, emb, cm)
     expected = _reference_pack(train + test, w, N, lex, emb, cm)
     _assert_same_bytes(pack, expected)
-    alone, _, _ = ds.build_temporal_dataset(train + test, w, N, lex, emb, cm)
-    _assert_same_bytes(alone, expected)
+    # the rows of a split, in its order
+    order = [3, 0, 2, 1]
+    shuffled, _, _ = ds.build_temporal_dataset(corpus, w, N, lex, emb, cm,
+                                               order)
+    _assert_same_bytes(shuffled, _reference_pack(
+        [(train + test)[k] for k in order], w, N, lex, emb, cm))
     # a window whose mean is -0.0: the subnormal over three comments
     negative_zero = (pack["x2"] == 0) & np.signbit(pack["x2"])
     assert negative_zero[2, 0].any()
@@ -328,7 +332,7 @@ def test_lexicons_and_pack_from_token_ids(edge_corpus, monkeypatch):
 def test_nontemporal_posts_match_one_text_at_a_time(corpus, monkeypatch):
     _, discussions, lex, emb, _ = corpus
     monkeypatch.setattr(ds, "CHUNK", 2)
-    pack, _ = ds.build_nontemporal_dataset(discussions, lex, emb)
+    pack, _ = ds.build_nontemporal_dataset(Corpus.of(discussions), lex, emb)
     tvecs = title_vectors(discussions, lex.word_vectors, lex.idf,
                           lex.stopwords)
     x1 = np.array([np.concatenate([

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from threadcurve.clustering import spacetime_centers
+from threadcurve.clustering import time_coordinate
 from cooccur_reference import reply_edges
 from threadcurve.corpus import growth_target, windowize
 from threadcurve.text import text_stats
@@ -112,6 +112,22 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
             out[cluster, shared.size:-1] = np.mean(
                 [embedding.vector(u) for u in engaged], axis=0)
             out[cluster, -1] = np.mean([degree.get(u, 0) for u in engaged])
+    return out
+
+
+def spacetime_centers(cluster_model, windowed):
+    """Per step of a windowed discussion, the (n, d+1) centres after the
+    time coordinate of the span from the post to the last comment the step
+    has seen (the post's own time at step 0)."""
+    post_t = windowed.discussion.post.timestamp
+    n, d = cluster_model.centers.shape
+    out = np.empty((windowed.N, n, d + 1))
+    last_seen = post_t
+    for i in range(windowed.N):
+        if i > 0 and windowed.windows[i - 1].valid:
+            last_seen = windowed.windows[i - 1].comments[-1].timestamp
+        out[i, :, 0] = time_coordinate(last_seen - post_t)
+        out[i, :, 1:] = cluster_model.centers
     return out
 
 
