@@ -218,9 +218,12 @@ def build_cooccurrence(corpus, index, title_vecs, theta0=math.pi / 12):
         return A, 0
     titles = np.array([title_vecs[i] for i in corpus.ids], dtype=float)
     a, b, skipped = semantic_candidates(titles, theta0)
-    # each discussion's embedded commenters, in name order as codes are
+    # each discussion's embedded commenters, in name order as codes are;
+    # np.unique by a stable sort (return_index), not by its hash table and
+    # default sort, which would page in code the run needs nowhere else
     U = len(corpus.authors)
-    member = np.unique(corpus.discussion() * U + corpus.author)
+    member = np.unique(corpus.discussion() * U + corpus.author,
+                       return_index=True)[0]
     user = corpus.codes(index)[member % U]
     held = user >= 0
     commenters = np.split(user[held], np.searchsorted(member[held] // U,

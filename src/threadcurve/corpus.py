@@ -389,9 +389,10 @@ class Corpus:
     def activity(self):
         """How many discussions each author code posted or commented in."""
         D, U = len(self.ids), len(self.authors)
+        # return_index: a stable sort, as `cooccur.build_cooccurrence` does
         keys = np.unique(np.concatenate([
             self.discussion() * U + self.author,
-            np.arange(D) * U + self.post_author]))
+            np.arange(D) * U + self.post_author]), return_index=True)[0]
         return np.bincount(keys % U, minlength=U)
 
     def comments(self, discussions, limit):

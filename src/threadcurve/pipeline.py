@@ -234,9 +234,15 @@ def _load_corpus(cfg):
     """The corpus store `ingest` wrote. It is not filtered again: a comment
     by an author tag the config now excludes means that ingest ran under
     other tags, and is refused."""
-    corpus = Corpus.from_tensors(_load_store(cfg.path(STORE),
-                                             "run ingest again", Corpus.KEYS))
-    commenters = {corpus.authors[k] for k in np.unique(corpus.author).tolist()}
+    path = cfg.path(STORE)
+    tensors = _load_store(path, "run ingest again", Corpus.KEYS)
+    try:
+        corpus = Corpus.from_tensors(tensors)
+    except UnicodeDecodeError as exc:  # an id, name or token blob
+        raise PipelineError("unreadable tensor file %s: %s: run ingest again"
+                            % (path, exc)) from None
+    commenters = {corpus.authors[k] for k in np.flatnonzero(np.bincount(
+        corpus.author, minlength=len(corpus.authors))).tolist()}
     excluded = sorted(commenters & set(cfg.excluded_author_tags))
     if excluded:
         raise PipelineError("%s holds a comment by excluded author tag %r: "

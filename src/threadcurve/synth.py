@@ -187,5 +187,5 @@ def nontemporal_balance(sizes, seed=0):
     rng = np.random.default_rng(seed)
     if len(commented) > len(empty):
         picked = rng.choice(len(commented), size=len(empty), replace=False)
-        commented = commented[np.sort(picked)]
+        commented = commented[np.sort(picked, kind="stable")]
     return np.concatenate([empty, commented])

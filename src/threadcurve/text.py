@@ -113,7 +113,7 @@ class Texts:
             batch = texts[start:start + BATCH]
             marks.append(np.array([_marks(text) for text in batch],
                                   dtype=np.intp))
-            tokens = list(map(_TOKEN_RE.findall, map(str.lower, batch)))
+            tokens = list(map(tokenize, batch))
             flat = list(chain.from_iterable(tokens))
             for t in dict.fromkeys(flat):
                 index.setdefault(t, len(index))

@@ -696,34 +696,39 @@ def trained(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name, damage, reader, again", [
-    (pipeline.STORE, None, "cooccur", "run ingest again"),
+    (pipeline.STORE, "cut", "cooccur", "run ingest again"),
     (pipeline.STORE, "text_ids", "featurize", "run ingest again"),
     (pipeline.STORE, "authors_offsets", "balance", "run ingest again"),
-    (pipeline.PACK, None, "train", "run featurize again"),
+    (pipeline.STORE, "not UTF-8", "cooccur", "run ingest again"),
+    (pipeline.PACK, "cut", "train", "run featurize again"),
     (pipeline.PACK, "mask", "train", "run featurize again"),
     ("model_rgnet_temporal.ckpt", "W8", "evaluate", "run train again"),
-], ids=["store-truncated", "store-key", "store-balance", "pack-truncated",
-        "pack-key", "checkpoint-key"])
+], ids=["store-cut", "store-key", "store-balance", "store-not-utf8",
+        "pack-cut", "pack-key", "checkpoint-key"])
 def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
                                            damage, reader, again):
-    """A tensor file cut short (damage None), or one without a tensor that
-    its reader needs, ends the reader with one error line naming the file
-    and the stage to run again."""
+    """A tensor file cut short, one without a tensor that its reader needs
+    (damage names it), or a store whose author names are not UTF-8, ends
+    the reader with one error line naming the file and the stage to run
+    again."""
     cfg = PipelineConfig(**dict(asdict(trained),
                                 workdir=str(tmp_path / "run")))
     shutil.copytree(trained.workdir, cfg.workdir)
     path = cfg.path(name)
-    if damage is None:
+    message = "unreadable tensor file %s: " % path
+    if damage == "cut":
         with open(path, "rb") as fh:
             content = fh.read()
         with open(path, "wb") as fh:
             fh.write(content[:len(content) // 2])
-        message = "unreadable tensor file %s: " % path
     else:
         tensors = load_store(path)
-        del tensors[damage]
+        if damage == "not UTF-8":
+            tensors["authors"] = np.full_like(tensors["authors"], 0xff)
+        else:
+            del tensors[damage]
+            message = "%s lacks tensor %r: " % (path, damage)
         save_store(tensors, path)
-        message = "%s lacks tensor %r: " % (path, damage)
     cfg_path = str(tmp_path / "cfg.json")
     cfg.save(cfg_path)
     assert cli.main(["--config", cfg_path, reader]) == 2
