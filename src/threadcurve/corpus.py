@@ -1,5 +1,6 @@
-"""Discussion data model: parsing, user filtering, the columnar corpus
-store, comment windows, growth."""
+"""Discussion data model: parsing, user filtering, the one-pass ingest
+into normalized lines and the columnar corpus store, comment windows,
+growth."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +25,9 @@ class CorpusError(Exception):
     pass
 
 
-# a post and its comments are named tuples: immutable, read by field name
-# and built at tuple speed, once per record of every corpus read
+# a post and its comments are named tuples: immutable and read by field
+# name. `parse_corpus` builds them for callers that take records; `ingest`
+# builds none
 class Post(NamedTuple):
     id: str
     author: str
@@ -91,74 +93,104 @@ class CorpusManifest:
     single_activity_users: int = 0
 
 
-def _get(raw, key, owner, *args):
-    """raw[key]; a missing key is a ValueError naming it and its owner,
+def _lacks(key, owner, args):
+    """The error for a missing key: a ValueError naming it and its owner,
     `owner % args`, which is formatted only then."""
+    return ValueError("%s lacks key %r" % (owner % args, key))
+
+
+def _get(raw, key, owner, *args):
+    """raw[key]; a missing key is `_lacks`'s error."""
     try:
         return raw[key]
     except KeyError:
-        raise ValueError("%s lacks key %r" % (owner % args, key)) from None
+        raise _lacks(key, owner, args) from None
 
 
 def _timestamp(raw, owner, *args):
     """raw["timestamp"] as an int in 0 <= t < 2**53, where every span and
     gap is exact in int64 and float64; else a CorpusError naming `owner %
     args`."""
-    t = int(_get(raw, "timestamp", owner, *args))
+    try:  # `_get` inlined here and in `_name`: they run once per comment
+        t = int(raw["timestamp"])
+    except KeyError:
+        raise _lacks("timestamp", owner, args) from None
     if not 0 <= t < 2 ** 53:
         raise CorpusError("%s has timestamp %d, outside 0 <= t < 2**53"
                           % (owner % args, t))
     return t
 
 
+def _name(raw, key, owner, *args):
+    """raw[key] as a string, for an id or an author name. A null one, and
+    one holding a lone surrogate, which no UTF-8 string can hold, is a
+    ValueError naming the field and `owner % args`."""
+    try:
+        value = raw[key]
+    except KeyError:
+        raise _lacks(key, owner, args) from None
+    if value is None:
+        raise ValueError("%s has a null %r" % (owner % args, key))
+    value = str(value)
+    if not value.isascii():
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            raise ValueError("%s has %s %r, which holds a lone surrogate"
+                             % (owner % args, key, value)) from None
+    return value
+
+
+def _body(raw):
+    """raw["body"] as a string; a missing or null body is empty."""
+    body = raw.get("body")
+    return "" if body is None else str(body)
+
+
 def _build_discussion(raw, manifest, excluded_tags):
+    """The normalized form of one corpus line: (post, comments, depth).
+    `post` and each comment are the dicts that `discussions.jsonl` holds;
+    the comments are sorted by (timestamp, id), and depth[k] is comment
+    k's depth along its parents."""
     post_raw = _get(raw, "post", "the line")
-    post_id = str(_get(post_raw, "id", "the post"))
+    post_id = _name(post_raw, "id", "the post")
     title = _get(post_raw, "title", "post %r", post_id)
     if not title.strip():
         raise CorpusError("post %r has empty title" % post_raw["id"])
-    post = Post(post_id, str(_get(post_raw, "author", "post %r", post_id)),
-                title, str(post_raw.get("body", "")),
-                _timestamp(post_raw, "post %r", post_id))
-    kept, seen = [], {post.id}
+    post = {"id": post_id, "author": _name(post_raw, "author", "post %r",
+                                           post_id),
+            "title": title, "body": _body(post_raw),
+            "timestamp": _timestamp(post_raw, "post %r", post_id)}
+    kept, removed, known = [], [], {post_id}
     for k, c in enumerate(raw.get("comments", [])):
-        cid = str(_get(c, "id", "comment %d of post %r", k, post.id))
-        if cid in seen:  # a reply to it could not say which one it answers
+        cid = _name(c, "id", "comment %d of post %r", k, post_id)
+        if cid in known:  # a reply to it could not say which one it answers
             raise CorpusError("comment id %r in discussion %r is %s" % (
-                cid, post.id, "the post's id" if cid == post.id
+                cid, post_id, "the post's id" if cid == post_id
                 else "used twice"))
-        seen.add(cid)
-        if str(_get(c, "author", "comment %r", cid)) in excluded_tags:
+        known.add(cid)
+        author = _name(c, "author", "comment %r", cid)
+        if author in excluded_tags:
             manifest.removed_by_tag += 1
-            continue
-        kept.append(c)
+            removed.append(cid)
+        else:
+            kept.append((cid, author, c))
 
     # every kept id is known before an orphan is reattached to the post
-    known = {post.id} | {str(c["id"]) for c in kept}
-    comments = []
-    for c in kept:
-        cid = str(c["id"])
+    known.difference_update(removed)
+    t0, comments = post["timestamp"], []
+    for cid, author, c in kept:
         timestamp = _timestamp(c, "comment %r", cid)
         parent = str(_get(c, "parent_id", "comment %r", cid))
         if parent not in known:
-            parent = post.id
+            parent = post_id
             manifest.orphans_reattached += 1
-        comments.append({"id": cid, "author": str(c["author"]),
-                         "parent_id": parent,
-                         "timestamp": max(timestamp, post.timestamp),
-                         "body": str(c.get("body", ""))})
-    return _discussion(post, comments)
-
-
-def _discussion(post, comments):
-    """The Discussion of a Post and its comments in the form
-    `discussion_to_json` writes; depths follow the parents, and the
-    comments are sorted by time, then id."""
-    depth = _depths(post.id, {c["id"]: c["parent_id"] for c in comments})
-    return Discussion(post, tuple(sorted(
-        (Comment(c["id"], c["author"], c["parent_id"], post.id,
-                 c["timestamp"], c["body"], depth[c["id"]])
-         for c in comments), key=attrgetter("timestamp", "id"))))
+        comments.append({"id": cid, "author": author, "parent_id": parent,
+                         "timestamp": timestamp if timestamp > t0 else t0,
+                         "body": _body(c)})
+    depth = _depths(post_id, {c["id"]: c["parent_id"] for c in comments})
+    comments.sort(key=itemgetter("timestamp", "id"))
+    return post, comments, [depth[c["id"]] for c in comments]
 
 
 def _depths(post_id, parent_of):
@@ -166,7 +198,10 @@ def _depths(post_id, parent_of):
     along its chain of parents to the post (depth 0); a parent may come
     later than its reply. A chain that loops raises CorpusError."""
     depth_of = {post_id: 0}
-    for cid in parent_of:
+    for cid, parent in parent_of.items():
+        if parent in depth_of:  # most parents come before their replies
+            depth_of[cid] = depth_of[parent] + 1
+            continue
         chain, on_chain = [], set()  # cid and its unresolved ancestors
         while cid not in depth_of:
             if cid in on_chain:
@@ -182,19 +217,14 @@ def _depths(post_id, parent_of):
     return depth_of
 
 
-def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
-                 min_user_discussions=MIN_USER_DISCUSSIONS):
-    """Read a JSON-lines corpus; returns (discussions, manifest).
-
-    Comments by excluded author tags are removed. Users below the
-    min-discussion activity threshold stay in the discussions but are
-    flagged in the manifest (callers exclude them from embedding,
-    labels and user features). A file with no discussion raises
-    CorpusError naming it.
-    """
+def _read(path, manifest, excluded_author_tags):
+    """The normalized form (`_build_discussion`) of each discussion of a
+    JSON-lines corpus, line by line; removed comments and reattached
+    orphans are counted in `manifest`. A line that does not parse or
+    validate, a post id that repeats and a file with no discussion raise
+    CorpusError."""
     excluded = set(excluded_author_tags)
-    manifest = CorpusManifest()
-    discussions, line_of = [], {}
+    line_of = {}
     # read as bytes, so that a line that is not UTF-8 fails inside the `try`
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -202,37 +232,79 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                disc = _build_discussion(raw, manifest, excluded)
+                post, comments, depth = _build_discussion(
+                    json.loads(line), manifest, excluded)
             except CorpusError:
                 raise
             except Exception as exc:
                 raise CorpusError("malformed corpus line %d: %s" % (lineno, exc)) from exc
-            if disc.id in line_of:  # its predictions could not be told apart
+            # a repeated post's predictions could not be told apart
+            if post["id"] in line_of:
                 raise CorpusError("post id %r on line %d repeats line %d" % (
-                    disc.id, lineno, line_of[disc.id]))
-            line_of[disc.id] = lineno
-            discussions.append(disc)
-    if not discussions:
+                    post["id"], lineno, line_of[post["id"]]))
+            line_of[post["id"]] = lineno
+            yield post, comments, depth
+    if not line_of:
         raise CorpusError("%s holds no discussion" % path)
 
-    activity = _activity(discussions)
-    single = {u for u, k in activity.items() if k < min_user_discussions}
 
-    manifest.discussions = len(discussions)
-    manifest.comments = sum(len(d.comments) for d in discussions)
+def _totals(manifest, discussions, comments, activity, min_user_discussions):
+    """The manifest with its totals filled in; `activity` holds each
+    user's count of discussions posted or commented in."""
+    activity = np.asarray(activity)
+    manifest.discussions, manifest.comments = discussions, comments
     manifest.users = len(activity)
-    manifest.single_activity_users = len(single)
-    return discussions, manifest
+    manifest.single_activity_users = int(np.count_nonzero(
+        activity < min_user_discussions))
+    return manifest
 
 
-def _activity(discussions):
-    """Discussions each user posted or commented in."""
+def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
+                 min_user_discussions=MIN_USER_DISCUSSIONS):
+    """Read a JSON-lines corpus into records; returns (discussions,
+    manifest).
+
+    Comments by excluded author tags are removed. Users below the
+    min-discussion activity threshold stay in the discussions but are
+    flagged in the manifest (callers exclude them from embedding,
+    labels and user features). A file with no discussion raises
+    CorpusError naming it.
+    """
+    manifest = CorpusManifest()
+    discussions = []
+    for post, comments, depth in _read(path, manifest, excluded_author_tags):
+        discussions.append(Discussion(Post(**post), tuple(
+            Comment(c["id"], c["author"], c["parent_id"], post["id"],
+                    c["timestamp"], c["body"], k)
+            for c, k in zip(comments, depth))))
     activity = Counter()
     for d in discussions:
-        for author in {c.author for c in d.comments} | {d.post.author}:
-            activity[author] += 1
-    return activity
+        activity.update({c.author for c in d.comments} | {d.post.author})
+    return discussions, _totals(manifest, len(discussions),
+                                sum(len(d.comments) for d in discussions),
+                                list(activity.values()), min_user_discussions)
+
+
+def ingest(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
+           min_user_discussions=MIN_USER_DISCUSSIONS):
+    """Read a JSON-lines corpus in one pass, as `parse_corpus` does, but
+    into the filtered corpus's lines and arrays; returns (lines, corpus,
+    manifest).
+
+    lines[k] is discussion k's normalized form as one JSON line, with
+    sorted keys and a newline: the line `discussions.jsonl` holds. corpus
+    is its `Corpus`. No record is built.
+    """
+    manifest = CorpusManifest()
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines, columns = [], _Columns()
+    for post, comments, depth in _read(path, manifest, excluded_author_tags):
+        lines.append(encode({"post": post, "comments": comments}) + "\n")
+        columns.add(post, comments, depth)
+    corpus = columns.corpus()
+    return lines, corpus, _totals(manifest, len(corpus.ids),
+                                  len(corpus.author), corpus.activity(),
+                                  min_user_discussions)
 
 
 def embedded_users(corpus, min_user_discussions=MIN_USER_DISCUSSIONS):
@@ -242,27 +314,6 @@ def embedded_users(corpus, min_user_discussions=MIN_USER_DISCUSSIONS):
         corpus = Corpus.of(corpus)
     active = np.flatnonzero(corpus.activity() >= min_user_discussions)
     return {corpus.authors[k] for k in active.tolist()}
-
-
-def serialize_corpus(discussions, path):
-    """Write discussions back to the JSON-lines layout (round-trip safe)."""
-    with open(path, "w") as fh:
-        for d in discussions:
-            fh.write(json.dumps(discussion_to_json(d), sort_keys=True) + "\n")
-
-
-def discussion_to_json(d):
-    return {
-        "post": {
-            "id": d.post.id, "author": d.post.author, "title": d.post.title,
-            "body": d.post.body, "timestamp": d.post.timestamp,
-        },
-        "comments": [
-            {"id": c.id, "author": c.author, "parent_id": c.parent_id,
-             "timestamp": c.timestamp, "body": c.text}
-            for c in d.comments
-        ],
-    }
 
 
 def _pack_strings(strings):
@@ -313,32 +364,16 @@ class Corpus:
     @classmethod
     def of(cls, discussions):
         """The Corpus of a list of discussions."""
-        authors = sorted({d.post.author for d in discussions}
-                         | {c.author for d in discussions for c in d.comments})
-        code = {name: k for k, name in enumerate(authors)}
-        strings, author, parent, time, depth = [], [], [], [], []
+        columns = _Columns()
         for d in discussions:
-            position = {c.id: k for k, c in enumerate(d.comments)}
-            position[d.post.id] = -1
-            strings += [d.post.title, d.post.body]
-            for c in d.comments:
-                strings.append(c.text)
-                author.append(code[c.author])
-                parent.append(position.get(c.parent_id, -2))
-                time.append(c.timestamp)
-                depth.append(c.depth)
-
-        def column(values):
-            return np.array(values, dtype=np.int64)
-        return cls([d.id for d in discussions], authors, Texts(strings),
-                   start=np.cumsum([0] + [len(d.comments)
-                                          for d in discussions],
-                                   dtype=np.int64),
-                   post_author=column([code[d.post.author]
-                                       for d in discussions]),
-                   post_time=column([d.post.timestamp for d in discussions]),
-                   author=column(author), parent=column(parent),
-                   time=column(time), depth=column(depth))
+            post = d.post
+            columns.add({"id": post.id, "author": post.author,
+                         "title": post.title, "body": post.body,
+                         "timestamp": post.timestamp}, [
+                {"id": c.id, "author": c.author, "parent_id": c.parent_id,
+                 "timestamp": c.timestamp, "body": c.text}
+                for c in d.comments], [c.depth for c in d.comments])
+        return columns.corpus()
 
     def tensors(self):
         """The name -> array mapping of the tensor file, under `KEYS`."""
@@ -403,6 +438,50 @@ class Corpus:
         owner, at = ranges(first, first + np.minimum(self.sizes[discussions],
                                                      limit))
         return owner, at - first[owner], at
+
+
+class _Columns:
+    """The columns of a `Corpus`, appended discussion by discussion in the
+    normalized form of `_build_discussion`: a parent that is not in the
+    discussion (as in a cut prefix) gets position -2."""
+
+    def __init__(self):
+        self.ids, self.post_author, self.post_time, self.sizes = [], [], [], []
+        self.author, self.parent, self.time, self.depth = [], [], [], []
+        self.texts = []
+
+    def add(self, post, comments, depth):
+        position = {c["id"]: k for k, c in enumerate(comments)}
+        position[post["id"]] = -1
+        self.ids.append(post["id"])
+        self.post_author.append(post["author"])
+        self.post_time.append(post["timestamp"])
+        self.sizes.append(len(comments))
+        self.author += [c["author"] for c in comments]
+        self.parent += [position.get(c["parent_id"], -2) for c in comments]
+        self.time += [c["timestamp"] for c in comments]
+        self.depth += depth
+        self.texts += [post["title"], post["body"]]
+        self.texts += [c["body"] for c in comments]
+
+    def corpus(self):
+        """The Corpus of what was added; author codes follow sorted
+        names."""
+        authors = sorted(set(self.post_author).union(self.author))
+        code = {name: k for k, name in enumerate(authors)}
+
+        def codes(names):
+            return np.fromiter(map(code.__getitem__, names), np.int64,
+                               len(names))
+
+        def column(values):
+            return np.array(values, dtype=np.int64)
+        return Corpus(self.ids, authors, Texts(self.texts),
+                      start=np.cumsum([0] + self.sizes, dtype=np.int64),
+                      post_author=codes(self.post_author),
+                      post_time=column(self.post_time),
+                      author=codes(self.author), parent=column(self.parent),
+                      time=column(self.time), depth=column(self.depth))
 
 
 def windowize(d, w, N):

@@ -29,9 +29,14 @@ def atomic_write(write, *paths):
 
 
 def atomic_write_text(path, content):
+    atomic_write_lines(path, [content])
+
+
+def atomic_write_lines(path, lines):
+    """Write strings end to end, with no copy that joins them."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(content)
+        fh.writelines(lines)
     os.replace(tmp, path)
 
 

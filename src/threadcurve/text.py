@@ -1,62 +1,88 @@
 """Tokenization and text records shared by features and title vectors.
 
 `Texts` tokenizes texts once: every distinct token gets one integer id, and
-each text keeps its ids in order. `Texts.join` gives the records of runs of
-consecutive texts joined by " " from those ids and per-text counts alone,
-so a discussion's prefix (its post and first comments) is the concatenated
-id stream of its texts, and building it tokenizes nothing again.
-`text_stats` is the record of one string, the form the tests check the
-joins against. `title_rows` gives the title vectors of many titles from
-their token ids.
+each text keeps its ids in order. It reads a batch of texts at a time, in
+two array passes: one over the bytes of the lowercased texts, where every
+byte outside a token is a space, so that one `split` gives the batch's
+tokens; one over their code points, each classed as whitespace, closing
+mark or other, which counts every text's sentences and closing marks.
+`Texts.join` gives the records of runs of consecutive texts joined by " "
+from those ids and per-text counts alone, so a discussion's prefix (its
+post and first comments) is the concatenated id stream of its texts, and
+building it tokenizes nothing again. `title_rows` gives the title vectors
+of many titles from their token ids.
 """
 
 import math
 import re
-from collections import Counter
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_SENTENCE_RE = re.compile(r"[.!?]+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 
 BATCH = 512  # texts tokenized at a time; bounds the token strings held
 
-
-class TextStats(NamedTuple):
-    """What every text formula reads of one text. `head` and `tail` say
-    whether the chunk before the first closing mark and the chunk after the
-    last one are non-blank: a " " join runs those two chunks of its sides
-    into one sentence."""
-    pairs: tuple      # (token, tf) in order of first occurrence
-    sentences: int
-    urls: int
-    closing: int      # closing marks . ! ?
-    head: bool
-    tail: bool
-
-
-def tokenize(text):
-    """Lowercase alphanumeric tokens, punctuation stripped."""
-    return _TOKEN_RE.findall(text.lower())
+# `str.isspace`'s whitespace, which `str.strip` and the regex `\s` use too
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008"
+              "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+SPACE, MARK, OTHER = 0, 1, 2
+# the class of each code point up to U+3000, the last whitespace; one more
+# entry, OTHER, stands for every code point above
+_CLASS = np.full(0x3002, OTHER, dtype=np.int8)
+_CLASS[[ord(c) for c in WHITESPACE]] = SPACE
+_CLASS[[ord(c) for c in ".!?"]] = MARK
+# each byte that a token holds, [a-z0-9], as itself; every other as a space
+_WORD_BYTES = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                    for c in range(256))
 
 
-def _marks(text):
-    """The fields of a text's record after its pairs."""
-    closing = count_closing_punct(text)
-    if not closing:  # one chunk, the whole text
-        kept = bool(text.strip())
-        return kept, count_urls(text), 0, kept, kept
-    chunks = [chunk.strip() for chunk in _SENTENCE_RE.split(text)]
-    return (sum(map(bool, chunks)), count_urls(text), closing,
-            bool(chunks[0]), bool(chunks[-1]))
+def _marks(texts):
+    """(sentences, closing, head, tail) of each text, as `Texts` holds them.
+
+    A text's chunks are split by its runs of closing marks; a sentence is a
+    chunk with a character that is neither whitespace nor a mark. With the
+    whitespace dropped, a sentence starts at each other character that
+    comes first in its text or right after a mark; the first chunk is
+    non-blank when the text's first character is other, the last when its
+    last one is.
+    """
+    # one code point per character, a lone surrogate too
+    point = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32)
+    kind = _CLASS[np.minimum(point, len(_CLASS) - 1)]
+    owner = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
+    kept = kind != SPACE
+    kind, owner = kind[kept], owner[kept]
+    first = np.diff(owner, prepend=-1) != 0
+    last = np.diff(owner, append=len(texts)) != 0
+    other = kind == OTHER
+    after_mark = np.concatenate([[False], kind[:-1] == MARK])
+
+    def count(where):
+        return np.bincount(owner[where], minlength=len(texts))
+    return (count(other & (first | after_mark)), count(kind == MARK),
+            count(other & first) > 0, count(other & last) > 0)
 
 
-def text_stats(text):
-    """The record of one text."""
-    return TextStats(tuple(Counter(tokenize(text)).items()), *_marks(text))
+def _tokens(texts):
+    """(tokens, owner): the tokens of every text as ASCII bytes, text after
+    text, and the text of each.
+
+    A token is a maximal run of [a-z0-9] in the lowercased text (the
+    `tokenize` of `tests/cooccur_reference.py` finds them by regex). In the
+    lowercased texts joined by a space, each character becomes one byte:
+    a token's own, or else a space (every character above ASCII is "?"
+    first). So `split` gives the tokens, and their starts say whose each
+    one is.
+    """
+    lowered = [t.lower() for t in texts]
+    data = " ".join(lowered).encode("ascii", "replace").translate(_WORD_BYTES)
+    word = np.frombuffer(data, dtype=np.uint8) != 32
+    starts = np.flatnonzero(word & ~np.concatenate([[False], word[:-1]]))
+    ends = np.cumsum([len(t) + 1 for t in lowered])
+    return data.split(), np.searchsorted(ends, starts, side="right")
 
 
 def ranges(lo, hi):
@@ -99,37 +125,37 @@ class Texts:
     order of first sight. Text t's record is `ids` and `tf` from
     `starts[t]` to `starts[t + 1]`, its distinct token ids in order of first
     occurrence and their counts, and entry t of `sentences`, `urls`,
-    `closing`, `head` and `tail` (`TextStats`' fields). `FIELDS` names
-    the arrays."""
+    `closing` (its closing marks . ! ?), `head` and `tail`. `head` and
+    `tail` say whether the chunk before its first closing mark and the
+    chunk after its last one are non-blank: a " " join runs those two
+    chunks of its sides into one sentence. `FIELDS` names the arrays."""
 
     FIELDS = ("ids", "tf", "starts", "sentences", "urls", "closing", "head",
               "tail")
 
     def __init__(self, texts):
-        index, ids, tf = {}, [], []
-        lengths = [np.zeros(1, dtype=np.intp)]
-        marks = [np.zeros((0, 5), dtype=np.intp)]
+        index, ids, tf, starts = {}, [], [], [np.zeros(1, dtype=np.intp)]
+        marks = [np.zeros((4, 0), dtype=np.intp)]
+        urls = np.fromiter(map(count_urls, texts), np.intp, len(texts))
         for start in range(0, len(texts), BATCH):
             batch = texts[start:start + BATCH]
-            marks.append(np.array([_marks(text) for text in batch],
-                                  dtype=np.intp))
-            tokens = list(map(tokenize, batch))
-            flat = list(chain.from_iterable(tokens))
-            for t in dict.fromkeys(flat):
+            marks.append(np.array(_marks(batch), dtype=np.intp))
+            tokens, owner = _tokens(batch)
+            for t in dict.fromkeys(tokens):
                 index.setdefault(t, len(index))
             text, k, n = _first_terms(
-                np.repeat(np.arange(len(tokens)), list(map(len, tokens))),
-                np.fromiter(map(index.__getitem__, flat), np.int32, len(flat)),
-                np.ones(len(flat), dtype=np.int32), len(index))
+                owner, np.fromiter(map(index.__getitem__, tokens), np.int32,
+                                   len(tokens)),
+                np.ones(len(tokens), dtype=np.int32), len(index))
             ids.append(k)
             tf.append(n)
-            lengths.append(np.bincount(text, minlength=len(tokens)))
-        self.vocabulary = list(index)
+            starts.append(np.bincount(text, minlength=len(batch)))
+        self.vocabulary = [t.decode() for t in index]
         self.ids = np.concatenate([np.zeros(0, dtype=np.int32)] + ids)
         self.tf = np.concatenate([np.zeros(0, dtype=np.int32)] + tf)
-        self.starts = np.cumsum(np.concatenate(lengths))
-        self.sentences, self.urls, self.closing, head, tail = np.concatenate(
-            marks).T
+        self.starts = np.cumsum(np.concatenate(starts))
+        self.urls = urls
+        self.sentences, self.closing, head, tail = np.concatenate(marks, 1)
         self.head, self.tail = head.astype(bool), tail.astype(bool)
 
     @classmethod
@@ -227,8 +253,3 @@ def count_urls(text):
     if "http" in text or "www." in text:
         return len(_URL_RE.findall(text))
     return 0
-
-
-def count_closing_punct(text):
-    """Closing marks . ! ? in a text."""
-    return text.count(".") + text.count("!") + text.count("?")

@@ -7,12 +7,20 @@ edge, one user pair and one cross pair at a time, and `all_pairs` runs the
 semantic test on every pair of discussions."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from threadcurve.cooccur import title_angle
-from threadcurve.text import tokenize
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text):
+    """Lowercase alphanumeric tokens, punctuation stripped: the tokens of
+    one text, which `text.Texts` finds batch by batch."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def sigmoid(x):

@@ -11,10 +11,11 @@ import pytest
 
 from threadcurve import synth
 from threadcurve.corpus import (Corpus, CorpusError, Discussion, Post,
-                                embedded_users, growth_target, parse_corpus,
-                                serialize_corpus, windowize)
+                                embedded_users, growth_target, ingest,
+                                parse_corpus, windowize)
+from corpus_reference import record_ingest, serialize_corpus
 from threadcurve.storage import load_store, save_store
-from threadcurve.text import text_stats
+from text_reference import text_stats
 from conftest import chain_comments, make_discussion_json, write_corpus
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -313,27 +314,36 @@ def test_post_records_join_title_and_body():
 
 
 def test_store_does_not_depend_on_the_hash_seed(tmp_path):
-    """Two processes with different PYTHONHASHSEED write the same store
-    bytes from one corpus."""
+    """Two processes with different PYTHONHASHSEED write the same lines and
+    store bytes from one corpus, in one pass and by the record path."""
     spec = synth.SynthSpec(discussions=30)
     corpus = str(tmp_path / "corpus.jsonl")
     synth.make_temporal_corpus(spec, 0, corpus, str(tmp_path / "t.json"))
     script = ("import sys\n"
-              "from threadcurve.corpus import Corpus, parse_corpus\n"
+              "from threadcurve.corpus import ingest\n"
               "from threadcurve.storage import save_store\n"
-              "save_store(Corpus.of(parse_corpus(sys.argv[1])[0]).tensors(),"
-              " sys.argv[2])\n")
-    stores = []
+              "from corpus_reference import record_ingest\n"
+              "corpus, out = sys.argv[1:]\n"
+              "lines, one_pass, _ = ingest(corpus)\n"
+              "open(out + '.jsonl', 'w').writelines(lines)\n"
+              "save_store(one_pass.tensors(), out + '.bin')\n"
+              "save_store(record_ingest(corpus, out + '_records.jsonl')[0],"
+              " out + '_records.bin')\n")
+    written = []
     for hash_seed in ("0", "1"):
-        out = str(tmp_path / ("store%s.bin" % hash_seed))
+        out = str(tmp_path / ("seed%s" % hash_seed))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(
-                       os.path.abspath(synth.__file__))))
+                   PYTHONPATH=os.pathsep.join([
+                       os.path.dirname(os.path.dirname(
+                           os.path.abspath(synth.__file__))),
+                       os.path.dirname(os.path.abspath(__file__))]))
         subprocess.run([sys.executable, "-c", script, corpus, out], env=env,
                        check=True)
-        with open(out, "rb") as fh:
-            stores.append(fh.read())
-    assert stores[0] == stores[1]
+        for name in (".jsonl", "_records.jsonl", ".bin", "_records.bin"):
+            with open(out + name, "rb") as fh:
+                written.append(fh.read())
+    assert written[0] == written[1] and written[2] == written[3]
+    assert written[:4] == written[4:]
 
 
 def test_store_strings_keep_long_and_non_ascii_names(tmp_path):
@@ -346,6 +356,33 @@ def test_store_strings_keep_long_and_non_ascii_names(tmp_path):
     tensors = corpus.tensors()
     assert tensors["authors"].dtype == np.uint8
     assert tensors["authors"].size == sum(len(n.encode()) for n in names)
+
+
+def test_null_body_is_empty_and_a_null_id_or_author_is_named(tmp_path):
+    """A null body reads as a missing one, empty, and adds no token; a
+    null id or author is refused, naming the field and its owner."""
+    disc = make_discussion_json("n1", "alice", 1000,
+                                chain_comments("n1", ["bob", "carol"]))
+    disc["post"]["body"] = None
+    disc["comments"][1]["body"] = None
+    path = write_corpus(tmp_path / "null.jsonl", [disc])
+    d = parse_corpus(path)[0][0]
+    assert d.post.body == "" and d.comments[1].text == ""
+    lines, corpus, _ = ingest(path)
+    line = json.loads(lines[0])
+    assert line["post"]["body"] == "" and line["comments"][1]["body"] == ""
+    assert "none" not in corpus.texts.vocabulary
+    for owner, key, message in [
+            ("post", "id", "the post has a null 'id'"),
+            ("post", "author", "post 'n1' has a null 'author'"),
+            ("comment", "id", "comment 1 of post 'n1' has a null 'id'"),
+            ("comment", "author", "comment 'n1_c1' has a null 'author'")]:
+        bad = json.loads(json.dumps(disc))
+        (bad["post"] if owner == "post" else bad["comments"][1])[key] = None
+        path = write_corpus(tmp_path / "bad.jsonl", [bad])
+        with pytest.raises(CorpusError) as refused:
+            parse_corpus(path)
+        assert str(refused.value) == "malformed corpus line 1: " + message
 
 
 def test_windowize_frozen_example(tmp_path):
@@ -437,6 +474,27 @@ def _fuzz_line(rng, k):
     return line + b"\n"
 
 
+def _assert_one_pass_matches_the_records(path, tmp_path):
+    """`ingest` gives the bytes of the record path (`corpus_reference`):
+    the same lines, the same store and the same manifest, or the same
+    refusal."""
+    try:
+        tensors, manifest = record_ingest(path,
+                                          str(tmp_path / "records.jsonl"))
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as refused:
+            ingest(path)
+        assert str(refused.value) == str(exc)
+        return
+    lines, corpus, got = ingest(path)
+    assert "".join(lines) == (tmp_path / "records.jsonl").read_text()
+    save_store(tensors, str(tmp_path / "records.bin"))
+    save_store(corpus.tensors(), str(tmp_path / "one_pass.bin"))
+    assert ((tmp_path / "one_pass.bin").read_bytes()
+            == (tmp_path / "records.bin").read_bytes())
+    assert got == manifest
+
+
 def test_ingest_fuzz(tmp_path):
     rng = random.Random(0)
     path = tmp_path / "fuzz.jsonl"
@@ -444,6 +502,7 @@ def test_ingest_fuzz(tmp_path):
     for _ in range(200):
         path.write_bytes(b"".join(_fuzz_line(rng, k)
                                   for k in range(rng.randrange(1, 4))))
+        _assert_one_pass_matches_the_records(str(path), tmp_path)
         try:
             discussions, _ = parse_corpus(str(path))
         except CorpusError as exc:

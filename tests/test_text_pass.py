@@ -15,13 +15,18 @@ from threadcurve import logreg, synth, text
 from threadcurve.clustering import ClusterModel
 from threadcurve.corpus import Corpus, Discussion, parse_corpus
 from threadcurve.embedding import EmbeddingModel
-from threadcurve.text import Texts, text_stats
+from threadcurve.text import Texts
+from text_reference import text_stats
 
 # blank and empty pieces, closing marks at either end of a text, a
-# dangling "www.", URLs, repeated and long tokens
+# dangling "www.", URLs, repeated and long tokens; whitespace above ASCII
+# and below the space, NUL, a lone surrogate, and letters whose lowercase
+# is longer (U+0130), ASCII (U+212A) or depends on the next letter (Σ)
 PIECES = ["", " ", "\t", "a", "Abc", "abc", ".", "!", "?", "...", "!?", "x.",
           ".y", " . ", "end.", "  lead", "trail  ", "www.", "www.x.org",
-          "http://a.b/c", "https://q", "longerword", "w01 w02"]
+          "http://a.b/c", "https://q", "longerword", "w01 w02", "\u00a0",
+          "\u2028", "\u3000", "\x1c", "\x00", "\ud800", "\u03a3",
+          "\u0130", "\u212a"]
 
 
 def _random_text(rng):
@@ -50,6 +55,28 @@ def test_join_matches_the_joined_text():
         hi = rng.randrange(lo, len(texts) + 1)
         assert (_records(texts, [lo], [hi])
                 == [text_stats(" ".join(texts[lo:hi]))[:4]]), (texts, lo, hi)
+
+
+def test_texts_match_text_stats():
+    """Every field of every text's record, over batches of random texts
+    and a batch boundary: terms, sentences, URLs, closing marks, head and
+    tail."""
+    rng = random.Random(4)
+    texts = [_random_text(rng) for _ in range(text.BATCH + 300)]
+    texts += PIECES + [a + b for a in PIECES for b in PIECES]
+    batch = Texts(texts)
+    for t, one in enumerate(texts):
+        lo, hi = batch.starts[t], batch.starts[t + 1]
+        assert (tuple((batch.vocabulary[k], int(tf)) for k, tf in
+                      zip(batch.ids[lo:hi], batch.tf[lo:hi])),
+                int(batch.sentences[t]), int(batch.urls[t]),
+                int(batch.closing[t]), bool(batch.head[t]),
+                bool(batch.tail[t])) == text_stats(one), repr(one)
+
+
+def test_whitespace_is_what_isspace_says():
+    assert text.WHITESPACE == "".join(
+        c for c in map(chr, range(0x110000)) if c.isspace())
 
 
 def test_prefixes_match_every_joined_prefix():
@@ -304,8 +331,8 @@ def test_lexicons_and_pack_from_token_ids(edge_corpus, monkeypatch):
     corpus = Corpus.of(train + test)  # tokenized once, as ingest does
     lex = ft.build_lexicons(corpus, word_vectors, {"caf": 0.5, "zebra": -1.0},
                             frozenset(["the"]), np.arange(len(train)))
-    docs = [text.tokenize(d.post.title + " " + d.post.body) for d in train]
-    docs += [text.tokenize(c.text) for d in train for c in d.comments]
+    docs = [ref.tokenize(d.post.title + " " + d.post.body) for d in train]
+    docs += [ref.tokenize(c.text) for d in train for c in d.comments]
     assert lex.idf == idf_table(docs)
     assert lex.vocab_size == len(idf_table(docs))
     own = ft.build_lexicons(Corpus.of(train), word_vectors, {})  # alone

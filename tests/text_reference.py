@@ -1,18 +1,48 @@
 """The text features one text at a time, as plain Python loops over its
-terms: the reference that the array pass (`features.text_rows`) and the
-pack assembly are tested against. Logreg's prefix features come from the
-merged string of the prefix and a walk over its reply edges, and the other
-per-step arrays of the pack from a walk over a discussion's windows."""
+terms: the reference that the array passes (`text.Texts`,
+`features.text_rows`) and the pack assembly are tested against. Logreg's
+prefix features come from the merged string of the prefix and a walk over
+its reply edges, and the other per-step arrays of the pack from a walk
+over a discussion's windows."""
 
 import math
 import re
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from threadcurve.clustering import time_coordinate
-from cooccur_reference import reply_edges
+from cooccur_reference import reply_edges, tokenize
 from threadcurve.corpus import growth_target, windowize
-from threadcurve.text import text_stats
+
+_SENTENCE_RE = re.compile(r"[.!?]+")
+_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+
+
+class TextStats(NamedTuple):
+    """What every text formula reads of one text: the fields of its
+    `text.Texts` record, with its terms as (token, tf) pairs."""
+    pairs: tuple      # (token, tf) in order of first occurrence
+    sentences: int
+    urls: int
+    closing: int      # closing marks . ! ?
+    head: bool
+    tail: bool
+
+
+def count_closing_punct(text):
+    """Closing marks . ! ? in a text."""
+    return text.count(".") + text.count("!") + text.count("?")
+
+
+def text_stats(text):
+    """The record of one text, from its chunks between closing marks."""
+    closing = count_closing_punct(text)
+    chunks = [chunk.strip() for chunk in _SENTENCE_RE.split(text)]
+    return TextStats(tuple(Counter(tokenize(text)).items()),
+                     sum(map(bool, chunks)), len(_URL_RE.findall(text)),
+                     closing, bool(chunks[0]), bool(chunks[-1]))
 
 
 def sentences(text):
