@@ -107,14 +107,26 @@ def _get(raw, key, owner, *args):
         raise _lacks(key, owner, args) from None
 
 
+def _wrong(what, value, kind):
+    """The error for a decoded JSON value that is not of `kind`: a
+    ValueError naming `what`, then the value, cut at 40 characters."""
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    return ValueError("%s %s, which is not %s" % (what, shown, kind))
+
+
 def _timestamp(raw, owner, *args):
     """raw["timestamp"] as an int in 0 <= t < 2**53, where every span and
-    gap is exact in int64 and float64; else a CorpusError naming `owner %
+    gap is exact in int64 and float64; else an error naming `owner %
     args`."""
     try:  # `_get` inlined here and in `_name`: they run once per comment
         t = int(raw["timestamp"])
     except KeyError:
         raise _lacks("timestamp", owner, args) from None
+    except (TypeError, ValueError, OverflowError):  # null, "x", NaN, inf
+        raise _wrong("%s has timestamp" % (owner % args), raw["timestamp"],
+                     "an integer") from None
     if not 0 <= t < 2 ** 53:
         raise CorpusError("%s has timestamp %d, outside 0 <= t < 2**53"
                           % (owner % args, t))
@@ -152,18 +164,31 @@ def _build_discussion(raw, manifest, excluded_tags):
     `post` and each comment are the dicts that `discussions.jsonl` holds;
     the comments are sorted by (timestamp, id), and depth[k] is comment
     k's depth along its parents."""
+    if type(raw) is not dict:
+        raise _wrong("the line is", raw, "an object")
     post_raw = _get(raw, "post", "the line")
+    if type(post_raw) is not dict:
+        raise _wrong("the post is", post_raw, "an object")
     post_id = _name(post_raw, "id", "the post")
     title = _get(post_raw, "title", "post %r", post_id)
+    if type(title) is not str:
+        raise _wrong("post %r has title" % post_id, title, "a string")
     if not title.strip():
         raise CorpusError("post %r has empty title" % post_raw["id"])
     post = {"id": post_id, "author": _name(post_raw, "author", "post %r",
                                            post_id),
             "title": title, "body": _body(post_raw),
             "timestamp": _timestamp(post_raw, "post %r", post_id)}
+    raw_comments = raw.get("comments", [])
+    if type(raw_comments) is not list:
+        raise _wrong("post %r has comments" % post_id, raw_comments, "a list")
     kept, removed, known = [], [], {post_id}
-    for k, c in enumerate(raw.get("comments", [])):
-        cid = _name(c, "id", "comment %d of post %r", k, post_id)
+    for k, c in enumerate(raw_comments):
+        try:
+            cid = _name(c, "id", "comment %d of post %r", k, post_id)
+        except TypeError:  # a comment that is no object
+            raise _wrong("comment %d of post %r is" % (k, post_id), c,
+                         "an object") from None
         if cid in known:  # a reply to it could not say which one it answers
             raise CorpusError("comment id %r in discussion %r is %s" % (
                 cid, post_id, "the post's id" if cid == post_id

@@ -41,6 +41,10 @@ PACK_KEYS = {"temporal": ("x1", "x2", "centers", "labels", "mask", "growth",
                           "user_vectors", "user_mask", "logreg_features",
                           "engaged_counts"),
              "nontemporal": ("x1", "label")}
+# the columns of each task's scores file, written by `train`
+SCORE_KEYS = {"temporal": ("discussion_id", "step", "truth", "v_true", "y1",
+                           "y2", "decision"),
+              "nontemporal": ("discussion_id", "y3", "class", "label")}
 
 # the widths `desk_scale` sets for quick runs
 DESK_WIDTHS = dict(d=8, n=3, N=4, w=5, h1=16, h2=8, h3=8)
@@ -205,7 +209,8 @@ def _io(cfg):
     clusters = [p("clusters.txt"), p("centers.txt")]
     features = [p("features_meta.json"), p(PACK)] + clusters
     balanced = [p("balanced_ids.json")] if cfg.task == "nontemporal" else []
-    ckpt = _model_file(cfg, "model", "ckpt")
+    ckpt, scores = (_model_file(cfg, "model", "ckpt"),
+                    _model_file(cfg, "scores", "bin"))
     return {
         "synth": ([], [cfg.corpus_path, p("synth_truth.json"),
                        p("word_vectors.txt"), p("sentiment.txt"),
@@ -223,11 +228,10 @@ def _io(cfg):
                       + [p(STORE), cfg.word_vectors_path,
                          cfg.sentiment_path, cfg.stopwords_path],
                       [p("features_meta.json"), p(PACK)]),
-        "train": (features, [ckpt, p("train_log.json")]),
-        "evaluate": ([ckpt] + features, [_model_file(cfg, "report", "json")]),
-        "predict": ([ckpt] + features,
-                    [_model_file(cfg, "predictions", "csv")]),
-        "diagnose": ([ckpt] + features + [p("embeddings.txt")],
+        "train": (features, [ckpt, scores, p("train_log.json")]),
+        "evaluate": ([scores], [_model_file(cfg, "report", "json")]),
+        "predict": ([scores], [_model_file(cfg, "predictions", "csv")]),
+        "diagnose": ([scores] + clusters + [p("embeddings.txt")],
                      [p("diagnostics_summary.json")]
                      + [p("diagnostics_%s.csv" % k)
                         for k in ("entropy", "growth", "distance")]),
@@ -360,7 +364,7 @@ def _model_inputs(cfg):
     """Train and test inputs from the features pack, ablated as configured
     and standardized with training statistics.
 
-    Returns (train, test, layouts, cluster_model). `train` and `test` map
+    Returns (train, test, layouts). `train` and `test` map
     every pack key to its stacked rows, `ids` to the discussion ids and, on
     the one-shot task, `centers0` to the step-0 spacetime centres (n, d+1)
     that every post shares. `layouts` maps x1 (and, on the temporal task,
@@ -416,21 +420,17 @@ def _model_inputs(cfg):
         train["centers0"] = test["centers0"] = np.pad(cm.centers,
                                                       ((0, 0), (1, 0)))
     standardize_instances(train, test, keys=tuple(layouts))
-    return train, test, layouts, cm
-
-
-def _model_config(cfg, layouts):
-    return curvature.ModelConfig(
-        comment_width=layouts.get("x2", layouts["x1"]).width,
-        post_width=layouts["x1"].width, d=cfg.d,
-        n=cfg.n, N=cfg.N, h1=cfg.h1, h2=cfg.h2, h3=cfg.h3, lam=cfg.lam)
+    return train, test, layouts
 
 
 def stage_train(cfg):
     if cfg.task == "nontemporal" and cfg.model != "rgnet":
         raise PipelineError("non-temporal training supports rgnet only")
-    train, _, layouts, _ = _model_inputs(cfg)
-    mc = _model_config(cfg, layouts)
+    train, test, layouts = _model_inputs(cfg)
+    mc = curvature.ModelConfig(
+        comment_width=layouts.get("x2", layouts["x1"]).width,
+        post_width=layouts["x1"].width, d=cfg.d,
+        n=cfg.n, N=cfg.N, h1=cfg.h1, h2=cfg.h2, h3=cfg.h3, lam=cfg.lam)
     opts = dict(seed=cfg.seed, epochs=cfg.epochs, lr=cfg.lr)
     log = {}
     if cfg.task == "nontemporal":
@@ -441,6 +441,8 @@ def stage_train(cfg):
         if not rows.size:
             raise PipelineError("no training discussion has a valid "
                                 "prediction step")
+        if not test["mask"].any():
+            raise PipelineError("the test split has no valid prediction step")
         log["rows_without_valid_step"] = len(train["mask"]) - rows.size
         if cfg.model == "logreg":
             store, losses = _train_logreg_temporal(cfg, train)
@@ -453,6 +455,7 @@ def stage_train(cfg):
                 store, losses = newton.train_temporal(instances, mc, cfg.w,
                                                       **opts)
     save_store(store, _model_file(cfg, "model", "ckpt"))
+    save_store(_score(cfg, store, test), _model_file(cfg, "scores", "bin"))
     atomic_write_json(cfg.path("train_log.json"),
                       dict(epoch_losses=losses, **log))
 
@@ -465,34 +468,21 @@ def _train_logreg_temporal(cfg, train):
     return logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)])
 
 
-def _score(cfg):
-    """The trained model on the test split, as one dict of arrays.
+def _score(cfg, store, test):
+    """The model `store` on the test split `test`, as one dict of arrays.
 
     Temporal task: one row per valid test step, by discussion then step,
     with discussion_id, step, y1, decision, y2 (NaN for logreg), truth and
     v_true, plus g_inv and engaged_counts for RGNet. One-shot task: one
-    row per test post, with discussion_id, y3, class and label. Returns
-    (scores, cluster_model).
+    row per test post, with discussion_id, y3, class and label.
     """
-    _, test, layouts, cm = _model_inputs(cfg)
-    if cfg.model == "logreg":
-        keys = ["weights", "Biases"]
-    else:
-        mc = _model_config(cfg, layouts)
-        keys = [name for name, _ in (curvature.param_spec(mc)
-                                     if cfg.model == "rgnet"
-                                     else newton.param_spec(mc, cfg.w))]
-    store = _load_store(_model_file(cfg, "model", "ckpt"), "run train again",
-                        keys)
     if cfg.task == "nontemporal":
         y3, cls = curvature.predict_nontemporal(store, test["x1"],
                                                 test["centers0"])
         return {"discussion_id": test["ids"], "y3": y3, "class": cls,
-                "label": test["label"]}, cm
+                "label": test["label"]}
     mask = test["mask"]
     rows, steps = np.nonzero(mask)
-    if not rows.size:
-        raise PipelineError("the test split has no valid prediction step")
     scores = {"discussion_id": test["ids"][rows], "step": steps,
               "truth": test["labels"][mask], "v_true": test["growth"][mask]}
     if cfg.model == "logreg":
@@ -511,11 +501,17 @@ def _score(cfg):
             pred = newton.predict_temporal(store, test, cfg.w)
         scores.update(y1=pred["y1"][mask], y2=pred["y2"][mask],
                       decision=pred["decisions"][mask])
-    return scores, cm
+    return scores
+
+
+def _load_scores(cfg, keys=()):
+    """The scores `train` wrote, holding the task's SCORE_KEYS and `keys`."""
+    return _load_store(_model_file(cfg, "scores", "bin"), "run train again",
+                       SCORE_KEYS[cfg.task] + keys)
 
 
 def stage_evaluate(cfg):
-    scores, _ = _score(cfg)
+    scores = _load_scores(cfg)
     if cfg.task == "temporal":
         report = multilabel_metrics(scores["decision"],
                                     scores["truth"]).as_dict()
@@ -541,11 +537,13 @@ def _rows(scores, *columns):
 
 
 def stage_predict(cfg):
-    scores, _ = _score(cfg)
+    scores = _load_scores(cfg)
     if cfg.task == "temporal":
+        # the scores' width: cfg.n is not checked against the artifacts
+        n = scores["y1"].shape[1]
         header = (["discussion_id", "step", "y2"]
-                  + ["y1_%d" % (c + 1) for c in range(cfg.n)]
-                  + ["pred_%d" % (c + 1) for c in range(cfg.n)])
+                  + ["y1_%d" % (c + 1) for c in range(n)]
+                  + ["pred_%d" % (c + 1) for c in range(n)])
         rows = [[did, step, "%.6f" % y2] + ["%.6f" % v for v in y1] + dec
                 for did, step, y2, y1, dec in _rows(
                     scores, "discussion_id", "step", "y2", "y1", "decision")]
@@ -563,7 +561,8 @@ def stage_predict(cfg):
 def stage_diagnose(cfg):
     if cfg.task != "temporal" or cfg.model != "rgnet":
         raise PipelineError("diagnose runs on the temporal rgnet model")
-    scores, cm = _score(cfg)
+    scores = _load_scores(cfg, ("g_inv", "engaged_counts"))
+    cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     summary = diagnostics(scores, cm, embedding, cfg.path("diagnostics"))
     atomic_write_json(cfg.path("diagnostics_summary.json"), summary)

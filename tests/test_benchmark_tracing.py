@@ -114,10 +114,10 @@ def test_trace_hooks_install_run_and_uninstall(tmp_path):
         embed_epochs = len(json.load(fh)["epoch_losses"])
     assert counts["optim.adam_step"] == updates + embed_epochs
 
-    # the test split is scored through the traced name, in one pass in
-    # each stage that scores it
+    # the test split is scored through the traced name, in one pass, by
+    # `train`; the stages after it read the scores
     assert _calls_per_stage(tracer, "curvature.predict_temporal") == {
-        "evaluate": 1, "predict": 1, "diagnose": 1}
+        "train": 1}
 
 
 def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
@@ -126,6 +126,6 @@ def test_one_shot_scoring_is_one_pass_per_stage(tmp_path):
                          holdout=0.25)
     tracer = _traced_run(cfg)
     assert _calls_per_stage(tracer, "curvature.predict_nontemporal") == {
-        "evaluate": 1, "predict": 1}
+        "train": 1}
     assert _calls_per_stage(tracer, "curvature.nontemporal_batch_loss") == {
         "train": cfg.epochs}

@@ -385,6 +385,53 @@ def test_null_body_is_empty_and_a_null_id_or_author_is_named(tmp_path):
         assert str(refused.value) == "malformed corpus line 1: " + message
 
 
+def _set(target, key, value):
+    target[key] = value
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda d: _set(d["post"], "title", None),
+     "post 'k1' has title null, which is not a string"),
+    (lambda d: _set(d["post"], "title", 5),
+     "post 'k1' has title 5, which is not a string"),
+    (lambda d: _set(d, "comments", None),
+     "post 'k1' has comments null, which is not a list"),
+    (lambda d: _set(d, "comments", {"id": "c"}),
+     'post \'k1\' has comments {"id": "c"}, which is not a list'),
+    (lambda d: 5, "the line is 5, which is not an object"),
+    (lambda d: [d], 'the line is [{"post": {"id": "k1", "author": "ali..., '
+     "which is not an object"),
+    (lambda d: _set(d, "post", "k1"), 'the post is "k1", which is not an object'),
+    (lambda d: _set(d["comments"], 1, 3),
+     "comment 1 of post 'k1' is 3, which is not an object"),
+    (lambda d: _set(d["comments"], 0, None),
+     "comment 0 of post 'k1' is null, which is not an object"),
+    (lambda d: _set(d["post"], "timestamp", None),
+     "post 'k1' has timestamp null, which is not an integer"),
+    (lambda d: _set(d["comments"][1], "timestamp", "12x"),
+     'comment \'k1_c1\' has timestamp "12x", which is not an integer'),
+    (lambda d: _set(d["comments"][0], "timestamp", float("nan")),
+     "comment 'k1_c0' has timestamp NaN, which is not an integer"),
+], ids=["title-null", "title-number", "comments-null", "comments-object",
+        "line-number", "line-list", "post-string", "comment-number",
+        "comment-null", "post-timestamp-null", "comment-timestamp-string",
+        "comment-timestamp-nan"])
+def test_a_field_of_the_wrong_type_is_named(tmp_path, damage, message):
+    """A line, post or comment that is no JSON object, and a title,
+    comment list or timestamp of the wrong type, is refused by both readers
+    with one error naming the field and its post or comment."""
+    disc = make_discussion_json("k1", "alice", 1000,
+                                chain_comments("k1", ["bob", "carol"]))
+    line = damage(disc)
+    path = write_corpus(tmp_path / "wrong.jsonl", [
+        make_discussion_json("k0", "dave", 500),
+        disc if line is None else line])
+    for read in (parse_corpus, ingest):
+        with pytest.raises(CorpusError) as refused:
+            read(path)
+        assert str(refused.value) == "malformed corpus line 2: " + message
+
+
 def test_windowize_frozen_example(tmp_path):
     # 32 comments, w=15, N=4 -> sizes [15, 15, 2, 0], validity [T, T, T, F]
     disc = make_discussion_json(

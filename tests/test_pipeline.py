@@ -11,6 +11,7 @@ import pytest
 
 from conftest import chain_comments, make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
+from threadcurve.clustering import ClusterModel
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
 from threadcurve.storage import load_store, save_store, sha256_file
@@ -299,17 +300,47 @@ def test_logreg_train_log_records_its_losses(tmp_path):
     assert losses[-1] < losses[0]
 
 
-def test_no_valid_step_is_a_named_error(tmp_path):
+def test_no_valid_step_is_a_named_error(tmp_path, monkeypatch):
     cfg = mini_config(tmp_path)
     run_all(cfg)
     with open(cfg.path("features_meta.json")) as fh:
         n_train = len(json.load(fh)["train_ids"])
     _set_pack_mask(cfg, slice(n_train, None))
+
+    def fit(*args, **kwargs):
+        raise AssertionError("train fitted the model before refusing")
+    # either split is refused before the model is fitted
+    monkeypatch.setattr(pipeline.curvature, "train_temporal", fit)
     with pytest.raises(PipelineError, match="test split has no valid"):
-        run_stage("evaluate", cfg)
+        run_stage("train", cfg)
     _set_pack_mask(cfg, slice(None))
     with pytest.raises(PipelineError, match="no training discussion"):
         run_stage("train", cfg)
+
+
+@pytest.mark.parametrize("task", ["temporal", "nontemporal"])
+def test_scoring_stages_read_only_the_scores(tmp_path, task):
+    """`train` scores the test split once. The stages after it read its
+    scores file, not the pack or the checkpoint, and write the same bytes
+    without them."""
+    cfg = mini_config(tmp_path, task=task)
+    run_all(cfg)
+    io = pipeline._io(cfg)
+    stages = ["evaluate", "predict"] + (["diagnose"] if task == "temporal"
+                                        else [])
+    written = [path for stage in stages for path in io[stage][1]]
+    before = {path: open(path, "rb").read() for path in written}
+    os.remove(cfg.path(pipeline.PACK))
+    os.remove(cfg.path("model_rgnet_%s.ckpt" % task))
+    for stage in stages:
+        run_stage(stage, cfg)
+    assert {path: open(path, "rb").read() for path in written} == before
+    if task == "temporal":
+        # the prediction header counts the scores' clusters, not cfg.n
+        wider = PipelineConfig(**dict(asdict(cfg), desk_scale=False, n=4))
+        run_stage("predict", wider)
+        path = cfg.path("predictions_rgnet_temporal.csv")
+        assert open(path, "rb").read() == before[path]
 
 
 def test_nontemporal_pipeline(tmp_path):
@@ -322,7 +353,8 @@ def test_nontemporal_pipeline(tmp_path):
     header = open(cfg.path("predictions_rgnet_nontemporal.csv")).readline()
     assert header.strip() == "discussion_id,y3,class"
     # every one-shot post sees the cluster centres at the step-0 clock
-    train, test, _, cm = pipeline._model_inputs(cfg)
+    train, test, _ = pipeline._model_inputs(cfg)
+    cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     assert test["x1"].shape[0] == len(test["ids"]) == len(test["label"])
     assert train["centers0"] is test["centers0"]
     centers0 = test["centers0"]
@@ -689,24 +721,24 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, text):
     assert str(path) in err
 
 
-def test_cli_reports_unreadable_checkpoint(tmp_path, capsys):
+def test_cli_reports_an_unreadable_scores_file(tmp_path, capsys):
     cfg = mini_config(tmp_path)
     for stage in ("synth", "ingest", "cooccur", "embed", "cluster",
                   "featurize", "train"):
         run_stage(stage, cfg)
     cfg_path = str(tmp_path / "cfg.json")
     cfg.save(cfg_path)
-    ckpt = cfg.path("model_rgnet_temporal.ckpt")
-    # a checkpoint in the text format that came before numpy records
-    with open(ckpt, "w") as fh:
+    scores = cfg.path("scores_rgnet_temporal.bin")
+    # a file in the text format that tensor files had before numpy records
+    with open(scores, "w") as fh:
         fh.write("tensorstore v1\n"
                  "tensor W 2 2\n0.10000000000000001 -2 1e-300 3\n"
                  "tensor b 0\n\n"
                  "tensor t \n7\n")
     assert cli.main(["--config", cfg_path, "evaluate"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unreadable tensor file %s: " % ckpt)
-    assert err.count("\n") == 1
+    assert err.startswith("error: unreadable tensor file %s: " % scores)
+    assert err.endswith(": run train again\n") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -726,9 +758,10 @@ def trained(tmp_path_factory):
     (pipeline.STORE, "not UTF-8", "cooccur", "run ingest again"),
     (pipeline.PACK, "cut", "train", "run featurize again"),
     (pipeline.PACK, "mask", "train", "run featurize again"),
-    ("model_rgnet_temporal.ckpt", "W8", "evaluate", "run train again"),
+    ("scores_rgnet_temporal.bin", "decision", "evaluate", "run train again"),
+    ("scores_rgnet_temporal.bin", "g_inv", "diagnose", "run train again"),
 ], ids=["store-cut", "store-key", "store-balance", "store-not-utf8",
-        "pack-cut", "pack-key", "checkpoint-key"])
+        "pack-cut", "pack-key", "scores-key", "scores-diagnose-key"])
 def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
                                            damage, reader, again):
     """A tensor file cut short, one without a tensor that its reader needs
@@ -771,7 +804,7 @@ def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
      "remove it and run every stage again"),
     ("temporal", "manifest.json", '{"stages": {"embed": {"outputs": []}}}',
      "evaluate", "remove it and run every stage again"),
-    ("temporal", "features_meta.json", "truncated", "evaluate",
+    ("temporal", "features_meta.json", "truncated", "train",
      "run featurize again"),
     ("nontemporal", "balanced_ids.json", '{"ids": 3}', "featurize",
      "run balance again"),
