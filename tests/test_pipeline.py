@@ -341,6 +341,12 @@ def test_scoring_stages_read_only_the_scores(tmp_path, task):
         run_stage("predict", wider)
         path = cfg.path("predictions_rgnet_temporal.csv")
         assert open(path, "rb").read() == before[path]
+    # the scores of a model fitted before the pack was rewritten are stale
+    run_stage("featurize", mini_config(tmp_path, task=task, seed=1))
+    with pytest.raises(PipelineError, match=(
+            "stale artifact scores_rgnet_%s.bin: .* has changed since train "
+            "ran; run train again" % task)):
+        run_stage("evaluate", cfg)
 
 
 def test_nontemporal_pipeline(tmp_path):
