@@ -94,12 +94,9 @@ def with_transposes(views):
 
 
 def bound(params, bind):
-    """(bind(views), bind(gradient views)), each a dict by name: what a
-    model's passes read and write. A ParameterStore makes them on the first
-    call with `bind` and keeps them; a loaded checkpoint's dict has weights
-    only, (bind(params), None)."""
-    if not isinstance(params, ParameterStore):
-        return bind(params), None
+    """(bind(views), bind(gradient views)) of a ParameterStore, each a dict
+    by name: what a model's passes read and write, made on the first call
+    with `bind` and kept."""
     made = params._bound.get(bind)
     if made is None:
         made = params._bound[bind] = (bind(dict(params._views)),
