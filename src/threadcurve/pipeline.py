@@ -455,7 +455,8 @@ def stage_train(cfg):
                 store, losses = newton.train_temporal(instances, mc, cfg.w,
                                                       **opts)
     save_store(store, _model_file(cfg, "model", "ckpt"))
-    save_store(_score(cfg, store, test), _model_file(cfg, "scores", "bin"))
+    save_store(dict(_score(cfg, store, test), ablation=np.array(cfg.ablation)),
+               _model_file(cfg, "scores", "bin"))
     atomic_write_json(cfg.path("train_log.json"),
                       dict(epoch_losses=losses, **log))
 
@@ -505,9 +506,16 @@ def _score(cfg, store, test):
 
 
 def _load_scores(cfg, keys=()):
-    """The scores `train` wrote, holding the task's SCORE_KEYS and `keys`."""
-    return _load_store(_model_file(cfg, "scores", "bin"), "run train again",
-                       SCORE_KEYS[cfg.task] + keys)
+    """The scores `train` wrote, holding the task's SCORE_KEYS and `keys`,
+    of a model trained under the config's ablation."""
+    path = _model_file(cfg, "scores", "bin")
+    scores = _load_store(path, "run train again",
+                         SCORE_KEYS[cfg.task] + ("ablation",) + keys)
+    trained, asked = str(scores["ablation"]) or "none", cfg.ablation or "none"
+    if trained != asked:
+        raise PipelineError("%s holds a model trained with ablation %s, not "
+                            "%s: run train again" % (path, trained, asked))
+    return scores
 
 
 def stage_evaluate(cfg):

@@ -25,6 +25,13 @@ SENTIMENT = {"good": 0.8, "great": 0.6, "fine": 0.3,
 BASE_TIME = 1_600_000_000  # the first post's timestamp
 WINDOW_GAP = 600           # seconds between window starts
 EMPTY_FRACTION = 0.5       # share of one-shot posts without comments
+BLOCK = 4096               # uint32 values a Draws reads ahead, at most
+MASK32 = 0xFFFFFFFF
+# json.dumps(sort_keys=True) lines: synth's strings need no JSON escape
+COMMENT = ('{"author": "%s", "body": "%s.", "id": "%s", "parent_id": "%s", '
+           '"timestamp": %d}')
+LINE = ('{"comments": [%s], "post": {"author": "%s", "body": "%s.", '
+        '"id": "%s", "timestamp": %d, "title": "%s"}}\n')
 
 
 @dataclass
@@ -72,15 +79,55 @@ def write_lexicon_files(spec, out_dir, seed=0):
     return wv_path, sent_path, stop_path
 
 
-def _words(rng, pool, n_words):
-    """n_words words of `pool`, drawn in one call: the draws of
-    `rng.choice(pool, size=n_words)`, without making the pool an array."""
-    return " ".join(map(pool.__getitem__,
-                        rng.integers(0, len(pool), size=n_words).tolist()))
+class Draws:
+    """numpy's draws from a Generator's uint32 stream, in any order.
+    `below(r)` is `rng.integers(r)` for 2 <= r <= 2**32: Lemire's
+    multiply-shift `(x * r) >> 32`, drawn again while `(x * r) & MASK32 <
+    2**32 % r`. `words(n)` joins the `pool` words at `rng.integers(len(pool),
+    size=n)`. `permutation(n)` is `rng.permutation(n).tolist()`: Fisher-Yates
+    from the top, its swap index `x & mask` drawn again while above i."""
 
+    def __init__(self, rng, pool):
+        self.rng, self.pool = rng, pool
+        self._refill()
 
-def _sentence(rng, pool, n_words):
-    return _words(rng, pool, n_words) + "."
+    def _refill(self):
+        block = self.rng.integers(0, 2**32, size=BLOCK, dtype=np.uint32)
+        m = block.astype(np.uint64) * len(self.pool)
+        self.vals, self.pos = block.tolist(), 0
+        self.table = list(map(self.pool.__getitem__, (m >> 32).tolist()))
+        # the table serves words up to the first value words would reject
+        rejected = np.flatnonzero((m & MASK32) < 2**32 % len(self.pool))
+        self.clean = int(rejected[0]) if rejected.size else len(block)
+
+    def _next(self):
+        if self.pos == len(self.vals):
+            self._refill()
+        self.pos += 1
+        return self.vals[self.pos - 1]
+
+    def below(self, r):
+        m = self._next() * r
+        while m & MASK32 < r and m & MASK32 < 2**32 % r:
+            m = self._next() * r
+        return m >> 32
+
+    def words(self, n):
+        if self.pos + n <= self.clean:
+            self.pos += n
+            return " ".join(self.table[self.pos - n:self.pos])
+        return " ".join([self.pool[self.below(len(self.pool))]
+                         for _ in range(n)])
+
+    def permutation(self, n):
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next() & mask
+            while j > i:
+                j = self._next() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
 
 
 def _user(cluster, k):
@@ -90,8 +137,7 @@ def _user(cluster, k):
 def make_temporal_corpus(spec, seed, corpus_path, truth_path):
     """Plant: discussion topic c = index mod clusters; every comment author
     belongs to cluster c; window k spans k seconds (growth log(1 + w/k))."""
-    rng = np.random.default_rng(seed)
-    pool = _word_pool(spec)
+    draw = Draws(np.random.default_rng(seed), _word_pool(spec))
     truth = {"rule": "window labels equal the one-hot topic cluster",
              "growth_shifted": {str(k): math.log(1.0 + spec.w / k)
                                 for k in range(1, spec.N + 1)},
@@ -100,36 +146,30 @@ def make_temporal_corpus(spec, seed, corpus_path, truth_path):
         for j in range(spec.discussions):
             c = j % spec.clusters
             post_t = BASE_TIME + j * 50_000
-            post_author = _user(c, j % spec.users_per_cluster)
             disc_id = "d%03d" % j
             truth["topics"][disc_id] = c
-            title = _sentence(rng, pool, 4)[:-1]
-            post = {"id": disc_id, "author": post_author, "title": title,
-                    "body": _sentence(rng, pool, int(rng.integers(6, 12))),
-                    "timestamp": post_t}
+            title = draw.words(4)
+            body = draw.words(6 + draw.below(6))
+            members = draw.permutation(spec.users_per_cluster)
             comments = []
-            cid = 0
-            members = rng.permutation(spec.users_per_cluster).tolist()
+            # chain replies: the first comment of a window replies to the
+            # previous window's tail (or the post)
+            parent = disc_id
             for k in range(1, spec.N + 1):
                 start = post_t + k * WINDOW_GAP
-                offsets = sorted(rng.integers(0, k + 1, size=spec.w - 2).tolist())
+                offsets = sorted(draw.below(k + 1) for _ in range(spec.w - 2))
                 times = [start] + [start + o for o in offsets] + [start + k]
-                prev_id = post["id"] if k == 1 else comments[-1]["id"]
                 for m in range(spec.w):
-                    author = _user(c, members[(cid + m) % spec.users_per_cluster])
-                    comment_id = "%s_c%02d" % (disc_id, cid + m)
-                    # chain replies within the window; first comment of a
-                    # window replies to the previous window's tail (or post)
-                    parent = prev_id
-                    prev_id = comment_id
-                    comments.append({
-                        "id": comment_id, "author": author, "parent_id": parent,
-                        "timestamp": times[m],
-                        "body": _sentence(rng, pool, int(rng.integers(5, 10))),
-                    })
-                cid += spec.w
-            fh.write(json.dumps({"post": post, "comments": comments},
-                                sort_keys=True) + "\n")
+                    cid = (k - 1) * spec.w + m
+                    comment_id = "%s_c%02d" % (disc_id, cid)
+                    author = _user(c, members[cid % spec.users_per_cluster])
+                    comments.append(COMMENT % (
+                        author, draw.words(5 + draw.below(5)), comment_id,
+                        parent, times[m]))
+                    parent = comment_id
+            fh.write(LINE % (", ".join(comments),
+                             _user(c, j % spec.users_per_cluster), body,
+                             disc_id, post_t, title))
     with open(truth_path, "w") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
     return corpus_path, truth_path
@@ -138,8 +178,7 @@ def make_temporal_corpus(spec, seed, corpus_path, truth_path):
 def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
     """Plant: a post attracts comments iff its title contains the attract
     keyword. Commenters/authors rotate over the full user population."""
-    rng = np.random.default_rng(seed)
-    pool = _word_pool(spec)
+    draw = Draws(np.random.default_rng(seed), _word_pool(spec))
     n_users = spec.clusters * spec.users_per_cluster
     all_users = [_user(c, k) for c in range(spec.clusters)
                  for k in range(spec.users_per_cluster)]
@@ -151,27 +190,20 @@ def make_nontemporal_corpus(spec, seed, corpus_path, truth_path):
             attract = j >= n_empty
             disc_id = "p%04d" % j
             keyword = ATTRACT_WORD if attract else REPEL_WORD
-            filler = _words(rng, pool, 2)
             # keyword twice: term frequency keeps it dominant after weighting
-            title = "%s %s %s" % (keyword, keyword, filler)
+            title = "%s %s %s" % (keyword, keyword, draw.words(2))
             post_t = BASE_TIME + j * 10_000
-            author = all_users[j % n_users]
-            post = {"id": disc_id, "author": author, "title": title,
-                    "body": _sentence(rng, pool, int(rng.integers(5, 10))),
-                    "timestamp": post_t}
+            body = draw.words(5 + draw.below(5))
             comments = []
             if attract:
-                for m in range(int(rng.integers(2, 5))):
-                    commenter = all_users[int(rng.integers(n_users))]
-                    comments.append({
-                        "id": "%s_c%d" % (disc_id, m), "author": commenter,
-                        "parent_id": disc_id,
-                        "timestamp": post_t + 60 * (m + 1),
-                        "body": _sentence(rng, pool, int(rng.integers(4, 9))),
-                    })
+                for m in range(2 + draw.below(3)):
+                    comments.append(COMMENT % (
+                        all_users[draw.below(n_users)],
+                        draw.words(4 + draw.below(5)), "%s_c%d" % (disc_id, m),
+                        disc_id, post_t + 60 * (m + 1)))
             truth["labels"][disc_id] = int(attract)
-            fh.write(json.dumps({"post": post, "comments": comments},
-                                sort_keys=True) + "\n")
+            fh.write(LINE % (", ".join(comments), all_users[j % n_users],
+                             body, disc_id, post_t, title))
     with open(truth_path, "w") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
     return corpus_path, truth_path

@@ -801,6 +801,33 @@ def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
     assert err.endswith(": %s\n" % again)
 
 
+@pytest.mark.parametrize("trained_with, scored_with", [
+    ("user:drop", ""), ("", "user:drop"), ("user:drop", "content:noise")])
+def test_cli_refuses_scores_of_another_ablation(trained, tmp_path, capsys,
+                                                trained_with, scored_with):
+    """A scoring stage under another ablation than the last `train` ends
+    with one error line naming both ablations, and writes no report."""
+    base = dict(asdict(trained), workdir=str(tmp_path / "run"))
+    shutil.copytree(trained.workdir, base["workdir"])
+    run_stage("train", PipelineConfig(**dict(base, ablation=trained_with)))
+    cfg = PipelineConfig(**dict(base, ablation=scored_with))
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    report = cfg.path("report_rgnet_temporal.json")
+    if os.path.exists(report):
+        os.remove(report)
+    for stage in ("evaluate", "predict", "diagnose"):
+        assert cli.main(["--config", cfg_path, stage]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: %s holds a model trained with ablation %s, "
+                       "not %s: run train again\n" % (
+                           cfg.path("scores_rgnet_temporal.bin"),
+                           trained_with or "none", scored_with or "none"))
+    assert not os.path.exists(report)
+    run_stage("evaluate", PipelineConfig(**dict(base, ablation=trained_with)))
+    assert os.path.exists(report)
+
+
 @pytest.mark.parametrize("task, name, text, reader, again", [
     ("temporal", "manifest.json", "{", "evaluate",
      "remove it and run every stage again"),
