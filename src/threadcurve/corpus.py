@@ -8,6 +8,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -19,6 +20,14 @@ from .text import Texts, ranges
 # fewer discussions than this stay unembedded
 EXCLUDED_AUTHOR_TAGS = ("deleted", "DeltaBot")
 MIN_USER_DISCUSSIONS = 2
+
+# a line of `discussions.jsonl` and one of its comments, as
+# `json.dumps(..., sort_keys=True)` writes them: keys in sorted order, ", "
+# and ": " between items, strings as `encode_basestring_ascii` quotes them
+_LINE = ('{"comments": [%s], "post": {"author": %s, "body": %s, "id": %s, '
+         '"timestamp": %d, "title": %s}}\n')
+_COMMENT = ('{"author": %s, "body": %s, "id": %s, "parent_id": %s, '
+            '"timestamp": %d}')
 
 
 class CorpusError(Exception):
@@ -117,16 +126,19 @@ def _wrong(what, value, kind):
 
 
 def _timestamp(raw, owner, *args):
-    """raw["timestamp"] as an int in 0 <= t < 2**53, where every span and
-    gap is exact in int64 and float64; else an error naming `owner %
-    args`."""
+    """raw["timestamp"], a whole JSON number (1e3 reads as 1000), as an int
+    in 0 <= t < 2**53, where every span and gap is exact in int64 and
+    float64; else an error naming `owner % args`. A bool, a string and a
+    fractional number are refused, not rounded."""
     try:  # `_get` inlined here and in `_name`: they run once per comment
-        t = int(raw["timestamp"])
+        t = raw["timestamp"]
     except KeyError:
         raise _lacks("timestamp", owner, args) from None
-    except (TypeError, ValueError, OverflowError):  # null, "x", NaN, inf
-        raise _wrong("%s has timestamp" % (owner % args), raw["timestamp"],
-                     "an integer") from None
+    if type(t) is not int:
+        if type(t) is not float or not t.is_integer():  # NaN and inf too
+            raise _wrong("%s has timestamp" % (owner % args), t,
+                         "an integer")
+        t = int(t)
     if not 0 <= t < 2 ** 53:
         raise CorpusError("%s has timestamp %d, outside 0 <= t < 2**53"
                           % (owner % args, t))
@@ -321,10 +333,14 @@ def ingest(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
     is its `Corpus`. No record is built.
     """
     manifest = CorpusManifest()
-    encode = json.JSONEncoder(sort_keys=True).encode
+    quote = encode_basestring_ascii
     lines, columns = [], _Columns()
     for post, comments, depth in _read(path, manifest, excluded_author_tags):
-        lines.append(encode({"post": post, "comments": comments}) + "\n")
+        lines.append(_LINE % (", ".join([
+            _COMMENT % (quote(c["author"]), quote(c["body"]), quote(c["id"]),
+                        quote(c["parent_id"]), c["timestamp"])
+            for c in comments]), quote(post["author"]), quote(post["body"]),
+            quote(post["id"]), post["timestamp"], quote(post["title"])))
         columns.add(post, comments, depth)
     corpus = columns.corpus()
     return lines, corpus, _totals(manifest, len(corpus.ids),

@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import Corpus
 from .curvature import sigmoid
 from .features import TEXT_WIDTH, _text_block
-from .optim import OptimError, ParameterStore, fit
+from .optim import Adam, OptimError, ParameterStore
 from .text import ranges
 
 # full-batch Adam settings of every logistic unit
@@ -121,32 +121,52 @@ def aggregate_step_features(prefix, cluster_model, lexicons, embedding):
 
 
 def logreg_loss(store, X, y, l2):
-    """Mean BCE + l2 penalty; fills store gradients. Returns the loss."""
+    """Mean BCE + l2 penalty of the logistic units over rows X (..., m, f)
+    with 0/1 labels y (..., m), from store weights "w" (..., f) and biases
+    "b" (..., 1); fills store gradients. Returns each unit's loss (...)."""
     w = store.get("w")
-    b = store.get("b")[0]
-    p = sigmoid(X @ w + b)
+    b = store.get("b")
+    p = sigmoid(np.matmul(X, w[..., None])[..., 0] + b)
     eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-                 + l2 * (np.dot(w, w) + b * b))
-    resid = (p - y) / len(y)
-    store.set_grad("w", X.T @ resid + 2 * l2 * w)
-    store.set_grad("b", np.array([resid.sum() + 2 * l2 * b]))
+    # one log per element: the label picks the term the other one zeroes
+    loss = (-np.mean(np.log(np.where(y == 1, p, 1 - p) + eps), axis=-1)
+            + l2 * (np.matmul(w[..., None, :], w[..., None])[..., 0, 0]
+                    + b[..., 0] * b[..., 0]))
+    resid = (p - y) / y.shape[-1]
+    store.set_grad("w", np.matmul(np.swapaxes(X, -1, -2),
+                                  resid[..., None])[..., 0] + 2 * l2 * w)
+    store.set_grad("b", resid.sum(axis=-1, keepdims=True) + 2 * l2 * b)
     return loss
 
 
 def fit_binary(X, y, l2=1e-4):
-    """Fit one logistic unit by full-batch Adam from zero weights; returns
-    (w, b, epoch losses)."""
+    """Fit logistic units, rows X (..., m, f) and labels y (..., m) each,
+    by one full-batch Adam run from zero weights; returns (weights (...,
+    f), biases (...), epoch losses (..., EPOCHS)).
+
+    Every unit gets the bits it would get fitted alone on a slice with the
+    same strides: the updates are elementwise, and each unit's products
+    and sums are the same BLAS calls on the same memory layout.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(X) == 0:
+    if X.shape[-2] == 0:
         raise OptimError("empty training set")
+    if not ((y == 0) | (y == 1)).all():
+        raise OptimError("logistic labels must be 0 or 1")
     store = ParameterStore()
-    store.register("w", np.zeros(X.shape[1]))
-    store.register("b", np.zeros(1))
-    losses = fit(store, [(X, y)], lambda s, batch: logreg_loss(s, *batch, l2),
-                 EPOCHS, LR)
-    return store.get("w").copy(), float(store.get("b")[0]), losses
+    store.register("w", np.zeros(X.shape[:-2] + X.shape[-1:]))
+    store.register("b", np.zeros(X.shape[:-2] + (1,)))
+    opt = Adam(store, lr=LR)
+    losses = np.zeros(y.shape[:-1] + (EPOCHS,))
+    # as in `optim.fit`: a non-finite value is raised as an OptimError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(EPOCHS):
+            losses[..., epoch] = logreg_loss(store, X, y, l2)
+            opt.step()
+            if not np.isfinite(losses[..., epoch]).all():
+                raise OptimError("non-finite loss")
+    return store.get("w").copy(), store.get("b")[..., 0].copy(), losses
 
 
 def predict_proba(model, x):
@@ -157,10 +177,12 @@ def predict_proba(model, x):
 
 
 def train_temporal(per_cluster_data):
-    """per_cluster_data: list (length n) of (X, y) arrays. Returns the
-    model, {"weights": (n, f), "Biases": (n,)}, and each epoch's loss
-    averaged over the clusters."""
-    weights, biases, losses = zip(*(fit_binary(X, y)
-                                    for X, y in per_cluster_data))
-    return ({"weights": np.stack(weights), "Biases": np.array(biases)},
+    """per_cluster_data: list (length n) of (X, y) arrays with one row
+    count. Returns the model, {"weights": (n, f), "Biases": (n,)}, and each
+    epoch's loss averaged over the clusters."""
+    # one contiguous (m, f) block per cluster: each unit gets the bits of
+    # `fit_binary` on a contiguous copy of its rows
+    X, y = (np.stack(a) for a in zip(*per_cluster_data))
+    weights, biases, losses = fit_binary(X, y)
+    return ({"weights": weights, "Biases": biases},
             np.mean(losses, axis=0).tolist())

@@ -9,6 +9,9 @@ import numpy as np
 
 from .clustering import homogeneity_entropy
 
+# elements of one block of `_intra_distances`' learned distances
+DISTANCE_BLOCK = 2 ** 16
+
 
 @dataclass
 class MultiLabelReport:
@@ -164,12 +167,17 @@ def _intra_distances(member_vecs, g_inv):
 
     Members share the window's time coordinate, so the time component of
     every difference vector is zero; only spatial components matter. The
-    member differences are computed once and reduced one row at a time,
-    so memory stays at one (pairs, d) block.
+    member differences are computed once and reduced a block of rows at a
+    time: a (rows, pairs, d) block of at most DISTANCE_BLOCK elements, or
+    one row's (pairs, d) when that alone is larger.
     """
     V = np.asarray(member_vecs, dtype=float)
     a, b = np.triu_indices(len(V), k=1)
     sq = (V[a] - V[b]) ** 2
     eu = np.sqrt(sq.sum(axis=1))
-    md = [float(np.sqrt((sq / g[1:]).sum(axis=1)).mean()) for g in g_inv]
+    rows = max(1, DISTANCE_BLOCK // (sq.size or 1))
+    md = []
+    for start in range(0, len(g_inv), rows):
+        g = g_inv[start:start + rows, None, 1:]
+        md += np.sqrt((sq / g).sum(axis=2)).mean(axis=1).tolist()
     return float(eu.mean()), md

@@ -183,6 +183,21 @@ def test_timestamps_outside_the_exact_range_are_named(tmp_path, owner):
                                   "2**53" % (name, t))
 
 
+def test_whole_float_timestamps_read_as_ints(tmp_path):
+    """A whole JSON number is a timestamp however it is written; both
+    readers take 1e3 as the int 1000."""
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b'{"post": {"id": "x", "author": "a", "title": "t", '
+                     b'"body": "", "timestamp": 1e3}, "comments": [{"id": '
+                     b'"c", "author": "b", "parent_id": "x", "body": "", '
+                     b'"timestamp": 1010.0}]}\n')
+    (d,), _ = parse_corpus(str(path))
+    times = [d.post.timestamp, d.comments[0].timestamp]
+    assert times == [1000, 1010] and {type(t) for t in times} == {int}
+    (line,), _, _ = ingest(str(path))
+    assert '"timestamp": 1000,' in line and '"timestamp": 1010}' in line
+
+
 def test_embedded_users_counts_posting_and_commenting(tiny_corpus):
     discussions, _, _ = tiny_corpus
     # alice posts t1 + comments t2; bob comments t1 + posts t2;
@@ -410,12 +425,19 @@ def _set(target, key, value):
      "post 'k1' has timestamp null, which is not an integer"),
     (lambda d: _set(d["comments"][1], "timestamp", "12x"),
      'comment \'k1_c1\' has timestamp "12x", which is not an integer'),
+    (lambda d: _set(d["comments"][1], "timestamp", "12"),
+     'comment \'k1_c1\' has timestamp "12", which is not an integer'),
+    (lambda d: _set(d["comments"][1], "timestamp", True),
+     "comment 'k1_c1' has timestamp true, which is not an integer"),
+    (lambda d: _set(d["post"], "timestamp", 1.5),
+     "post 'k1' has timestamp 1.5, which is not an integer"),
     (lambda d: _set(d["comments"][0], "timestamp", float("nan")),
      "comment 'k1_c0' has timestamp NaN, which is not an integer"),
 ], ids=["title-null", "title-number", "comments-null", "comments-object",
         "line-number", "line-list", "post-string", "comment-number",
         "comment-null", "post-timestamp-null", "comment-timestamp-string",
-        "comment-timestamp-nan"])
+        "comment-timestamp-digits", "comment-timestamp-bool",
+        "post-timestamp-fraction", "comment-timestamp-nan"])
 def test_a_field_of_the_wrong_type_is_named(tmp_path, damage, message):
     """A line, post or comment that is no JSON object, and a title,
     comment list or timestamp of the wrong type, is refused by both readers

@@ -5,6 +5,8 @@ from threadcurve import metrics as mt
 from threadcurve.clustering import ClusterModel
 from threadcurve.embedding import EmbeddingModel
 
+import metrics_reference as ref
+
 
 def test_perfect_prediction():
     truth = np.array([[1, 0, 1], [0, 1, 0]])
@@ -169,3 +171,20 @@ def test_intra_distances_match_pair_loop(members):
                 learned.append(np.sqrt(np.sum(diff ** 2 / row)))
         np.testing.assert_allclose((eu, md), (np.mean(flat), np.mean(learned)),
                                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("members,d,rows", [
+    (20, 5, 300),      # 950 elements a row: 68 rows a block, five blocks
+    (7, 3, 1000),      # 63 a row: 1,040 rows a block, one partial block
+    (129, 8, 3),       # 66,048 a row: one row, over the block
+    (2, 2 ** 16, 2),   # 65,536 a row: one row fills the block exactly
+])
+def test_blocked_intra_distances_match_the_row_loop(members, d, rows):
+    """The learned distances reduced a block of rows at a time have the
+    bits of one row at a time, read from one cluster of (R, n, d+1)."""
+    rng = np.random.default_rng(members)
+    vecs = list(rng.normal(size=(members, d)))
+    g_inv = rng.uniform(0.05, 0.95, size=(rows, 2, d + 1))[:, 1]
+    got = mt._intra_distances(vecs, g_inv)
+    assert len(got[1]) == rows
+    assert got == ref.intra_distances(vecs, g_inv)
