@@ -7,9 +7,9 @@ discussions. It covers three kinds of text record: every post (its title
 and body), every windowed comment and, for logreg, the prefix before every
 valid step (the post and the comments of the windows before it). A record
 is the concatenated id stream of its texts (`text.Texts.join`), so nothing
-is tokenized again. The per-step arrays (window means, labels, growth,
-spacetime centres, logreg's social blocks) are array operations over the
-chunk's comment positions, read from the store's per-comment arrays.
+is tokenized again. The per-step arrays (window means, cluster counts,
+growth, elapsed seconds, logreg's social blocks) are array operations over
+the chunk's comment positions; `model_arrays` rebuilds the model inputs.
 """
 
 from __future__ import annotations
@@ -48,12 +48,15 @@ def _chunks(rows):
         yield slice(start, start + CHUNK), rows[start:start + CHUNK]
 
 
+def _user_vectors(embedding, user):
+    """The embedding's rows `user`, zeros where a row is -1."""
+    return np.vstack([embedding.vectors, np.zeros(embedding.dim)])[user]
+
+
 def _post_rows(corpus, chunk, text_rows, embedding, users, tvecs):
     """x1 rows: each post's text row, its author's vector (zeros when the
     author is not embedded) and its title vector."""
-    user = users[corpus.post_author[chunk]]
-    vectors = np.zeros((len(chunk), embedding.dim))
-    vectors[user >= 0] = embedding.vectors[user[user >= 0]]
+    vectors = _user_vectors(embedding, users[corpus.post_author[chunk]])
     return np.concatenate([text_rows, vectors, tvecs], axis=1)
 
 
@@ -62,28 +65,26 @@ def build_temporal_dataset(corpus, w, N, lexicons, embedding, cluster_model,
     """Returns (pack, post_layout, comment_layout) of the discussions
     `rows` of a `corpus.Corpus`, by default every one, in that order.
 
-    `pack` maps each model input to an array with one row per discussion:
-    the inputs of the curvature model and the Newtonian baseline, logreg's
-    prefix features per (step, cluster) and, per step, how many of the
-    comments before it came from each cluster. Steps whose window is empty
-    keep zero labels, growth and logreg features, and a false mask.
+    `pack` holds each fact once, one row per discussion: x1, x2, the valid
+    steps' `mask` and `growth`, each windowed comment's author's embedding
+    row (`users`, -1 for none), the seconds each step has seen (`elapsed`),
+    each window's comments per cluster (`engaged`) and logreg's prefix text
+    (`prefix_text`) and social blocks (`social`). Empty windows keep zeros.
     """
-    d = embedding.dim
-    post_layout = F.post_layout(lexicons.d_w, d)
-    comment_layout = F.comment_layout(lexicons.d_w, d)
+    post_layout = F.post_layout(lexicons.d_w, embedding.dim)
+    comment_layout = F.comment_layout(lexicons.d_w, embedding.dim)
     rows, tables, tvecs, users = _inputs(corpus, rows, lexicons, embedding)
-    n, D = cluster_model.n, len(rows)
+    d, n, D = embedding.dim, cluster_model.n, len(rows)
     pack = {
         "x1": np.zeros((D, post_layout.width)),
         "x2": np.zeros((D, N, comment_layout.width)),
-        "centers": np.zeros((D, N, n, d + 1)),
-        "labels": np.zeros((D, N, n)),
         "mask": np.zeros((D, N), dtype=bool),
         "growth": np.zeros((D, N)),
-        "user_vectors": np.zeros((D, N * w, d)),
-        "user_mask": np.zeros((D, N * w), dtype=bool),
-        "logreg_features": np.zeros((D, N, n, logreg.feature_width(d))),
-        "engaged_counts": np.zeros((D, N, n)),
+        "users": np.full((D, N * w), -1, dtype=np.int32),
+        "elapsed": np.zeros((D, N), dtype=np.int64),
+        "engaged": np.zeros((D, N, n)),
+        "prefix_text": np.zeros((D, N, F.TEXT_WIDTH)),
+        "social": np.zeros((D, N, n, d + 1)),
     }
     for part, chunk in _chunks(rows):
         view = {key: value[part] for key, value in pack.items()}
@@ -100,9 +101,8 @@ def _fill_steps(rows, corpus, chunk, tables, w, N, embedding, users,
 
     Comment j of a discussion lies in window j // w, and a window is valid
     when it holds a comment; the step before window k is valid with it. A
-    valid window's label is 1 for each cluster with an assigned author among
-    its comments: the clusters whose running count it raises. Cluster
-    indices are 0-based."""
+    window's `engaged` row counts its comments by the cluster of their
+    author, if assigned. Cluster indices are 0-based."""
     B, n = len(chunk), cluster_model.n
     owner, j, at = corpus.comments(chunk, N * w)  # every windowed comment
     m = np.minimum(corpus.sizes[chunk], N * w)
@@ -136,10 +136,8 @@ def _fill_steps(rows, corpus, chunk, tables, w, N, embedding, users,
     # per comment: its author's vector, if embedded, and cluster
     user = users[corpus.author[at]]
     cluster = corpus.codes(cluster_model.assignment)[corpus.author[at]]
-    vectors = np.zeros((len(at), embedding.dim))
-    vectors[user >= 0] = embedding.vectors[user[user >= 0]]
-    rows["user_vectors"][owner, j] = vectors
-    rows["user_mask"][owner, j] = user >= 0
+    vectors = _user_vectors(embedding, user)
+    rows["users"][owner, j] = user
 
     # per valid window: np.mean of its rows adds them one at a time from
     # +0.0, in order, then divides by the count
@@ -151,25 +149,36 @@ def _fill_steps(rows, corpus, chunk, tables, w, N, embedding, users,
     dt = np.maximum(1, times[first + size - 1] - times[first])
     rows["growth"][step_owner, k] = [math.log(v) for v in
                                      (1.0 + size / dt).tolist()]
-    engaged = np.zeros((B, N, n))
     assigned = cluster >= 0
-    np.add.at(engaged, (owner[assigned], j[assigned] // w, cluster[assigned]),
-              1)
-    rows["labels"][:] = engaged > 0
-    rows["engaged_counts"][:] = np.cumsum(engaged, axis=1) - engaged
-    rows["logreg_features"][step_owner, k, :, :F.TEXT_WIDTH] = text[
-        B + len(at):, None, :F.TEXT_WIDTH]
-    rows["logreg_features"][step_owner, k, :, F.TEXT_WIDTH:] = (
-        logreg.social_blocks(corpus, chunk, step_owner, k * w, cluster_model,
-                             embedding))
+    np.add.at(rows["engaged"], (owner[assigned], j[assigned] // w,
+                                cluster[assigned]), 1)
+    rows["prefix_text"][step_owner, k] = text[B + len(at):, :F.TEXT_WIDTH]
+    rows["social"][step_owner, k] = logreg.social_blocks(
+        corpus, chunk, step_owner, k * w, cluster_model, embedding)
 
     # step i sees the post and the windows before it: its time is the
     # seconds from the post to the last comment it sees, if any
     seen = np.minimum(m[:, None], np.arange(N) * w)
     last = np.append(seconds, 0)[before[:, None] + seen - 1]
-    rows["centers"][:] = spacetime_centers(cluster_model,
-                                           np.where(seen > 0, last, 0))
+    rows["elapsed"][:] = np.where(seen > 0, last, 0)
     return _post_rows(corpus, chunk, text[:B], embedding, users, tvecs)
+
+
+def model_arrays(pack, embedding, cluster_model):
+    """The model inputs of a temporal `pack`, gathered and broadcast from
+    its values, the embedding and the centres: per step the spacetime
+    centres, labels (clusters with a comment in its window), comments per
+    cluster before it and logreg's (cluster, feature) rows; per comment
+    position its author's vector and whether it has one."""
+    users, engaged, social = pack["users"], pack["engaged"], pack["social"]
+    text = np.repeat(pack["prefix_text"][:, :, None], social.shape[2], axis=2)
+    return dict(
+        {key: pack[key] for key in ("x1", "x2", "mask", "growth")},
+        centers=spacetime_centers(cluster_model, pack["elapsed"]),
+        labels=(engaged > 0).astype(float),
+        engaged_counts=np.cumsum(engaged, axis=1) - engaged,
+        user_vectors=_user_vectors(embedding, users), user_mask=users >= 0,
+        logreg_features=np.concatenate([text, social], axis=-1))
 
 
 def build_nontemporal_dataset(corpus, lexicons, embedding, rows=None):

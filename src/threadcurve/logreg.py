@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import Corpus
 from .curvature import sigmoid
 from .features import TEXT_WIDTH, _text_block
-from .optim import Adam, OptimError, ParameterStore
+from .optim import OptimError, ParameterStore, fit
 from .text import ranges
 
 # full-batch Adam settings of every logistic unit
@@ -157,16 +157,10 @@ def fit_binary(X, y, l2=1e-4):
     store = ParameterStore()
     store.register("w", np.zeros(X.shape[:-2] + X.shape[-1:]))
     store.register("b", np.zeros(X.shape[:-2] + (1,)))
-    opt = Adam(store, lr=LR)
-    losses = np.zeros(y.shape[:-1] + (EPOCHS,))
-    # as in `optim.fit`: a non-finite value is raised as an OptimError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(EPOCHS):
-            losses[..., epoch] = logreg_loss(store, X, y, l2)
-            opt.step()
-            if not np.isfinite(losses[..., epoch]).all():
-                raise OptimError("non-finite loss")
-    return store.get("w").copy(), store.get("b")[..., 0].copy(), losses
+    losses = fit(store, [None], lambda s, _: logreg_loss(s, X, y, l2), EPOCHS,
+                 LR)
+    return (store.get("w").copy(), store.get("b")[..., 0].copy(),
+            np.stack(losses, axis=-1))
 
 
 def predict_proba(model, x):
@@ -176,13 +170,13 @@ def predict_proba(model, x):
     return sigmoid(z + model["Biases"])
 
 
-def train_temporal(per_cluster_data):
-    """per_cluster_data: list (length n) of (X, y) arrays with one row
-    count. Returns the model, {"weights": (n, f), "Biases": (n,)}, and each
+def train_temporal(X, y):
+    """One logistic unit per cluster over rows X (m, n, f) with labels y
+    (m, n). Returns the model, {"weights": (n, f), "Biases": (n,)}, and each
     epoch's loss averaged over the clusters."""
     # one contiguous (m, f) block per cluster: each unit gets the bits of
-    # `fit_binary` on a contiguous copy of its rows
-    X, y = (np.stack(a) for a in zip(*per_cluster_data))
-    weights, biases, losses = fit_binary(X, y)
+    # `fit_binary` on a contiguous copy of its rows, not a strided slice's
+    weights, biases, losses = fit_binary(
+        np.ascontiguousarray(X.transpose(1, 0, 2)), np.ascontiguousarray(y.T))
     return ({"weights": weights, "Biases": biases},
             np.mean(losses, axis=0).tolist())

@@ -176,8 +176,8 @@ class Adam:
 def fit(store, batches, loss, epochs, lr):
     """Adam over `batches` for `epochs` passes, one update per batch.
 
-    loss(store, batch) fills the store's gradients and returns the loss.
-    Returns the mean loss of each pass.
+    loss(store, batch) fills the store's gradients and returns the loss (an
+    array for independent units). Returns the mean loss of each pass.
     """
     if not batches:
         raise OptimError("nothing to train on")
@@ -193,7 +193,8 @@ def fit(store, batches, loss, epochs, lr):
                 store.zero_grad()
                 value = loss(store, batch)
                 opt.step()
-                if not math.isfinite(value):
+                if not (np.isfinite(value).all() if type(value) is np.ndarray
+                        else math.isfinite(value)):
                     raise OptimError("non-finite loss")
                 total += value
             losses.append(total / len(batches))

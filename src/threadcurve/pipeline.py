@@ -20,8 +20,8 @@ from .corpus import (EXCLUDED_AUTHOR_TAGS, MIN_USER_DISCUSSIONS, Corpus,
 # the corpus without it, so the span reads 0
 from .corpus import parse_corpus  # noqa: F401
 from .dataset import (build_nontemporal_dataset, build_temporal_dataset,
-                      holdout_count, split_dataset, standardize_instances,
-                      unstack)
+                      holdout_count, model_arrays, split_dataset,
+                      standardize_instances, unstack)
 from .embedding import EmbeddingModel, train_guvec
 from .features import (ablate, build_lexicons, comment_layout,
                        load_sentiment, load_stopwords, load_word_vectors,
@@ -37,9 +37,8 @@ VERSION = "0.1.0"
 STORE = "corpus_store.bin"   # the corpus as arrays, written by `ingest`
 PACK = "features_pack.bin"   # every model input, written by `featurize`
 # the tensors of each task's pack
-PACK_KEYS = {"temporal": ("x1", "x2", "centers", "labels", "mask", "growth",
-                          "user_vectors", "user_mask", "logreg_features",
-                          "engaged_counts"),
+PACK_KEYS = {"temporal": ("x1", "x2", "mask", "growth", "users", "elapsed",
+                          "engaged", "prefix_text", "social"),
              "nontemporal": ("x1", "label")}
 # the columns of each task's scores file, written by `train`
 SCORE_KEYS = {"temporal": ("discussion_id", "step", "truth", "v_true", "y1",
@@ -208,6 +207,7 @@ def _io(cfg):
     p = cfg.path
     clusters = [p("clusters.txt"), p("centers.txt")]
     features = [p("features_meta.json"), p(PACK)] + clusters
+    embeddings = [p("embeddings.txt")] if cfg.task == "temporal" else []
     balanced = [p("balanced_ids.json")] if cfg.task == "nontemporal" else []
     ckpt, scores = (_model_file(cfg, "model", "ckpt"),
                     _model_file(cfg, "scores", "bin"))
@@ -228,7 +228,7 @@ def _io(cfg):
                       + [p(STORE), cfg.word_vectors_path,
                          cfg.sentiment_path, cfg.stopwords_path],
                       [p("features_meta.json"), p(PACK)]),
-        "train": (features, [ckpt, scores, p("train_log.json")]),
+        "train": (features + embeddings, [ckpt, scores, p("train_log.json")]),
         "evaluate": ([scores], [_model_file(cfg, "report", "json")]),
         "predict": ([scores], [_model_file(cfg, "predictions", "csv")]),
         "diagnose": ([scores] + clusters + [p("embeddings.txt")],
@@ -364,12 +364,12 @@ def _model_inputs(cfg):
     """Train and test inputs from the features pack, ablated as configured
     and standardized with training statistics.
 
-    Returns (train, test, layouts). `train` and `test` map
-    every pack key to its stacked rows, `ids` to the discussion ids and, on
-    the one-shot task, `centers0` to the step-0 spacetime centres (n, d+1)
-    that every post shares. `layouts` maps x1 (and, on the temporal task,
-    x2) to its feature layout after the ablation. A config whose widths or
-    holdout differ from the artifacts' is refused.
+    Returns (train, test, layouts). `train` and `test` map each model input
+    (`model_arrays` of the pack on the temporal task) to its stacked rows,
+    `ids` to the discussion ids and, on the one-shot task, `centers0` to the
+    step-0 spacetime centres (n, d+1) that every post shares. `layouts` maps
+    x1 (and x2) to its feature layout after the ablation. A config whose
+    widths or holdout differ from the artifacts' is refused.
     """
     meta = _read_json(cfg.path("features_meta.json"), "run featurize again",
                       d_w=int, task=str, train_ids=list, test_ids=list)
@@ -386,7 +386,7 @@ def _model_inputs(cfg):
     if cfg.task == "temporal":
         N = pack["mask"].shape[1]
         made += [("N", N, "featurize"),
-                 ("w", pack["user_mask"].shape[1] // N, "featurize")]
+                 ("w", pack["users"].shape[1] // N, "featurize")]
     for name, value, stage in made:
         if getattr(cfg, name) != value:
             raise PipelineError("config %s=%d differs from %s=%d in the "
@@ -403,6 +403,8 @@ def _model_inputs(cfg):
     layouts = {"x1": post_layout(meta["d_w"], cfg.d)}
     if cfg.task == "temporal":
         layouts["x2"] = comment_layout(meta["d_w"], cfg.d)
+        pack = model_arrays(pack, EmbeddingModel.load(
+            cfg.path("embeddings.txt")), cm)
     if cfg.ablation:
         group, mode = cfg.ablation.split(":")
         # train and test noise come from separate streams
@@ -445,7 +447,9 @@ def stage_train(cfg):
             raise PipelineError("the test split has no valid prediction step")
         log["rows_without_valid_step"] = len(train["mask"]) - rows.size
         if cfg.model == "logreg":
-            store, losses = _train_logreg_temporal(cfg, train)
+            store, losses = logreg.train_temporal(
+                train["logreg_features"][train["mask"]],
+                train["labels"][train["mask"]])
         else:
             instances = unstack(train, rows)
             if cfg.model == "rgnet":
@@ -459,14 +463,6 @@ def stage_train(cfg):
                _model_file(cfg, "scores", "bin"))
     atomic_write_json(cfg.path("train_log.json"),
                       dict(epoch_losses=losses, **log))
-
-
-def _train_logreg_temporal(cfg, train):
-    """One logistic unit per cluster over the prefix features of every
-    valid training step."""
-    X = train["logreg_features"][train["mask"]]
-    y = train["labels"][train["mask"]]
-    return logreg.train_temporal([(X[:, c], y[:, c]) for c in range(cfg.n)])
 
 
 def _score(cfg, store, test):

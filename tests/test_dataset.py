@@ -32,10 +32,31 @@ def synth_materials(tmp_path):
     return spec, discussions, lex, emb, cm
 
 
+def test_temporal_pack_stores_each_fact_once(synth_materials):
+    spec, discussions, lex, emb, cm = synth_materials
+    pack, pl, cl = ds.build_temporal_dataset(
+        Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
+    R, N = len(discussions), spec.N
+    # the embedding and the centres are not copied into the pack
+    stored = {key: (value.dtype, value.shape) for key, value in pack.items()}
+    assert stored == {
+        "x1": (np.float64, (R, pl.width)),
+        "x2": (np.float64, (R, N, cl.width)),
+        "mask": (bool, (R, N)),
+        "growth": (np.float64, (R, N)),
+        "users": (np.int32, (R, N * spec.w)),
+        "elapsed": (np.int64, (R, N)),
+        "engaged": (np.float64, (R, N, 2)),
+        "prefix_text": (np.float64, (R, N, 12)),
+        "social": (np.float64, (R, N, 2, 4)),
+    }
+
+
 def test_temporal_instances_have_consistent_shapes(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
     pack, pl, cl = ds.build_temporal_dataset(
         Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
+    pack = ds.model_arrays(pack, emb, cm)
     R = len(discussions)
     assert pack["x1"].shape == (R, pl.width)
     assert pack["x2"].shape == (R, spec.N, cl.width)
@@ -52,6 +73,7 @@ def test_engaged_counts_cover_comments_before_each_step(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
     pack, _, _ = ds.build_temporal_dataset(
         Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
+    pack = ds.model_arrays(pack, emb, cm)
     for r, d in enumerate(discussions):
         for i in range(spec.N):
             expect = np.zeros(2)
@@ -67,6 +89,7 @@ def _labels(discussion, w, N, assignment, n):
     cm = ClusterModel(np.zeros((n, 3)), assignment)
     pack, _, _ = ds.build_temporal_dataset(Corpus.of([discussion]), w, N,
                                            make_lexicons(), emb, cm)
+    pack = ds.model_arrays(pack, emb, cm)
     return pack["labels"][0].tolist(), pack["mask"][0].tolist()
 
 
@@ -94,6 +117,7 @@ def test_logreg_features_see_only_the_prefix(synth_materials):
     spec, discussions, lex, emb, cm = synth_materials
     base, _, _ = ds.build_temporal_dataset(
         Corpus.of(discussions), spec.w, spec.N, lex, emb, cm)
+    base = ds.model_arrays(base, emb, cm)
     users = emb.user_ids[::-1]
     for r, disc in enumerate(discussions):
         for k in range(spec.N):
@@ -109,6 +133,7 @@ def test_logreg_features_see_only_the_prefix(synth_materials):
             mutated = Discussion(disc.post, disc.comments[:start] + later)
             pack, _, _ = ds.build_temporal_dataset(
                 Corpus.of([mutated]), spec.w, spec.N, lex, emb, cm)
+            pack = ds.model_arrays(pack, emb, cm)
             np.testing.assert_array_equal(pack["logreg_features"][0, :k + 1],
                                           base["logreg_features"][r, :k + 1])
 

@@ -62,7 +62,9 @@ def test_model_prediction_monotone_in_positive_weight_direction():
 def test_train_temporal_one_unit_per_cluster():
     Xa, ya = _separable(seed=1)
     Xb, yb = _separable(seed=2)
-    model, losses = lr.train_temporal([(Xa, ya), (Xb, yb)])
+    # rows by step, then cluster, as the pipeline holds them
+    model, losses = lr.train_temporal(np.stack([Xa, Xb], axis=1),
+                                      np.stack([ya, yb], axis=1))
     assert list(model) == ["weights", "Biases"]  # the checkpoint's keys
     assert model["weights"].shape == (2, 3)
     assert model["Biases"].shape == (2,)

@@ -12,6 +12,8 @@ import pytest
 from conftest import chain_comments, make_discussion_json, write_corpus
 from threadcurve import cli, pipeline
 from threadcurve.clustering import ClusterModel
+from threadcurve.dataset import model_arrays
+from threadcurve.embedding import EmbeddingModel
 from threadcurve.pipeline import (PipelineConfig, PipelineError, run_all,
                                   run_stage)
 from threadcurve.storage import load_store, save_store, sha256_file
@@ -135,8 +137,13 @@ def test_full_temporal_pipeline_and_manifest(tmp_path):
     header = open(cfg.path("predictions_rgnet_temporal.csv")).readline().strip()
     assert header == ("discussion_id,step,y2,y1_1,y1_2,y1_3,"
                       "pred_1,pred_2,pred_3")
-    pack = load_store(cfg.path(pipeline.PACK))
+    pack = model_arrays(load_store(cfg.path(pipeline.PACK)),
+                        EmbeddingModel.load(cfg.path("embeddings.txt")),
+                        ClusterModel.load(cfg.path("clusters.txt"),
+                                          cfg.path("centers.txt")))
     assert pack["mask"].dtype == pack["user_mask"].dtype == bool
+    # train rebuilds the pack's model inputs with the embedding
+    assert "embeddings.txt" in stages["train"]["inputs"]
     with open(cfg.path("sparsity.json")) as fh:
         sparsity = json.load(fh)
     with open(cfg.path("users.txt")) as fh:
@@ -799,6 +806,20 @@ def test_cli_reports_a_damaged_tensor_file(trained, tmp_path, capsys, name,
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error: " + message)
     assert err.endswith(": %s\n" % again)
+
+
+def test_cli_train_needs_the_embedding(trained, tmp_path, capsys):
+    """`train` rebuilds the user vectors from embeddings.txt, so without
+    that file it ends with one error line naming the stage that writes it."""
+    cfg = PipelineConfig(**dict(asdict(trained),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(trained.workdir, cfg.workdir)
+    os.remove(cfg.path("embeddings.txt"))
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, "train"]) == 2
+    assert capsys.readouterr().err == (
+        "error: missing artifact embeddings.txt: run embed first\n")
 
 
 @pytest.mark.parametrize("trained_with, scored_with", [

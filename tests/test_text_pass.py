@@ -255,7 +255,7 @@ def test_pack_rows_match_one_text_at_a_time(corpus, monkeypatch):
     pack, _, _ = ds.build_temporal_dataset(Corpus.of(discussions), w, N, lex,
                                            emb, cm)
     expected = _reference_pack(discussions, w, N, lex, emb, cm)
-    _assert_same_bytes(pack, expected)
+    _assert_same_bytes(ds.model_arrays(pack, emb, cm), expected)
     # the planted sentiment words reach the content block
     assert np.abs(expected["logreg_features"][..., 3]).max() > 0
 
@@ -344,12 +344,12 @@ def test_lexicons_and_pack_from_token_ids(edge_corpus, monkeypatch):
     monkeypatch.setattr(ds, "CHUNK", 3)  # the test discussion in a pass alone
     pack, _, _ = ds.build_temporal_dataset(corpus, w, N, lex, emb, cm)
     expected = _reference_pack(train + test, w, N, lex, emb, cm)
-    _assert_same_bytes(pack, expected)
+    _assert_same_bytes(ds.model_arrays(pack, emb, cm), expected)
     # the rows of a split, in its order
     order = [3, 0, 2, 1]
     shuffled, _, _ = ds.build_temporal_dataset(corpus, w, N, lex, emb, cm,
                                                order)
-    _assert_same_bytes(shuffled, _reference_pack(
+    _assert_same_bytes(ds.model_arrays(shuffled, emb, cm), _reference_pack(
         [(train + test)[k] for k in order], w, N, lex, emb, cm))
     # a window whose mean is -0.0: the subnormal over three comments
     negative_zero = (pack["x2"] == 0) & np.signbit(pack["x2"])
