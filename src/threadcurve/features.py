@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusError
+from .storage import TableError, read_table, table_lines
 from .text import Texts, ranges
 
 CONTENT_NAMES = ["avg_tfidf", "lix", "term_entropy", "polarity_sum",
@@ -30,74 +30,24 @@ class Lexicons:
         return len(next(iter(self.word_vectors.values()), ()))
 
 
-class LexiconError(CorpusError):
-    """A word-vector, sentiment or stopwords file that cannot be read; the
-    message names the file and the line."""
-
-
-def _rows(path):
-    """(line number, fields) of every non-blank line of a lexicon file."""
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, 1):
-            try:
-                fields = raw.decode("utf-8").split()
-            except UnicodeDecodeError:
-                raise LexiconError("%s line %d is not UTF-8"
-                                   % (path, number)) from None
-            if fields:
-                yield number, fields
-
-
-def _finite(path, number, fields):
-    """The fields of line `number` of `path` as floats."""
-    values = []
-    for field in fields:
-        try:
-            value = float(field)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise LexiconError("%s line %d: %r is not a finite number"
-                               % (path, number, field))
-        values.append(value)
-    return values
-
-
 def load_word_vectors(path):
     """word -> vector. Every line is a word and its values, and every
     vector has the width of the first one."""
-    table, width = {}, None
-    for number, parts in _rows(path):
-        vec = np.array(_finite(path, number, parts[1:]))
-        if not vec.size:
-            raise LexiconError("%s line %d: %r has no values"
-                               % (path, number, parts[0]))
-        if width is None:
-            width, first = vec.size, number
-        elif vec.size != width:
-            raise LexiconError("%s line %d: %r has %d values, line %d has %d"
-                               % (path, number, parts[0], vec.size, first,
-                                  width))
-        table[parts[0]] = vec
-    if not table:
-        raise LexiconError("%s holds no word vectors" % path)
-    return table
+    words, vectors = read_table(path, True)
+    if not words:
+        raise TableError("%s holds no word vectors" % path)
+    return dict(zip(words, vectors))
 
 
 def load_sentiment(path):
     """word -> score, one pair per line."""
-    table = {}
-    for number, parts in _rows(path):
-        if len(parts) != 2:
-            raise LexiconError("%s line %d: expected a word and a score, got "
-                               "%d fields" % (path, number, len(parts)))
-        table[parts[0]] = _finite(path, number, parts[1:])[0]
-    return table
+    words, scores = read_table(path, True, (None,), "a word and a score")
+    return dict(zip(words, scores[:, 0].tolist()))
 
 
 def load_stopwords(path):
     """The whitespace-separated words of a stopwords file."""
-    return frozenset(w for _, words in _rows(path) for w in words)
+    return frozenset(w for _, words in table_lines(path) for w in words)
 
 
 def build_lexicons(corpus, word_vectors, sentiment, stopwords=frozenset(),

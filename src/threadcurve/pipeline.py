@@ -28,8 +28,8 @@ from .features import (ablate, build_lexicons, comment_layout,
                        post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
 from .storage import (StoreError, atomic_write, atomic_write_json,
-                      atomic_write_lines, atomic_write_text, save_store,
-                      load_store, sha256_file)
+                      atomic_write_lines, atomic_write_text, read_table,
+                      save_store, load_store, sha256_file)
 from .text import title_rows
 
 VERSION = "0.1.0"
@@ -296,6 +296,10 @@ def stage_balance(cfg):
 def stage_cooccur(cfg):
     corpus = _load_corpus(cfg)
     users = sorted(embedded_users(corpus, cfg.min_user_discussions))
+    for user in users:  # each must come back as one field of users.txt
+        if user.split() != [user]:
+            raise PipelineError("embedded author name %r is empty or holds "
+                                "whitespace: users.txt cannot hold it" % user)
     index = {u: k for k, u in enumerate(users)}
     tvecs = title_rows(corpus.texts, corpus.title,
                        load_word_vectors(cfg.word_vectors_path), None,
@@ -310,8 +314,7 @@ def stage_cooccur(cfg):
 
 
 def stage_embed(cfg):
-    with open(cfg.path("users.txt")) as fh:
-        users = [u.strip() for u in fh if u.strip()]
+    users = read_table(cfg.path("users.txt"), True, (), "a user name")[0]
     A = CooccurrenceMatrix.load(cfg.path("cooccur.txt"), len(users))
     if not A.nnz:
         raise PipelineError("cooccur.txt is empty: no two embedded users "

@@ -11,7 +11,8 @@ from threadcurve import cooccur, synth
 from threadcurve.cooccur import (CooccurrenceMatrix, accumulate_semantic,
                                  build_cooccurrence, sigmoid, title_angle,
                                  title_vector)
-from threadcurve.corpus import Corpus, embedded_users, parse_corpus
+from threadcurve.corpus import (Comment, Corpus, Discussion, Post,
+                               embedded_users, parse_corpus)
 from threadcurve.text import Texts, title_rows
 from threadcurve.features import load_stopwords, load_word_vectors
 from conftest import chain_comments, make_discussion_json, write_corpus
@@ -246,19 +247,18 @@ def _random_corpus(titles, seed):
     rng = np.random.default_rng(seed)
     discussions = []
     for k in range(len(titles)):
-        # with the fields the corpus store reads, texts empty
-        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(12),
-                               title="", body="", timestamp=0)
+        # texts empty
+        post = Post(id="p%d" % k, author="u%d" % rng.integers(12),
+                    title="", body="", timestamp=0)
         comments, parents = [], [post.id]
         for c in range(int(rng.integers(0, 4))):
-            comments.append(SimpleNamespace(
+            comments.append(Comment(
                 id="p%d_c%d" % (k, c), author="u%d" % rng.integers(12),
                 parent_id=parents[int(rng.integers(len(parents)))],
-                timestamp=10 * (c + 1), text="", depth=0))
+                discussion_id=post.id, timestamp=10 * (c + 1), text="",
+                depth=0))
             parents.append(comments[-1].id)
-        discussions.append(SimpleNamespace(id=post.id, post=post,
-                                           comments=comments, t_start=0,
-                                           t_end=10 * len(comments)))
+        discussions.append(Discussion(post, tuple(comments)))
     index = {"u%d" % u: u for u in range(10)}  # u10 and u11 not embedded
     return discussions, index, {d.id: t for d, t in zip(discussions, titles)}
 
@@ -376,23 +376,20 @@ def _channel_corpus(seed, count=30):
     rng = np.random.default_rng(seed)
     discussions = []
     for k in range(count):
-        post = SimpleNamespace(id="p%d" % k, author="u%d" % rng.integers(16),
-                               timestamp=int(rng.integers(0, 50)), title="",
-                               body="")
+        post = Post(id="p%d" % k, author="u%d" % rng.integers(16),
+                    timestamp=int(rng.integers(0, 50)), title="", body="")
         n = int(rng.integers(0, 9))
         pool = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
         ids = ["p%d_c%d" % (k, c) for c in range(n)]
         times = post.timestamp + np.sort(rng.integers(0, 6, size=n) * 10)
-        comments = [SimpleNamespace(
+        comments = [Comment(
             id=ids[c], author="u%d" % rng.choice(pool),
             # any comment of the discussion, an earlier or later one, the
             # post, or an id that is not there
             parent_id=str(rng.choice(ids + [post.id, "gone"])),
-            timestamp=int(times[c]), text="", depth=0) for c in range(n)]
-        t_end = comments[-1].timestamp if comments else post.timestamp
-        discussions.append(SimpleNamespace(
-            id=post.id, post=post, comments=comments,
-            t_start=post.timestamp, t_end=t_end))
+            discussion_id=post.id, timestamp=int(times[c]), text="",
+            depth=0) for c in range(n)]
+        discussions.append(Discussion(post, tuple(comments)))
     codes = rng.permutation(12)
     index = {"u%d" % u: int(codes[u]) for u in range(12)}
     titles = _edge_titles(rng, count)

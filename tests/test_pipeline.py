@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -581,6 +582,98 @@ def test_cli_reports_bad_lexicon_files(tmp_path):
             fh.write(content)
         _assert_one_error_line(_cli("--config", cfg_path, stage),
                                "%s %s" % (path, message))
+
+
+@pytest.fixture(scope="module")
+def clustered(tmp_path_factory):
+    """A desk-scale temporal workdir run through `cluster` (n=3, d=8)."""
+    cfg = mini_config(tmp_path_factory.mktemp("clustered"))
+    for stage in ("synth", "ingest", "cooccur", "embed", "cluster"):
+        run_stage(stage, cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("name,stage,line,message", [
+    ("users.txt", "embed", b"u0 one", ": expected a user name, got 2 fields"),
+    ("users.txt", "embed", b"caf\xff", " is not UTF-8"),
+    ("cooccur.txt", "embed", b"0 2", ": expected two user indices and a "
+                                     "value, got 2 fields"),
+    ("cooccur.txt", "embed", b"0 2 x", ": 'x' is not a finite number"),
+    ("cooccur.txt", "embed", b"0 2 1\xff", " is not UTF-8"),
+    ("cooccur.txt", "embed", b"0 999 1",
+     ": '999' is not a whole number in [0, {users})"),
+    ("cooccur.txt", "embed", b"0 1.5 1",
+     ": '1.5' is not a whole number in [0, {users})"),
+    ("cooccur.txt", "embed", b"0 1 -5", ": '-5' is not a number in [0, inf)"),
+    ("embeddings.txt", "cluster", b"u" + b" 0" * 8,
+     ": 'u' has 8 values, line 1 has 9"),
+    ("embeddings.txt", "cluster", b"u x" + b" 0" * 8,
+     ": 'x' is not a finite number"),
+    ("embeddings.txt", "cluster", b"u\xff" + b" 0" * 9, " is not UTF-8"),
+    ("clusters.txt", "featurize", b"u", ": expected a user name and a "
+                                        "cluster, got 1 fields"),
+    ("clusters.txt", "featurize", b"u x", ": 'x' is not a finite number"),
+    ("clusters.txt", "featurize", b"u 1\xff", " is not UTF-8"),
+    ("clusters.txt", "featurize", b"u 3",
+     ": '3' is not a whole number in [0, 3)"),
+    ("centers.txt", "featurize", b"0" + b" 0" * 6,
+     " has 7 values, line 1 has 8"),
+    ("centers.txt", "featurize", b"x" + b" 0" * 7,
+     ": 'x' is not a finite number"),
+    ("centers.txt", "featurize", b"0\xff" + b" 0" * 7, " is not UTF-8"),
+], ids=["users-two-names", "users-utf8", "cooccur-short", "cooccur-word",
+        "cooccur-utf8", "cooccur-index", "cooccur-fraction",
+        "cooccur-negative", "embeddings-short", "embeddings-word",
+        "embeddings-utf8", "clusters-short", "clusters-word", "clusters-utf8",
+        "clusters-label", "centers-short", "centers-word", "centers-utf8"])
+def test_cli_reports_bad_user_space_artifacts(clustered, tmp_path, capsys,
+                                              name, stage, line, message):
+    """A user-space artifact whose line 2 is short, holds a word where a
+    number goes, is not UTF-8, or holds an index, a cluster label or a
+    co-occurrence value out of range ends the stage that reads it with exit
+    code 2 and one error line naming the file and the line."""
+    workdir = str(tmp_path / "run")
+    shutil.copytree(clustered.workdir, workdir)
+    cfg = PipelineConfig(**dict(asdict(clustered), workdir=workdir))
+    path = cfg.path(name)
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[1] = line
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    with open(cfg.path("users.txt"), "rb") as fh:
+        users = len(fh.read().split())
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, stage]) == 2
+    _assert_one_error_line(
+        SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
+        "%s line 2%s" % (path, message.format(users=users)))
+
+
+@pytest.mark.parametrize("author", ["", "u0 one"])
+def test_cli_refuses_an_author_name_users_txt_cannot_hold(tmp_path, author):
+    """An embedded author name that is empty or holds whitespace stops
+    `cooccur` with one error line naming it, before users.txt is written."""
+    corpus = [make_discussion_json("t%d" % k, "poster%d" % k, 1000 * k,
+                                   chain_comments("t%d" % k, [author, "bob"],
+                                                  start_t=1000 * k + 10))
+              for k in (1, 2)]
+    cfg = mini_config(tmp_path, corpus_path=write_corpus(
+        tmp_path / "corpus.jsonl", corpus))
+    os.makedirs(cfg.workdir)
+    with open(cfg.word_vectors_path, "w") as fh:
+        fh.write("a 1 0\ntitle 0 1\n")
+    with open(cfg.stopwords_path, "w") as fh:
+        fh.write("the\n")
+    run_stage("ingest", cfg)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    _assert_one_error_line(
+        _cli("--config", cfg_path, "cooccur"),
+        "embedded author name %r is empty or holds whitespace: users.txt "
+        "cannot hold it" % author)
+    assert not os.path.exists(cfg.path("users.txt"))
 
 
 def test_cli_reports_input_a_stage_cannot_use(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 import text_reference as ref
 from threadcurve import features as ft
-from threadcurve.corpus import Corpus, CorpusError, parse_corpus
+from threadcurve.corpus import Corpus, parse_corpus
+from threadcurve.storage import StoreError, TableError
 from text_reference import count_closing_punct, text_stats, tokenize
 from threadcurve.text import count_urls
 from conftest import make_lexicons
@@ -106,11 +107,11 @@ def test_lexicon_files_load(tmp_path):
 def test_bad_lexicon_file_is_named(tmp_path, loader, content, message):
     path = tmp_path / "lexicon.txt"
     path.write_bytes(content)
-    with pytest.raises(ft.LexiconError) as info:
+    with pytest.raises(TableError) as info:
         getattr(ft, "load_" + loader)(str(path))
     assert str(info.value).startswith(str(path))
     assert message in str(info.value)
-    assert isinstance(info.value, CorpusError)  # the CLI's exit-2 errors
+    assert isinstance(info.value, StoreError)  # the CLI's exit-2 errors
 
 
 def test_build_lexicons_idf_and_vocab(tiny_corpus):
