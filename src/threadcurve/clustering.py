@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .storage import read_table
+from .storage import TableError, read_table
 
 T_CAP_SECONDS = 30 * 86400  # cap for the log-compressed time coordinate
 MAX_ITER = 100  # Lloyd iterations at most
@@ -33,6 +33,8 @@ class ClusterModel:
     @classmethod
     def load(cls, assignments_path, centers_path):
         centers = read_table(centers_path, False)[1]
+        if not len(centers):
+            raise TableError("%s holds no cluster centre" % centers_path)
         users, labels = read_table(assignments_path, True, (len(centers),),
                                    "a user name and a cluster")
         return cls(centers, zip(users, labels[:, 0].astype(int).tolist()))

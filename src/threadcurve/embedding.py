@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optim import ParameterStore, fit
-from .storage import read_table
+from .storage import TableError, read_table
 
 
 class EmbeddingModel:
@@ -36,6 +36,9 @@ class EmbeddingModel:
     @classmethod
     def load(cls, path):
         user_ids, rows = read_table(path, True)
+        if rows.shape[1] == 1:
+            raise TableError("%s holds one value per user: a row needs a "
+                             "vector and a bias" % path)
         # the bias is each row's last value; an empty file gives no rows
         return cls(user_ids, rows[:, :-1], rows[:, -1:].ravel())
 

@@ -134,6 +134,9 @@ class PipelineConfig:
             raise PipelineError("unknown model tag %r" % self.model)
         if self.task not in ("temporal", "nontemporal"):
             raise PipelineError("unknown task %r" % self.task)
+        if self.task == "nontemporal" and self.model != "rgnet":
+            raise PipelineError("the nontemporal task runs rgnet, not %s"
+                                % self.model)
         if self.ablation:
             parts = self.ablation.split(":")
             if (len(parts) != 2 or parts[0] not in
@@ -343,6 +346,11 @@ def stage_featurize(cfg):
         rows = [k for k in rows if corpus.ids[k] in keep]
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
+    if cm.centers.shape[1] != embedding.dim:
+        raise PipelineError("%s holds %d-wide centres, the embedding %d-wide: "
+                            "run cluster again" % (cfg.path("centers.txt"),
+                                                   cm.centers.shape[1],
+                                                   embedding.dim))
     train, test = split_dataset(list(rows), cfg.holdout, seed=cfg.seed)
     lex = build_lexicons(corpus, load_word_vectors(cfg.word_vectors_path),
                          load_sentiment(cfg.sentiment_path),
@@ -429,8 +437,9 @@ def _model_inputs(cfg):
 
 
 def stage_train(cfg):
-    if cfg.task == "nontemporal" and cfg.model != "rgnet":
-        raise PipelineError("non-temporal training supports rgnet only")
+    """Fit the configured model and score the test split: the task's
+    SCORE_KEYS per test post or valid test step, and RGNet's g_inv and
+    engaged_counts."""
     train, test, layouts = _model_inputs(cfg)
     mc = curvature.ModelConfig(
         comment_width=layouts.get("x2", layouts["x1"]).width,
@@ -440,68 +449,50 @@ def stage_train(cfg):
     log = {}
     if cfg.task == "nontemporal":
         store, losses = curvature.train_nontemporal(train, mc, **opts)
+        y3, cls = curvature.predict_nontemporal(store, test["x1"],
+                                                test["centers0"])
+        scores = {"discussion_id": test["ids"], "y3": y3, "class": cls,
+                  "label": test["label"]}
     else:
         # a discussion with no valid step (no comments) has nothing to fit
-        rows = np.flatnonzero(train["mask"].any(axis=1))
-        if not rows.size:
+        fitted = np.flatnonzero(train["mask"].any(axis=1))
+        if not fitted.size:
             raise PipelineError("no training discussion has a valid "
                                 "prediction step")
-        if not test["mask"].any():
+        mask = test["mask"]
+        if not mask.any():
             raise PipelineError("the test split has no valid prediction step")
-        log["rows_without_valid_step"] = len(train["mask"]) - rows.size
+        log["rows_without_valid_step"] = len(train["mask"]) - fitted.size
+        # every column over every test step, valid or not
+        columns = dict(truth=test["labels"], v_true=test["growth"])
         if cfg.model == "logreg":
             store, losses = logreg.train_temporal(
                 train["logreg_features"][train["mask"]],
                 train["labels"][train["mask"]])
+            y1 = logreg.predict_proba(store, test["logreg_features"])
+            pred = dict(y1=y1, y2=np.full(mask.shape, np.nan),
+                        decisions=(y1 > 0.5).astype(int))
+        elif cfg.model == "rgnet":
+            store, losses = curvature.train_temporal(unstack(train, fitted),
+                                                     mc, **opts)
+            pred = curvature.predict_temporal(store, test["x1"], test["x2"],
+                                              test["centers"])
+            columns.update(g_inv=pred["trace"].g_inv_array(),
+                           engaged_counts=test["engaged_counts"])
         else:
-            instances = unstack(train, rows)
-            if cfg.model == "rgnet":
-                store, losses = curvature.train_temporal(instances, mc,
-                                                         **opts)
-            else:
-                store, losses = newton.train_temporal(instances, mc, cfg.w,
-                                                      **opts)
+            store, losses = newton.train_temporal(unstack(train, fitted), mc,
+                                                  cfg.w, **opts)
+            pred = newton.predict_temporal(store, test, cfg.w)
+        columns.update(y1=pred["y1"], y2=pred["y2"],
+                       decision=pred["decisions"])
+        rows, steps = np.nonzero(mask)
+        scores = dict(discussion_id=test["ids"][rows], step=steps,
+                      **{key: value[mask] for key, value in columns.items()})
     save_store(store, _model_file(cfg, "model", "ckpt"))
-    save_store(dict(_score(cfg, store, test), ablation=np.array(cfg.ablation)),
+    save_store(dict(scores, ablation=np.array(cfg.ablation)),
                _model_file(cfg, "scores", "bin"))
     atomic_write_json(cfg.path("train_log.json"),
                       dict(epoch_losses=losses, **log))
-
-
-def _score(cfg, store, test):
-    """The model `store` on the test split `test`, as one dict of arrays.
-
-    Temporal task: one row per valid test step, by discussion then step,
-    with discussion_id, step, y1, decision, y2 (NaN for logreg), truth and
-    v_true, plus g_inv and engaged_counts for RGNet. One-shot task: one
-    row per test post, with discussion_id, y3, class and label.
-    """
-    if cfg.task == "nontemporal":
-        y3, cls = curvature.predict_nontemporal(store, test["x1"],
-                                                test["centers0"])
-        return {"discussion_id": test["ids"], "y3": y3, "class": cls,
-                "label": test["label"]}
-    mask = test["mask"]
-    rows, steps = np.nonzero(mask)
-    scores = {"discussion_id": test["ids"][rows], "step": steps,
-              "truth": test["labels"][mask], "v_true": test["growth"][mask]}
-    if cfg.model == "logreg":
-        scores["y1"] = logreg.predict_proba(store,
-                                            test["logreg_features"][mask])
-        scores["y2"] = np.full(rows.size, np.nan)
-        scores["decision"] = (scores["y1"] > 0.5).astype(int)
-    else:
-        # one pass over every test discussion, valid steps or not
-        if cfg.model == "rgnet":
-            pred = curvature.predict_temporal(store, test["x1"], test["x2"],
-                                              test["centers"])
-            scores["g_inv"] = pred["trace"].g_inv_array()[mask]
-            scores["engaged_counts"] = test["engaged_counts"][mask]
-        else:
-            pred = newton.predict_temporal(store, test, cfg.w)
-        scores.update(y1=pred["y1"][mask], y2=pred["y2"][mask],
-                      decision=pred["decisions"][mask])
-    return scores
 
 
 def _load_scores(cfg, keys=()):
@@ -514,6 +505,13 @@ def _load_scores(cfg, keys=()):
     if trained != asked:
         raise PipelineError("%s holds a model trained with ablation %s, not "
                             "%s: run train again" % (path, trained, asked))
+    rows = {key: len(np.atleast_1d(value)) for key, value in scores.items()
+            if key != "ablation"}
+    for key, count in rows.items():
+        if count != rows["discussion_id"]:
+            raise PipelineError("%s: column %s has %d rows, discussion_id has "
+                                "%d: run train again" % (
+                                    path, key, count, rows["discussion_id"]))
     return scores
 
 

@@ -45,15 +45,15 @@ def table_lines(path):
 
 def read_table(path, named, bounds=None, row=""):
     """(names, values) of a text table: each line holds a name when `named`,
-    then numbers, each read by `float` and finite. With `bounds`, a line
-    holds one number per bound, as `row` says, and number k lies in
-    [0, bounds[k]), a whole one when that bound is an int (None: any
-    number). Without, a line holds at least one number, as many as line 1.
-    `values` is a float64 array with one row per line."""
+    one that no other line holds, then numbers, each read by `float` and
+    finite. With `bounds`, a line holds one number per bound, as `row` says,
+    and number k lies in [0, bounds[k]), a whole one when that bound is an
+    int (None: any number). Without, a line holds at least one number, as
+    many as line 1. `values` is a float64 array with one row per line."""
     def error(number, what, *args):
         return TableError("%s line %d" % (path, number) + what % args)
 
-    names, rows, width = [], [], None if bounds is None else len(bounds)
+    names, rows, width = {}, [], None if bounds is None else len(bounds)
     for number, fields in table_lines(path):
         if bounds is not None and len(fields) != named + width:
             raise error(number, ": expected %s, got %d fields", row,
@@ -80,10 +80,12 @@ def read_table(path, named, bounds=None, row=""):
         elif len(values) != width:
             raise error(number, "%s has %d values, line %d has %d", label,
                         len(values), first, width)
+        if fields[0] in names:  # only a named table records its names
+            raise error(number, "%s repeats line %d", label, names[fields[0]])
         if named:
-            names.append(fields[0])
+            names[fields[0]] = number
         rows.append(values)
-    return names, np.array(rows, dtype=float).reshape(len(rows), width or 0)
+    return list(names), np.array(rows, float).reshape(len(rows), width or 0)
 
 
 def atomic_write(write, *paths):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_comments, make_discussion_json, write_corpus
-from threadcurve import cli, pipeline
+from threadcurve import cli, logreg, pipeline
 from threadcurve.clustering import ClusterModel
 from threadcurve.dataset import model_arrays
 from threadcurve.embedding import EmbeddingModel
@@ -38,6 +38,9 @@ def test_config_validation_errors():
         PipelineConfig(model="galaxy")
     with pytest.raises(PipelineError):
         PipelineConfig(task="spatial")
+    for model in ("newtonian", "logreg"):
+        with pytest.raises(PipelineError, match="runs rgnet, not " + model):
+            PipelineConfig(task="nontemporal", model=model)
     with pytest.raises(PipelineError):
         PipelineConfig(ablation="user")
     with pytest.raises(PipelineError):
@@ -561,9 +564,9 @@ def test_cli_refuses_an_empty_synthetic_corpus(tmp_path, field, value):
 
 
 def test_cli_reports_bad_lexicon_files(tmp_path):
-    """A bad sentiment, stopwords or word-vector file ends the stage that
-    reads it with exit code 2 and one error line naming the file and the
-    line."""
+    """A bad sentiment, stopwords or word-vector file, or a lexicon that
+    repeats a word, ends the stage that reads it with exit code 2 and one
+    error line naming the file and the line."""
     cfg = mini_config(tmp_path, name="lex")
     cfg_path = str(tmp_path / "cfg.json")
     cfg.save(cfg_path)
@@ -572,6 +575,8 @@ def test_cli_reports_bad_lexicon_files(tmp_path):
     # featurize first: a failed cooccur leaves its outputs marked unusable
     cases = [(cfg.sentiment_path, "featurize", b"good 1\nbad minus\n",
               "line 2: 'minus' is not a finite number"),
+             (cfg.sentiment_path, "featurize", b"good 1\nbad -1\ngood 2\n",
+              "line 3: 'good' repeats line 1"),
              (cfg.stopwords_path, "cooccur", b"the\ncaf\xff\n",
               "line 2 is not UTF-8"),
              (cfg.word_vectors_path, "cooccur", b"a 1 2\nb 1\n",
@@ -621,24 +626,29 @@ def clustered(tmp_path_factory):
     ("centers.txt", "featurize", b"x" + b" 0" * 7,
      ": 'x' is not a finite number"),
     ("centers.txt", "featurize", b"0\xff" + b" 0" * 7, " is not UTF-8"),
+    ("users.txt", "embed", None, ": {first!r} repeats line 1"),
+    ("embeddings.txt", "cluster", None, ": {first!r} repeats line 1"),
+    ("clusters.txt", "featurize", None, ": {first!r} repeats line 1"),
 ], ids=["users-two-names", "users-utf8", "cooccur-short", "cooccur-word",
         "cooccur-utf8", "cooccur-index", "cooccur-fraction",
         "cooccur-negative", "embeddings-short", "embeddings-word",
         "embeddings-utf8", "clusters-short", "clusters-word", "clusters-utf8",
-        "clusters-label", "centers-short", "centers-word", "centers-utf8"])
+        "clusters-label", "centers-short", "centers-word", "centers-utf8",
+        "users-repeat", "embeddings-repeat", "clusters-repeat"])
 def test_cli_reports_bad_user_space_artifacts(clustered, tmp_path, capsys,
                                               name, stage, line, message):
     """A user-space artifact whose line 2 is short, holds a word where a
-    number goes, is not UTF-8, or holds an index, a cluster label or a
-    co-occurrence value out of range ends the stage that reads it with exit
-    code 2 and one error line naming the file and the line."""
+    number goes, is not UTF-8, holds an index, a cluster label or a
+    co-occurrence value out of range, or repeats line 1 (line None) ends the
+    stage that reads it with exit code 2 and one error line naming the file
+    and the line."""
     workdir = str(tmp_path / "run")
     shutil.copytree(clustered.workdir, workdir)
     cfg = PipelineConfig(**dict(asdict(clustered), workdir=workdir))
     path = cfg.path(name)
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
-    lines[1] = line
+    lines[1] = lines[0] if line is None else line
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines))
     with open(cfg.path("users.txt"), "rb") as fh:
@@ -648,7 +658,45 @@ def test_cli_reports_bad_user_space_artifacts(clustered, tmp_path, capsys,
     assert cli.main(["--config", cfg_path, stage]) == 2
     _assert_one_error_line(
         SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
-        "%s line 2%s" % (path, message.format(users=users)))
+        "%s line 2%s" % (path, message.format(
+            users=users, first=lines[0].split()[0].decode())))
+
+
+def _bias_only(text):
+    return "".join(line.split()[0] + " " + line.split()[-1] + "\n"
+                   for line in text.splitlines())
+
+
+@pytest.mark.parametrize("edits,stage,message", [
+    ({"embeddings.txt": _bias_only}, "cluster",
+     "holds one value per user: a row needs a vector and a bias"),
+    ({"centers.txt": lambda text: "", "clusters.txt": lambda text: ""},
+     "featurize", "holds no cluster centre"),
+    ({"centers.txt": lambda text: "".join(
+        " ".join(line.split()[:3]) + "\n" for line in text.splitlines())},
+     "featurize", "holds 3-wide centres, the embedding 8-wide: run cluster "
+                  "again"),
+], ids=["embeddings-bias-only", "centers-empty", "centers-narrow"])
+def test_cli_reports_user_space_artifacts_of_the_wrong_shape(
+        clustered, tmp_path, capsys, edits, stage, message):
+    """A user-space artifact whose every line is well formed, but which its
+    writer cannot have written (an embedding with no vector, no cluster
+    centre, centres narrower than the embedding), ends the stage that reads
+    it with exit code 2 and one error line naming the first file edited."""
+    cfg = PipelineConfig(**dict(asdict(clustered),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(clustered.workdir, cfg.workdir)
+    for name, edit in edits.items():
+        with open(cfg.path(name)) as fh:
+            text = fh.read()
+        with open(cfg.path(name), "w") as fh:
+            fh.write(edit(text))
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, stage]) == 2
+    _assert_one_error_line(
+        SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
+        "%s %s" % (cfg.path(next(iter(edits))), message))
 
 
 @pytest.mark.parametrize("author", ["", "u0 one"])
@@ -913,6 +961,113 @@ def test_cli_train_needs_the_embedding(trained, tmp_path, capsys):
     assert cli.main(["--config", cfg_path, "train"]) == 2
     assert capsys.readouterr().err == (
         "error: missing artifact embeddings.txt: run embed first\n")
+
+
+@pytest.fixture(scope="module")
+def one_shot(tmp_path_factory):
+    """A one-shot workdir run through every stage."""
+    cfg = mini_config(tmp_path_factory.mktemp("one_shot"), task="nontemporal")
+    run_all(cfg)
+    return cfg
+
+
+# the columns of each (model, task) scores file, in the order that is part
+# of its bytes
+SCORE_COLUMNS = {
+    ("rgnet", "temporal"): ["discussion_id", "step", "truth", "v_true",
+                            "g_inv", "engaged_counts", "y1", "y2", "decision",
+                            "ablation"],
+    ("newtonian", "temporal"): ["discussion_id", "step", "truth", "v_true",
+                                "y1", "y2", "decision", "ablation"],
+    ("logreg", "temporal"): ["discussion_id", "step", "truth", "v_true", "y1",
+                             "y2", "decision", "ablation"],
+    ("rgnet", "nontemporal"): ["discussion_id", "y3", "class", "label",
+                               "ablation"],
+}
+
+
+def test_scores_files_keep_their_column_order(trained, one_shot, tmp_path):
+    base = dict(asdict(trained), workdir=str(tmp_path / "run"))
+    shutil.copytree(trained.workdir, base["workdir"])
+    for (model, task), columns in SCORE_COLUMNS.items():
+        cfg = (one_shot if task == "nontemporal"
+               else PipelineConfig(**dict(base, model=model)))
+        if task == "temporal" and model != "rgnet":
+            run_stage("train", cfg)
+        path = cfg.path("scores_%s_%s.bin" % (model, task))
+        assert list(load_store(path)) == columns, (model, task)
+
+
+def test_logreg_scores_the_whole_block_with_the_bits_of_the_valid_rows(
+        trained, tmp_path):
+    """`train` scores logreg on every test step, then keeps the valid ones:
+    the same bits as scoring the valid rows alone."""
+    cfg = PipelineConfig(**dict(asdict(trained), model="logreg",
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(trained.workdir, cfg.workdir)
+    with open(cfg.path("features_meta.json")) as fh:
+        n_train = len(json.load(fh)["train_ids"])
+    pack = load_store(cfg.path(pipeline.PACK))
+    pack["mask"][n_train::2, 2:] = 0
+    pack["mask"][n_train + 1::2, :1] = 0
+    save_store(pack, cfg.path(pipeline.PACK))
+    run_stage("train", cfg)
+    scores = load_store(cfg.path("scores_logreg_temporal.bin"))
+    _, test, _ = pipeline._model_inputs(cfg)
+    assert 0 < test["mask"].sum() < test["mask"].size
+    model = load_store(cfg.path("model_logreg_temporal.ckpt"))
+    y1 = logreg.predict_proba(model, test["logreg_features"][test["mask"]])
+    assert scores["y1"].dtype == y1.dtype and scores["y1"].shape == y1.shape
+    assert scores["y1"].tobytes() == y1.tobytes()
+    np.testing.assert_array_equal(scores["decision"], y1 > 0.5)
+
+
+@pytest.mark.parametrize("model", ["newtonian", "logreg"])
+def test_cli_refuses_a_baseline_on_the_one_shot_task(one_shot, tmp_path,
+                                                      capsys, model):
+    """RGNet alone runs the one-shot task. Another model is refused when the
+    config is read, before the manifest is touched, so the RGNet scores stay
+    usable."""
+    cfg = PipelineConfig(**dict(asdict(one_shot),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(one_shot.workdir, cfg.workdir)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    with open(cfg.path("manifest.json"), "rb") as fh:
+        manifest = fh.read()
+    assert cli.main(["--config", cfg_path, "--model", model, "train"]) == 2
+    _assert_one_error_line(
+        SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
+        "the nontemporal task runs rgnet, not %s" % model)
+    with open(cfg.path("manifest.json"), "rb") as fh:
+        assert fh.read() == manifest
+    for stage in ("evaluate", "predict"):
+        assert cli.main(["--config", cfg_path, stage]) == 0
+
+
+@pytest.mark.parametrize("column, reader", [
+    ("y2", "predict"), ("y2", "evaluate"), ("decision", "evaluate"),
+    ("g_inv", "diagnose")])
+def test_cli_refuses_score_columns_of_unequal_length(trained, tmp_path, capsys,
+                                                     column, reader):
+    """A scores column two rows short ends each scoring stage with one error
+    line naming the file, the column and both counts, instead of a
+    prediction file with fewer rows or a raw traceback."""
+    cfg = PipelineConfig(**dict(asdict(trained),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(trained.workdir, cfg.workdir)
+    path = cfg.path("scores_rgnet_temporal.bin")
+    scores = load_store(path)
+    rows = len(scores["discussion_id"])
+    scores[column] = scores[column][:-2]
+    save_store(scores, path)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, reader]) == 2
+    _assert_one_error_line(
+        SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
+        "%s: column %s has %d rows, discussion_id has %d: run train again"
+        % (path, column, rows - 2, rows))
 
 
 @pytest.mark.parametrize("trained_with, scored_with", [
