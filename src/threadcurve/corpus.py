@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -317,30 +318,32 @@ def parse_corpus(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
                                 list(activity.values()), min_user_discussions)
 
 
-def ingest(path, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
+def ingest(path, write, excluded_author_tags=EXCLUDED_AUTHOR_TAGS,
            min_user_discussions=MIN_USER_DISCUSSIONS):
     """Read a JSON-lines corpus in one pass, as `parse_corpus` does, but
-    into the filtered corpus's lines and arrays; returns (lines, corpus,
+    into the filtered corpus's lines and arrays; returns (corpus,
     manifest).
 
-    lines[k] is discussion k's normalized form as one JSON line, with
-    sorted keys and a newline: the line `discussions.jsonl` holds. corpus
-    is its `Corpus`. No record is built.
+    Each discussion's normalized form goes to `write` as one JSON line,
+    with sorted keys and a newline, as soon as it is encoded: the line
+    `discussions.jsonl` holds. No line is kept, so a bad line further on
+    raises after `write` has had the lines before it. corpus is the
+    `Corpus` of what was written, built from typed columns (`_Columns`).
+    No record is built.
     """
     manifest = CorpusManifest()
     quote = encode_basestring_ascii
-    lines, columns = [], _Columns()
+    columns = _Columns()
     for post, comments in _read(path, manifest, excluded_author_tags):
         pid, poster, title, body, t0 = post
-        lines.append(_LINE % (", ".join([
+        write(_LINE % (", ".join([
             _COMMENT % (quote(author), quote(text), quote(cid), quote(parent),
                         t) for cid, author, parent, _, t, text, _ in comments]),
             quote(poster), quote(body), quote(pid), t0, quote(title)))
         columns.add(post, comments)
     corpus = columns.corpus()
-    return lines, corpus, _totals(manifest, len(corpus.ids),
-                                  len(corpus.author), corpus.activity(),
-                                  min_user_discussions)
+    return corpus, _totals(manifest, len(corpus.ids), len(corpus.author),
+                           corpus.activity(), min_user_discussions)
 
 
 def embedded_users(corpus, min_user_discussions=MIN_USER_DISCUSSIONS):
@@ -473,48 +476,56 @@ class Corpus:
 class _Columns:
     """The columns of a `Corpus`, added discussion by discussion as the
     tuples of `_build_discussion` or as records, which have their fields:
-    a parent outside the discussion (as in a cut prefix) gets position -2."""
+    a parent outside the discussion (as in a cut prefix) gets position -2.
+
+    The integer columns are `array('q')`, eight bytes a value with no
+    Python object each: the comment offsets (`start`), post times, comment
+    times, parent positions and depths, and the authors as codes in order
+    of first sight, from one name -> code dict. `corpus` renumbers the
+    codes once, so that they follow sorted names."""
 
     def __init__(self):
-        self.ids, self.post_author, self.post_time, self.sizes = [], [], [], []
-        self.author, self.parent, self.time, self.depth = [], [], [], []
-        self.texts = []
+        self.ids, self.texts, self.code = [], [], {}
+        self.start, self.post_author, self.post_time = (
+            array("q", [0]), array("q"), array("q"))
+        self.author, self.parent, self.time, self.depth = (
+            array("q"), array("q"), array("q"), array("q"))
 
     def add(self, post, comments):
         # fields by position, as in `Comment`; a `zip(*comments)` transpose
         # here raised the benchmark's peak RSS by 0.3-0.6 MB
         pid, poster, title, body, t0 = post
-        position = {c[0]: k for k, c in enumerate(comments)}
+        code, position = self.code, {c[0]: k for k, c in enumerate(comments)}
         position[pid] = -1
         self.ids.append(pid)
-        self.post_author.append(poster)
+        self.post_author.append(code.setdefault(poster, len(code)))
         self.post_time.append(t0)
-        self.sizes.append(len(comments))
-        self.author += [c[1] for c in comments]
-        self.parent += [position.get(c[2], -2) for c in comments]
-        self.time += [c[4] for c in comments]
-        self.depth += [c[6] for c in comments]
+        self.author.extend([code.setdefault(c[1], len(code))
+                            for c in comments])
+        self.start.append(len(self.author))
+        self.parent.extend([position.get(c[2], -2) for c in comments])
+        self.time.extend([c[4] for c in comments])
+        self.depth.extend([c[6] for c in comments])
         self.texts += [title, body]
         self.texts += [c[5] for c in comments]
 
     def corpus(self):
         """The Corpus of what was added; author codes follow sorted
         names."""
-        authors = sorted(set(self.post_author).union(self.author))
-        code = {name: k for k, name in enumerate(authors)}
-
-        def codes(names):
-            return np.fromiter(map(code.__getitem__, names), np.int64,
-                               len(names))
+        authors = sorted(self.code)
+        # the sorted rank of each first-sight code
+        rank = np.empty(len(authors), np.int64)
+        rank[[self.code[name] for name in authors]] = np.arange(len(authors))
 
         def column(values):
-            return np.array(values, dtype=np.int64)
+            return np.frombuffer(values, np.int64)
         return Corpus(self.ids, authors, Texts(self.texts),
-                      start=np.cumsum([0] + self.sizes, dtype=np.int64),
-                      post_author=codes(self.post_author),
+                      start=column(self.start),
+                      post_author=rank[column(self.post_author)],
                       post_time=column(self.post_time),
-                      author=codes(self.author), parent=column(self.parent),
-                      time=column(self.time), depth=column(self.depth))
+                      author=rank[column(self.author)],
+                      parent=column(self.parent), time=column(self.time),
+                      depth=column(self.depth))
 
 
 def windowize(d, w, N):

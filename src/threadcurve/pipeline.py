@@ -28,8 +28,8 @@ from .features import (ablate, build_lexicons, comment_layout,
                        post_layout)
 from .metrics import auc, diagnostics, growth_error, multilabel_metrics
 from .storage import (StoreError, atomic_write, atomic_write_json,
-                      atomic_write_lines, atomic_write_text, read_table,
-                      save_store, load_store, sha256_file)
+                      atomic_write_text, read_table, save_store, load_store,
+                      sha256_file)
 from .text import title_rows
 
 VERSION = "0.1.0"
@@ -276,10 +276,12 @@ def stage_synth(cfg):
 
 
 def stage_ingest(cfg):
-    lines, corpus, manifest = ingest(cfg.corpus_path,
-                                     cfg.excluded_author_tags,
-                                     cfg.min_user_discussions)
-    atomic_write_lines(cfg.path("discussions.jsonl"), lines)
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            return ingest(cfg.corpus_path, fh.write, cfg.excluded_author_tags,
+                          cfg.min_user_discussions)
+    # discussions.jsonl is replaced once the whole corpus has validated
+    corpus, manifest = atomic_write(write, cfg.path("discussions.jsonl"))
     save_store(corpus.tensors(), cfg.path(STORE))
     atomic_write_json(cfg.path("corpus_manifest.json"), asdict(manifest))
 
@@ -495,9 +497,13 @@ def stage_train(cfg):
                       dict(epoch_losses=losses, **log))
 
 
-def _load_scores(cfg, keys=()):
+def _load_scores(cfg, keys=(), widths=None):
     """The scores `train` wrote, holding the task's SCORE_KEYS and `keys`,
-    of a model trained under the config's ablation."""
+    of a model trained under the config's ablation. Every column has
+    discussion_id's rows. On the temporal task truth, y1, decision and
+    engaged_counts are (rows, n); with `widths`, the (n, d) of the clusters
+    and the embedding, g_inv is (rows, n, d+1), and without, n is truth's
+    width."""
     path = _model_file(cfg, "scores", "bin")
     scores = _load_store(path, "run train again",
                          SCORE_KEYS[cfg.task] + ("ablation",) + keys)
@@ -512,6 +518,25 @@ def _load_scores(cfg, keys=()):
             raise PipelineError("%s: column %s has %d rows, discussion_id has "
                                 "%d: run train again" % (
                                     path, key, count, rows["discussion_id"]))
+    if cfg.task == "temporal":
+        R, truth = rows["discussion_id"], scores["truth"].shape
+        if widths:
+            (n, d), source = widths, "the clusters and the embedding give"
+        elif len(truth) == 2:
+            n, source = truth[1], "truth has"
+        else:
+            raise PipelineError("%s: column truth has shape %s, not (rows, "
+                                "n): run train again" % (path, truth))
+        shapes = dict.fromkeys(("truth", "y1", "decision", "engaged_counts"),
+                               (R, n))
+        if widths:
+            shapes["g_inv"] = (R, n, d + 1)
+        for key, shape in shapes.items():
+            if key in scores and scores[key].shape != shape:
+                raise PipelineError("%s: column %s has shape %s, not %s as %s: "
+                                    "run train again" % (
+                                        path, key, scores[key].shape, shape,
+                                        source))
     return scores
 
 
@@ -566,9 +591,10 @@ def stage_predict(cfg):
 def stage_diagnose(cfg):
     if cfg.task != "temporal" or cfg.model != "rgnet":
         raise PipelineError("diagnose runs on the temporal rgnet model")
-    scores = _load_scores(cfg, ("g_inv", "engaged_counts"))
     cm = ClusterModel.load(cfg.path("clusters.txt"), cfg.path("centers.txt"))
     embedding = EmbeddingModel.load(cfg.path("embeddings.txt"))
+    scores = _load_scores(cfg, ("g_inv", "engaged_counts"),
+                          (cm.n, embedding.dim))
     summary = diagnostics(scores, cm, embedding, cfg.path("diagnostics"))
     atomic_write_json(cfg.path("diagnostics_summary.json"), summary)
 

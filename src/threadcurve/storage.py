@@ -7,10 +7,16 @@ tensor keeps its shape and dtype, and equal tensors give equal bytes. A
 text table (a lexicon file, `users.txt`, `cooccur.txt`, `embeddings.txt`,
 `clusters.txt`, `centers.txt`) has one row per non-blank UTF-8 line, split
 on whitespace; each module writes its own, and `read_table` reads them.
+
+An atomic write (`atomic_write`) hands its writer one temporary path per
+file and moves the files into place once the writer returns. A writer may
+stream into them as it goes, as `ingest` does with `discussions.jsonl`: if
+it raises, the temporary files are removed and the old files stay.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -90,23 +96,27 @@ def read_table(path, named, bounds=None, row=""):
 
 def atomic_write(write, *paths):
     """Call `write` with a temporary path per file, then move each into
-    place, so that a reader never sees a half-written file."""
+    place, so that a reader never sees a half-written file; returns what
+    `write` returns. `write` may stream into its files: if it raises, the
+    temporary files go and every file in `paths` keeps its old bytes."""
     tmps = [path + ".tmp" for path in paths]
-    write(*tmps)
+    try:
+        out = write(*tmps)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
     for tmp, path in zip(tmps, paths):
         os.replace(tmp, path)
+    return out
 
 
 def atomic_write_text(path, content):
-    atomic_write_lines(path, [content])
-
-
-def atomic_write_lines(path, lines):
-    """Write strings end to end, with no copy that joins them."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(content)
+    atomic_write(write, path)
 
 
 def atomic_write_json(path, obj):

@@ -21,6 +21,13 @@ from conftest import chain_comments, make_discussion_json, write_corpus
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
+def _ingest(path):
+    """`ingest` with the lines it writes kept: (lines, corpus,
+    manifest)."""
+    lines = []
+    return (lines,) + ingest(path, lines.append)
+
+
 def test_parse_sorts_and_depths(tiny_corpus):
     discussions, manifest, _ = tiny_corpus
     d = discussions[0]
@@ -194,7 +201,7 @@ def test_whole_float_timestamps_read_as_ints(tmp_path):
     (d,), _ = parse_corpus(str(path))
     times = [d.post.timestamp, d.comments[0].timestamp]
     assert times == [1000, 1010] and {type(t) for t in times} == {int}
-    (line,), _, _ = ingest(str(path))
+    (line,), _, _ = _ingest(str(path))
     assert '"timestamp": 1000,' in line and '"timestamp": 1010}' in line
 
 
@@ -275,7 +282,10 @@ def test_store_holds_what_parse_corpus_gives(tiny_corpus, tmp_path):
     """The store that ingest writes holds the fields of what `parse_corpus`
     gave: on the fixtures, on planted corpora, with a reply timestamped
     before its parent, an orphan reattached to the post, an empty body, a
-    discussion with no comments and a deep chain listed newest first."""
+    discussion with no comments and a deep chain listed newest first. On
+    authors first seen in reverse name order, one of whom only posts, the
+    one pass gives the record path's bytes too: its codes follow sorted
+    names."""
     spec = synth.SynthSpec(discussions=6, posts=12)
     synth.make_temporal_corpus(spec, 0, str(tmp_path / "t.jsonl"),
                                str(tmp_path / "t.json"))
@@ -292,8 +302,13 @@ def test_store_holds_what_parse_corpus_gives(tiny_corpus, tmp_path):
     silent = make_discussion_json("s", "erin", 900, [])
     deep = make_discussion_json(
         "deep", "alice", 1000, chain_comments("deep", ["bob", "carol"] * 50)[::-1])
+    reverse = write_corpus(tmp_path / "reverse.jsonl", [
+        make_discussion_json("r1", "zed", 1000,
+                             chain_comments("r1", ["yan", "xia"])),
+        make_discussion_json("r2", "walt", 2000,
+                             chain_comments("r2", ["vic", "xia", "ann"]))])
     paths = [os.path.join(DATA, "cooccur_fixture.jsonl"),
-             str(tmp_path / "t.jsonl"), str(tmp_path / "n.jsonl"),
+             str(tmp_path / "t.jsonl"), str(tmp_path / "n.jsonl"), reverse,
              write_corpus(tmp_path / "odd.jsonl", [early, silent, deep])]
     cases = [tiny_corpus[0]] + [parse_corpus(p)[0] for p in paths]
     odd = cases[-1]
@@ -301,6 +316,11 @@ def test_store_holds_what_parse_corpus_gives(tiny_corpus, tmp_path):
     assert odd[0].comments[1].parent_id == "e" and not odd[1].comments
     for k, discussions in enumerate(cases):
         _assert_store_holds(discussions, tmp_path / ("%d.bin" % k))
+    _assert_one_pass_matches_the_records(reverse, tmp_path)
+    corpus = _ingest(reverse)[1]
+    assert corpus.authors == ["ann", "vic", "walt", "xia", "yan", "zed"]
+    assert corpus.post_author.tolist() == [5, 2]
+    assert corpus.author.tolist() == [4, 3, 1, 3, 0]
     # a reply whose parent comes later in time: position 2, after it
     assert _assert_store_holds(odd, tmp_path / "odd.bin").parent[:3].tolist(
         ) == [2, -1, -1]
@@ -339,8 +359,8 @@ def test_store_does_not_depend_on_the_hash_seed(tmp_path):
               "from threadcurve.storage import save_store\n"
               "from corpus_reference import record_ingest\n"
               "corpus, out = sys.argv[1:]\n"
-              "lines, one_pass, _ = ingest(corpus)\n"
-              "open(out + '.jsonl', 'w').writelines(lines)\n"
+              "with open(out + '.jsonl', 'w') as fh:\n"
+              "    one_pass, _ = ingest(corpus, fh.write)\n"
               "save_store(one_pass.tensors(), out + '.bin')\n"
               "save_store(record_ingest(corpus, out + '_records.jsonl')[0],"
               " out + '_records.bin')\n")
@@ -383,7 +403,7 @@ def test_null_body_is_empty_and_a_null_id_or_author_is_named(tmp_path):
     path = write_corpus(tmp_path / "null.jsonl", [disc])
     d = parse_corpus(path)[0][0]
     assert d.post.body == "" and d.comments[1].text == ""
-    lines, corpus, _ = ingest(path)
+    lines, corpus, _ = _ingest(path)
     line = json.loads(lines[0])
     assert line["post"]["body"] == "" and line["comments"][1]["body"] == ""
     assert "none" not in corpus.texts.vocabulary
@@ -448,7 +468,7 @@ def test_a_field_of_the_wrong_type_is_named(tmp_path, damage, message):
     path = write_corpus(tmp_path / "wrong.jsonl", [
         make_discussion_json("k0", "dave", 500),
         disc if line is None else line])
-    for read in (parse_corpus, ingest):
+    for read in (parse_corpus, _ingest):
         with pytest.raises(CorpusError) as refused:
             read(path)
         assert str(refused.value) == "malformed corpus line 2: " + message
@@ -552,10 +572,10 @@ def _assert_one_pass_matches_the_records(path, tmp_path):
                                           str(tmp_path / "records.jsonl"))
     except CorpusError as exc:
         with pytest.raises(CorpusError) as refused:
-            ingest(path)
+            _ingest(path)
         assert str(refused.value) == str(exc)
         return
-    lines, corpus, got = ingest(path)
+    lines, corpus, got = _ingest(path)
     assert "".join(lines) == (tmp_path / "records.jsonl").read_text()
     save_store(tensors, str(tmp_path / "records.bin"))
     save_store(corpus.tensors(), str(tmp_path / "one_pass.bin"))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -550,6 +551,50 @@ def test_cli_refuses_a_lone_surrogate_in_an_id_or_name(tmp_path, where, key,
     assert not os.path.exists(tmp_path / "w" / "discussions.jsonl")
 
 
+def test_cli_keeps_the_last_ingest_when_a_later_line_is_malformed(tmp_path,
+                                                                  capsys):
+    """`ingest` streams discussions.jsonl into a temporary file: a
+    malformed line halfway through the corpus ends it with one error line,
+    leaves the discussions.jsonl and corpus store of the last ingest byte
+    for byte, and leaves no temporary file."""
+    cfg = mini_config(tmp_path, synth_discussions=40)
+    for stage in ("synth", "ingest"):
+        run_stage(stage, cfg)
+    written = [cfg.path("discussions.jsonl"), cfg.path(pipeline.STORE)]
+    before = [open(path, "rb").read() for path in written]
+    with open(cfg.corpus_path, "rb") as fh:
+        lines = fh.readlines()
+    half = len(lines) // 2
+    lines[half] = lines[half][:len(lines[half]) // 2] + b"\n"
+    with open(cfg.corpus_path, "wb") as fh:
+        fh.writelines(lines)
+    assert cli.main(["--workdir", cfg.workdir, "--desk-scale",
+                     "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: malformed corpus line %d: " % (half + 1))
+    assert [open(path, "rb").read() for path in written] == before
+    assert not [name for name in os.listdir(cfg.workdir)
+                if name.endswith(".tmp")]
+
+
+def test_ingest_holds_no_second_copy_of_the_corpus(tmp_path):
+    """`ingest` writes each line of discussions.jsonl as it is encoded and
+    keeps the store's integer columns as typed arrays, so the memory it
+    traces on an 800-discussion corpus peaks under 3.5 times the corpus
+    file (about 2.6 times; 4.3 times when it kept every line and one
+    Python object per comment field)."""
+    cfg = mini_config(tmp_path, synth_discussions=800)
+    run_stage("synth", cfg)
+    tracemalloc.start()
+    try:
+        pipeline.stage_ingest(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * os.path.getsize(cfg.corpus_path)
+
+
 @pytest.mark.parametrize("field,value", [("synth_discussions", -3),
                                          ("synth_posts", 0)])
 def test_cli_refuses_an_empty_synthetic_corpus(tmp_path, field, value):
@@ -1068,6 +1113,55 @@ def test_cli_refuses_score_columns_of_unequal_length(trained, tmp_path, capsys,
         SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
         "%s: column %s has %d rows, discussion_id has %d: run train again"
         % (path, column, rows - 2, rows))
+
+
+CLUSTERS = "the clusters and the embedding give"
+
+
+@pytest.mark.parametrize("column, damage, reader, blamed, source", [
+    ("y1", "flat", "predict", "y1", "truth has"),
+    ("y1", "flat", "evaluate", "y1", "truth has"),
+    ("decision", "flat", "evaluate", "decision", "truth has"),
+    ("truth", "narrow", "predict", "y1", "truth has"),
+    ("truth", "flat", "evaluate", "truth", None),
+    ("y1", "flat", "diagnose", "y1", CLUSTERS),
+    ("engaged_counts", "narrow", "diagnose", "engaged_counts", CLUSTERS),
+    ("g_inv", "narrow", "diagnose", "g_inv", CLUSTERS),
+    ("g_inv", "flat", "diagnose", "g_inv", CLUSTERS)],
+    ids=["y1-predict", "y1-evaluate", "decision-evaluate",
+         "truth-narrow-predict", "truth-flat-evaluate", "y1-diagnose",
+         "engaged-narrow-diagnose", "g_inv-narrow-diagnose",
+         "g_inv-flat-diagnose"])
+def test_cli_refuses_score_columns_of_the_wrong_shape(
+        trained, tmp_path, capsys, column, damage, reader, blamed, source):
+    """A scores column with the right row count but the wrong rank (its
+    first cluster only) or width (its last axis two short) ends each
+    scoring stage with one error line naming the file, a column, its shape
+    and the shape that truth, or the clusters and the embedding, give it:
+    (rows, n), and for g_inv (rows, n, d+1)."""
+    cfg = PipelineConfig(**dict(asdict(trained),
+                                workdir=str(tmp_path / "run")))
+    shutil.copytree(trained.workdir, cfg.workdir)
+    path = cfg.path("scores_rgnet_temporal.bin")
+    scores = load_store(path)
+    rows, n = scores["truth"].shape
+    value = scores[column]
+    scores[column] = value[:, 0] if damage == "flat" else value[..., :-2]
+    save_store(scores, path)
+    cfg_path = str(tmp_path / "cfg.json")
+    cfg.save(cfg_path)
+    assert cli.main(["--config", cfg_path, reader]) == 2
+    if source is None:
+        message = "column truth has shape (%d,), not (rows, n)" % rows
+    else:
+        if source == "truth has":
+            n = scores["truth"].shape[1]
+        want = (rows, n, cfg.d + 1) if blamed == "g_inv" else (rows, n)
+        message = "column %s has shape %s, not %s as %s" % (
+            blamed, scores[blamed].shape, want, source)
+    _assert_one_error_line(
+        SimpleNamespace(returncode=2, stderr=capsys.readouterr().err),
+        "%s: %s: run train again" % (path, message))
 
 
 @pytest.mark.parametrize("trained_with, scored_with", [

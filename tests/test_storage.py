@@ -81,6 +81,25 @@ def test_atomic_write_replaces_and_leaves_no_tmp(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
 
 
+def test_atomic_write_removes_its_temporary_files_when_write_raises(
+        tmp_path):
+    """A writer that raises halfway leaves every target with its old
+    bytes, or absent, and no temporary file."""
+    old = tmp_path / "a.txt"
+    old.write_text("old\n")
+    paths = [str(old), str(tmp_path / "b.txt")]
+
+    def write(*tmps):
+        for tmp in tmps:
+            with open(tmp, "w") as fh:
+                fh.write("half")
+        raise RuntimeError("cut")
+    with pytest.raises(RuntimeError, match="cut"):
+        storage.atomic_write(write, *paths)
+    assert sorted(tmp_path.iterdir()) == [old]
+    assert old.read_text() == "old\n"
+
+
 def test_json_key_order_is_canonical(tmp_path):
     p1, p2 = str(tmp_path / "1.json"), str(tmp_path / "2.json")
     storage.atomic_write_json(p1, {"b": 2, "a": 1})
